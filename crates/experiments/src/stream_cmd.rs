@@ -690,7 +690,7 @@ fn merged_fates(report: &dpta_stream::ShardedReport) -> Vec<(u32, TaskFate)> {
 /// fate; (2) recovered utility — on a boundary-crossing stream the
 /// halo must strictly beat drop-pairs sharding. Returns `false` when
 /// either gate fails.
-fn run_halo_section(
+fn halo_section(
     methods: &[Method],
     cfg: &StreamConfig,
     part: &GridPartition,
@@ -951,7 +951,7 @@ pub fn run(args: &StreamArgs) -> bool {
     }
 
     if args.halo {
-        all_match &= run_halo_section(&args.methods, &cfg, &part, &disjoint);
+        all_match &= halo_section(&args.methods, &cfg, &part, &disjoint);
     }
     if coerced && args.strict {
         println!(

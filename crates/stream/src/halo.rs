@@ -82,11 +82,11 @@
 //! [`ReleaseDedup`]: crate::driver::ReleaseDedup
 
 use crate::driver::{novel_ledger_spend, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
-use crate::event::{ArrivalStream, WorkerArrival};
+use crate::event::WorkerArrival;
+use crate::lifecycle::{InService, Lifecycle, PaceState, StepSignals};
 use crate::metrics::{ShardedReport, StreamReport, TaskFate, WindowCutDecision, WindowReport};
-use crate::session::{PaceState, StepSignals};
 use crate::snapshot::SnapshotError;
-use crate::window::{Window, WindowPolicy, Windower};
+use crate::window::Window;
 use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance, Instance, RunOutcome};
 use dpta_dp::{BudgetLedger, FastMap, LedgerState, SeededNoise};
@@ -117,19 +117,6 @@ struct CarrySource {
     board: Board,
     task_ids: Vec<u32>,
     worker_ids: Vec<u32>,
-}
-
-/// One worker held out of the pool while serving a committed match —
-/// the halo coordinator's half of [`ServiceModel`] re-entry, mirroring
-/// the session stepper's rules exactly (same completion-time ordering,
-/// same re-admission boundary) so flat and halo runs stay bit-for-bit
-/// on shard-disjoint input.
-///
-/// [`ServiceModel`]: crate::ServiceModel
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub(crate) struct Serving {
-    return_time: f64,
-    worker: WorkerArrival,
 }
 
 /// One shard's engine run inside one reconciliation pass.
@@ -215,51 +202,48 @@ struct Membership {
     reach: Vec<usize>,
 }
 
-/// Drives `stream` under the halo protocol (see the module docs) and
-/// returns one [`StreamReport`] per shard. Fates, arrivals and spend
-/// are attributed to the entity's *home* shard, so per-shard
-/// conservation holds and the merged totals are globally correct;
-/// matches (and their utility) land on the shard owning the task, which
-/// is always the shard that claimed it.
-pub(crate) fn run_halo(
-    engine: &dyn AssignmentEngine,
-    stream: &ArrivalStream,
-    cfg: &StreamConfig,
-    partition: &GridPartition,
-) -> ShardedReport {
-    // The halo coordinator always windows the *merged global* stream,
-    // so the adaptive controller (like count windows) aligns across
-    // shards by construction; its feedback is computed from the global
-    // pool/pending state inside the stepper, mirroring the unsharded
-    // driver.
-    let mut former = Windower::new(cfg.policy, stream, cfg.horizon);
-    let mut core = HaloCore::new(engine, cfg.clone(), partition.n_shards());
-    while let Some(window) = former.next_window() {
-        let cut = former.last_decision();
-        let signals = core.step_window(partition, &window, cut);
-        if former.needs_feedback() {
-            former.observe(&StepSignals::merge(std::slice::from_ref(&signals)));
+impl Membership {
+    fn of(partition: &GridPartition, w: &WorkerArrival) -> Self {
+        Membership {
+            home: partition.shard_of(&w.worker.location),
+            reach: partition.reach_shards(&w.worker.location, w.worker.radius),
         }
     }
-    core.finish(partition)
+}
+
+/// Inserts a pooled worker into every shard instance his disc reaches,
+/// resolving his membership on first sight. Returns his home shard.
+fn pool_worker(
+    partition: &GridPartition,
+    member: &mut FastMap<u32, Membership>,
+    deltas: &mut [DeltaInstance],
+    budget_gen: &BudgetGen,
+    w: &WorkerArrival,
+) -> usize {
+    let m = member
+        .entry(w.id)
+        .or_insert_with(|| Membership::of(partition, w));
+    for &k in &m.reach {
+        deltas[k].insert_worker(u64::from(w.id), w.worker, |t, wk| {
+            budget_gen.vector(t as usize, wk as usize)
+        });
+    }
+    m.home
 }
 
 /// The halo coordinator's cross-window state, stepped one globally
-/// formed window at a time. [`run_halo`] drains a pre-built stream
-/// through it; the sharded session drives it from a push windower, and
+/// formed window at a time by the sharded session's window former.
 /// [`HaloCore::snapshot`] / [`HaloCore::from_snapshot`] make a mid-run
 /// coordinator durable — a restored shard re-enters reconciliation
-/// coherently because the whole protocol state (pool, pending,
-/// in-service set, lifetime ledger, release dedup, carried board
-/// stacks) lives here, while the per-shard membership and maintained
-/// instances are deterministically rebuilt from it.
+/// coherently because the whole protocol state (the shared
+/// [`Lifecycle`], release dedup, carried board stacks) lives here,
+/// while the per-shard membership and maintained instances are
+/// deterministically rebuilt from it.
 pub(crate) struct HaloCore<'e> {
     engine: &'e dyn AssignmentEngine,
     cfg: StreamConfig,
     warm: bool,
-    capped: bool,
     incremental: bool,
-    reentry: bool,
     budget_gen: BudgetGen,
     // Per-shard report state.
     shard_windows: Vec<Vec<WindowReport>>,
@@ -267,19 +251,9 @@ pub(crate) struct HaloCore<'e> {
     shard_tasks: Vec<usize>,
     shard_workers: Vec<usize>,
     shard_spend: Vec<BTreeMap<u32, f64>>,
-    // Global pipeline state — one pool, one pending list, one
-    // accountant, one in-service set, exactly like the unsharded
-    // driver.
-    pool: Vec<WorkerArrival>,
-    pending: Vec<PendingTask>,
-    /// Tasks held back by admission control (FIFO, no TTL burned) —
-    /// the session stepper's rule, applied to the global backlog.
-    deferred: VecDeque<PendingTask>,
-    in_service: VecDeque<Serving>,
-    ledger: LedgerState,
-    /// Per-worker pacing state, maintained only under
-    /// [`StreamConfig::pacing`].
-    pace: BTreeMap<u32, PaceState>,
+    /// Global pipeline state — one pool, one pending list, one ledger,
+    /// one in-service set, run by the same rules as the flat stepper.
+    life: Lifecycle,
     charged: ReleaseDedup,
     carried: Vec<Option<Carried>>,
     // The maintained per-shard instances: shard `k`'s delta holds its
@@ -300,40 +274,31 @@ impl<'e> HaloCore<'e> {
         n_shards: usize,
     ) -> Self {
         let warm = cfg.carry_releases && engine.supports_warm_start();
-        let capped = warm && cfg.worker_capacity.is_finite();
+        let life = Lifecycle::new(&cfg, warm);
         // Component-restricted reruns are sound only when a rerun's
         // inputs beyond the instance itself are pass-invariant: a
         // finite hard cap reads the live accountant (reservations move
         // between passes), so capped reruns stay full.
         // `halo_full_rerun` is the debugging / reference override.
-        let incremental = !capped && !cfg.halo_full_rerun;
-        let reentry = cfg.service.reenters();
+        let incremental = !life.capped && !cfg.halo_full_rerun;
         let budget_gen = BudgetGen::new(
             cfg.params.seed ^ 0x5712_EA11,
             0,
             cfg.budget_range,
             cfg.budget_group_size,
         );
-        let ledger = cfg.ledger.state();
         HaloCore {
             engine,
             cfg,
             warm,
-            capped,
             incremental,
-            reentry,
             budget_gen,
             shard_windows: vec![Vec::new(); n_shards],
             shard_fates: vec![BTreeMap::new(); n_shards],
             shard_tasks: vec![0; n_shards],
             shard_workers: vec![0; n_shards],
             shard_spend: vec![BTreeMap::new(); n_shards],
-            pool: Vec::new(),
-            pending: Vec::new(),
-            deferred: VecDeque::new(),
-            in_service: VecDeque::new(),
-            ledger,
-            pace: BTreeMap::new(),
+            life,
             charged: ReleaseDedup::default(),
             carried: (0..n_shards).map(|_| None).collect(),
             deltas: (0..n_shards).map(|_| DeltaInstance::new()).collect(),
@@ -354,21 +319,14 @@ impl<'e> HaloCore<'e> {
             engine,
             cfg,
             warm,
-            capped,
             incremental,
-            reentry,
             budget_gen,
             shard_windows,
             shard_fates,
             shard_tasks,
             shard_workers,
             shard_spend,
-            pool,
-            pending,
-            deferred,
-            in_service,
-            ledger,
-            pace,
+            life,
             charged,
             carried,
             deltas,
@@ -376,151 +334,57 @@ impl<'e> HaloCore<'e> {
         } = self;
         let engine: &dyn AssignmentEngine = *engine;
         let cfg: &StreamConfig = cfg;
-        let (warm, capped, incremental, reentry) = (*warm, *capped, *incremental, *reentry);
+        let (warm, incremental, capped) = (*warm, *incremental, life.capped);
         let n_shards = deltas.len();
-        // Advance the ledger clock to the (globally formed) window
-        // start: sliding-window reclamation fires at the same instants
-        // the flat stepper's does, keeping the agreement gates exact.
-        ledger.advance_time(window.start);
-        // ── Re-admit returned workers ─────────────────────────────────
-        // Completed service cycles re-enter the pool ahead of the
-        // window's fresh arrivals, in (completion time, id) order — the
-        // session stepper's rule, so pool order matches the flat run's
-        // on shard-disjoint input.
+        let opened = life.open(cfg, window);
+        // ── Mirror the admissions into the shard instances ────────────
         let mut returned_by_home = vec![0usize; n_shards];
-        while in_service
-            .front()
-            .is_some_and(|s| s.return_time < window.end)
-        {
-            let s = in_service.pop_front().expect("front exists");
-            let m = &member[&s.worker.id];
-            returned_by_home[m.home] += 1;
-            for &k in &m.reach {
-                deltas[k].insert_worker(u64::from(s.worker.id), s.worker.worker, |t, w| {
-                    budget_gen.vector(t as usize, w as usize)
-                });
-            }
-            pool.push(s.worker);
+        for s in &opened.returned {
+            returned_by_home[pool_worker(partition, member, deltas, budget_gen, &s.worker)] += 1;
         }
-        // ── Admit arrivals ────────────────────────────────────────────
         for w in &window.workers {
-            ledger.register(u64::from(w.id), cfg.worker_capacity);
-            let m = Membership {
-                home: partition.shard_of(&w.worker.location),
-                reach: partition.reach_shards(&w.worker.location, w.worker.radius),
-            };
-            shard_workers[m.home] += 1;
-            for &k in &m.reach {
-                deltas[k].insert_worker(u64::from(w.id), w.worker, |t, wk| {
-                    budget_gen.vector(t as usize, wk as usize)
-                });
-            }
-            member.insert(w.id, m);
-            pool.push(*w);
+            shard_workers[pool_worker(partition, member, deltas, budget_gen, w)] += 1;
         }
         // Unserved tasks already maintained per shard, before this
         // window's admissions (the report's carried-in view).
         let carried_by_shard: Vec<usize> = deltas.iter().map(DeltaInstance::n_tasks).collect();
         let mut arrived_by_shard = vec![0usize; n_shards];
-        let mut deferred_by_shard = vec![0usize; n_shards];
-        let mut readmitted_by_shard = vec![0usize; n_shards];
-        for &arrival in &window.tasks {
+        for arrival in &window.tasks {
             let home = partition.shard_of(&arrival.task.location);
             shard_tasks[home] += 1;
             arrived_by_shard[home] += 1;
         }
-        // Admission control: the session stepper's rule over the global
-        // pool — admit only what the aggregate remaining budget could
-        // serve, oldest deferral first. (The coordinator keeps no
-        // outcome log; the per-shard `tasks_deferred` counters carry
-        // the observability.)
-        let admitted: Vec<(PendingTask, bool)> = match cfg.admission {
-            Some(ac) => {
-                let mut aggregate = 0.0f64;
-                for w in pool.iter() {
-                    aggregate += ledger.remaining(u64::from(w.id));
-                }
-                let serveable = if aggregate.is_finite() {
-                    (aggregate / ac.epsilon_per_task) as usize
-                } else {
-                    usize::MAX
-                };
-                let mut allowed = serveable.saturating_sub(pending.len());
-                let waiting: Vec<PendingTask> = deferred.drain(..).collect();
-                let mut admitted = Vec::with_capacity(waiting.len() + window.tasks.len());
-                for (p, fresh) in
-                    waiting
-                        .into_iter()
-                        .map(|p| (p, false))
-                        .chain(window.tasks.iter().map(|&arrival| {
-                            (
-                                PendingTask {
-                                    arrival,
-                                    ttl: cfg.task_ttl,
-                                },
-                                true,
-                            )
-                        }))
-                {
-                    if allowed > 0 {
-                        allowed -= 1;
-                        admitted.push((p, fresh));
-                    } else {
-                        if fresh {
-                            deferred_by_shard[task_home_of(partition, &p)] += 1;
-                        }
-                        deferred.push_back(p);
-                    }
-                }
-                admitted
-            }
-            None => window
-                .tasks
-                .iter()
-                .map(|&arrival| {
-                    (
-                        PendingTask {
-                            arrival,
-                            ttl: cfg.task_ttl,
-                        },
-                        true,
-                    )
-                })
-                .collect(),
-        };
-        for &(p, fresh) in &admitted {
-            let home = task_home_of(partition, &p);
-            if !fresh {
+        let mut deferred_by_shard = vec![0usize; n_shards];
+        for t in &opened.deferred {
+            deferred_by_shard[partition.shard_of(&t.task.location)] += 1;
+        }
+        let mut readmitted_by_shard = vec![0usize; n_shards];
+        for (k, p) in life.pending[opened.carried_in..].iter().enumerate() {
+            let home = task_home_of(partition, p);
+            if k < opened.readmitted {
                 readmitted_by_shard[home] += 1;
             }
             deltas[home].insert_task(u64::from(p.arrival.id), p.arrival.task, |t, w| {
                 budget_gen.vector(t as usize, w as usize)
             });
-            pending.push(p);
         }
-        // Observed stream state at window close (identical to the
-        // unsharded driver's: one global pending list, same formula).
-        // Static policies never read it, so skip the allocation there.
-        let ages: Vec<f64> = if matches!(cfg.policy, WindowPolicy::Adaptive(_)) {
-            pending
-                .iter()
-                .map(|p| window.end - p.arrival.time)
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         // Per-window id → index maps (pool and pending are frozen for
         // the duration of the reconciliation loop).
-        let pend_at: FastMap<u32, usize> = pending
+        let pend_at: FastMap<u32, usize> = life
+            .pending
             .iter()
             .enumerate()
             .map(|(i, p)| (p.arrival.id, i))
             .collect();
-        let pool_at: FastMap<u32, usize> =
-            pool.iter().enumerate().map(|(j, w)| (w.id, j)).collect();
+        let pool_at: FastMap<u32, usize> = life
+            .pool
+            .iter()
+            .enumerate()
+            .map(|(j, w)| (w.id, j))
+            .collect();
         let mut avail = vec![0usize; n_shards];
-        for w in pool.iter() {
+        for w in &life.pool {
             for &k in &member[&w.id].reach {
                 avail[k] += 1;
             }
@@ -552,41 +416,27 @@ impl<'e> HaloCore<'e> {
             })
             .collect();
 
-        // Budget pacing: cap a worker's remaining-budget guard when his
-        // trailing burn rate would exhaust him within the forecast
-        // horizon. Computed once from the pre-window ledger, so every
-        // reconciliation pass reads the same caps.
-        let pace_caps: Option<BTreeMap<u32, f64>> = cfg.pacing.filter(|_| capped).map(|p| {
-            let horizon = p.horizon_windows as f64;
-            let mut caps = BTreeMap::new();
-            for w in pool.iter() {
-                if let Some(st) = pace.get(&w.id) {
-                    let rem = ledger.remaining(u64::from(w.id));
-                    if st.ema > 0.0 && rem > 0.0 && st.ema * horizon > rem {
-                        caps.insert(w.id, rem / horizon);
-                    }
-                }
-            }
-            caps
-        });
-        if let Some(caps) = &pace_caps {
-            for &wid in caps.keys() {
-                reports[member[&wid].home].workers_throttled += 1;
-            }
+        // Budget pacing caps, computed once from the pre-window ledger
+        // so every reconciliation pass reads the same caps.
+        let pace_caps: BTreeMap<u32, f64> = life
+            .pool
+            .iter()
+            .filter_map(|w| Some((w.id, life.pace_cap(cfg, w.id)?)))
+            .collect();
+        for &wid in pace_caps.keys() {
+            reports[member[&wid].home].workers_throttled += 1;
         }
 
         // ── Propose / reconcile loop ──────────────────────────────────
-        let mut committed_tasks: BTreeSet<u32> = BTreeSet::new();
-        let mut committed_workers: BTreeSet<u32> = BTreeSet::new();
-        // Per committed worker: the service duration of his match (the
-        // settle step turns it into a return time or a departure).
-        let mut service_of: BTreeMap<u32, Option<f64>> = BTreeMap::new();
+        let mut matched_mask = vec![false; life.pending.len()];
+        // Committed worker → pending index of the task he serves.
+        let mut committed: BTreeMap<u32, usize> = BTreeMap::new();
         let mut window_spend: BTreeMap<u32, f64> = BTreeMap::new();
         let mut needs_run = vec![true; n_shards];
         let mut claims: Vec<Vec<Claim>> = vec![Vec::new(); n_shards];
         let mut states: Vec<ShardPassState> =
             (0..n_shards).map(|_| ShardPassState::default()).collect();
-        let pool_size = pool.len();
+        let pool_size = life.pool.len();
         let mut passes = 0usize;
 
         loop {
@@ -628,7 +478,7 @@ impl<'e> HaloCore<'e> {
                             // rerun would reproduce the previous run
                             // exactly. Keep it; only the departed
                             // workers' claims are withdrawn.
-                            claims[k].retain(|c| !committed_workers.contains(&c.worker));
+                            claims[k].retain(|c| !committed.contains_key(&c.worker));
                             states[k].dirty.clear();
                             continue;
                         }
@@ -642,8 +492,8 @@ impl<'e> HaloCore<'e> {
                                 worker_ids,
                                 &pend_at,
                                 &pool_at,
-                                pending,
-                                pool,
+                                &life.pending,
+                                &life.pool,
                                 budget_gen,
                                 &carried[k],
                                 warm,
@@ -657,13 +507,12 @@ impl<'e> HaloCore<'e> {
                 }
                 claims[k].clear();
                 let built = prepare_run(
-                    budget_gen,
                     k,
                     &deltas[k],
                     &carried[k],
                     warm,
-                    capped.then_some(&*ledger),
-                    pace_caps.as_ref(),
+                    capped.then_some(&life.ledger),
+                    &pace_caps,
                     incremental,
                 );
                 if let Some(p) = built {
@@ -672,7 +521,13 @@ impl<'e> HaloCore<'e> {
                         // (reservations included), so capped shard runs
                         // execute sequentially in ascending shard id.
                         let (run, dt) = drive_prepared(engine, cfg, p);
-                        account_run(&run, charged, ledger, &mut window_spend, &mut reports[k]);
+                        account_run(
+                            &run,
+                            charged,
+                            &mut life.ledger,
+                            &mut window_spend,
+                            &mut reports[k],
+                        );
                         finish_run(k, run, dt, &mut reports, &mut claims, &mut states);
                     } else {
                         prepared.push(p);
@@ -697,7 +552,13 @@ impl<'e> HaloCore<'e> {
                 );
                 driven.sort_by_key(|&(k, _, _, _)| k);
                 for (k, run, dt, is_sub) in driven {
-                    account_run(&run, charged, ledger, &mut window_spend, &mut reports[k]);
+                    account_run(
+                        &run,
+                        charged,
+                        &mut life.ledger,
+                        &mut window_spend,
+                        &mut reports[k],
+                    );
                     if is_sub {
                         finish_sub_run(
                             k,
@@ -706,7 +567,7 @@ impl<'e> HaloCore<'e> {
                             &mut reports,
                             &mut claims,
                             &mut states,
-                            &committed_workers,
+                            &committed,
                         );
                     } else {
                         finish_run(k, run, dt, &mut reports, &mut claims, &mut states);
@@ -776,8 +637,9 @@ impl<'e> HaloCore<'e> {
                     .find(|c| c.worker == w)
                     .copied()
                     .expect("winner shard holds a claim on the worker");
-                let task = &pending[pend_at[&claim.task]];
-                let worker = &pool[pool_at[&w]];
+                let task_at = pend_at[&claim.task];
+                let task = &life.pending[task_at];
+                let worker = &life.pool[pool_at[&w]];
                 let d = task.arrival.task.location.distance(&worker.worker.location);
                 let privacy_cost = if engine.accounts_privacy() {
                     cfg.params.beta
@@ -800,18 +662,8 @@ impl<'e> HaloCore<'e> {
                         latency: window.end - task.arrival.time,
                     },
                 );
-                committed_tasks.insert(claim.task);
-                committed_workers.insert(w);
-                service_of.insert(
-                    w,
-                    cfg.service.duration_keyed(
-                        d,
-                        task.arrival.task.value,
-                        w,
-                        claim.task,
-                        cfg.params.seed,
-                    ),
-                );
+                matched_mask[task_at] = true;
+                committed.insert(w, task_at);
                 claims[k].retain(|c| c.worker != w);
                 // The committed pair leaves every maintained instance
                 // that sees it, and its components become dirty: any
@@ -856,75 +708,22 @@ impl<'e> HaloCore<'e> {
         // Commit this window's reservations — exactly once per worker —
         // then depart matched workers and retire exhausted ones.
         for (&wid, &eps) in &window_spend {
-            ledger.commit(u64::from(wid));
+            life.ledger.commit(u64::from(wid));
             *shard_spend[member[&wid].home].entry(wid).or_insert(0.0) += eps;
         }
-        for &w in &committed_workers {
+        for (&w, &task_at) in &committed {
             reports[member[&w].home].workers_departed += 1;
-            match service_of.get(&w).copied().flatten() {
-                Some(d) => {
-                    // Re-entry: the worker keeps his accountant entry
-                    // (lifetime budgets span service cycles) and waits
-                    // out his service duration.
-                    let return_time = window.end + d;
-                    let arrival = pool[pool_at[&w]];
-                    let pos = in_service
-                        .partition_point(|s| (s.return_time, s.worker.id) < (return_time, w));
-                    in_service.insert(
-                        pos,
-                        Serving {
-                            return_time,
-                            worker: arrival,
-                        },
-                    );
-                }
-                None => {
-                    ledger.forget(u64::from(w));
-                }
-            }
+            life.depart(cfg, window.end, task_at, pool_at[&w]);
         }
-        // Sliding-window (renewable) accounting never retires — an
-        // exhausted worker idles behind the guard until old charges age
-        // out. An infinite protection window is not renewable, so
-        // `Windowed { window_secs: ∞ }` retires exactly like lifetime
-        // accounting.
-        let renewable = ledger.renewable();
-        let mut retired: BTreeSet<u64> = if renewable {
-            BTreeSet::new()
-        } else {
-            ledger.drain_exhausted().into_iter().collect()
-        };
-        if !renewable && capped {
-            // Mirror the unsharded driver: under a hard cap a worker is
-            // effectively exhausted once his remaining budget cannot
-            // cover even the cheapest possible release.
-            for w in pool.iter() {
-                let id = u64::from(w.id);
-                if !committed_workers.contains(&w.id)
-                    && !retired.contains(&id)
-                    && ledger.remaining(id) + 1e-12 < cfg.budget_range.0
-                {
-                    ledger.forget(id);
-                    retired.insert(id);
-                }
-            }
-        }
-        // An in-service worker can exhaust his budget at the very match
-        // that sent him out: he finishes the trip but retires instead
-        // of returning (the session stepper's rule). Home shards come
-        // off the membership cache — every tracked worker was admitted
-        // through it, pooled or serving alike.
-        for &id in &retired {
+        // Home shards come off the membership cache — every tracked
+        // worker was admitted through it, pooled or serving alike.
+        for id in life.retire(cfg, |w| committed.contains_key(&w)) {
             let m = &member[&(id as u32)];
             for &k2 in &m.reach {
                 deltas[k2].remove_worker(id);
             }
             reports[m.home].workers_retired += 1;
         }
-        if reentry && !retired.is_empty() {
-            in_service.retain(|s| !retired.contains(&u64::from(s.worker.id)));
-        }
-        pool.retain(|w| !committed_workers.contains(&w.id) && !retired.contains(&u64::from(w.id)));
 
         // Carry each shard's last drives into the next window: the base
         // full run plus its component re-drives, later sources owning
@@ -948,65 +747,31 @@ impl<'e> HaloCore<'e> {
             }
         }
 
-        // Matched tasks leave, survivors age, the too-old expire.
-        let mut next_pending = Vec::with_capacity(pending.len());
-        for mut p in pending.drain(..) {
-            if committed_tasks.contains(&p.arrival.id) {
-                continue;
-            }
-            p.ttl -= 1;
-            if p.ttl == 0 {
-                let home = task_home_of(partition, &p);
-                deltas[home].remove_task(u64::from(p.arrival.id));
-                shard_fates[home].insert(
-                    p.arrival.id,
-                    TaskFate::Expired {
-                        window: window.index,
-                    },
-                );
-                reports[home].expired += 1;
-            } else {
-                next_pending.push(p);
-            }
+        // Committed tasks already left their shard's instance.
+        for p in life.expire(&matched_mask) {
+            let home = task_home_of(partition, &p);
+            deltas[home].remove_task(u64::from(p.arrival.id));
+            shard_fates[home].insert(
+                p.arrival.id,
+                TaskFate::Expired {
+                    window: window.index,
+                },
+            );
+            reports[home].expired += 1;
         }
-        *pending = next_pending;
-        for p in pending.iter() {
+        for p in &life.pending {
             reports[task_home_of(partition, p)].carried_out += 1;
-        }
-        // Refresh the pacing forecast from this window's realized
-        // spend (clamped at zero: window-`W` reclamation shrinking the
-        // recorded spend is not negative burn).
-        if cfg.pacing.is_some() {
-            let tracked = ledger.tracked_ids();
-            for &id in &tracked {
-                let spent = ledger.spent(id);
-                let st = pace.entry(id as u32).or_insert(PaceState {
-                    last_spent: 0.0,
-                    ema: 0.0,
-                });
-                let burned = (spent - st.last_spent).max(0.0);
-                st.ema = 0.5 * st.ema + 0.5 * burned;
-                st.last_spent = spent;
-            }
-            pace.retain(|&id, _| tracked.binary_search(&u64::from(id)).is_ok());
         }
         for (k, report) in reports.into_iter().enumerate() {
             shard_windows[k].push(report);
         }
-        StepSignals {
-            ages,
-            backlog: pending.len(),
-            pool: pool.len(),
-        }
+        life.close(cfg, opened.ages)
     }
 
     /// Settles the remaining pending fates and assembles the per-shard
     /// reports.
     pub(crate) fn finish(mut self, partition: &GridPartition) -> ShardedReport {
-        for p in &self.pending {
-            self.shard_fates[task_home_of(partition, p)].insert(p.arrival.id, TaskFate::Pending);
-        }
-        for p in &self.deferred {
+        for p in self.life.pending.iter().chain(&self.life.deferred) {
             self.shard_fates[task_home_of(partition, p)].insert(p.arrival.id, TaskFate::Pending);
         }
         let engine_name = self.engine.name().to_string();
@@ -1030,18 +795,20 @@ impl<'e> HaloCore<'e> {
     /// both are pure functions of the partition and the serialized
     /// pool / pending / in-service sets, rebuilt on restore.
     pub(crate) fn snapshot(&self) -> HaloSnapshot {
+        let life = &self.life;
         HaloSnapshot {
             shard_windows: self.shard_windows.clone(),
             shard_fates: self.shard_fates.clone(),
             shard_tasks: self.shard_tasks.clone(),
             shard_workers: self.shard_workers.clone(),
             shard_spend: self.shard_spend.clone(),
-            pool: self.pool.clone(),
-            pending: self.pending.clone(),
-            deferred: self.deferred.clone(),
-            in_service: self.in_service.clone(),
-            ledger: self.ledger.clone(),
-            pace: self.pace.clone(),
+            pool: life.pool.clone(),
+            pending: life.pending.clone(),
+            deferred: life.deferred.clone(),
+            in_service: life.in_service.clone(),
+            cycles: life.cycles.clone(),
+            ledger: life.ledger.clone(),
+            pace: life.pace.clone(),
             charged: self.charged.clone(),
             carried: self.carried.clone(),
         }
@@ -1091,38 +858,31 @@ impl<'e> HaloCore<'e> {
         core.shard_tasks = snap.shard_tasks.clone();
         core.shard_workers = snap.shard_workers.clone();
         core.shard_spend = snap.shard_spend.clone();
-        core.pool = snap.pool.clone();
-        core.pending = snap.pending.clone();
-        core.deferred = snap.deferred.clone();
-        core.in_service = snap.in_service.clone();
-        core.ledger = snap.ledger.clone();
-        core.pace = snap.pace.clone();
+        let life = &mut core.life;
+        life.pool = snap.pool.clone();
+        life.pending = snap.pending.clone();
+        life.deferred = snap.deferred.clone();
+        life.in_service = snap.in_service.clone();
+        life.cycles = snap.cycles.clone();
+        life.ledger = snap.ledger.clone();
+        life.pace = snap.pace.clone();
         core.charged = snap.charged.clone();
         core.carried = snap.carried.clone();
         for w in &snap.pool {
-            let m = Membership {
-                home: partition.shard_of(&w.worker.location),
-                reach: partition.reach_shards(&w.worker.location, w.worker.radius),
-            };
-            for &k in &m.reach {
-                core.deltas[k].insert_worker(u64::from(w.id), w.worker, |t, wk| {
-                    core.budget_gen.vector(t as usize, wk as usize)
-                });
-            }
-            core.member.insert(w.id, m);
+            pool_worker(
+                partition,
+                &mut core.member,
+                &mut core.deltas,
+                &core.budget_gen,
+                w,
+            );
         }
         for s in &snap.in_service {
             // Serving workers left the maintained instances with their
             // commit, but settle still consults their membership (home
             // attribution, retirement mid-service).
-            core.member.insert(
-                s.worker.id,
-                Membership {
-                    home: partition.shard_of(&s.worker.worker.location),
-                    reach: partition
-                        .reach_shards(&s.worker.worker.location, s.worker.worker.radius),
-                },
-            );
+            core.member
+                .insert(s.worker.id, Membership::of(partition, &s.worker));
         }
         for p in &snap.pending {
             let home = partition.shard_of(&p.arrival.task.location);
@@ -1149,7 +909,8 @@ pub(crate) struct HaloSnapshot {
     pub(crate) pool: Vec<WorkerArrival>,
     pub(crate) pending: Vec<PendingTask>,
     pub(crate) deferred: VecDeque<PendingTask>,
-    pub(crate) in_service: VecDeque<Serving>,
+    pub(crate) in_service: VecDeque<InService>,
+    pub(crate) cycles: BTreeMap<u32, usize>,
     pub(crate) ledger: LedgerState,
     pub(crate) pace: BTreeMap<u32, PaceState>,
     pub(crate) charged: ReleaseDedup,
@@ -1315,21 +1076,18 @@ fn carry_board(
 /// Builds shard `k`'s full run from its maintained instance, carrying
 /// protocol state from the pre-window board. Returns `None` when the
 /// shard has nothing to drive.
-#[allow(clippy::too_many_arguments)]
 fn prepare_run(
-    budget_gen: &BudgetGen,
     k: usize,
     delta: &DeltaInstance,
     carried: &Option<Carried>,
     warm: bool,
     guard_from: Option<&LedgerState>,
-    pace_caps: Option<&BTreeMap<u32, f64>>,
+    pace_caps: &BTreeMap<u32, f64>,
     track_components: bool,
 ) -> Option<PreparedRun> {
     if delta.n_tasks() == 0 || delta.n_workers() == 0 {
         return None;
     }
-    let _ = budget_gen; // budgets were cached at insertion time
     let task_ids: Vec<u32> = delta.task_keys().map(|key| key as u32).collect();
     let worker_ids: Vec<u32> = delta.worker_keys().map(|key| key as u32).collect();
     let inst = delta.instance();
@@ -1357,15 +1115,10 @@ fn prepare_run(
         worker_ids
             .iter()
             .map(|&id| {
-                let mut g = acc.remaining(u64::from(id));
-                // Pacing cap, when the controller flagged the worker
+                let g = acc.remaining(u64::from(id));
+                // Pacing cap, when the lifecycle throttled the worker
                 // for this window.
-                if let Some(caps) = pace_caps {
-                    if let Some(&c) = caps.get(&id) {
-                        g = g.min(c);
-                    }
-                }
-                g
+                pace_caps.get(&id).map_or(g, |&c| g.min(c))
             })
             .collect()
     });
@@ -1431,9 +1184,8 @@ fn prepare_sub_run(
     }
 }
 
-/// Drives one prepared shard run. Mirrors the unsharded driver: warm
-/// engines resume (capped when a guard is set), one-shot engines assign
-/// from their fresh board.
+/// Drives one prepared shard run: warm engines resume (capped when a
+/// guard is set), one-shot engines assign from their fresh board.
 fn drive_prepared(
     engine: &dyn AssignmentEngine,
     cfg: &StreamConfig,
@@ -1582,13 +1334,13 @@ fn finish_sub_run(
     reports: &mut [WindowReport],
     claims: &mut [Vec<Claim>],
     states: &mut [ShardPassState],
-    committed_workers: &BTreeSet<u32>,
+    committed: &BTreeMap<u32, usize>,
 ) {
     reports[k].rounds += run.outcome.rounds;
     reports[k].drive_time += dt;
     reports[k].publications += run.outcome.board.publications() - run.pre_pubs;
     let redriven: BTreeSet<u32> = run.task_ids.iter().copied().collect();
-    claims[k].retain(|c| !redriven.contains(&c.task) && !committed_workers.contains(&c.worker));
+    claims[k].retain(|c| !redriven.contains(&c.task) && !committed.contains_key(&c.worker));
     let fresh: Vec<Claim> = run
         .outcome
         .assignment

@@ -84,6 +84,7 @@ mod arrival;
 mod driver;
 mod event;
 mod halo;
+mod lifecycle;
 mod metrics;
 mod session;
 mod shard;
@@ -106,4 +107,4 @@ pub use shard::{
     ShardedSession, COUNT_WINDOW_SHARD_WARNING,
 };
 pub use snapshot::{SessionSnapshot, ShardedSnapshot, SnapshotError, SNAPSHOT_VERSION};
-pub use window::{AdaptivePolicy, Window, WindowPolicy, Windower, MAX_WINDOWS};
+pub use window::{AdaptivePolicy, WindowPolicy, MAX_WINDOWS};

@@ -18,9 +18,12 @@
 //! * [`close`](StreamSession::close) — drive the remaining windows and
 //!   settle the aggregate [`StreamReport`](crate::StreamReport).
 //!
-//! `StreamDriver::run`, `run_sharded` and `run_sharded_halo` are thin
-//! drain loops over the same stepper ([`SessionCore`]), so every
-//! driving mode shares one set of window/budget/fate semantics.
+//! `StreamDriver::run` and the sharded runners are thin `push* → close`
+//! drain loops over this session or a
+//! [`ShardedSession`](crate::ShardedSession). Every stepper cuts its
+//! windows with the one [`WindowFormer`] and moves workers and tasks
+//! through the one [`Lifecycle`], so every driving mode shares one set
+//! of window/budget/fate semantics.
 //!
 //! # Worker re-entry
 //!
@@ -37,11 +40,10 @@
 
 use crate::driver::{novel_ledger_spend, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
 use crate::event::{ArrivalEvent, WorkerArrival};
-use crate::metrics::{
-    percentile, StreamReport, TaskFate, WindowCutDecision, WindowFeedback, WindowReport,
-};
+use crate::lifecycle::{InService, Lifecycle, PaceState, StepSignals};
+use crate::metrics::{StreamReport, TaskFate, WindowCutDecision, WindowReport};
 use crate::snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use crate::window::{AdaptiveController, ControllerState, Window, WindowPolicy, MAX_WINDOWS};
+use crate::window::{Window, WindowFormer};
 use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::metrics::measure;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance};
@@ -267,14 +269,6 @@ pub enum Outcome {
     },
 }
 
-/// One worker held out of the pool while serving a match.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub(crate) struct InService {
-    return_time: f64,
-    cycle: usize,
-    worker: WorkerArrival,
-}
-
 /// The protocol state carried between windows for warm-start engines.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct CarriedBoard {
@@ -283,46 +277,13 @@ pub(crate) struct CarriedBoard {
     worker_ids: Vec<u32>,
 }
 
-/// One window's stream-observable signals, handed back to the adaptive
-/// window controller after the window settles. The sharded runners
-/// merge one per shard into a single global [`WindowFeedback`], which
-/// is what keeps adaptive cuts identical across flat, drop-pairs and
-/// halo execution.
-pub(crate) struct StepSignals {
-    /// Seconds from arrival to window close of every task present in
-    /// the window (matched, expired and carried alike).
-    pub(crate) ages: Vec<f64>,
-    /// Unserved tasks carried out of the window.
-    pub(crate) backlog: usize,
-    /// Workers on duty after the window settled.
-    pub(crate) pool: usize,
-}
-
-impl StepSignals {
-    /// Merges per-shard signals into the global controller feedback.
-    /// The percentile sorts, so shard order never affects the merge —
-    /// concatenating shard age vectors reproduces the flat run's
-    /// feedback exactly on shard-disjoint input.
-    pub(crate) fn merge(signals: &[StepSignals]) -> WindowFeedback {
-        let ages: Vec<f64> = signals
-            .iter()
-            .flat_map(|s| s.ages.iter().copied())
-            .collect();
-        WindowFeedback {
-            p95_age: percentile(&ages, 0.95),
-            backlog: signals.iter().map(|s| s.backlog).sum(),
-            pool: signals.iter().map(|s| s.pool).sum(),
-        }
-    }
-}
-
-/// The mutable state of one driven stream: pool, pending tasks,
-/// in-service set, lifetime accounting and carried protocol state,
-/// stepped one window at a time. [`StreamSession`] wraps it behind the
-/// push API; [`StreamDriver::run`](crate::StreamDriver::run) drains it
-/// over a whole stream; the sharded runners step one core per shard in
-/// lockstep so a single adaptive controller can window every shard
-/// identically.
+/// The mutable state of one driven stream: the shared [`Lifecycle`]
+/// plus the flat stepper's own maintained instance, carried protocol
+/// state and fate/outcome records, stepped one window at a time.
+/// [`StreamSession`] wraps it behind the push API;
+/// [`StreamDriver::run`](crate::StreamDriver::run) drains it over a
+/// whole stream; lockstep drop-pairs execution steps one core per shard
+/// so a single adaptive controller can window every shard identically.
 pub(crate) struct SessionCore<'e> {
     engine: &'e dyn AssignmentEngine,
     cfg: StreamConfig,
@@ -334,18 +295,7 @@ pub(crate) struct SessionCore<'e> {
     /// filtered by the dedup, not the board spend delta).
     reentry: bool,
     budget_gen: BudgetGen,
-    pool: Vec<WorkerArrival>,
-    pending: Vec<PendingTask>,
-    /// Tasks held back by admission control: arrived, not yet admitted
-    /// into any window, burning no TTL. FIFO — the oldest deferral is
-    /// readmitted first once budget frees up.
-    deferred: VecDeque<PendingTask>,
-    in_service: VecDeque<InService>,
-    cycles: BTreeMap<u32, usize>,
-    ledger: LedgerState,
-    /// Per-worker pacing state (trailing burn-rate estimate), only
-    /// maintained when [`StreamConfig::pacing`] is set.
-    pace: BTreeMap<u32, PaceState>,
+    life: Lifecycle,
     carried: Option<CarriedBoard>,
     charged: ReleaseDedup,
     /// The pool and pending set as a maintained PA-TA instance: every
@@ -388,18 +338,6 @@ pub(crate) struct CoreSnapshot {
     pub(crate) outcomes: VecDeque<Outcome>,
 }
 
-/// Per-worker budget-pacing state: the trailing per-window spend
-/// estimate the throttle compares against the worker's remaining
-/// budget. An exponential moving average (α = ½) keeps the forecast
-/// responsive to bursts while damping one-window spikes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) struct PaceState {
-    /// Ledger spend at the last window close (the delta baseline).
-    pub(crate) last_spent: f64,
-    /// Trailing per-window spend estimate, ε per window.
-    pub(crate) ema: f64,
-}
-
 impl<'e> SessionCore<'e> {
     /// A fresh session core for `engine` under `cfg`.
     pub(crate) fn new(engine: &'e dyn AssignmentEngine, cfg: StreamConfig) -> Self {
@@ -412,20 +350,14 @@ impl<'e> SessionCore<'e> {
             cfg.budget_range,
             cfg.budget_group_size,
         );
-        let ledger = cfg.ledger.state();
+        let life = Lifecycle::new(&cfg, warm);
         SessionCore {
             engine,
             cfg,
             warm,
             reentry,
             budget_gen,
-            pool: Vec::new(),
-            pending: Vec::new(),
-            deferred: VecDeque::new(),
-            in_service: VecDeque::new(),
-            cycles: BTreeMap::new(),
-            ledger,
-            pace: BTreeMap::new(),
+            life,
             carried: None,
             charged: ReleaseDedup::default(),
             delta: DeltaInstance::new(),
@@ -444,14 +376,15 @@ impl<'e> SessionCore<'e> {
     /// Captures the core's window-boundary state for a session
     /// snapshot.
     pub(crate) fn snapshot(&self) -> CoreSnapshot {
+        let life = &self.life;
         CoreSnapshot {
-            pool: self.pool.clone(),
-            pending: self.pending.clone(),
-            deferred: self.deferred.clone(),
-            in_service: self.in_service.clone(),
-            cycles: self.cycles.clone(),
-            ledger: self.ledger.clone(),
-            pace: self.pace.clone(),
+            pool: life.pool.clone(),
+            pending: life.pending.clone(),
+            deferred: life.deferred.clone(),
+            in_service: life.in_service.clone(),
+            cycles: life.cycles.clone(),
+            ledger: life.ledger.clone(),
+            pace: life.pace.clone(),
             carried: self.carried.clone(),
             charged: self.charged.clone(),
             fates: self.fates.iter().map(|(&id, f)| (id, *f)).collect(),
@@ -476,13 +409,14 @@ impl<'e> SessionCore<'e> {
         snap: &CoreSnapshot,
     ) -> Self {
         let mut core = SessionCore::new(engine, cfg);
-        core.pool = snap.pool.clone();
-        core.pending = snap.pending.clone();
-        core.deferred = snap.deferred.clone();
-        core.in_service = snap.in_service.clone();
-        core.cycles = snap.cycles.clone();
-        core.ledger = snap.ledger.clone();
-        core.pace = snap.pace.clone();
+        let life = &mut core.life;
+        life.pool = snap.pool.clone();
+        life.pending = snap.pending.clone();
+        life.deferred = snap.deferred.clone();
+        life.in_service = snap.in_service.clone();
+        life.cycles = snap.cycles.clone();
+        life.ledger = snap.ledger.clone();
+        life.pace = snap.pace.clone();
         core.carried = snap.carried.clone();
         core.charged = snap.charged.clone();
         core.fates = snap.fates.iter().map(|(&id, f)| (id, *f)).collect();
@@ -510,13 +444,10 @@ impl<'e> SessionCore<'e> {
 
     /// Settles remaining fates and assembles the aggregate report.
     pub(crate) fn finish(mut self, task_arrivals: usize, worker_arrivals: usize) -> StreamReport {
-        for p in &self.pending {
-            self.fates.insert(p.arrival.id, TaskFate::Pending);
-        }
         // Tasks still held by admission control never entered a window,
         // but they arrived — the conservation law covers them as
         // pending.
-        for p in &self.deferred {
+        for p in self.life.pending.iter().chain(&self.life.deferred) {
             self.fates.insert(p.arrival.id, TaskFate::Pending);
         }
         StreamReport {
@@ -530,150 +461,56 @@ impl<'e> SessionCore<'e> {
         }
     }
 
-    /// One window: re-admit returned workers, admit arrivals, drive the
-    /// engine, settle fates. Returns the window's stream-observable
-    /// signals for the adaptive controller.
+    /// One window: open it through the lifecycle, drive the engine over
+    /// the maintained instance, charge, settle. Returns the window's
+    /// stream-observable signals for the adaptive controller.
     pub(crate) fn step(&mut self, window: &Window, cut: WindowCutDecision) -> StepSignals {
         let warm = self.warm;
-        // Advance the ledger clock to the window start: under sliding-
-        // window accounting this reclaims every charge that has aged
-        // out of the protection window. Window starts are global across
-        // flat, drop-pairs and halo execution, so every driving mode
-        // reclaims at identical instants.
-        self.ledger.advance_time(window.start);
-        let mut returned_now = 0usize;
-        // Returned workers re-enter the pool ahead of the window's fresh
-        // arrivals, in (completion time, id) order — the same rule every
-        // driving mode (flat, drop-pairs, halo) applies, so pool order
-        // (and hence instance shape) stays identical across them.
-        while self
-            .in_service
-            .front()
-            .is_some_and(|s| s.return_time < window.end)
-        {
-            let s = self.in_service.pop_front().expect("front exists");
+        let opened = self.life.open(&self.cfg, window);
+        for s in &opened.returned {
             self.outcomes.push_back(Outcome::Returned {
                 worker: s.worker.id,
                 window: window.index,
                 at: s.return_time,
                 cycle: s.cycle,
             });
-            returned_now += 1;
-            self.delta
-                .insert_worker(u64::from(s.worker.id), s.worker.worker, |t, w| {
-                    self.budget_gen.vector(t as usize, w as usize)
-                });
-            self.pool.push(s.worker);
         }
-        for w in &window.workers {
-            self.ledger
-                .register(u64::from(w.id), self.cfg.worker_capacity);
-        }
-        for w in &window.workers {
+        // Returned workers enter the instance ahead of the window's
+        // fresh arrivals, in pool order.
+        for w in opened
+            .returned
+            .iter()
+            .map(|s| &s.worker)
+            .chain(&window.workers)
+        {
             self.delta
                 .insert_worker(u64::from(w.id), w.worker, |t, wk| {
                     self.budget_gen.vector(t as usize, wk as usize)
                 });
-            self.pool.push(*w);
         }
-        // Admission control: when configured, the window admits only as
-        // many tasks as the pool's aggregate remaining budget could
-        // plausibly serve; the excess waits outside the window (no TTL
-        // burned), oldest deferral first. Off (the default), every
-        // arrival is admitted on the spot.
-        let carried_in_now = self.pending.len();
-        let mut deferred_now = 0usize;
-        let mut readmitted_now = 0usize;
-        let admitted: Vec<PendingTask> = match self.cfg.admission {
-            Some(ac) => {
-                let mut aggregate = 0.0f64;
-                for w in &self.pool {
-                    aggregate += self.ledger.remaining(u64::from(w.id));
-                }
-                let serveable = if aggregate.is_finite() {
-                    (aggregate / ac.epsilon_per_task) as usize
-                } else {
-                    usize::MAX
-                };
-                let mut allowed = serveable.saturating_sub(carried_in_now);
-                let waiting: Vec<PendingTask> = self.deferred.drain(..).collect();
-                let mut admitted = Vec::with_capacity(waiting.len() + window.tasks.len());
-                for (p, fresh) in
-                    waiting
-                        .into_iter()
-                        .map(|p| (p, false))
-                        .chain(window.tasks.iter().map(|&arrival| {
-                            (
-                                PendingTask {
-                                    arrival,
-                                    ttl: self.cfg.task_ttl,
-                                },
-                                true,
-                            )
-                        }))
-                {
-                    if allowed > 0 {
-                        allowed -= 1;
-                        if !fresh {
-                            readmitted_now += 1;
-                        }
-                        admitted.push(p);
-                    } else {
-                        if fresh {
-                            deferred_now += 1;
-                            self.outcomes.push_back(Outcome::Deferred {
-                                task: p.arrival.id,
-                                window: window.index,
-                            });
-                        }
-                        self.deferred.push_back(p);
-                    }
-                }
-                admitted
-            }
-            None => window
-                .tasks
-                .iter()
-                .map(|&arrival| PendingTask {
-                    arrival,
-                    ttl: self.cfg.task_ttl,
-                })
-                .collect(),
-        };
-        for p in &admitted {
+        for t in &opened.deferred {
+            self.outcomes.push_back(Outcome::Deferred {
+                task: t.id,
+                window: window.index,
+            });
+        }
+        for p in &self.life.pending[opened.carried_in..] {
             self.delta
                 .insert_task(u64::from(p.arrival.id), p.arrival.task, |tk, wk| {
                     self.budget_gen.vector(tk as usize, wk as usize)
                 });
         }
-        self.pending.extend(admitted);
-        let (pool, pending) = (&mut self.pool, &mut self.pending);
-        let (ledger, carried) = (&mut self.ledger, &mut self.carried);
-        let pace = &mut self.pace;
+        let (pool, pending) = (&self.life.pool, &self.life.pending);
+        let carried = &mut self.carried;
         let (charged, fates) = (&mut self.charged, &mut self.fates);
         let spend_by_worker = &mut self.spend_by_worker;
-        let delta = &mut self.delta;
-
-        // Observed stream state at window close: how long every task
-        // present has been waiting. Matched or not, the formula is the
-        // same — it is the age the window width controls. Only the
-        // adaptive controller consumes it, so static-policy runs skip
-        // the per-window allocation entirely.
-        let ages: Vec<f64> = if matches!(self.cfg.policy, WindowPolicy::Adaptive(_)) {
-            pending
-                .iter()
-                .map(|p| window.end - p.arrival.time)
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         let mut report = WindowReport {
             index: window.index,
             start: window.start,
             end: window.end,
             tasks_arrived: window.tasks.len(),
-            carried_in: carried_in_now + readmitted_now,
+            carried_in: opened.carried_in + opened.readmitted,
             workers_available: pool.len(),
             matched: 0,
             expired: 0,
@@ -686,9 +523,9 @@ impl<'e> SessionCore<'e> {
             drive_time: std::time::Duration::ZERO,
             workers_retired: 0,
             workers_departed: 0,
-            workers_returned: returned_now,
+            workers_returned: opened.returned.len(),
             workers_throttled: 0,
-            tasks_deferred: deferred_now,
+            tasks_deferred: opened.deferred.len(),
             cut,
         };
 
@@ -702,7 +539,7 @@ impl<'e> SessionCore<'e> {
             // arrival/return, and emission order equals the pool/pending
             // order `Instance::from_locations` would see, bit for bit
             // (pinned by the incremental property suite).
-            let inst = delta.instance();
+            let inst = self.delta.instance();
             debug_assert_eq!(inst.n_tasks(), pending.len());
             debug_assert_eq!(inst.n_workers(), pool.len());
             // Lifetime accounts, interned once per window: the guard
@@ -711,7 +548,8 @@ impl<'e> SessionCore<'e> {
             let worker_handles: Vec<AccountId> = pool
                 .iter()
                 .map(|w| {
-                    ledger
+                    self.life
+                        .ledger
                         .resolve(u64::from(w.id))
                         .expect("pooled worker is registered")
                 })
@@ -759,34 +597,19 @@ impl<'e> SessionCore<'e> {
             // retire-at-window-close. (Fresh-board drives re-publish
             // already-charged releases the hook cannot distinguish from
             // novel spend, so they keep the window-close semantics.)
-            let pacing = (warm && self.cfg.worker_capacity.is_finite())
-                .then_some(self.cfg.pacing)
-                .flatten();
-            let guard: Option<Vec<f64>> =
-                (warm && self.cfg.worker_capacity.is_finite()).then(|| {
-                    worker_handles
-                        .iter()
-                        .zip(worker_ids.iter())
-                        .map(|(&h, &wid)| {
-                            let mut g = ledger.remaining_at(h);
-                            // Pacing: when the trailing burn rate would
-                            // exhaust the worker within the forecast
-                            // horizon, cap this window's guard to an
-                            // even slice of what remains, stretching
-                            // the budget across the horizon.
-                            if let Some(p) = pacing {
-                                if let Some(st) = pace.get(&wid) {
-                                    let horizon = p.horizon_windows as f64;
-                                    if st.ema > 0.0 && g > 0.0 && st.ema * horizon > g {
-                                        g /= horizon;
-                                        report.workers_throttled += 1;
-                                    }
-                                }
-                            }
-                            g
-                        })
-                        .collect()
-                });
+            let guard: Option<Vec<f64>> = self.life.capped.then(|| {
+                worker_handles
+                    .iter()
+                    .zip(worker_ids.iter())
+                    .map(|(&h, &wid)| {
+                        let cap = self.life.pace_cap(&self.cfg, wid);
+                        if cap.is_some() {
+                            report.workers_throttled += 1;
+                        }
+                        cap.unwrap_or_else(|| self.life.ledger.remaining_at(h))
+                    })
+                    .collect()
+            });
 
             // dpta-lint: allow(no-wall-clock) -- drive_time is observability-only; no windowing or matching decision reads it
             let start = Instant::now();
@@ -810,7 +633,7 @@ impl<'e> SessionCore<'e> {
                 // window.
                 for (j, w) in pool.iter().enumerate() {
                     let novel = (outcome.board.spent_total(j) - pre_spend[j]).max(0.0);
-                    ledger.charge_at(worker_handles[j], novel);
+                    self.life.ledger.charge_at(worker_handles[j], novel);
                     report.epsilon_spent += novel;
                     if novel > 0.0 {
                         *spend_by_worker.entry(w.id).or_insert(0.0) += novel;
@@ -828,7 +651,7 @@ impl<'e> SessionCore<'e> {
                 // in the same order.
                 for (j, &wid) in worker_ids.iter().enumerate() {
                     let novel = novel_ledger_spend(&outcome.board, j, wid, &task_ids, charged);
-                    ledger.charge_at(worker_handles[j], novel);
+                    self.life.ledger.charge_at(worker_handles[j], novel);
                     report.epsilon_spent += novel;
                     if novel > 0.0 {
                         *spend_by_worker.entry(wid).or_insert(0.0) += novel;
@@ -862,7 +685,7 @@ impl<'e> SessionCore<'e> {
                     if loc > 0.0 && charged.charge_location(wid, loc.to_bits()) {
                         novel += loc;
                     }
-                    ledger.charge_at(worker_handles[j], novel);
+                    self.life.ledger.charge_at(worker_handles[j], novel);
                     report.epsilon_spent += novel;
                     if novel > 0.0 {
                         *spend_by_worker.entry(wid).or_insert(0.0) += novel;
@@ -916,89 +739,15 @@ impl<'e> SessionCore<'e> {
         // otherwise — and exhausted workers retire.
         let departed: BTreeSet<u32> = matched_tasks.iter().map(|&(_, _, w)| w).collect();
         for &(i, j, wid) in &matched_tasks {
-            let pickup = pending[i]
-                .arrival
-                .task
-                .location
-                .distance(&pool[j].worker.location);
-            match self.cfg.service.duration_keyed(
-                pickup,
-                pending[i].arrival.task.value,
-                wid,
-                pending[i].arrival.id,
-                self.cfg.params.seed,
-            ) {
-                Some(d) => {
-                    let return_time = window.end + d;
-                    let cycle = {
-                        let c = self.cycles.entry(wid).or_insert(0);
-                        *c += 1;
-                        *c
-                    };
-                    let entry = InService {
-                        return_time,
-                        cycle,
-                        worker: pool[j],
-                    };
-                    // Kept sorted by (completion time, id) so re-entry
-                    // order is a pure function of the run.
-                    let pos = self
-                        .in_service
-                        .partition_point(|s| (s.return_time, s.worker.id) < (return_time, wid));
-                    self.in_service.insert(pos, entry);
-                    self.outcomes.push_back(Outcome::EnteredService {
-                        worker: wid,
-                        window: window.index,
-                        returns_at: Some(return_time),
-                    });
-                }
-                None => {
-                    ledger.forget(u64::from(wid));
-                    self.outcomes.push_back(Outcome::EnteredService {
-                        worker: wid,
-                        window: window.index,
-                        returns_at: None,
-                    });
-                }
-            }
+            let returns_at = self.life.depart(&self.cfg, window.end, i, j);
+            self.outcomes.push_back(Outcome::EnteredService {
+                worker: wid,
+                window: window.index,
+                returns_at,
+            });
         }
         report.workers_departed = departed.len();
-        // Sliding-window (renewable) accounting never retires: an
-        // exhausted worker idles — the remaining-budget guard stops his
-        // releases — until old charges age out of the protection
-        // window. An infinite protection window is not renewable, so
-        // `Windowed { window_secs: ∞ }` retires exactly like lifetime
-        // accounting (the bit-for-bit equivalence the property suite
-        // pins).
-        let renewable = ledger.renewable();
-        let mut retired: BTreeSet<u64> = if renewable {
-            BTreeSet::new()
-        } else {
-            ledger.drain_exhausted().into_iter().collect()
-        };
-        if !renewable && warm && self.cfg.worker_capacity.is_finite() {
-            // Hard-cap mode never overshoots, so spend rarely reaches
-            // the capacity exactly; instead a worker is effectively
-            // exhausted once his remaining budget cannot cover even the
-            // cheapest possible release (the draw range's lower bound).
-            for w in pool.iter() {
-                let id = u64::from(w.id);
-                if !departed.contains(&w.id)
-                    && !retired.contains(&id)
-                    && ledger.remaining(id) + 1e-12 < self.cfg.budget_range.0
-                {
-                    ledger.forget(id);
-                    retired.insert(id);
-                }
-            }
-        }
-        // An in-service worker can exhaust his budget at the very match
-        // that sent him out (re-entry keeps him tracked): he finishes
-        // the trip he is on but retires instead of returning.
-        if self.reentry && !retired.is_empty() {
-            self.in_service
-                .retain(|s| !retired.contains(&u64::from(s.worker.id)));
-        }
+        let retired = self.life.retire(&self.cfg, |w| departed.contains(&w));
         report.workers_retired = retired.len();
         for &id in &retired {
             self.outcomes.push_back(Outcome::Retired {
@@ -1006,74 +755,41 @@ impl<'e> SessionCore<'e> {
                 window: window.index,
             });
         }
-        pool.retain(|w| !departed.contains(&w.id) && !retired.contains(&u64::from(w.id)));
         // Mirror the pool settlement into the maintained instance.
         // Removal is idempotent, so retired ids that were never pooled
         // (e.g. workers retiring mid-service) fall through harmlessly.
         for &wid in &departed {
-            delta.remove_worker(u64::from(wid));
+            self.delta.remove_worker(u64::from(wid));
         }
         for &id in &retired {
-            delta.remove_worker(id);
+            self.delta.remove_worker(id);
         }
 
         // Settle the tasks: matched leave, survivors age, the too-old
         // expire.
-        let mut matched_mask = vec![false; pending.len()];
+        let mut matched_mask = vec![false; self.life.pending.len()];
         for &(i, _, _) in &matched_tasks {
             matched_mask[i] = true;
+            self.delta
+                .remove_task(u64::from(self.life.pending[i].arrival.id));
         }
-        let mut next_pending = Vec::with_capacity(pending.len());
-        for (i, mut p) in pending.drain(..).enumerate() {
-            if matched_mask[i] {
-                delta.remove_task(u64::from(p.arrival.id));
-                continue;
-            }
-            p.ttl -= 1;
-            if p.ttl == 0 {
-                delta.remove_task(u64::from(p.arrival.id));
-                fates.insert(
-                    p.arrival.id,
-                    TaskFate::Expired {
-                        window: window.index,
-                    },
-                );
-                self.outcomes.push_back(Outcome::Expired {
-                    task: p.arrival.id,
+        for p in self.life.expire(&matched_mask) {
+            self.delta.remove_task(u64::from(p.arrival.id));
+            self.fates.insert(
+                p.arrival.id,
+                TaskFate::Expired {
                     window: window.index,
-                });
-                report.expired += 1;
-            } else {
-                next_pending.push(p);
-            }
+                },
+            );
+            self.outcomes.push_back(Outcome::Expired {
+                task: p.arrival.id,
+                window: window.index,
+            });
+            report.expired += 1;
         }
-        *pending = next_pending;
-        report.carried_out = pending.len();
-        // Refresh the pacing forecast from this window's realized
-        // spend: EMA over the per-window spend delta (clamped at zero —
-        // window-`W` reclamation can shrink recorded spend, which is
-        // not negative burn).
-        if self.cfg.pacing.is_some() {
-            let tracked = ledger.tracked_ids();
-            for &id in &tracked {
-                let spent = ledger.spent(id);
-                let st = pace.entry(id as u32).or_insert(PaceState {
-                    last_spent: 0.0,
-                    ema: 0.0,
-                });
-                let burned = (spent - st.last_spent).max(0.0);
-                st.ema = 0.5 * st.ema + 0.5 * burned;
-                st.last_spent = spent;
-            }
-            pace.retain(|&id, _| tracked.binary_search(&u64::from(id)).is_ok());
-        }
-        let signals = StepSignals {
-            ages,
-            backlog: pending.len(),
-            pool: pool.len(),
-        };
+        report.carried_out = self.life.pending.len();
         self.reports.push(report);
-        signals
+        self.life.close(&self.cfg, opened.ages)
     }
 }
 
@@ -1130,7 +846,7 @@ impl<'e> SessionCore<'e> {
 /// ```
 pub struct StreamSession<'e> {
     core: Option<SessionCore<'e>>,
-    former: PushWindower,
+    former: WindowFormer,
     residual: VecDeque<Outcome>,
     n_tasks: usize,
     n_workers: usize,
@@ -1152,7 +868,7 @@ impl<'e> StreamSession<'e> {
             cfg.worker_capacity > 0.0,
             "worker_capacity must be positive"
         );
-        let former = PushWindower::new(cfg.policy, cfg.horizon);
+        let former = WindowFormer::new(cfg.policy, cfg.horizon);
         StreamSession {
             core: Some(SessionCore::new(engine, cfg)),
             former,
@@ -1230,8 +946,7 @@ impl<'e> StreamSession<'e> {
         if t <= self.former.watermark {
             return;
         }
-        self.former.watermark = t;
-        self.former.any_input = true;
+        self.former.advance(t);
         self.drive_ready(false);
     }
 
@@ -1295,7 +1010,7 @@ impl<'e> StreamSession<'e> {
         snapshot: &SessionSnapshot,
     ) -> Result<Self, SnapshotError> {
         snapshot.validate(engine.name(), &cfg)?;
-        let former = PushWindower::from_snapshot(cfg.policy, cfg.horizon, &snapshot.windower)?;
+        let former = WindowFormer::from_snapshot(cfg.policy, cfg.horizon, &snapshot.windower)?;
         let core = SessionCore::from_snapshot(engine, cfg, &snapshot.core);
         Ok(StreamSession {
             core: Some(core),
@@ -1314,8 +1029,8 @@ impl<'e> StreamSession<'e> {
 
     /// Extends the covered span to at least `t` — the sharded wrapper
     /// injects the *global* span before closing so every shard forms
-    /// the same trailing windows, exactly like the batch runner's
-    /// horizon injection.
+    /// the same trailing windows, exactly like the work-stealing
+    /// runner's horizon injection.
     pub(crate) fn extend_horizon(&mut self, t: f64) {
         let h = self.former.horizon.unwrap_or(0.0).max(t);
         self.former.horizon = Some(h);
@@ -1324,335 +1039,8 @@ impl<'e> StreamSession<'e> {
 
     fn drive_ready(&mut self, drain: bool) {
         let core = self.core.as_mut().expect("core present");
-        while let Some(window) = self.former.next_ready(drain) {
-            let signals = core.step(&window, self.former.last_decision);
-            if self.former.needs_feedback() {
-                self.former
-                    .observe(&StepSignals::merge(std::slice::from_ref(&signals)));
-            }
-        }
-    }
-}
-
-/// The serializable state of a [`PushWindower`]: the buffered events
-/// still waiting for their window, the watermark/grid cursors, and the
-/// adaptive controller's PID state. The policy and configured horizon
-/// are *not* here — they are reconstructed from the restore-time
-/// [`StreamConfig`], which a snapshot validates against field by field.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct WindowerSnapshot {
-    pub(crate) buffer: VecDeque<ArrivalEvent>,
-    pub(crate) watermark: f64,
-    pub(crate) next_start: f64,
-    pub(crate) index: usize,
-    pub(crate) controller: Option<ControllerState>,
-    pub(crate) last_decision: WindowCutDecision,
-    pub(crate) max_event_time: f64,
-    pub(crate) any_input: bool,
-}
-
-/// Incremental window former over pushed events — the push-mode
-/// counterpart of [`Windower`](crate::Windower), forming *identical*
-/// window sequences (same spans, same memberships, same adaptive cuts)
-/// once the same events have gone past it.
-pub(crate) struct PushWindower {
-    policy: WindowPolicy,
-    /// Buffered events, sorted by `(time, workers-before-tasks, id)` —
-    /// the [`ArrivalStream`](crate::ArrivalStream) order.
-    buffer: VecDeque<ArrivalEvent>,
-    pub(crate) watermark: f64,
-    next_start: f64,
-    index: usize,
-    controller: Option<AdaptiveController>,
-    pub(crate) last_decision: WindowCutDecision,
-    /// Highest event timestamp seen.
-    max_event_time: f64,
-    /// Explicit horizon from the configuration.
-    horizon: Option<f64>,
-    /// Anything observed at all (events, an advanced watermark, or an
-    /// explicit horizon): an untouched session closes to zero windows,
-    /// like the batch former on an empty stream.
-    pub(crate) any_input: bool,
-}
-
-impl PushWindower {
-    pub(crate) fn new(policy: WindowPolicy, horizon: Option<f64>) -> Self {
-        let controller = match policy {
-            WindowPolicy::Adaptive(p) => Some(AdaptiveController::new(p)),
-            WindowPolicy::ByTime { width } => {
-                assert!(
-                    width > 0.0 && width.is_finite(),
-                    "window width must be positive, got {width}"
-                );
-                None
-            }
-            WindowPolicy::ByCount { tasks } => {
-                assert!(tasks > 0, "count threshold must be positive");
-                None
-            }
-        };
-        PushWindower {
-            policy,
-            buffer: VecDeque::new(),
-            watermark: 0.0,
-            next_start: 0.0,
-            index: 0,
-            controller,
-            last_decision: WindowCutDecision::Scheduled,
-            max_event_time: 0.0,
-            horizon,
-            any_input: horizon.is_some(),
-        }
-    }
-
-    /// Captures the windower's state for a session snapshot.
-    pub(crate) fn snapshot(&self) -> WindowerSnapshot {
-        WindowerSnapshot {
-            buffer: self.buffer.clone(),
-            watermark: self.watermark,
-            next_start: self.next_start,
-            index: self.index,
-            controller: self.controller.as_ref().map(AdaptiveController::state),
-            last_decision: self.last_decision,
-            max_event_time: self.max_event_time,
-            any_input: self.any_input,
-        }
-    }
-
-    /// Rebuilds a windower mid-stream from a snapshot, under the
-    /// restore-time policy and horizon (already validated to match the
-    /// snapshotted configuration).
-    pub(crate) fn from_snapshot(
-        policy: WindowPolicy,
-        horizon: Option<f64>,
-        snap: &WindowerSnapshot,
-    ) -> Result<Self, SnapshotError> {
-        let mut w = PushWindower::new(policy, horizon);
-        w.controller = match (&policy, &snap.controller) {
-            (WindowPolicy::Adaptive(p), Some(state)) => {
-                Some(AdaptiveController::from_state(*p, *state))
-            }
-            (WindowPolicy::Adaptive(_), None) => {
-                return Err(SnapshotError::Malformed(
-                    "adaptive policy but no controller state in snapshot".to_string(),
-                ))
-            }
-            (_, Some(_)) => {
-                return Err(SnapshotError::Malformed(
-                    "controller state in snapshot under a static policy".to_string(),
-                ))
-            }
-            (_, None) => None,
-        };
-        let sorted = snap
-            .buffer
-            .iter()
-            .zip(snap.buffer.iter().skip(1))
-            .all(|(a, b)| (a.time(), a.kind_rank(), a.id()) <= (b.time(), b.kind_rank(), b.id()));
-        if !sorted {
-            return Err(SnapshotError::Malformed(
-                "windower buffer is not in stream order".to_string(),
-            ));
-        }
-        w.buffer = snap.buffer.clone();
-        w.watermark = snap.watermark;
-        w.next_start = snap.next_start;
-        w.index = snap.index;
-        w.last_decision = snap.last_decision;
-        w.max_event_time = snap.max_event_time;
-        w.any_input = snap.any_input || w.any_input;
-        Ok(w)
-    }
-
-    pub(crate) fn needs_feedback(&self) -> bool {
-        self.controller.is_some()
-    }
-
-    pub(crate) fn observe(&mut self, fb: &WindowFeedback) {
-        if let Some(c) = self.controller.as_mut() {
-            c.observe(fb);
-        }
-    }
-
-    pub(crate) fn push(&mut self, event: ArrivalEvent) {
-        self.any_input = true;
-        self.max_event_time = self.max_event_time.max(event.time());
-        // Insertion keeps the stream sort order; pushes are usually
-        // near the tail, so walk back from the end.
-        let key = |e: &ArrivalEvent| (e.time(), e.kind_rank(), e.id());
-        let k = key(&event);
-        let mut pos = self.buffer.len();
-        while pos > 0 && key(&self.buffer[pos - 1]) > k {
-            pos -= 1;
-        }
-        self.buffer.insert(pos, event);
-    }
-
-    /// Last instant the window sequence must cover once closing.
-    pub(crate) fn span(&self) -> f64 {
-        self.max_event_time
-            .max(self.horizon.unwrap_or(0.0))
-            .max(self.watermark)
-    }
-
-    /// The next window that is certainly complete: bounded by the
-    /// watermark in streaming mode, by the span in drain mode.
-    pub(crate) fn next_ready(&mut self, drain: bool) -> Option<Window> {
-        if !self.any_input {
-            return None;
-        }
-        assert!(
-            self.index <= MAX_WINDOWS,
-            "windowing generated more than {MAX_WINDOWS} windows — widen the window"
-        );
-        match self.policy {
-            WindowPolicy::ByTime { width } => self.next_by_time(width, drain),
-            WindowPolicy::ByCount { tasks } => self.next_by_count(tasks, drain),
-            WindowPolicy::Adaptive(_) => self.next_adaptive(drain),
-        }
-    }
-
-    fn take_window(&mut self, start: f64, end: f64, upto: usize) -> Window {
-        let n_tasks = self
-            .buffer
-            .iter()
-            .take(upto)
-            .filter(|e| matches!(e, ArrivalEvent::Task(_)))
-            .count();
-        let mut window = Window {
-            index: self.index,
-            start,
-            end,
-            tasks: Vec::with_capacity(n_tasks),
-            workers: Vec::with_capacity(upto - n_tasks),
-        };
-        for e in self.buffer.drain(..upto) {
-            match e {
-                ArrivalEvent::Task(t) => window.tasks.push(t),
-                ArrivalEvent::Worker(w) => window.workers.push(w),
-            }
-        }
-        self.index += 1;
-        self.next_start = end;
-        window
-    }
-
-    fn next_by_time(&mut self, width: f64, drain: bool) -> Option<Window> {
-        // Boundaries are `k·width`, never accumulated addition: the
-        // batch former anchors windows the same way, and for widths
-        // with no exact binary representation an accumulated
-        // `end + width` would drift off the `k·width` grid after a few
-        // windows — enough to put boundary-timed events in different
-        // windows than the sharded runners (which window through the
-        // batch former) and break the bit-for-bit equivalence gates.
-        let start = self.index as f64 * width;
-        let end = (self.index + 1) as f64 * width;
-        // Fail fast on degenerate widths, like the batch former's
-        // span/width guard, instead of grinding through 2^20 driven
-        // windows before the index backstop fires.
-        let covered = if drain { self.span() } else { self.watermark };
-        assert!(
-            covered / width < MAX_WINDOWS as f64,
-            "width {width} s over a {covered} s span would generate more than \
-             {MAX_WINDOWS} windows — widen the window"
-        );
-        if drain {
-            if self.buffer.is_empty() && start > self.span() {
-                return None;
-            }
-        } else if end > self.watermark {
-            return None;
-        }
-        let upto = self.buffer.partition_point(|e| e.time() < end);
-        self.last_decision = WindowCutDecision::Scheduled;
-        Some(self.take_window(start, end, upto))
-    }
-
-    fn next_by_count(&mut self, tasks: usize, drain: bool) -> Option<Window> {
-        // The n-th buffered task closes the window at its timestamp;
-        // everything after it (ties included) falls to the next window,
-        // exactly like the batch former's stream-order cut.
-        let mut seen = 0usize;
-        let mut cut: Option<(usize, f64)> = None;
-        for (k, e) in self.buffer.iter().enumerate() {
-            if let ArrivalEvent::Task(t) = e {
-                seen += 1;
-                if seen == tasks {
-                    cut = Some((k, t.time));
-                    break;
-                }
-            }
-        }
-        self.last_decision = WindowCutDecision::Scheduled;
-        match cut {
-            // Streaming mode can only cut strictly below the watermark:
-            // a still-unpushed event could tie with the closing task.
-            Some((k, t)) if drain || t < self.watermark => {
-                Some(self.take_window(self.next_start, t, k + 1))
-            }
-            _ if drain && !self.buffer.is_empty() => {
-                // Final partial window: everything left, closed at the
-                // covered span (the batch former's trailing rule).
-                let end = self.span().max(self.next_start);
-                let upto = self.buffer.len();
-                Some(self.take_window(self.next_start, end, upto))
-            }
-            _ => None,
-        }
-    }
-
-    fn next_adaptive(&mut self, drain: bool) -> Option<Window> {
-        let controller = self.controller.as_ref().expect("adaptive former");
-        let start = self.next_start;
-        let sched_end = start + controller.width;
-        let complete = drain || sched_end <= self.watermark;
-        if drain && self.buffer.is_empty() && start > self.span() {
-            return None;
-        }
-        // Scan for a burst cut among events that are certainly final:
-        // all of them when the scheduled end is covered, only those
-        // strictly below the watermark otherwise.
-        let limit = if complete {
-            sched_end
-        } else {
-            self.watermark.min(sched_end)
-        };
-        let mut cut: Option<(usize, f64)> = None;
-        if !controller.starved {
-            let mut seen = 0usize;
-            for (k, e) in self.buffer.iter().enumerate() {
-                if e.time() >= limit {
-                    break;
-                }
-                if let ArrivalEvent::Task(t) = e {
-                    seen += 1;
-                    if seen == controller.policy.burst_tasks {
-                        cut = Some((k, t.time));
-                        break;
-                    }
-                }
-            }
-        }
-        match cut {
-            Some((k, t)) => {
-                // ByCount-style cut: the closing task's time is the
-                // boundary, and the cut also narrows the width through
-                // the controller — the count trigger firing first is
-                // direct evidence the width is too wide for the
-                // current arrival rate.
-                let c = self.controller.as_mut().expect("adaptive former");
-                c.burst_narrow();
-                self.last_decision = WindowCutDecision::Burst;
-                Some(self.take_window(start, t, k + 1))
-            }
-            None if complete => {
-                let decision = controller.width_decision();
-                let upto = self.buffer.partition_point(|e| e.time() < sched_end);
-                self.last_decision = decision;
-                Some(self.take_window(start, sched_end, upto))
-            }
-            None => None,
-        }
+        self.former
+            .drive(drain, |w, cut| StepSignals::merge(&[core.step(w, cut)]));
     }
 }
 
@@ -1661,7 +1049,7 @@ mod tests {
     use super::*;
     use crate::driver::StreamDriver;
     use crate::event::{ArrivalStream, TaskArrival};
-    use crate::window::AdaptivePolicy;
+    use crate::window::{AdaptivePolicy, WindowPolicy};
     use dpta_core::{Method, Task, Worker};
     use dpta_spatial::Point;
 
@@ -1769,8 +1157,8 @@ mod tests {
     #[test]
     fn by_time_boundaries_stay_on_the_k_width_grid() {
         // Regression: a width with no exact binary representation must
-        // not drift off the `k·width` grid the batch former (and hence
-        // the sharded runners) anchors to — accumulated addition did.
+        // not drift off the `k·width` grid — accumulated addition did,
+        // which split boundary-timed events differently across shards.
         let stream = busy_stream();
         let cfg = StreamConfig {
             policy: WindowPolicy::ByTime { width: 0.7 },
@@ -1778,10 +1166,15 @@ mod tests {
         };
         let engine = Method::Grd.engine(&cfg.params);
         let report = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
-        let batch = crate::window::WindowPolicy::windows(&cfg.policy, &stream, None);
-        assert_eq!(report.windows.len(), batch.len());
-        for (w, b) in report.windows.iter().zip(&batch) {
-            assert_eq!((w.start, w.end), (b.start, b.end), "window {}", w.index);
+        assert_eq!(report.windows.len(), (stream.horizon() / 0.7) as usize + 1);
+        for w in &report.windows {
+            let k = w.index as f64;
+            assert_eq!(
+                (w.start, w.end),
+                (k * 0.7, (k + 1.0) * 0.7),
+                "window {}",
+                w.index
+            );
         }
     }
 

@@ -19,11 +19,12 @@
 
 use crate::driver::{StreamConfig, StreamDriver};
 use crate::event::{ArrivalEvent, ArrivalStream};
-use crate::halo::{self, HaloCore};
+use crate::halo::HaloCore;
+use crate::lifecycle::StepSignals;
 use crate::metrics::{ShardedReport, StreamReport};
-use crate::session::{PushWindower, SessionCore, StepSignals, StreamSession};
+use crate::session::{SessionCore, StreamSession};
 use crate::snapshot::{ShardedModeSnapshot, ShardedSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use crate::window::{Window, WindowPolicy, Windower};
+use crate::window::{Window, WindowFormer, WindowPolicy};
 use dpta_core::AssignmentEngine;
 use dpta_spatial::GridPartition;
 use serde::{Deserialize, Serialize};
@@ -188,7 +189,8 @@ pub fn run_sharded_with(
 /// scale-properties suite. The knob only applies to static-policy
 /// [`DropPairs`](ShardStrategy::DropPairs) runs; adaptive drop-pairs
 /// and the halo protocol window globally and coordinate shards
-/// sequentially, so they ignore it.
+/// sequentially, so they drain a [`ShardedSession`] (`push* → close`)
+/// and ignore it.
 pub fn run_sharded_pooled(
     engine: &dyn AssignmentEngine,
     stream: &ArrivalStream,
@@ -197,13 +199,17 @@ pub fn run_sharded_pooled(
     strategy: ShardStrategy,
     pool: Option<usize>,
 ) -> ShardedReport {
-    match strategy {
-        ShardStrategy::DropPairs => run_drop_pairs(engine, stream, cfg, partition, pool),
-        ShardStrategy::Halo => halo::run_halo(engine, stream, cfg, partition),
+    if strategy == ShardStrategy::DropPairs && !matches!(cfg.policy, WindowPolicy::Adaptive(_)) {
+        return run_drop_pairs(engine, stream, cfg, partition, pool);
     }
+    let mut session = ShardedSession::new(engine, cfg.clone(), partition, strategy);
+    for &e in stream.events() {
+        session.push(e);
+    }
+    session.close()
 }
 
-/// The independent-drivers implementation behind
+/// The independent-drivers implementation behind static-policy
 /// [`ShardStrategy::DropPairs`]: a deterministic work-stealing pool.
 ///
 /// Populated shards become jobs in one shared queue, ordered largest
@@ -223,12 +229,6 @@ fn run_drop_pairs(
     partition: &GridPartition,
     pool: Option<usize>,
 ) -> ShardedReport {
-    if matches!(cfg.policy, WindowPolicy::Adaptive(_)) {
-        // Adaptive cuts depend on run feedback, so shards cannot window
-        // their sub-streams independently: one controller windows the
-        // merged global stream and every shard steps in lockstep.
-        return run_drop_pairs_adaptive(engine, stream, cfg, partition);
-    }
     let horizon = cfg.horizon.unwrap_or_else(|| stream.horizon());
     let shard_cfg = StreamConfig {
         horizon: Some(horizon),
@@ -295,63 +295,21 @@ fn run_drop_pairs(
         }
     }
     let mut shards: Vec<StreamReport> = slots.into_iter().map(|s| s.expect("shard ran")).collect();
-    // ROADMAP leftover, now explicit: count windows close on shard-local
-    // arrivals and silently misalign across shards — say so on every
-    // populated shard's report instead of leaving it to folklore.
-    if matches!(cfg.policy, WindowPolicy::ByCount { .. }) && partition.n_shards() > 1 {
+    warn_count_windows(&cfg.policy, &mut shards);
+    ShardedReport { shards }
+}
+
+/// Count windows close on shard-local arrivals and silently misalign
+/// across shards: attaches [`COUNT_WINDOW_SHARD_WARNING`] to every
+/// populated shard's report of a multi-shard count-policy run.
+fn warn_count_windows(policy: &WindowPolicy, shards: &mut [StreamReport]) {
+    if matches!(policy, WindowPolicy::ByCount { .. }) && shards.len() > 1 {
         for s in shards
             .iter_mut()
             .filter(|s| s.task_arrivals > 0 || s.worker_arrivals > 0)
         {
             s.warnings.push(COUNT_WINDOW_SHARD_WARNING.to_string());
         }
-    }
-    ShardedReport { shards }
-}
-
-/// Lockstep drop-pairs execution for [`WindowPolicy::Adaptive`]: one
-/// [`Windower`] forms windows off the merged global stream, each window
-/// is projected onto every shard (tasks and workers filtered by owning
-/// cell), all shard sessions step it, and the *merged* shard signals
-/// feed the controller — so the cut sequence equals the unsharded
-/// run's on shard-disjoint input bit for bit. Shards step sequentially
-/// inside a window (the controller needs every shard's signals before
-/// the next cut); the engine drives stay the dominant cost, exactly as
-/// in the halo coordinator.
-fn run_drop_pairs_adaptive(
-    engine: &dyn AssignmentEngine,
-    stream: &ArrivalStream,
-    cfg: &StreamConfig,
-    partition: &GridPartition,
-) -> ShardedReport {
-    let horizon = cfg.horizon.unwrap_or_else(|| stream.horizon());
-    let mut former = Windower::new(cfg.policy, stream, Some(horizon));
-    let n_shards = partition.n_shards();
-    let mut sessions: Vec<SessionCore> = (0..n_shards)
-        .map(|_| SessionCore::new(engine, cfg.clone()))
-        .collect();
-    let mut shard_tasks = vec![0usize; n_shards];
-    let mut shard_workers = vec![0usize; n_shards];
-    while let Some(window) = former.next_window() {
-        let cut = former.last_decision();
-        let signals: Vec<StepSignals> = sessions
-            .iter_mut()
-            .enumerate()
-            .map(|(k, session)| {
-                let projected = project_window(&window, partition, k);
-                shard_tasks[k] += projected.tasks.len();
-                shard_workers[k] += projected.workers.len();
-                session.step(&projected, cut)
-            })
-            .collect();
-        former.observe(&StepSignals::merge(&signals));
-    }
-    ShardedReport {
-        shards: sessions
-            .into_iter()
-            .enumerate()
-            .map(|(k, session)| session.finish(shard_tasks[k], shard_workers[k]))
-            .collect(),
     }
 }
 
@@ -383,15 +341,16 @@ fn project_window(window: &Window, partition: &GridPartition, k: usize) -> Windo
 ///
 /// `push(event)` routes by the entity's location, `advance_to(t)`
 /// declares the global event-time watermark, and `close()` settles the
-/// per-shard [`ShardedReport`] — draining a pre-built stream through a
-/// `ShardedSession` reproduces the batch runner of the same strategy
-/// bit for bit (the crash-resume suite pins this). Like
-/// [`StreamSession`](crate::StreamSession), a mid-run session can be
-/// captured with [`snapshot`](Self::snapshot) and reopened with
-/// [`restore`](Self::restore); execution mode follows the batch
-/// runners: independent per-shard sessions for static drop-pairs
-/// policies, one lockstep windower for adaptive drop-pairs, and the
-/// halo coordinator for [`ShardStrategy::Halo`].
+/// per-shard [`ShardedReport`]. [`run_sharded_with`] is exactly
+/// `push* → close` over this session for the halo protocol and for
+/// adaptive drop-pairs, and draining a pre-built stream reproduces its
+/// work-stealing static drop-pairs runner bit for bit (the crash-resume
+/// suite pins this). Like [`StreamSession`](crate::StreamSession), a
+/// mid-run session can be captured with [`snapshot`](Self::snapshot)
+/// and reopened with [`restore`](Self::restore). The execution mode
+/// follows strategy and policy: independent per-shard sessions for
+/// static drop-pairs policies, one lockstep window former for adaptive
+/// drop-pairs, and the halo coordinator for [`ShardStrategy::Halo`].
 ///
 /// The typed per-event outcome log is a flat-session feature; the
 /// sharded session reports through its per-shard window reports and
@@ -441,42 +400,42 @@ pub struct ShardedSession<'e, 'p> {
     mode: Option<Mode<'e>>,
 }
 
-/// The three sharded execution modes, mirroring the batch runners.
+/// The three sharded execution modes.
 // One mode lives per session and is never collected, so the size skew
 // between variants costs nothing — boxing would only add indirection.
 #[allow(clippy::large_enum_variant)]
 enum Mode<'e> {
     /// Static drop-pairs policies: fully independent per-shard
-    /// sessions, the global span injected at close (the batch runner's
-    /// horizon injection).
+    /// sessions, the global span injected at close (the work-stealing
+    /// runner's horizon injection).
     PerShard {
         shards: Vec<StreamSession<'e>>,
         /// Events routed to each shard so far — only shards that
         /// received input are horizon-extended and watermarked (empty
-        /// cells must close to empty reports, exactly like the batch
-        /// runner's undriven slots).
+        /// cells must close to empty reports, exactly like the
+        /// work-stealing runner's undriven slots).
         received: Vec<usize>,
         max_event_time: f64,
     },
-    /// Adaptive drop-pairs: one global windower cuts for every shard,
+    /// Adaptive drop-pairs: one global former cuts for every shard,
     /// fed the merged shard signals.
     Lockstep {
-        former: PushWindower,
+        former: WindowFormer,
         cores: Vec<SessionCore<'e>>,
         shard_tasks: Vec<usize>,
         shard_workers: Vec<usize>,
     },
-    /// The boundary-halo protocol behind a push windower.
+    /// The boundary-halo protocol behind one global former.
     Halo {
-        former: PushWindower,
+        former: WindowFormer,
         core: HaloCore<'e>,
     },
 }
 
-/// Per-shard sessions never see the user's horizon directly: the batch
-/// runner injects the *global* span into populated shards only, so the
-/// wrapper strips the horizon at construction and injects it via
-/// [`StreamSession::extend_horizon`] at close.
+/// Per-shard sessions never see the user's horizon directly: the
+/// work-stealing runner injects the *global* span into populated shards
+/// only, so the wrapper strips the horizon at construction and injects
+/// it via [`StreamSession::extend_horizon`] at close.
 fn per_shard_config(cfg: &StreamConfig) -> StreamConfig {
     StreamConfig {
         horizon: None,
@@ -505,11 +464,11 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         let n = partition.n_shards();
         let mode = match (strategy, cfg.policy) {
             (ShardStrategy::Halo, _) => Mode::Halo {
-                former: PushWindower::new(cfg.policy, cfg.horizon),
+                former: WindowFormer::new(cfg.policy, cfg.horizon),
                 core: HaloCore::new(engine, cfg.clone(), n),
             },
             (ShardStrategy::DropPairs, WindowPolicy::Adaptive(_)) => Mode::Lockstep {
-                former: PushWindower::new(cfg.policy, cfg.horizon),
+                former: WindowFormer::new(cfg.policy, cfg.horizon),
                 cores: (0..n)
                     .map(|_| SessionCore::new(engine, cfg.clone()))
                     .collect(),
@@ -617,13 +576,11 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                 shard_tasks,
                 shard_workers,
             } => {
-                former.watermark = t;
-                former.any_input = true;
+                former.advance(t);
                 drive_lockstep(former, cores, partition, shard_tasks, shard_workers, false);
             }
             Mode::Halo { former, core } => {
-                former.watermark = t;
-                former.any_input = true;
+                former.advance(t);
                 drive_halo(former, core, partition, false);
             }
         }
@@ -640,9 +597,9 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                 received,
                 max_event_time,
             } => {
-                // The batch runner's horizon injection: every populated
-                // shard is forced onto the window grid of the *global*
-                // span, so windows line up across shards.
+                // The work-stealing runner's horizon injection: every
+                // populated shard is forced onto the window grid of the
+                // *global* span, so windows line up across shards.
                 let inject = self
                     .cfg
                     .horizon
@@ -654,14 +611,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                     }
                     reports.push(s.close());
                 }
-                if matches!(self.cfg.policy, WindowPolicy::ByCount { .. }) && reports.len() > 1 {
-                    for s in reports
-                        .iter_mut()
-                        .filter(|s| s.task_arrivals > 0 || s.worker_arrivals > 0)
-                    {
-                        s.warnings.push(COUNT_WINDOW_SHARD_WARNING.to_string());
-                    }
-                }
+                warn_count_windows(&self.cfg.policy, &mut reports);
                 ShardedReport { shards: reports }
             }
             Mode::Lockstep {
@@ -799,7 +749,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                     return bad_len("lockstep core list");
                 }
                 Mode::Lockstep {
-                    former: PushWindower::from_snapshot(cfg.policy, cfg.horizon, windower)?,
+                    former: WindowFormer::from_snapshot(cfg.policy, cfg.horizon, windower)?,
                     cores: cores
                         .iter()
                         .map(|c| SessionCore::from_snapshot(engine, cfg.clone(), c))
@@ -809,7 +759,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                 }
             }
             (ShardedModeSnapshot::Halo { windower, core }, ShardStrategy::Halo, _) => Mode::Halo {
-                former: PushWindower::from_snapshot(cfg.policy, cfg.horizon, windower)?,
+                former: WindowFormer::from_snapshot(cfg.policy, cfg.horizon, windower)?,
                 core: HaloCore::from_snapshot(engine, cfg.clone(), partition, core)?,
             },
             _ => {
@@ -833,47 +783,42 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
 
 /// The lockstep drive loop shared by `advance_to` and `close`: project
 /// every ready global window onto every shard, step all cores, feed
-/// the merged signals back — the push-mode mirror of the batch
-/// adaptive runner.
+/// the merged signals back, so the cut sequence equals the unsharded
+/// run's on shard-disjoint input bit for bit.
 fn drive_lockstep(
-    former: &mut PushWindower,
+    former: &mut WindowFormer,
     cores: &mut [SessionCore],
     partition: &GridPartition,
     shard_tasks: &mut [usize],
     shard_workers: &mut [usize],
     drain: bool,
 ) {
-    while let Some(window) = former.next_ready(drain) {
-        let cut = former.last_decision;
+    former.drive(drain, |window, cut| {
         let signals: Vec<StepSignals> = cores
             .iter_mut()
             .enumerate()
             .map(|(k, core)| {
-                let projected = project_window(&window, partition, k);
+                let projected = project_window(window, partition, k);
                 shard_tasks[k] += projected.tasks.len();
                 shard_workers[k] += projected.workers.len();
                 core.step(&projected, cut)
             })
             .collect();
-        former.observe(&StepSignals::merge(&signals));
-    }
+        StepSignals::merge(&signals)
+    });
 }
 
 /// The halo drive loop shared by `advance_to` and `close`: step the
 /// coordinator over every ready globally-formed window.
 fn drive_halo(
-    former: &mut PushWindower,
+    former: &mut WindowFormer,
     core: &mut HaloCore,
     partition: &GridPartition,
     drain: bool,
 ) {
-    while let Some(window) = former.next_ready(drain) {
-        let cut = former.last_decision;
-        let signals = core.step_window(partition, &window, cut);
-        if former.needs_feedback() {
-            former.observe(&StepSignals::merge(std::slice::from_ref(&signals)));
-        }
-    }
+    former.drive(drain, |w, cut| {
+        StepSignals::merge(&[core.step_window(partition, w, cut)])
+    });
 }
 
 #[cfg(test)]

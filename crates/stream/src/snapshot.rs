@@ -18,11 +18,14 @@
 //! restoring a snapshot with a different version is rejected with
 //! [`SnapshotError::VersionMismatch`] rather than guessed at. Adding a
 //! *new* field with a restore-time default does not bump the version.
-//! A committed golden fixture pins the v2 wire format. (v2 replaced
-//! the bare accountant section with a tagged
+//! A committed golden fixture pins the flat session's wire format. (v2
+//! replaced the bare accountant section with a tagged
 //! [`LedgerState`](dpta_dp::LedgerState) — lifetime or sliding-window
-//! — and added the deferred-task queue and pacing state; v1 snapshots
-//! are rejected with [`SnapshotError::VersionMismatch`].)
+//! — and added the deferred-task queue and pacing state; v3 gave the
+//! halo coordinator's in-service entries and state the service-cycle
+//! counts the flat session already carried, now that both run one
+//! lifecycle. Older snapshots are rejected with
+//! [`SnapshotError::VersionMismatch`].)
 //!
 //! # Exactly-once across restart
 //!
@@ -38,13 +41,14 @@
 
 use crate::driver::StreamConfig;
 use crate::halo::HaloSnapshot;
-use crate::session::{CoreSnapshot, Outcome, WindowerSnapshot};
+use crate::session::{CoreSnapshot, Outcome};
 use crate::shard::ShardStrategy;
+use crate::window::FormerSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Current snapshot format version, embedded in every snapshot.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// The full serializable state of a [`StreamSession`] at a window
 /// boundary, produced by [`StreamSession::snapshot`] and consumed by
@@ -58,7 +62,7 @@ pub struct SessionSnapshot {
     pub(crate) version: u32,
     pub(crate) engine: String,
     pub(crate) config: StreamConfig,
-    pub(crate) windower: WindowerSnapshot,
+    pub(crate) windower: FormerSnapshot,
     pub(crate) core: CoreSnapshot,
     pub(crate) residual: VecDeque<Outcome>,
     pub(crate) n_tasks: usize,
@@ -211,7 +215,7 @@ pub(crate) enum ShardedModeSnapshot {
     /// One global windower over per-shard cores (adaptive drop-pairs).
     Lockstep {
         /// The shared global windower.
-        windower: WindowerSnapshot,
+        windower: FormerSnapshot,
         /// One pipeline core per shard, in shard order.
         cores: Vec<CoreSnapshot>,
         /// Tasks projected into each shard so far.
@@ -222,7 +226,7 @@ pub(crate) enum ShardedModeSnapshot {
     /// The boundary-halo coordinator.
     Halo {
         /// The shared global windower.
-        windower: WindowerSnapshot,
+        windower: FormerSnapshot,
         /// The coordinator's protocol state.
         core: HaloSnapshot,
     },

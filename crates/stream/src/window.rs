@@ -4,54 +4,53 @@
 //! (Section VII-B); a [`WindowPolicy`] generalises that into the two
 //! standard streaming triggers — a fixed time width or a task-count
 //! threshold — plus an *adaptive* latency-targeting controller
-//! ([`WindowPolicy::Adaptive`]), and produces the [`Window`]s the
-//! [`StreamDriver`](crate::StreamDriver) replays.
+//! ([`WindowPolicy::Adaptive`]). One incremental former,
+//! [`WindowFormer`], cuts the windows for every driving mode: flat
+//! sessions, per-shard and lockstep drop-pairs, and the halo
+//! coordinator.
 //!
-//! Static policies are pure functions of the stream
-//! ([`WindowPolicy::windows`]); the adaptive policy is a *feedback
-//! loop* — the driver hands realized backlog/latency back to the
-//! controller after every window via [`Windower::observe`], and the
+//! Static cuts are pure functions of the event timestamps; the
+//! adaptive policy is a *feedback loop* — the stepper hands realized
+//! backlog/latency back to the controller after every window, and the
 //! controller decides where the next cut lands. Everything it consumes
 //! is deterministic replay state (never wall-clock time), so adaptive
 //! runs stay bit-for-bit reproducible and the sharded/halo equivalence
 //! gates keep holding.
 
-use crate::event::{ArrivalEvent, ArrivalStream, TaskArrival, WorkerArrival};
+use crate::event::{ArrivalEvent, TaskArrival, WorkerArrival};
 use crate::metrics::{WindowCutDecision, WindowFeedback};
+use crate::snapshot::SnapshotError;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// When a window closes.
 ///
 /// # Examples
 ///
 /// ```
-/// use dpta_core::Task;
+/// use dpta_core::{Method, Task};
 /// use dpta_spatial::Point;
-/// use dpta_stream::{ArrivalEvent, ArrivalStream, TaskArrival, WindowPolicy};
+/// use dpta_stream::{ArrivalEvent, StreamConfig, StreamSession, TaskArrival, WindowPolicy};
 ///
-/// let stream = ArrivalStream::new(
-///     (0..6)
-///         .map(|k| {
-///             ArrivalEvent::Task(TaskArrival {
-///                 id: k,
-///                 time: k as f64 * 10.0,
-///                 task: Task::new(Point::new(0.0, 0.0), 1.0),
-///             })
-///         })
-///         .collect(),
-/// );
+/// // Six tasks, one every 10 s; the tasks that land in each window.
+/// let tasks_per_window = |policy| {
+///     let cfg = StreamConfig { policy, ..StreamConfig::default() };
+///     let engine = Method::Grd.engine(&cfg.params);
+///     let mut session = StreamSession::new(engine.as_ref(), cfg);
+///     for k in 0..6 {
+///         session.push(ArrivalEvent::Task(TaskArrival {
+///             id: k,
+///             time: k as f64 * 10.0,
+///             task: Task::new(Point::new(0.0, 0.0), 1.0),
+///         }));
+///     }
+///     let report = session.close();
+///     report.windows.iter().map(|w| w.tasks_arrived).collect::<Vec<_>>()
+/// };
 /// // Time windows of 25 s: [0,25) holds 3 arrivals, [25,50) two, [50,75) one.
-/// let windows = WindowPolicy::ByTime { width: 25.0 }.windows(&stream, None);
-/// assert_eq!(
-///     windows.iter().map(|w| w.tasks.len()).collect::<Vec<_>>(),
-///     vec![3, 2, 1]
-/// );
+/// assert_eq!(tasks_per_window(WindowPolicy::ByTime { width: 25.0 }), vec![3, 2, 1]);
 /// // Count windows of 4 tasks close as soon as the threshold fills.
-/// let windows = WindowPolicy::ByCount { tasks: 4 }.windows(&stream, None);
-/// assert_eq!(
-///     windows.iter().map(|w| w.tasks.len()).collect::<Vec<_>>(),
-///     vec![4, 2]
-/// );
+/// assert_eq!(tasks_per_window(WindowPolicy::ByCount { tasks: 4 }), vec![4, 2]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WindowPolicy {
@@ -77,12 +76,10 @@ pub enum WindowPolicy {
     /// (and the pool can absorb them), narrows under latency
     /// overshoots in proportion to how far observed waiting ages
     /// exceed the p95 target, widens under pool starvation, and steers
-    /// back toward the base width once the backlog clears. Driven by the
-    /// [`StreamDriver`](crate::StreamDriver)'s per-window feedback —
-    /// use [`Windower`]; [`WindowPolicy::windows`] panics for this
-    /// variant. Sharded and halo execution window the *merged global*
-    /// stream with one shared controller, so all three driving modes
-    /// form identical windows.
+    /// back toward the base width once the backlog clears. Driven by
+    /// each window's realized feedback. Sharded and halo execution
+    /// window the *merged global* stream with one shared controller, so
+    /// all three driving modes form identical windows.
     Adaptive(AdaptivePolicy),
 }
 
@@ -207,124 +204,24 @@ impl AdaptivePolicy {
 
 /// One closed window: its nominal time span and the arrivals in it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Window {
+pub(crate) struct Window {
     /// Window sequence number, from zero.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Nominal start time (inclusive).
-    pub start: f64,
+    pub(crate) start: f64,
     /// Nominal end time (exclusive for [`WindowPolicy::ByTime`],
     /// the closing arrival's timestamp for [`WindowPolicy::ByCount`]).
-    pub end: f64,
+    pub(crate) end: f64,
     /// Task arrivals of this window, in stream order.
-    pub tasks: Vec<TaskArrival>,
+    pub(crate) tasks: Vec<TaskArrival>,
     /// Worker arrivals of this window, in stream order.
-    pub workers: Vec<WorkerArrival>,
+    pub(crate) workers: Vec<WorkerArrival>,
 }
 
 /// Hard ceiling on generated windows: a width far below the stream's
 /// time scale would otherwise materialise millions of empty windows
 /// (and drive each of them) before anyone notices the mistake.
 pub const MAX_WINDOWS: usize = 1 << 20;
-
-impl WindowPolicy {
-    /// Splits `stream` into consecutive windows covering every event.
-    ///
-    /// `horizon` extends the windowed span beyond the stream's last
-    /// event (time policies emit trailing empty windows up to it) — the
-    /// sharded runner passes the *global* horizon so every shard forms
-    /// the same window sequence even when its local events end early.
-    /// Interior empty windows are always emitted: a window in which
-    /// nothing arrives still advances waiting-task lifetimes. Panics
-    /// when the span/width ratio would exceed [`MAX_WINDOWS`].
-    ///
-    /// # Panics
-    ///
-    /// [`WindowPolicy::Adaptive`] windows depend on the driver's
-    /// per-window feedback and cannot be precomputed; calling this on
-    /// the adaptive variant panics — drive through
-    /// [`StreamDriver`](crate::StreamDriver) (which runs the
-    /// [`Windower`] feedback loop) instead.
-    pub fn windows(&self, stream: &ArrivalStream, horizon: Option<f64>) -> Vec<Window> {
-        if stream.events().is_empty() && horizon.is_none() {
-            return Vec::new();
-        }
-        match *self {
-            WindowPolicy::Adaptive(_) => panic!(
-                "adaptive windows are formed by the driver's feedback loop; \
-                 use Windower (via StreamDriver) instead of WindowPolicy::windows"
-            ),
-            WindowPolicy::ByTime { width } => {
-                assert!(
-                    width > 0.0 && width.is_finite(),
-                    "window width must be positive, got {width}"
-                );
-                let span = stream.horizon().max(horizon.unwrap_or(0.0));
-                assert!(
-                    span / width < MAX_WINDOWS as f64,
-                    "width {width} s over a {span} s span would generate more than \
-                     {MAX_WINDOWS} windows — widen the window"
-                );
-                let k_max = (span / width) as usize;
-                let mut windows: Vec<Window> = (0..=k_max)
-                    .map(|k| Window {
-                        index: k,
-                        start: k as f64 * width,
-                        end: (k + 1) as f64 * width,
-                        tasks: Vec::new(),
-                        workers: Vec::new(),
-                    })
-                    .collect();
-                for e in stream.events() {
-                    let k = ((e.time() / width) as usize).min(k_max);
-                    match e {
-                        ArrivalEvent::Task(t) => windows[k].tasks.push(*t),
-                        ArrivalEvent::Worker(w) => windows[k].workers.push(*w),
-                    }
-                }
-                windows
-            }
-            WindowPolicy::ByCount { tasks } => {
-                assert!(tasks > 0, "count threshold must be positive");
-                let mut windows = Vec::new();
-                let mut cur = Window {
-                    index: 0,
-                    start: 0.0,
-                    end: 0.0,
-                    tasks: Vec::new(),
-                    workers: Vec::new(),
-                };
-                for e in stream.events() {
-                    match e {
-                        ArrivalEvent::Worker(w) => cur.workers.push(*w),
-                        ArrivalEvent::Task(t) => {
-                            cur.tasks.push(*t);
-                            if cur.tasks.len() == tasks {
-                                cur.end = t.time;
-                                let start_next = t.time;
-                                let index_next = cur.index + 1;
-                                windows.push(std::mem::replace(
-                                    &mut cur,
-                                    Window {
-                                        index: index_next,
-                                        start: start_next,
-                                        end: start_next,
-                                        tasks: Vec::new(),
-                                        workers: Vec::new(),
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                }
-                if !cur.tasks.is_empty() || !cur.workers.is_empty() {
-                    cur.end = stream.horizon().max(horizon.unwrap_or(0.0));
-                    windows.push(cur);
-                }
-                windows
-            }
-        }
-    }
-}
 
 /// Proportional gain of the width controller.
 const KP: f64 = 0.5;
@@ -342,9 +239,8 @@ const INTEGRAL_CLAMP: f64 = 2.0;
 
 /// The adaptive controller's mutable half: current width, the last
 /// feedback's starvation flag (which gates the burst cut), and the
-/// damped-PID state driving width updates. Shared with the push-based
-/// [`StreamSession`](crate::StreamSession) windower, which replays
-/// exactly this state machine incrementally.
+/// damped-PID state driving width updates, stepped by the
+/// [`WindowFormer`].
 ///
 /// The control variable is `log2(width)`: each update multiplies the
 /// width by `2^u`, where `u` is the clamped PID response to an error
@@ -467,207 +363,342 @@ impl AdaptiveController {
     }
 }
 
-/// Incremental window former — the stream-side half of the adaptive
-/// feedback loop.
-///
-/// [`next_window`](Windower::next_window) yields consecutive windows
-/// covering every event (and trailing empty windows up to the
-/// horizon); for [`WindowPolicy::Adaptive`] the caller feeds realized
-/// backlog/latency back through [`observe`](Windower::observe) after
-/// driving each window, and the controller adjusts the next cut.
-/// Static policies precompute their windows and ignore feedback, so
-/// one loop shape drives all three policies.
-///
-/// # Examples
-///
-/// ```
-/// use dpta_core::Task;
-/// use dpta_spatial::Point;
-/// use dpta_stream::{
-///     AdaptivePolicy, ArrivalEvent, ArrivalStream, TaskArrival, WindowFeedback, WindowPolicy,
-///     Windower,
-/// };
-///
-/// let stream = ArrivalStream::new(
-///     (0..8)
-///         .map(|k| {
-///             ArrivalEvent::Task(TaskArrival {
-///                 id: k,
-///                 time: k as f64,
-///                 task: Task::new(Point::new(0.0, 0.0), 1.0),
-///             })
-///         })
-///         .collect(),
-/// );
-/// let policy = WindowPolicy::Adaptive(AdaptivePolicy {
-///     base_width: 10.0,
-///     min_width: 2.5,
-///     max_width: 20.0,
-///     burst_tasks: 4,
-///     target_p95: 100.0,
-/// });
-/// let mut former = Windower::new(policy, &stream, None);
-/// // Four tasks arrive within the first nominal window: burst cut.
-/// let w = former.next_window().unwrap();
-/// assert_eq!((w.start, w.end), (0.0, 3.0));
-/// assert_eq!(w.tasks.len(), 4);
-/// former.observe(&WindowFeedback { p95_age: 0.0, backlog: 0, pool: 4 });
-/// let w = former.next_window().unwrap();
-/// assert_eq!(w.start, 3.0);
-/// ```
-pub struct Windower<'a> {
-    events: &'a [ArrivalEvent],
-    /// Last instant the window sequence must cover.
-    span: f64,
-    state: FormerState,
-    last_decision: WindowCutDecision,
+/// The serializable state of a [`WindowFormer`]: the buffered events
+/// still waiting for their window, the watermark/grid cursors, and the
+/// adaptive controller's PID state. The policy and configured horizon
+/// are *not* here — they are reconstructed from the restore-time
+/// [`StreamConfig`], which a snapshot validates against field by field.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct FormerSnapshot {
+    pub(crate) buffer: VecDeque<ArrivalEvent>,
+    pub(crate) watermark: f64,
+    pub(crate) next_start: f64,
+    pub(crate) index: usize,
+    pub(crate) controller: Option<ControllerState>,
+    pub(crate) last_decision: WindowCutDecision,
+    pub(crate) max_event_time: f64,
+    pub(crate) any_input: bool,
 }
 
-enum FormerState {
-    /// Static policies: precomputed, feedback ignored.
-    Static(std::vec::IntoIter<Window>),
-    Adaptive {
-        controller: AdaptiveController,
-        /// Next unconsumed event (cursor-based membership: an event
-        /// belongs to the window that consumed it, exactly like the
-        /// count policy's stream-order cut).
-        cursor: usize,
-        next_start: f64,
-        index: usize,
-        /// Set once the stream and span are exhausted.
-        done: bool,
-    },
+/// The window former: buffers pushed events in stream order and cuts
+/// them into [`Window`]s as the watermark passes their close — or, in
+/// drain mode, until every event is consumed and the span is covered
+/// (trailing empty windows included). For [`WindowPolicy::Adaptive`]
+/// the caller feeds each driven window's signals back through
+/// [`observe`](WindowFormer::observe) before asking for the next cut.
+/// Every driving mode windows through it, so cuts depend only on the
+/// events and the feedback, never on how the caller interleaves pushes
+/// and watermark advances.
+pub(crate) struct WindowFormer {
+    policy: WindowPolicy,
+    /// Buffered events, sorted by `(time, workers-before-tasks, id)` —
+    /// the [`ArrivalStream`](crate::ArrivalStream) order.
+    pub(crate) buffer: VecDeque<ArrivalEvent>,
+    pub(crate) watermark: f64,
+    next_start: f64,
+    index: usize,
+    controller: Option<AdaptiveController>,
+    pub(crate) last_decision: WindowCutDecision,
+    /// Highest event timestamp seen.
+    max_event_time: f64,
+    /// Explicit horizon from the configuration.
+    pub(crate) horizon: Option<f64>,
+    /// Anything observed at all (events, an advanced watermark, or an
+    /// explicit horizon): an untouched session closes to zero windows.
+    pub(crate) any_input: bool,
 }
 
-impl<'a> Windower<'a> {
-    /// Creates a former for `policy` over `stream`, extending the
-    /// covered span to `horizon` when given (the sharded runner passes
-    /// the global horizon). Panics when an adaptive `min_width` over
-    /// the span would exceed [`MAX_WINDOWS`].
-    pub fn new(policy: WindowPolicy, stream: &'a ArrivalStream, horizon: Option<f64>) -> Self {
-        let span = stream.horizon().max(horizon.unwrap_or(0.0));
-        let state = match policy {
-            WindowPolicy::Adaptive(p) => {
-                let controller = AdaptiveController::new(p);
+impl WindowFormer {
+    pub(crate) fn new(policy: WindowPolicy, horizon: Option<f64>) -> Self {
+        let controller = match policy {
+            WindowPolicy::Adaptive(p) => Some(AdaptiveController::new(p)),
+            WindowPolicy::ByTime { width } => {
                 assert!(
-                    span / p.min_width < MAX_WINDOWS as f64,
-                    "min_width {} s over a {span} s span would generate more than \
-                     {MAX_WINDOWS} windows — raise the floor",
-                    p.min_width
+                    width > 0.0 && width.is_finite(),
+                    "window width must be positive, got {width}"
                 );
-                FormerState::Adaptive {
-                    controller,
-                    cursor: 0,
-                    next_start: 0.0,
-                    index: 0,
-                    done: stream.events().is_empty() && horizon.is_none(),
-                }
+                None
             }
-            _ => FormerState::Static(policy.windows(stream, horizon).into_iter()),
+            WindowPolicy::ByCount { tasks } => {
+                assert!(tasks > 0, "count threshold must be positive");
+                None
+            }
         };
-        Windower {
-            events: stream.events(),
-            span,
-            state,
+        WindowFormer {
+            policy,
+            buffer: VecDeque::new(),
+            watermark: 0.0,
+            next_start: 0.0,
+            index: 0,
+            controller,
             last_decision: WindowCutDecision::Scheduled,
+            max_event_time: 0.0,
+            horizon,
+            any_input: horizon.is_some(),
         }
     }
 
-    /// Why the window most recently returned by
-    /// [`next_window`](Windower::next_window) closed where it did.
-    pub fn last_decision(&self) -> WindowCutDecision {
-        self.last_decision
-    }
-
-    /// Whether this former consumes feedback at all — true only for
-    /// [`WindowPolicy::Adaptive`]. Callers use it to skip assembling
-    /// the per-window [`WindowFeedback`] (age vectors, percentile
-    /// sorts) on static-policy runs, where it would be discarded.
-    pub fn needs_feedback(&self) -> bool {
-        matches!(self.state, FormerState::Adaptive { .. })
-    }
-
-    /// Feeds one window's realized feedback to the controller. No-op
-    /// for static policies.
-    pub fn observe(&mut self, fb: &WindowFeedback) {
-        if let FormerState::Adaptive { controller, .. } = &mut self.state {
-            controller.observe(fb);
+    /// Captures the windower's state for a session snapshot.
+    pub(crate) fn snapshot(&self) -> FormerSnapshot {
+        FormerSnapshot {
+            buffer: self.buffer.clone(),
+            watermark: self.watermark,
+            next_start: self.next_start,
+            index: self.index,
+            controller: self.controller.as_ref().map(AdaptiveController::state),
+            last_decision: self.last_decision,
+            max_event_time: self.max_event_time,
+            any_input: self.any_input,
         }
     }
 
-    /// The next window, or `None` once every event is consumed and the
-    /// span is covered. Every returned window either consumes at least
-    /// one event or advances time by at least the policy's minimum
-    /// width, so the sequence always terminates (no zero-width
-    /// livelock).
-    pub fn next_window(&mut self) -> Option<Window> {
-        let span = self.span;
-        let events = self.events;
-        match &mut self.state {
-            FormerState::Static(iter) => {
-                self.last_decision = WindowCutDecision::Scheduled;
-                iter.next()
+    /// Rebuilds a windower mid-stream from a snapshot, under the
+    /// restore-time policy and horizon (already validated to match the
+    /// snapshotted configuration).
+    pub(crate) fn from_snapshot(
+        policy: WindowPolicy,
+        horizon: Option<f64>,
+        snap: &FormerSnapshot,
+    ) -> Result<Self, SnapshotError> {
+        let mut w = WindowFormer::new(policy, horizon);
+        w.controller = match (&policy, &snap.controller) {
+            (WindowPolicy::Adaptive(p), Some(state)) => {
+                Some(AdaptiveController::from_state(*p, *state))
             }
-            FormerState::Adaptive {
-                controller,
-                cursor,
-                next_start,
-                index,
-                done,
-            } => {
-                if *done {
-                    return None;
+            (WindowPolicy::Adaptive(_), None) => {
+                return Err(SnapshotError::Malformed(
+                    "adaptive policy but no controller state in snapshot".to_string(),
+                ))
+            }
+            (_, Some(_)) => {
+                return Err(SnapshotError::Malformed(
+                    "controller state in snapshot under a static policy".to_string(),
+                ))
+            }
+            (_, None) => None,
+        };
+        let sorted = snap
+            .buffer
+            .iter()
+            .zip(snap.buffer.iter().skip(1))
+            .all(|(a, b)| (a.time(), a.kind_rank(), a.id()) <= (b.time(), b.kind_rank(), b.id()));
+        if !sorted {
+            return Err(SnapshotError::Malformed(
+                "windower buffer is not in stream order".to_string(),
+            ));
+        }
+        w.buffer = snap.buffer.clone();
+        w.watermark = snap.watermark;
+        w.next_start = snap.next_start;
+        w.index = snap.index;
+        w.last_decision = snap.last_decision;
+        w.max_event_time = snap.max_event_time;
+        w.any_input = snap.any_input || w.any_input;
+        Ok(w)
+    }
+
+    pub(crate) fn observe(&mut self, fb: &WindowFeedback) {
+        if let Some(c) = self.controller.as_mut() {
+            c.observe(fb);
+        }
+    }
+
+    /// Moves the watermark up to `t` (callers keep it monotone).
+    pub(crate) fn advance(&mut self, t: f64) {
+        self.watermark = t;
+        self.any_input = true;
+    }
+
+    /// Steps every ready window (see [`next_ready`](Self::next_ready))
+    /// through `step`, feeding the feedback it returns to the adaptive
+    /// controller before the next cut.
+    pub(crate) fn drive(
+        &mut self,
+        drain: bool,
+        mut step: impl FnMut(&Window, WindowCutDecision) -> WindowFeedback,
+    ) {
+        while let Some(window) = self.next_ready(drain) {
+            let fb = step(&window, self.last_decision);
+            self.observe(&fb);
+        }
+    }
+
+    pub(crate) fn push(&mut self, event: ArrivalEvent) {
+        self.any_input = true;
+        self.max_event_time = self.max_event_time.max(event.time());
+        // Insertion keeps the stream sort order; pushes are usually
+        // near the tail, so walk back from the end.
+        let key = |e: &ArrivalEvent| (e.time(), e.kind_rank(), e.id());
+        let k = key(&event);
+        let mut pos = self.buffer.len();
+        while pos > 0 && key(&self.buffer[pos - 1]) > k {
+            pos -= 1;
+        }
+        self.buffer.insert(pos, event);
+    }
+
+    /// Last instant the window sequence must cover once closing.
+    pub(crate) fn span(&self) -> f64 {
+        self.max_event_time
+            .max(self.horizon.unwrap_or(0.0))
+            .max(self.watermark)
+    }
+
+    /// The next window that is certainly complete: bounded by the
+    /// watermark in streaming mode, by the span in drain mode.
+    pub(crate) fn next_ready(&mut self, drain: bool) -> Option<Window> {
+        if !self.any_input {
+            return None;
+        }
+        assert!(
+            self.index <= MAX_WINDOWS,
+            "windowing generated more than {MAX_WINDOWS} windows — widen the window"
+        );
+        match self.policy {
+            WindowPolicy::ByTime { width } => self.next_by_time(width, drain),
+            WindowPolicy::ByCount { tasks } => self.next_by_count(tasks, drain),
+            WindowPolicy::Adaptive(_) => self.next_adaptive(drain),
+        }
+    }
+
+    fn take_window(&mut self, start: f64, end: f64, upto: usize) -> Window {
+        let n_tasks = self
+            .buffer
+            .iter()
+            .take(upto)
+            .filter(|e| matches!(e, ArrivalEvent::Task(_)))
+            .count();
+        let mut window = Window {
+            index: self.index,
+            start,
+            end,
+            tasks: Vec::with_capacity(n_tasks),
+            workers: Vec::with_capacity(upto - n_tasks),
+        };
+        for e in self.buffer.drain(..upto) {
+            match e {
+                ArrivalEvent::Task(t) => window.tasks.push(t),
+                ArrivalEvent::Worker(w) => window.workers.push(w),
+            }
+        }
+        self.index += 1;
+        self.next_start = end;
+        window
+    }
+
+    fn next_by_time(&mut self, width: f64, drain: bool) -> Option<Window> {
+        // Boundaries are `k·width`, never accumulated addition: for
+        // widths with no exact binary representation an accumulated
+        // `end + width` drifts off the grid after a few windows, and
+        // the independent per-shard formers of static drop-pairs runs
+        // would then disagree with each other (and with an unsharded
+        // run) about boundary-timed events.
+        let start = self.index as f64 * width;
+        let end = (self.index + 1) as f64 * width;
+        // Fail fast on degenerate widths instead of grinding through
+        // 2^20 driven windows before the index backstop fires.
+        let covered = if drain { self.span() } else { self.watermark };
+        assert!(
+            covered / width < MAX_WINDOWS as f64,
+            "width {width} s over a {covered} s span would generate more than \
+             {MAX_WINDOWS} windows — widen the window"
+        );
+        if drain {
+            if self.buffer.is_empty() && start > self.span() {
+                return None;
+            }
+        } else if end > self.watermark {
+            return None;
+        }
+        let upto = self.buffer.partition_point(|e| e.time() < end);
+        self.last_decision = WindowCutDecision::Scheduled;
+        Some(self.take_window(start, end, upto))
+    }
+
+    fn next_by_count(&mut self, tasks: usize, drain: bool) -> Option<Window> {
+        // The n-th buffered task closes the window at its timestamp;
+        // everything after it in stream order (ties included) falls to
+        // the next window.
+        let mut seen = 0usize;
+        let mut cut: Option<(usize, f64)> = None;
+        for (k, e) in self.buffer.iter().enumerate() {
+            if let ArrivalEvent::Task(t) = e {
+                seen += 1;
+                if seen == tasks {
+                    cut = Some((k, t.time));
+                    break;
                 }
-                let start = *next_start;
-                let width = controller.width;
-                let sched_end = start + width;
-                let mut window = Window {
-                    index: *index,
-                    start,
-                    end: sched_end,
-                    tasks: Vec::new(),
-                    workers: Vec::new(),
-                };
-                let mut decision = controller.width_decision();
-                // Consume events in stream order up to the scheduled
-                // end, cutting early at the burst threshold (unless the
-                // pool is starved — then cutting early only burns TTL).
-                while *cursor < events.len() && events[*cursor].time() < sched_end {
-                    match &events[*cursor] {
-                        ArrivalEvent::Worker(w) => window.workers.push(*w),
-                        ArrivalEvent::Task(t) => window.tasks.push(*t),
-                    }
-                    let burst =
-                        !controller.starved && window.tasks.len() >= controller.policy.burst_tasks;
-                    *cursor += 1;
-                    if burst {
-                        // ByCount-style cut: the closing task's time is
-                        // the boundary; later events (ties included)
-                        // fall to the next window via the cursor. The
-                        // cut also narrows the width through the
-                        // controller (see `burst_narrow`).
-                        window.end = window.tasks.last().expect("burst saw a task").time;
-                        decision = WindowCutDecision::Burst;
-                        controller.burst_narrow();
+            }
+        }
+        self.last_decision = WindowCutDecision::Scheduled;
+        match cut {
+            // Streaming mode can only cut strictly below the watermark:
+            // a still-unpushed event could tie with the closing task.
+            Some((k, t)) if drain || t < self.watermark => {
+                Some(self.take_window(self.next_start, t, k + 1))
+            }
+            _ if drain && !self.buffer.is_empty() => {
+                // Final partial window: everything left, closed at the
+                // covered span.
+                let end = self.span().max(self.next_start);
+                let upto = self.buffer.len();
+                Some(self.take_window(self.next_start, end, upto))
+            }
+            _ => None,
+        }
+    }
+
+    fn next_adaptive(&mut self, drain: bool) -> Option<Window> {
+        let controller = self.controller.as_ref().expect("adaptive former");
+        let start = self.next_start;
+        let sched_end = start + controller.width;
+        let complete = drain || sched_end <= self.watermark;
+        if drain && self.buffer.is_empty() && start > self.span() {
+            return None;
+        }
+        // Scan for a burst cut among events that are certainly final:
+        // all of them when the scheduled end is covered, only those
+        // strictly below the watermark otherwise.
+        let limit = if complete {
+            sched_end
+        } else {
+            self.watermark.min(sched_end)
+        };
+        let mut cut: Option<(usize, f64)> = None;
+        if !controller.starved {
+            let mut seen = 0usize;
+            for (k, e) in self.buffer.iter().enumerate() {
+                if e.time() >= limit {
+                    break;
+                }
+                if let ArrivalEvent::Task(t) = e {
+                    seen += 1;
+                    if seen == controller.policy.burst_tasks {
+                        cut = Some((k, t.time));
                         break;
                     }
                 }
-                *next_start = window.end;
-                *index += 1;
-                assert!(
-                    *index <= MAX_WINDOWS,
-                    "adaptive windowing generated more than {MAX_WINDOWS} windows"
-                );
-                // Mirror the time policy's trailing rule: windows are
-                // emitted while their start lies inside the span, so a
-                // constant-width adaptive run forms exactly the
-                // `ByTime` sequence.
-                if *cursor >= events.len() && *next_start > span {
-                    *done = true;
-                }
-                self.last_decision = decision;
-                Some(window)
             }
+        }
+        match cut {
+            Some((k, t)) => {
+                // ByCount-style cut: the closing task's time is the
+                // boundary, and the cut also narrows the width through
+                // the controller — the count trigger firing first is
+                // direct evidence the width is too wide for the
+                // current arrival rate.
+                let c = self.controller.as_mut().expect("adaptive former");
+                c.burst_narrow();
+                self.last_decision = WindowCutDecision::Burst;
+                Some(self.take_window(start, t, k + 1))
+            }
+            None if complete => {
+                let decision = controller.width_decision();
+                let upto = self.buffer.partition_point(|e| e.time() < sched_end);
+                self.last_decision = decision;
+                Some(self.take_window(start, sched_end, upto))
+            }
+            None => None,
         }
     }
 }
@@ -694,64 +725,23 @@ mod tests {
         })
     }
 
-    #[test]
-    fn time_windows_include_interior_empties() {
-        let s = ArrivalStream::new(vec![task(0, 5.0), task(1, 35.0)]);
-        let w = WindowPolicy::ByTime { width: 10.0 }.windows(&s, None);
-        assert_eq!(w.len(), 4); // [0,10) [10,20) [20,30) [30,40)
-        assert_eq!(w[0].tasks.len(), 1);
-        assert!(w[1].tasks.is_empty() && w[2].tasks.is_empty());
-        assert_eq!(w[3].tasks.len(), 1);
-        assert_eq!(w[3].start, 30.0);
-        assert_eq!(w[3].end, 40.0);
+    /// A former holding `events`, ready to drain.
+    fn former(policy: WindowPolicy, events: &[ArrivalEvent], horizon: Option<f64>) -> WindowFormer {
+        let mut former = WindowFormer::new(policy, horizon);
+        for &e in events {
+            former.push(e);
+        }
+        former
     }
 
-    #[test]
-    fn time_windows_extend_to_the_passed_horizon() {
-        let s = ArrivalStream::new(vec![task(0, 5.0)]);
-        let w = WindowPolicy::ByTime { width: 10.0 }.windows(&s, Some(45.0));
-        assert_eq!(w.len(), 5);
-        assert!(w[4].tasks.is_empty());
-    }
-
-    #[test]
-    fn count_windows_keep_same_instant_workers_with_their_task() {
-        // Worker 1 arrives at the same instant as the closing task and
-        // sorts before it, so it lands in the first window.
-        let s = ArrivalStream::new(vec![
-            worker(0, 0.0),
-            task(0, 1.0),
-            worker(1, 2.0),
-            task(1, 2.0),
-            task(2, 3.0),
-        ]);
-        let w = WindowPolicy::ByCount { tasks: 2 }.windows(&s, None);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].tasks.len(), 2);
-        assert_eq!(w[0].workers.len(), 2);
-        assert_eq!(w[0].end, 2.0);
-        assert_eq!(w[1].tasks.len(), 1);
-        assert_eq!(w[1].index, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "widen the window")]
-    fn absurdly_narrow_windows_panic() {
-        let s = ArrivalStream::new(vec![task(0, 100_000.0)]);
-        let _ = WindowPolicy::ByTime { width: 1e-6 }.windows(&s, None);
-    }
-
-    #[test]
-    fn empty_stream_yields_no_windows() {
-        let s = ArrivalStream::new(Vec::new());
-        assert!(WindowPolicy::ByTime { width: 5.0 }
-            .windows(&s, None)
-            .is_empty());
-        assert!(WindowPolicy::ByCount { tasks: 3 }
-            .windows(&s, None)
-            .is_empty());
-        let mut former = Windower::new(WindowPolicy::Adaptive(tiny_adaptive()), &s, None);
-        assert!(former.next_window().is_none());
+    /// Every window of a drain that feeds no feedback back.
+    fn drain_windows(
+        policy: WindowPolicy,
+        events: &[ArrivalEvent],
+        horizon: Option<f64>,
+    ) -> Vec<Window> {
+        let mut former = former(policy, events, horizon);
+        std::iter::from_fn(|| former.next_ready(true)).collect()
     }
 
     fn tiny_adaptive() -> AdaptivePolicy {
@@ -764,37 +754,86 @@ mod tests {
         }
     }
 
-    fn drain(former: &mut Windower) -> Vec<(f64, f64, WindowCutDecision)> {
-        let mut out = Vec::new();
-        while let Some(w) = former.next_window() {
-            out.push((w.start, w.end, former.last_decision()));
-        }
-        out
+    #[test]
+    fn time_windows_include_interior_empties() {
+        let w = drain_windows(
+            WindowPolicy::ByTime { width: 10.0 },
+            &[task(0, 5.0), task(1, 35.0)],
+            None,
+        );
+        assert_eq!(w.len(), 4); // [0,10) [10,20) [20,30) [30,40)
+        assert_eq!(w[0].tasks.len(), 1);
+        assert!(w[1].tasks.is_empty() && w[2].tasks.is_empty());
+        assert_eq!(w[3].tasks.len(), 1);
+        assert_eq!(w[3].start, 30.0);
+        assert_eq!(w[3].end, 40.0);
     }
 
     #[test]
-    #[should_panic(expected = "feedback loop")]
-    fn adaptive_windows_cannot_be_precomputed() {
-        let s = ArrivalStream::new(vec![task(0, 1.0)]);
-        let _ = WindowPolicy::Adaptive(tiny_adaptive()).windows(&s, None);
+    fn time_windows_extend_to_the_passed_horizon() {
+        let w = drain_windows(
+            WindowPolicy::ByTime { width: 10.0 },
+            &[task(0, 5.0)],
+            Some(45.0),
+        );
+        assert_eq!(w.len(), 5);
+        assert!(w[4].tasks.is_empty());
+    }
+
+    #[test]
+    fn count_windows_keep_same_instant_workers_with_their_task() {
+        // Worker 1 arrives at the same instant as the closing task and
+        // sorts before it, so it lands in the first window.
+        let events = [
+            worker(0, 0.0),
+            task(0, 1.0),
+            task(1, 2.0),
+            worker(1, 2.0),
+            task(2, 3.0),
+        ];
+        let w = drain_windows(WindowPolicy::ByCount { tasks: 2 }, &events, None);
+        assert_eq!(w.len(), 2);
+        assert_eq!(w[0].tasks.len(), 2);
+        assert_eq!(w[0].workers.len(), 2);
+        assert_eq!(w[0].end, 2.0);
+        assert_eq!(w[1].tasks.len(), 1);
+        assert_eq!(w[1].index, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "widen the window")]
+    fn absurdly_narrow_windows_panic() {
+        let _ = drain_windows(
+            WindowPolicy::ByTime { width: 1e-6 },
+            &[task(0, 100_000.0)],
+            None,
+        );
+    }
+
+    #[test]
+    fn empty_stream_yields_no_windows() {
+        for policy in [
+            WindowPolicy::ByTime { width: 5.0 },
+            WindowPolicy::ByCount { tasks: 3 },
+            WindowPolicy::Adaptive(tiny_adaptive()),
+        ] {
+            assert!(drain_windows(policy, &[], None).is_empty(), "{policy:?}");
+        }
     }
 
     #[test]
     fn adaptive_without_feedback_matches_by_time_at_base_width() {
-        let s = ArrivalStream::new(vec![task(0, 5.0), task(1, 35.0), worker(0, 12.0)]);
-        let fixed = WindowPolicy::ByTime { width: 10.0 }.windows(&s, Some(45.0));
-        let mut former = Windower::new(
-            WindowPolicy::Adaptive(AdaptivePolicy {
-                burst_tasks: 100,
-                target_p95: 1e6,
-                ..tiny_adaptive()
-            }),
-            &s,
-            Some(45.0),
-        );
+        let events = [task(0, 5.0), task(1, 35.0), worker(0, 12.0)];
+        let fixed = drain_windows(WindowPolicy::ByTime { width: 10.0 }, &events, Some(45.0));
+        let policy = WindowPolicy::Adaptive(AdaptivePolicy {
+            burst_tasks: 100,
+            target_p95: 1e6,
+            ..tiny_adaptive()
+        });
+        let mut former = former(policy, &events, Some(45.0));
         let mut got = Vec::new();
-        while let Some(w) = former.next_window() {
-            assert_eq!(former.last_decision(), WindowCutDecision::Scheduled);
+        while let Some(w) = former.next_ready(true) {
+            assert_eq!(former.last_decision, WindowCutDecision::Scheduled);
             former.observe(&WindowFeedback {
                 p95_age: 3.0,
                 backlog: 0,
@@ -809,10 +848,10 @@ mod tests {
     fn adaptive_burst_cut_closes_on_the_threshold_task() {
         // Four tasks inside the first nominal window; threshold 3 cuts
         // at the third task's timestamp, ByCount style.
-        let s = ArrivalStream::new(vec![task(0, 1.0), task(1, 2.0), task(2, 3.0), task(3, 4.0)]);
-        let mut former = Windower::new(WindowPolicy::Adaptive(tiny_adaptive()), &s, None);
-        let w = former.next_window().unwrap();
-        assert_eq!(former.last_decision(), WindowCutDecision::Burst);
+        let events = [task(0, 1.0), task(1, 2.0), task(2, 3.0), task(3, 4.0)];
+        let mut former = former(WindowPolicy::Adaptive(tiny_adaptive()), &events, None);
+        let w = former.next_ready(true).unwrap();
+        assert_eq!(former.last_decision, WindowCutDecision::Burst);
         assert_eq!((w.start, w.end), (0.0, 3.0));
         assert_eq!(w.tasks.len(), 3);
         former.observe(&WindowFeedback {
@@ -820,22 +859,22 @@ mod tests {
             backlog: 0,
             pool: 5,
         });
-        let w = former.next_window().unwrap();
+        let w = former.next_ready(true).unwrap();
         assert_eq!(w.start, 3.0);
         assert_eq!(w.tasks.len(), 1, "the fourth task falls to the next window");
     }
 
     #[test]
     fn starvation_widens_and_suppresses_the_burst_cut() {
-        let s = ArrivalStream::new(vec![
+        let events = [
             task(0, 1.0),
             task(1, 12.0),
             task(2, 13.0),
             task(3, 14.0),
             task(4, 15.0),
-        ]);
-        let mut former = Windower::new(WindowPolicy::Adaptive(tiny_adaptive()), &s, None);
-        let w = former.next_window().unwrap();
+        ];
+        let mut former = former(WindowPolicy::Adaptive(tiny_adaptive()), &events, None);
+        let w = former.next_ready(true).unwrap();
         assert_eq!((w.start, w.end), (0.0, 10.0));
         // Starved: backlog outnumbers the pool → the controller widens
         // past the base and the next window must NOT burst-cut despite
@@ -845,8 +884,8 @@ mod tests {
             backlog: 1,
             pool: 0,
         });
-        let w = former.next_window().unwrap();
-        assert_eq!(former.last_decision(), WindowCutDecision::Widened);
+        let w = former.next_ready(true).unwrap();
+        assert_eq!(former.last_decision, WindowCutDecision::Widened);
         assert_eq!(w.start, 10.0);
         assert!(
             w.end - w.start > 10.0,
@@ -858,23 +897,26 @@ mod tests {
 
     #[test]
     fn latency_overshoot_narrows_down_to_the_floor() {
-        let s = ArrivalStream::new(vec![task(0, 1.0)]);
-        let mut former = Windower::new(WindowPolicy::Adaptive(tiny_adaptive()), &s, Some(400.0));
+        let mut former = former(
+            WindowPolicy::Adaptive(tiny_adaptive()),
+            &[task(0, 1.0)],
+            Some(400.0),
+        );
         // 4× the target: a full-halving error every round.
         let overshoot = WindowFeedback {
             p95_age: 32.0,
             backlog: 0,
             pool: 5,
         };
-        let w = former.next_window().unwrap();
+        let w = former.next_ready(true).unwrap();
         assert_eq!((w.start, w.end), (0.0, 10.0));
         // Sustained overshoot: widths fall monotonically (the integral
         // term keeps pushing) until the floor pins them.
         let mut prev = w.end - w.start;
         for round in 0..8 {
             former.observe(&overshoot);
-            let w = former.next_window().unwrap();
-            assert_eq!(former.last_decision(), WindowCutDecision::Narrowed);
+            let w = former.next_ready(true).unwrap();
+            assert_eq!(former.last_decision, WindowCutDecision::Narrowed);
             let width = w.end - w.start;
             assert!(
                 width <= prev,
@@ -888,9 +930,12 @@ mod tests {
 
     #[test]
     fn adaptive_covers_the_span_and_terminates() {
-        let s = ArrivalStream::new(vec![task(0, 0.0), task(1, 0.0), task(2, 0.0)]);
-        let mut former = Windower::new(WindowPolicy::Adaptive(tiny_adaptive()), &s, Some(25.0));
-        let seq = drain(&mut former);
+        let events = [task(0, 0.0), task(1, 0.0), task(2, 0.0)];
+        let mut former = former(WindowPolicy::Adaptive(tiny_adaptive()), &events, Some(25.0));
+        let mut seq = Vec::new();
+        while let Some(w) = former.next_ready(true) {
+            seq.push((w.start, w.end, former.last_decision));
+        }
         // A zero-width burst window at t = 0 still consumes its events
         // and the sequence still reaches the horizon.
         assert_eq!(seq[0], (0.0, 0.0, WindowCutDecision::Burst));
@@ -901,13 +946,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "min <= base <= max")]
     fn inverted_adaptive_widths_panic() {
-        let s = ArrivalStream::new(vec![task(0, 1.0)]);
-        let _ = Windower::new(
+        let _ = WindowFormer::new(
             WindowPolicy::Adaptive(AdaptivePolicy {
                 base_width: 1.0,
                 ..tiny_adaptive()
             }),
-            &s,
             None,
         );
     }

@@ -15,8 +15,9 @@
 //!
 //! Alongside the crash harness: snapshot → restore → snapshot is
 //! *byte*-identical in every mode, a committed golden fixture pins the
-//! v2 wire format, and restoring under a changed configuration is
-//! rejected with a typed error naming the offending field.
+//! flat session's wire format, and restoring under a changed
+//! configuration is rejected with a typed error naming the offending
+//! field.
 
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
@@ -160,6 +161,23 @@ fn run_sharded_session(
     s.close()
 }
 
+/// The sharded session driven live: the watermark advances to every
+/// event's timestamp before the event is pushed.
+fn run_sharded_streaming(
+    engine: &dyn dpta_core::AssignmentEngine,
+    cfg: &StreamConfig,
+    partition: &GridPartition,
+    strategy: ShardStrategy,
+    events: &[ArrivalEvent],
+) -> ShardedReport {
+    let mut s = ShardedSession::new(engine, cfg.clone(), partition, strategy);
+    for &e in events {
+        s.advance_to(e.time());
+        s.push(e);
+    }
+    s.close()
+}
+
 fn run_sharded_interrupted(
     engine: &dyn dpta_core::AssignmentEngine,
     cfg: &StreamConfig,
@@ -231,8 +249,10 @@ proptest! {
     }
 
     // Sharded sessions: crash-and-resume is invisible for drop-pairs
-    // and halo strategies under every window policy — and the pushed
-    // session itself reproduces the batch runner of the same strategy.
+    // and halo strategies under every window policy, advancing the
+    // watermark before every push changes nothing, and the pushed
+    // session reproduces the batch runner of the same strategy (for
+    // static drop-pairs, the separate work-stealing runner).
     #[test]
     fn sharded_resume_is_bit_identical(
         tasks in proptest::collection::vec(
@@ -262,6 +282,11 @@ proptest! {
                 prop_assert_eq!(
                     resumed.without_timing(), base.without_timing(),
                     "sharded report diverged after resume: {:?} {:?}", strategy, policy);
+                let streamed = run_sharded_streaming(
+                    engine.as_ref(), &cfg, &part, strategy, events);
+                prop_assert_eq!(
+                    streamed.without_timing(), base.without_timing(),
+                    "streaming session diverged from its drain: {:?} {:?}", strategy, policy);
 
                 let batch = match strategy {
                     ShardStrategy::DropPairs =>
@@ -445,7 +470,8 @@ fn restore_rejects_foreign_version_and_garbage() {
     let json = snap.to_json();
 
     // A snapshot written under a future format version.
-    let tampered = json.replacen("\"version\": 2", "\"version\": 99", 1);
+    let current = format!("\"version\": {}", dpta_stream::SNAPSHOT_VERSION);
+    let tampered = json.replacen(&current, "\"version\": 99", 1);
     assert_eq!(
         SessionSnapshot::from_json(&tampered).err(),
         Some(SnapshotError::VersionMismatch {
@@ -536,11 +562,12 @@ fn sharded_restore_rejects_changed_strategy_and_partition() {
     );
 }
 
-// ── Golden fixture: the committed v2 wire format stays restorable ───
+// ── Golden fixture: the committed wire format stays restorable ──────
 
-/// The committed fixture (`tests/fixtures/session_snapshot_v2.json`)
-/// was written by [`fixture_snapshot`] at the v2 format (tagged
-/// ledger section, deferred queue, pacing state). It must keep
+/// The committed fixture (`tests/fixtures/session_snapshot_v2.json`,
+/// named for the v2 format that introduced the tagged ledger section,
+/// deferred queue and pacing state; the flat layout is unchanged in v3)
+/// was written by [`fixture_snapshot`]. It must keep
 /// parsing, keep matching a freshly-taken snapshot byte for byte (the
 /// format is stable), and keep draining to the pinned outcomes.
 #[test]

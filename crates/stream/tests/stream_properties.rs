@@ -7,15 +7,20 @@
 //! * **shard equivalence** — on shard-disjoint input, sharded and
 //!   unsharded execution agree on matches, utility and budget spend,
 //!   private engines included (noise and budgets are keyed by logical
-//!   ids, so a shard sees exactly the draws of the unsharded run).
+//!   ids, so a shard sees exactly the draws of the unsharded run);
+//! * **window formation** — static-policy cuts equal an oracle computed
+//!   from event timestamps alone, however pushes and watermark advances
+//!   interleave.
 
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
     run_sharded, run_sharded_halo, ArrivalEvent, ArrivalModel, ArrivalStream, StreamConfig,
-    StreamDriver, StreamScenario, TaskArrival, TaskFate, WindowPolicy, WorkerArrival,
+    StreamDriver, StreamReport, StreamScenario, StreamSession, TaskArrival, TaskFate, WindowPolicy,
+    WorkerArrival,
 };
 use dpta_workloads::{Dataset, Scenario};
+use proptest::prelude::*;
 
 fn scenario_stream(dataset: Dataset, batch_size: usize) -> ArrivalStream {
     StreamScenario {
@@ -303,4 +308,124 @@ fn budget_depletion_eventually_retires_the_fleet() {
         report.matched(),
         loose.matched()
     );
+}
+
+// ── Window formation against a timestamp-only oracle ────────────────
+
+/// `(index, start, end, tasks_arrived)` of every window a static policy
+/// cuts from `events` (in stream order), computed from timestamps alone.
+fn oracle_windows(policy: WindowPolicy, events: &[ArrivalEvent]) -> Vec<(usize, f64, f64, usize)> {
+    let Some(span) = events.last().map(ArrivalEvent::time) else {
+        return Vec::new();
+    };
+    match policy {
+        // An event falls in window ⌊t/width⌋, boundaries are k·width,
+        // and trailing windows run up to the last event.
+        WindowPolicy::ByTime { width } => {
+            let n = (span / width) as usize + 1;
+            let mut tasks = vec![0usize; n];
+            for e in events {
+                if let ArrivalEvent::Task(t) = e {
+                    tasks[(t.time / width) as usize] += 1;
+                }
+            }
+            (0..n)
+                .map(|k| (k, k as f64 * width, (k + 1) as f64 * width, tasks[k]))
+                .collect()
+        }
+        // The n-th task closes its window at its own timestamp; every
+        // later event in stream order, ties included, falls to the next
+        // window. Leftovers close one last window at the span.
+        WindowPolicy::ByCount { tasks: per } => {
+            let mut out = Vec::new();
+            let (mut start, mut tasks, mut left) = (0.0, 0usize, 0usize);
+            for e in events {
+                left += 1;
+                if let ArrivalEvent::Task(t) = e {
+                    tasks += 1;
+                    if tasks == per {
+                        out.push((out.len(), start, t.time, per));
+                        (start, tasks, left) = (t.time, 0, 0);
+                    }
+                }
+            }
+            if left > 0 {
+                out.push((out.len(), start, span, tasks));
+            }
+            out
+        }
+        WindowPolicy::Adaptive(_) => unreachable!("adaptive cuts depend on feedback"),
+    }
+}
+
+fn cuts(report: &StreamReport) -> Vec<(usize, f64, f64, usize)> {
+    report
+        .windows
+        .iter()
+        .map(|w| (w.index, w.start, w.end, w.tasks_arrived))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // Timestamps are quarter seconds and widths half seconds, so every
+    // boundary and ⌊t/width⌋ is exact in floating point — and ties
+    // between events (and with boundaries) are common.
+    #[test]
+    fn static_window_cuts_match_a_timestamp_oracle(
+        task_quarters in proptest::collection::vec(0u32..2000, 1..40),
+        worker_quarters in proptest::collection::vec(0u32..2000, 0..10),
+        half_width in 1u32..120,
+        per_window in 1usize..6,
+    ) {
+        let at = Point::new(0.0, 0.0);
+        let mut events = Vec::new();
+        for (id, &q) in task_quarters.iter().enumerate() {
+            events.push(ArrivalEvent::Task(TaskArrival {
+                id: id as u32,
+                time: q as f64 * 0.25,
+                task: Task::new(at, 4.5),
+            }));
+        }
+        for (id, &q) in worker_quarters.iter().enumerate() {
+            events.push(ArrivalEvent::Worker(WorkerArrival {
+                id: id as u32,
+                time: q as f64 * 0.25,
+                worker: Worker::new(at, 1.0),
+            }));
+        }
+        let stream = ArrivalStream::new(events);
+        for policy in [
+            WindowPolicy::ByTime { width: half_width as f64 * 0.5 },
+            WindowPolicy::ByCount { tasks: per_window },
+        ] {
+            let want = oracle_windows(policy, stream.events());
+            let cfg = StreamConfig { policy, ..StreamConfig::default() };
+            let engine = Method::Grd.engine(&cfg.params);
+
+            let mut drained = StreamSession::new(engine.as_ref(), cfg.clone());
+            for &e in stream.events() {
+                drained.push(e);
+            }
+            prop_assert_eq!(
+                cuts(&drained.close()),
+                want.clone(),
+                "push* → close under {:?}",
+                policy
+            );
+
+            let mut live = StreamSession::new(engine.as_ref(), cfg);
+            for &e in stream.events() {
+                live.advance_to(e.time());
+                live.push(e);
+            }
+            prop_assert_eq!(
+                cuts(&live.close()),
+                want,
+                "advance_to before every push under {:?}",
+                policy
+            );
+        }
+    }
 }
