@@ -164,11 +164,29 @@ fn sharded_equals_unsharded_for_private_and_plain_engines() {
     let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 3, 2);
     let stream = disjoint_clustered_stream(&part);
     assert!(stream.is_shard_disjoint(&part));
-    let cfg = cfg(60.0);
-    // ≥ 3 engine methods, covering the CE, game and one-shot families.
-    for method in [Method::Puce, Method::Pgt, Method::Uce, Method::Grd] {
+    // ≥ 3 engine methods, covering the CE, game and one-shot families,
+    // plus the fresh-board charging cases: Geo-I's whole-location
+    // releases, and PUCE re-publishing on a fresh board every window.
+    let cases = [
+        (Method::Puce, true),
+        (Method::Pgt, true),
+        (Method::Uce, true),
+        (Method::Grd, true),
+        (Method::GeoI, true),
+        (Method::Puce, false),
+    ];
+    for (method, carry_releases) in cases {
+        let cfg = StreamConfig {
+            carry_releases,
+            ..cfg(60.0)
+        };
         let engine = method.engine(&cfg.params);
+        // Every message below names the case, not just the method.
+        let method = format!("{method} carry_releases={carry_releases}");
         let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
+        if engine.accounts_privacy() {
+            assert!(flat.total_epsilon() > 0.0, "{method}: no release charged");
+        }
         let sharded = run_sharded(engine.as_ref(), &stream, &cfg, &part);
         assert_eq!(sharded.matched(), flat.matched(), "{method}");
         assert!(
