@@ -4,9 +4,10 @@
 //! A streaming pipeline holds a live entity set that churns a little
 //! every window (arrivals in, matched/expired out) while most of the
 //! set survives. Rebuilding the [`Instance`] each window pays the full
-//! O(tasks × workers) reach scan and budget generation every time;
-//! maintaining a [`DeltaInstance`] pays O(churn × affected cells) per
-//! window plus a linear emission. The gap therefore widens with the
+//! reach resolution (grid build plus one disc query per worker) every
+//! time; maintaining a [`DeltaInstance`] pays O(churn × affected cells)
+//! per window plus a linear emission. Both modes emit keyed instances,
+//! drawing budgets from the same [`SeededBudgets`] source on demand. The gap therefore widens with the
 //! window count at fixed churn — exactly the trajectory this bench
 //! sweeps (`w4` → `w64`), with both modes ending on an identical
 //! instance sequence (the `incremental_properties` suite proves that
@@ -14,8 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpta_core::{DeltaInstance, Instance, Task, Worker};
+use dpta_dp::SeededBudgets;
 use dpta_spatial::Point;
-use dpta_workloads::budgets::BudgetGen;
 use std::collections::VecDeque;
 use std::hint::black_box;
 use std::time::Duration;
@@ -47,7 +48,7 @@ fn worker_at(id: u64) -> Worker {
 
 /// Drives `windows` churn rounds rebuilding the instance from scratch
 /// each window. Returns a checksum so the work cannot be elided.
-fn run_scratch(gen: &BudgetGen, windows: usize) -> usize {
+fn run_scratch(gen: SeededBudgets, windows: usize) -> usize {
     let mut tasks: VecDeque<(u64, Task)> =
         (0..LIVE_TASKS as u64).map(|id| (id, task_at(id))).collect();
     let mut workers: VecDeque<(u64, Worker)> = (0..LIVE_WORKERS as u64)
@@ -67,10 +68,12 @@ fn run_scratch(gen: &BudgetGen, windows: usize) -> usize {
             workers.push_back((next_worker, worker_at(next_worker)));
             next_worker += 1;
         }
-        let inst = Instance::from_locations(
+        let inst = Instance::from_keyed_locations(
             tasks.iter().map(|&(_, t)| t).collect(),
             workers.iter().map(|&(_, w)| w).collect(),
-            |i, j| gen.vector(tasks[i].0 as usize, workers[j].0 as usize),
+            gen,
+            tasks.iter().map(|&(id, _)| id).collect(),
+            workers.iter().map(|&(id, _)| id).collect(),
         );
         pairs += black_box(inst.feasible_pairs());
     }
@@ -79,15 +82,15 @@ fn run_scratch(gen: &BudgetGen, windows: usize) -> usize {
 
 /// The same churn rounds against a maintained [`DeltaInstance`]: diffs
 /// in, emission out.
-fn run_delta(gen: &BudgetGen, windows: usize) -> usize {
-    let mut delta = DeltaInstance::new();
+fn run_delta(gen: SeededBudgets, windows: usize) -> usize {
+    let mut delta = DeltaInstance::new(gen);
     let mut task_ids: VecDeque<u64> = (0..LIVE_TASKS as u64).collect();
     let mut worker_ids: VecDeque<u64> = (0..LIVE_WORKERS as u64).collect();
     for &id in &task_ids {
-        delta.insert_task(id, task_at(id), |t, w| gen.vector(t as usize, w as usize));
+        delta.insert_task(id, task_at(id));
     }
     for &id in &worker_ids {
-        delta.insert_worker(id, worker_at(id), |t, w| gen.vector(t as usize, w as usize));
+        delta.insert_worker(id, worker_at(id));
     }
     let mut next_task = LIVE_TASKS as u64;
     let mut next_worker = LIVE_WORKERS as u64;
@@ -96,18 +99,14 @@ fn run_delta(gen: &BudgetGen, windows: usize) -> usize {
         for _ in 0..TASK_CHURN {
             let old = task_ids.pop_front().expect("live task");
             delta.remove_task(old);
-            delta.insert_task(next_task, task_at(next_task), |t, w| {
-                gen.vector(t as usize, w as usize)
-            });
+            delta.insert_task(next_task, task_at(next_task));
             task_ids.push_back(next_task);
             next_task += 1;
         }
         for _ in 0..WORKER_CHURN {
             let old = worker_ids.pop_front().expect("live worker");
             delta.remove_worker(old);
-            delta.insert_worker(next_worker, worker_at(next_worker), |t, w| {
-                gen.vector(t as usize, w as usize)
-            });
+            delta.insert_worker(next_worker, worker_at(next_worker));
             worker_ids.push_back(next_worker);
             next_worker += 1;
         }
@@ -118,10 +117,10 @@ fn run_delta(gen: &BudgetGen, windows: usize) -> usize {
 }
 
 fn incremental_window(c: &mut Criterion) {
-    let gen = BudgetGen::new(0xA11_0CA7E, 0, (0.2, 1.0), 4);
+    let gen = SeededBudgets::new(0xA11_0CA7E, 0, (0.2, 1.0), 4);
     // Same churn trajectory in both modes — sanity-check the checksums
     // agree before timing anything.
-    assert_eq!(run_scratch(&gen, 4), run_delta(&gen, 4));
+    assert_eq!(run_scratch(gen, 4), run_delta(gen, 4));
 
     let mut group = c.benchmark_group("incremental_window");
     group.sample_size(10);
@@ -132,12 +131,12 @@ fn incremental_window(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("scratch", format!("w{windows}")),
             &windows,
-            |b, &w| b.iter(|| black_box(run_scratch(&gen, black_box(w)))),
+            |b, &w| b.iter(|| black_box(run_scratch(gen, black_box(w)))),
         );
         group.bench_with_input(
             BenchmarkId::new("delta", format!("w{windows}")),
             &windows,
-            |b, &w| b.iter(|| black_box(run_delta(&gen, black_box(w)))),
+            |b, &w| b.iter(|| black_box(run_delta(gen, black_box(w)))),
         );
     }
     group.finish();

@@ -116,15 +116,12 @@ impl<'a> Ctx<'a> {
     /// so an unpublished evaluation leaks nothing and a later publish
     /// reveals exactly this draw.
     pub fn prospective(&self, board: &Board, task: usize, worker: usize) -> Option<Prospective> {
-        let budgets = self
-            .inst
-            .budget(task, worker)
-            .expect("prospective() requires task in worker's service area");
+        debug_assert!(
+            self.inst.in_reach(task, worker),
+            "prospective() requires task in worker's service area"
+        );
         let slot = board.used_slots(task, worker);
-        if slot >= budgets.len() {
-            return None;
-        }
-        let epsilon = budgets.slot(slot);
+        let epsilon = self.inst.epsilon(task, worker, slot)?;
         let d_hat = self.inst.distance(task, worker) + self.noise_for(task, worker, slot, epsilon);
         let effective = match board.releases(task, worker) {
             Some(existing) => {

@@ -89,7 +89,7 @@ impl AssignmentEngine for GeoIEngine {
             // One location budget, comparable to a single proposal round.
             let eps: f64 = reach
                 .iter()
-                .map(|&i| inst.budget(i, j).expect("reachable").slot(0))
+                .map(|&i| inst.epsilon(i, j, 0).expect("reachable"))
                 .sum::<f64>()
                 / reach.len() as f64;
             if cfg.private && !ctx.affordable(board, j, eps) {

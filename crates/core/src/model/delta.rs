@@ -1,6 +1,5 @@
 //! Incremental instance maintenance: [`DeltaInstance`] carries the
-//! spatial index, reach sets `R_j` and budget vectors across stream
-//! windows, applying arrivals, TTL expiries, retirements and service
+//! spatial index and reach sets `R_j` across stream windows, applying arrivals, TTL expiries, retirements and service
 //! returns as *diffs* — O(affected cells) per entity instead of the
 //! O(m + n + pairs) scratch rebuild of
 //! [`Instance::from_locations`].
@@ -10,10 +9,11 @@
 //! The reach predicate is pure geometry —
 //! `distance_sq(task, worker) <= radius²` — independent of any index
 //! structure, so an incrementally maintained reach set is bit-identical
-//! to a scratch rebuild's. Budget vectors are pure functions of the
-//! *logical* `(task id, worker id)` pair (the caller's `budget_fn`), so
-//! a vector computed at insertion time equals the one a rebuild would
-//! re-derive. Entity *order* is preserved because live entities are
+//! to a scratch rebuild's. Budgets are not maintained at all: the
+//! delta holds one [`SeededBudgets`] source and emits a *keyed*
+//! instance, whose `ε⁽ᵘ⁾_{i,j}` is drawn from the pair's logical
+//! `(task id, worker id)` on demand — the same value whichever window,
+//! shard or rebuild asks. Entity *order* is preserved because live entities are
 //! kept in insertion order and the stream's pending/pool vectors are
 //! append-plus-retain: the emitted [`Instance`] lists tasks and workers
 //! in exactly the order `from_locations` would see them, which keeps
@@ -27,10 +27,8 @@
 //! `DeltaInstance` (e.g. on snapshot restore), never mid-stream.
 
 use crate::model::{Instance, Task, Worker};
-use dpta_dp::BudgetVector;
-use dpta_dp::FastMap;
+use dpta_dp::{FastMap, SeededBudgets};
 use dpta_spatial::Point;
-use std::sync::Arc;
 
 /// A dynamic spatial hash: points bucketed by fixed-size cell, with
 /// O(1) insert/remove and disc queries visiting only overlapping cells
@@ -130,17 +128,12 @@ struct TaskArena {
 }
 
 /// The worker arena, struct-of-arrays. `reach[s]` holds the live task
-/// slots inside worker slot `s`'s service area, ascending; `budgets[s]`
-/// is the parallel budget row, behind an `Arc` so emission shares it
-/// with the emitted [`Instance`] in O(1) — a later diff against a
-/// shared row clones it first (copy-on-write), so only churned workers
-/// ever pay a row copy.
+/// slots inside worker slot `s`'s service area, ascending.
 #[derive(Debug, Clone, Default)]
 struct WorkerArena {
     keys: Vec<u64>,
     rows: Vec<Worker>,
     reach: Vec<Vec<u32>>,
-    budgets: Vec<Arc<Vec<BudgetVector>>>,
 }
 
 /// An incrementally maintained PA-TA instance.
@@ -160,22 +153,26 @@ struct WorkerArena {
 ///
 /// ```
 /// use dpta_core::model::{DeltaInstance, Task, Worker};
-/// use dpta_dp::BudgetVector;
+/// use dpta_dp::SeededBudgets;
 /// use dpta_spatial::Point;
 ///
-/// let budget = |_t: u64, _w: u64| BudgetVector::new(vec![1.0]);
-/// let mut delta = DeltaInstance::new();
-/// delta.insert_worker(7, Worker::new(Point::new(0.0, 0.0), 2.0), budget);
-/// delta.insert_task(1, Task::new(Point::new(1.0, 0.0), 4.5), budget);
-/// delta.insert_task(2, Task::new(Point::new(9.0, 0.0), 4.5), budget);
+/// let budgets = SeededBudgets::new(42, 0, (0.5, 1.75), 7);
+/// let mut delta = DeltaInstance::new(budgets);
+/// delta.insert_worker(7, Worker::new(Point::new(0.0, 0.0), 2.0));
+/// delta.insert_task(1, Task::new(Point::new(1.0, 0.0), 4.5));
+/// delta.insert_task(2, Task::new(Point::new(9.0, 0.0), 4.5));
 /// let inst = delta.instance();
 /// assert_eq!(inst.n_tasks(), 2);
 /// assert_eq!(inst.reach(0), &[0]); // only task 1 is in range
+/// // Budgets are drawn from the logical ids (task 1, worker 7).
+/// assert_eq!(inst.epsilon(0, 0, 0), Some(budgets.epsilon(1, 7, 0)));
 /// assert!(delta.remove_task(2));
 /// assert_eq!(delta.feasible_pairs(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeltaInstance {
+    /// The budget source every emitted instance draws from.
+    budgets: SeededBudgets,
     tasks: TaskArena,
     workers: WorkerArena,
     /// Live task slots, ascending (slots are monotone, so this is also
@@ -200,24 +197,14 @@ pub struct DeltaInstance {
     scratch: Vec<u32>,
     /// Recycled reach vectors from removed workers.
     reach_pool: Vec<Vec<u32>>,
-    /// Recycled budget rows from removed workers — reclaimed only when
-    /// no emitted [`Instance`] still shares the row.
-    budget_pool: Vec<Vec<BudgetVector>>,
-    /// The one empty budget row every removed worker's slot points at,
-    /// so removals bump a refcount instead of allocating.
-    empty_budgets: Arc<Vec<BudgetVector>>,
-}
-
-impl Default for DeltaInstance {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DeltaInstance {
-    /// An empty delta instance.
-    pub fn new() -> Self {
+    /// An empty delta instance whose emissions draw budgets from
+    /// `budgets`, keyed by the entities' insert keys.
+    pub fn new(budgets: SeededBudgets) -> Self {
         DeltaInstance {
+            budgets,
             tasks: TaskArena::default(),
             workers: WorkerArena::default(),
             live_tasks: Vec::new(),
@@ -230,8 +217,6 @@ impl DeltaInstance {
             pairs: 0,
             scratch: Vec::new(),
             reach_pool: Vec::new(),
-            budget_pool: Vec::new(),
-            empty_budgets: Arc::new(Vec::new()),
         }
     }
 
@@ -295,15 +280,8 @@ impl DeltaInstance {
         self.worker_grid = Some(CellGrid::new(cell));
     }
 
-    /// Inserts a task under `key`; `budget_fn(task_key, worker_key)`
-    /// supplies the budget vector for each newly feasible pair. Panics
-    /// if the key is already live.
-    pub fn insert_task(
-        &mut self,
-        key: u64,
-        task: Task,
-        mut budget_fn: impl FnMut(u64, u64) -> BudgetVector,
-    ) {
+    /// Inserts a task under `key`. Panics if the key is already live.
+    pub fn insert_task(&mut self, key: u64, task: Task) {
         assert!(
             self.task_index
                 .insert(key, self.tasks.keys.len() as u32)
@@ -333,8 +311,6 @@ impl DeltaInstance {
                 // New slot is the largest: reach stays ascending.
                 debug_assert!(reach.last().is_none_or(|&t| t < slot));
                 reach.push(slot);
-                let wkey = self.workers.keys[ws as usize];
-                Arc::make_mut(&mut self.workers.budgets[ws as usize]).push(budget_fn(key, wkey));
                 self.pairs += 1;
             }
         }
@@ -342,15 +318,8 @@ impl DeltaInstance {
     }
 
     /// Inserts a worker under `key`, resolving his reach set against
-    /// the live tasks; `budget_fn(task_key, worker_key)` supplies the
-    /// budget vector for each feasible pair, called in ascending task
-    /// order. Panics if the key is already live.
-    pub fn insert_worker(
-        &mut self,
-        key: u64,
-        worker: Worker,
-        mut budget_fn: impl FnMut(u64, u64) -> BudgetVector,
-    ) {
+    /// the live tasks. Panics if the key is already live.
+    pub fn insert_worker(&mut self, key: u64, worker: Worker) {
         assert!(
             self.worker_index
                 .insert(key, self.workers.keys.len() as u32)
@@ -370,13 +339,11 @@ impl DeltaInstance {
             .candidates_into(&loc, worker.radius, &mut cands);
         cands.sort_unstable();
         let mut reach = self.reach_pool.pop().unwrap_or_default();
-        let mut budgets = self.budget_pool.pop().unwrap_or_default();
-        for &ts in &cands {
-            if loc.distance_sq(&self.tasks.rows[ts as usize].location) <= r_sq {
-                reach.push(ts);
-                budgets.push(budget_fn(self.tasks.keys[ts as usize], key));
-            }
-        }
+        reach.extend(
+            cands
+                .iter()
+                .filter(|&&ts| loc.distance_sq(&self.tasks.rows[ts as usize].location) <= r_sq),
+        );
         self.scratch = cands;
         self.pairs += reach.len();
         self.max_radius = self.max_radius.max(worker.radius);
@@ -387,7 +354,6 @@ impl DeltaInstance {
         self.workers.keys.push(key);
         self.workers.rows.push(worker);
         self.workers.reach.push(reach);
-        self.workers.budgets.push(Arc::new(budgets));
         self.live_workers.push(slot);
     }
 
@@ -417,7 +383,6 @@ impl DeltaInstance {
             let reach = &mut self.workers.reach[ws as usize];
             if let Ok(k) = reach.binary_search(&slot) {
                 reach.remove(k);
-                Arc::make_mut(&mut self.workers.budgets[ws as usize]).remove(k);
                 self.pairs -= 1;
             }
         }
@@ -438,16 +403,6 @@ impl DeltaInstance {
             reach.clear();
             self.reach_pool.push(reach);
         }
-        let row = std::mem::replace(
-            &mut self.workers.budgets[s],
-            Arc::clone(&self.empty_budgets),
-        );
-        if let Ok(mut row) = Arc::try_unwrap(row) {
-            if row.capacity() > 0 {
-                row.clear();
-                self.budget_pool.push(row);
-            }
-        }
         let loc = self.workers.rows[s].location;
         let k = self
             .live_workers
@@ -460,13 +415,12 @@ impl DeltaInstance {
         true
     }
 
-    /// Emits the current state as a regular [`Instance`]: live entities
+    /// Emits the current state as a keyed [`Instance`]: live entities
     /// in insertion order, reach sets translated from slots to compact
-    /// indices, budget rows shared with the per-worker cache (an `Arc`
-    /// bump per worker, not a clone per pair). The result is
-    /// bit-identical to [`Instance::from_locations`] over the same
-    /// entities in the same order — O(live + pairs) with no re-hashing,
-    /// no grid rebuild and no budget re-derivation.
+    /// indices, budgets drawn from the source by the entities' keys.
+    /// The result is bit-identical to [`Instance::from_keyed_locations`]
+    /// over the same entities and keys in the same order — O(live +
+    /// pairs) with no re-hashing and no grid rebuild.
     pub fn instance(&self) -> Instance {
         let tasks: Vec<Task> = self
             .live_tasks
@@ -488,18 +442,24 @@ impl DeltaInstance {
         for (i, &s) in self.live_tasks.iter().enumerate() {
             rank[s as usize - base] = i as u32;
         }
-        let mut reach = Vec::with_capacity(workers.len());
-        let mut budgets = Vec::with_capacity(workers.len());
-        for &ws in &self.live_workers {
-            reach.push(
+        let reach = self
+            .live_workers
+            .iter()
+            .map(|&ws| {
                 self.workers.reach[ws as usize]
                     .iter()
                     .map(|&ts| rank[ts as usize - base] as usize)
-                    .collect::<Vec<_>>(),
-            );
-            budgets.push(Arc::clone(&self.workers.budgets[ws as usize]));
-        }
-        Instance::from_parts(tasks, workers, reach, budgets)
+                    .collect()
+            })
+            .collect();
+        Instance::from_parts(
+            tasks,
+            workers,
+            reach,
+            self.budgets,
+            self.task_keys().collect(),
+            self.worker_keys().collect(),
+        )
     }
 }
 
@@ -508,9 +468,9 @@ mod tests {
     use super::*;
     use dpta_spatial::Point;
 
-    fn budget(t: u64, w: u64) -> BudgetVector {
-        // Key-dependent so misaligned budgets are caught.
-        BudgetVector::new(vec![0.5 + t as f64, 0.5 + w as f64])
+    /// Key-dependent draws, so misaligned budgets are caught.
+    fn source() -> SeededBudgets {
+        SeededBudgets::new(7, 0, (0.2, 1.0), 3)
     }
 
     /// Asserts the delta's emission equals the scratch rebuild over
@@ -527,7 +487,7 @@ mod tests {
         let reference = Instance::from_locations(
             tasks.iter().map(|&(_, t)| t).collect(),
             workers.iter().map(|&(_, w)| w).collect(),
-            |i, j| budget(tasks[i].0, workers[j].0),
+            |i, j| source().vector(tasks[i].0, workers[j].0),
         );
         let got = delta.instance();
         assert_eq!(got.n_tasks(), reference.n_tasks());
@@ -548,23 +508,23 @@ mod tests {
 
     #[test]
     fn tasks_before_any_worker_are_indexed_lazily() {
-        let mut d = DeltaInstance::new();
-        d.insert_task(0, Task::new(Point::new(1.0, 1.0), 4.5), budget);
-        d.insert_task(1, Task::new(Point::new(3.0, 1.0), 4.5), budget);
+        let mut d = DeltaInstance::new(source());
+        d.insert_task(0, Task::new(Point::new(1.0, 1.0), 4.5));
+        d.insert_task(1, Task::new(Point::new(3.0, 1.0), 4.5));
         assert_eq!(d.feasible_pairs(), 0);
-        d.insert_worker(0, Worker::new(Point::new(0.0, 1.0), 3.5), budget);
+        d.insert_worker(0, Worker::new(Point::new(0.0, 1.0), 3.5));
         assert_eq!(d.feasible_pairs(), 2);
         assert_matches_scratch(&d);
     }
 
     #[test]
     fn inserts_and_removes_track_reach_exactly() {
-        let mut d = DeltaInstance::new();
-        d.insert_worker(0, Worker::new(Point::new(0.0, 0.0), 3.0), budget);
-        d.insert_worker(1, Worker::new(Point::new(10.0, 0.0), 3.0), budget);
-        d.insert_task(0, Task::new(Point::new(1.0, 0.0), 1.0), budget);
-        d.insert_task(1, Task::new(Point::new(9.0, 0.0), 1.0), budget);
-        d.insert_task(2, Task::new(Point::new(5.0, 0.0), 1.0), budget);
+        let mut d = DeltaInstance::new(source());
+        d.insert_worker(0, Worker::new(Point::new(0.0, 0.0), 3.0));
+        d.insert_worker(1, Worker::new(Point::new(10.0, 0.0), 3.0));
+        d.insert_task(0, Task::new(Point::new(1.0, 0.0), 1.0));
+        d.insert_task(1, Task::new(Point::new(9.0, 0.0), 1.0));
+        d.insert_task(2, Task::new(Point::new(5.0, 0.0), 1.0));
         assert_matches_scratch(&d);
         assert!(d.remove_task(0));
         assert!(!d.remove_task(0), "second removal is a no-op");
@@ -573,17 +533,17 @@ mod tests {
         assert_matches_scratch(&d);
         // Re-insert the worker key (service return): fresh slot at the
         // end, exactly like a pool re-push.
-        d.insert_worker(1, Worker::new(Point::new(6.0, 0.0), 3.0), budget);
-        d.insert_task(3, Task::new(Point::new(6.5, 0.0), 1.0), budget);
+        d.insert_worker(1, Worker::new(Point::new(6.0, 0.0), 3.0));
+        d.insert_task(3, Task::new(Point::new(6.5, 0.0), 1.0));
         assert_matches_scratch(&d);
         assert_eq!(d.worker_keys().collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]
     fn boundary_task_is_in_reach() {
-        let mut d = DeltaInstance::new();
-        d.insert_worker(0, Worker::new(Point::new(0.0, 0.0), 2.0), budget);
-        d.insert_task(0, Task::new(Point::new(2.0, 0.0), 1.0), budget);
+        let mut d = DeltaInstance::new(source());
+        d.insert_worker(0, Worker::new(Point::new(0.0, 0.0), 2.0));
+        d.insert_task(0, Task::new(Point::new(2.0, 0.0), 1.0));
         assert_eq!(d.feasible_pairs(), 1); // d == r counts (A_j closed)
         assert_matches_scratch(&d);
     }
@@ -591,14 +551,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already live")]
     fn duplicate_task_key_panics() {
-        let mut d = DeltaInstance::new();
-        d.insert_task(3, Task::new(Point::ORIGIN, 1.0), budget);
-        d.insert_task(3, Task::new(Point::ORIGIN, 1.0), budget);
+        let mut d = DeltaInstance::new(source());
+        d.insert_task(3, Task::new(Point::ORIGIN, 1.0));
+        d.insert_task(3, Task::new(Point::ORIGIN, 1.0));
     }
 
     #[test]
     fn empty_emission() {
-        let d = DeltaInstance::new();
+        let d = DeltaInstance::new(source());
         let inst = d.instance();
         assert_eq!(inst.n_tasks(), 0);
         assert_eq!(inst.n_workers(), 0);
@@ -606,15 +566,15 @@ mod tests {
 
     #[test]
     fn wide_radius_after_small_cell_still_exact() {
-        let mut d = DeltaInstance::new();
+        let mut d = DeltaInstance::new(source());
         // First worker fixes a small cell; a later disc spans many.
-        d.insert_worker(0, Worker::new(Point::new(0.0, 0.0), 0.5), budget);
+        d.insert_worker(0, Worker::new(Point::new(0.0, 0.0), 0.5));
         for k in 0..20u64 {
-            d.insert_task(k, Task::new(Point::new(k as f64, 0.0), 1.0), budget);
+            d.insert_task(k, Task::new(Point::new(k as f64, 0.0), 1.0));
         }
-        d.insert_worker(1, Worker::new(Point::new(10.0, 0.0), 50.0), budget);
+        d.insert_worker(1, Worker::new(Point::new(10.0, 0.0), 50.0));
         assert_matches_scratch(&d);
-        d.insert_task(99, Task::new(Point::new(-4.0, 3.0), 1.0), budget);
+        d.insert_task(99, Task::new(Point::new(-4.0, 3.0), 1.0));
         assert_matches_scratch(&d);
     }
 }

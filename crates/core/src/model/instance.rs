@@ -1,10 +1,18 @@
 //! A PA-TA problem instance: tasks, workers, distances, service-area
 //! reach sets `R_j`, and privacy budget vectors `ε_{i,j}`.
+//!
+//! Budgets come from one of two places. A *keyed* instance holds a
+//! [`SeededBudgets`] source plus each entity's logical id and derives
+//! every slot on demand — the streaming pipeline's instances, whose
+//! budgets are a pure function of the ids. A *table* instance stores
+//! the vectors a caller's closure returned, for budgets no generator
+//! expresses (the paper's worked examples, tests' stateful draws).
+//! Either way the engines read through [`Instance::epsilon`].
 
 use crate::model::{Task, Worker};
-use dpta_dp::BudgetVector;
+use dpta_dp::{BudgetVector, SeededBudgets};
 use dpta_spatial::{DistanceMatrix, GridIndex};
-use std::sync::Arc;
+use std::borrow::Cow;
 
 /// How pair distances are stored.
 ///
@@ -17,6 +25,23 @@ use std::sync::Arc;
 enum DistanceStore {
     Geometric,
     Dense(DistanceMatrix),
+}
+
+/// Where the budget vectors `ε_{i,j}` come from.
+#[derive(Debug, Clone)]
+enum BudgetStore {
+    /// Drawn on demand from a keyed source: slot `u` of pair `(i, j)`
+    /// is `source.epsilon(task_keys[i], worker_keys[j], u)`. Nothing is
+    /// stored per pair.
+    Keyed {
+        source: SeededBudgets,
+        task_keys: Vec<u64>,
+        worker_keys: Vec<u64>,
+    },
+    /// An explicit table — `table[j][k]` is the vector for task
+    /// `reach[j][k]` — for budgets no generator expresses (the paper's
+    /// worked examples, caller-supplied closures).
+    Table(Vec<Vec<BudgetVector>>),
 }
 
 /// One batch's worth of the PA-TA problem (Definition 5).
@@ -33,44 +58,59 @@ pub struct Instance {
     /// `reach[j]` = the paper's `R_j`: task indices within `r_j` of
     /// worker `j`, ascending.
     reach: Vec<Vec<usize>>,
-    /// `budgets[j][k]` is the budget vector for task `reach[j][k]`.
-    /// Each worker's row sits behind an `Arc` so an incrementally
-    /// maintained instance can share unchanged rows across emissions
-    /// instead of re-cloning one heap vector per feasible pair.
-    budgets: Vec<Arc<Vec<BudgetVector>>>,
+    budgets: BudgetStore,
+}
+
+/// `R_j = {i : d_{i,j} <= r_j}` for every worker, resolved with a
+/// uniform grid index over the task locations: O(m + n + feasible
+/// pairs) instead of O(m·n).
+fn reach_from_locations(tasks: &[Task], workers: &[Worker]) -> Vec<Vec<usize>> {
+    let task_locs: Vec<_> = tasks.iter().map(|t| t.location).collect();
+    let max_radius = workers
+        .iter()
+        .map(|w| w.radius)
+        .fold(0.0f64, f64::max)
+        .max(1e-6);
+    let index = GridIndex::build_for_radius(&task_locs, max_radius);
+    let mut buf = Vec::new();
+    workers
+        .iter()
+        .map(|w| {
+            index.query_circle_into(&w.service_area(), &mut buf);
+            buf.clone()
+        })
+        .collect()
+}
+
+/// The explicit budget table of `reach`: `budget_of(i, j)` for every
+/// feasible pair, in reach order.
+fn budget_table(
+    reach: &[Vec<usize>],
+    mut budget_of: impl FnMut(usize, usize) -> BudgetVector,
+) -> BudgetStore {
+    BudgetStore::Table(
+        reach
+            .iter()
+            .enumerate()
+            .map(|(j, r)| r.iter().map(|&i| budget_of(i, j)).collect())
+            .collect(),
+    )
 }
 
 impl Instance {
     /// Builds an instance from entity locations; distances are Euclidean
     /// and `R_j = {i : d_{i,j} <= r_j}`. Service areas are resolved with
     /// a uniform grid index over the task locations, so construction is
-    /// O(m + n + feasible pairs) instead of O(m·n). `budget_fn(i, j)`
-    /// supplies the budget vector for each feasible pair.
+    /// O(m + n + feasible pairs) instead of O(m·n). `budget_of(i, j)`
+    /// supplies the budget vector for each feasible pair, stored as an
+    /// explicit table.
     pub fn from_locations(
         tasks: Vec<Task>,
         workers: Vec<Worker>,
-        mut budget_fn: impl FnMut(usize, usize) -> BudgetVector,
+        budget_of: impl FnMut(usize, usize) -> BudgetVector,
     ) -> Self {
-        let task_locs: Vec<_> = tasks.iter().map(|t| t.location).collect();
-        let max_radius = workers
-            .iter()
-            .map(|w| w.radius)
-            .fold(0.0f64, f64::max)
-            .max(1e-6);
-        let index = GridIndex::build_for_radius(&task_locs, max_radius);
-
-        let mut reach = Vec::with_capacity(workers.len());
-        let mut budgets = Vec::with_capacity(workers.len());
-        let mut buf = Vec::new();
-        for (j, w) in workers.iter().enumerate() {
-            index.query_circle_into(&w.service_area(), &mut buf);
-            let mut b = Vec::with_capacity(buf.len());
-            for &i in &buf {
-                b.push(budget_fn(i, j));
-            }
-            reach.push(buf.clone());
-            budgets.push(Arc::new(b));
-        }
+        let reach = reach_from_locations(&tasks, &workers);
+        let budgets = budget_table(&reach, budget_of);
         Instance {
             tasks,
             workers,
@@ -80,25 +120,43 @@ impl Instance {
         }
     }
 
-    /// Assembles an instance from pre-resolved parts — the emission
-    /// path of [`DeltaInstance`](crate::model::DeltaInstance), which
-    /// maintains reach sets and budget vectors incrementally and hands
-    /// them over here instead of re-deriving them from locations.
+    /// Builds an instance from entity locations, like
+    /// [`from_locations`](Instance::from_locations), whose budgets are
+    /// drawn on demand from `source` keyed by each entity's logical id
+    /// (`task_keys[i]`, `worker_keys[j]`) — nothing is stored per pair.
+    /// With keys equal to the indices this is `from_locations` over
+    /// `|i, j| source.vector(i as u64, j as u64)`.
+    pub fn from_keyed_locations(
+        tasks: Vec<Task>,
+        workers: Vec<Worker>,
+        source: SeededBudgets,
+        task_keys: Vec<u64>,
+        worker_keys: Vec<u64>,
+    ) -> Self {
+        let reach = reach_from_locations(&tasks, &workers);
+        Self::from_parts(tasks, workers, reach, source, task_keys, worker_keys)
+    }
+
+    /// Assembles a keyed instance from pre-resolved reach sets — the
+    /// emission path of [`DeltaInstance`](crate::model::DeltaInstance),
+    /// which maintains reach sets incrementally and hands them over
+    /// here instead of re-deriving them from locations.
     ///
     /// Invariants (checked in debug builds): `reach[j]` ascending and
-    /// in range, `budgets[j]` positionally aligned with `reach[j]`.
-    /// Distances are geometric, exactly as in
-    /// [`from_locations`](Instance::from_locations).
+    /// in range, one key per entity. Distances are geometric, exactly
+    /// as in [`from_locations`](Instance::from_locations).
     pub(crate) fn from_parts(
         tasks: Vec<Task>,
         workers: Vec<Worker>,
         reach: Vec<Vec<usize>>,
-        budgets: Vec<Arc<Vec<BudgetVector>>>,
+        source: SeededBudgets,
+        task_keys: Vec<u64>,
+        worker_keys: Vec<u64>,
     ) -> Self {
+        assert_eq!(task_keys.len(), tasks.len(), "one key per task");
+        assert_eq!(worker_keys.len(), workers.len(), "one key per worker");
         debug_assert_eq!(reach.len(), workers.len());
-        debug_assert_eq!(budgets.len(), workers.len());
-        for (j, r) in reach.iter().enumerate() {
-            debug_assert_eq!(r.len(), budgets[j].len());
+        for r in &reach {
             debug_assert!(r.windows(2).all(|w| w[0] < w[1]), "reach not ascending");
             debug_assert!(r.iter().all(|&i| i < tasks.len()), "reach out of range");
         }
@@ -107,7 +165,11 @@ impl Instance {
             workers,
             store: DistanceStore::Geometric,
             reach,
-            budgets,
+            budgets: BudgetStore::Keyed {
+                source,
+                task_keys,
+                worker_keys,
+            },
         }
     }
 
@@ -118,7 +180,7 @@ impl Instance {
         tasks: Vec<Task>,
         workers: Vec<Worker>,
         dist: DistanceMatrix,
-        mut budget_fn: impl FnMut(usize, usize) -> BudgetVector,
+        budget_of: impl FnMut(usize, usize) -> BudgetVector,
     ) -> Self {
         assert_eq!(dist.tasks(), tasks.len(), "distance matrix rows != tasks");
         assert_eq!(
@@ -126,20 +188,16 @@ impl Instance {
             workers.len(),
             "distance matrix cols != workers"
         );
-        let mut reach = Vec::with_capacity(workers.len());
-        let mut budgets = Vec::with_capacity(workers.len());
-        for (j, w) in workers.iter().enumerate() {
-            let mut r = Vec::new();
-            let mut b = Vec::new();
-            for i in 0..tasks.len() {
-                if dist.get(i, j) <= w.radius {
-                    r.push(i);
-                    b.push(budget_fn(i, j));
-                }
-            }
-            reach.push(r);
-            budgets.push(Arc::new(b));
-        }
+        let reach: Vec<Vec<usize>> = workers
+            .iter()
+            .enumerate()
+            .map(|(j, w)| {
+                (0..tasks.len())
+                    .filter(|&i| dist.get(i, j) <= w.radius)
+                    .collect()
+            })
+            .collect();
+        let budgets = budget_table(&reach, budget_of);
         Instance {
             tasks,
             workers,
@@ -197,13 +255,37 @@ impl Instance {
         self.reach[worker].binary_search(&task).is_ok()
     }
 
-    /// The budget vector `ε_{i,j}` for a feasible pair; `None` when the
-    /// task is outside the worker's service area.
-    pub fn budget(&self, task: usize, worker: usize) -> Option<&BudgetVector> {
-        self.reach[worker]
-            .binary_search(&task)
-            .ok()
-            .map(|k| &self.budgets[worker][k])
+    /// The budget `ε⁽ᵘ⁾_{i,j}` of the pair's `slot`-th release; `None`
+    /// when the task is outside the worker's service area or the
+    /// pair's vector has no such slot. The engines' one budget read:
+    /// it allocates nothing, whether the budget is drawn or tabled.
+    #[inline]
+    pub fn epsilon(&self, task: usize, worker: usize, slot: usize) -> Option<f64> {
+        let k = self.reach[worker].binary_search(&task).ok()?;
+        match &self.budgets {
+            BudgetStore::Keyed {
+                source,
+                task_keys,
+                worker_keys,
+            } => (slot < source.group_size())
+                .then(|| source.epsilon(task_keys[task], worker_keys[worker], slot)),
+            BudgetStore::Table(table) => table[worker][k].slots().get(slot).copied(),
+        }
+    }
+
+    /// The whole budget vector `ε_{i,j}` for a feasible pair (borrowed
+    /// from a table, drawn for a keyed instance); `None` when the task
+    /// is outside the worker's service area.
+    pub fn budget(&self, task: usize, worker: usize) -> Option<Cow<'_, BudgetVector>> {
+        let k = self.reach[worker].binary_search(&task).ok()?;
+        Some(match &self.budgets {
+            BudgetStore::Keyed {
+                source,
+                task_keys,
+                worker_keys,
+            } => Cow::Owned(source.vector(task_keys[task], worker_keys[worker])),
+            BudgetStore::Table(table) => Cow::Borrowed(&table[worker][k]),
+        })
     }
 
     /// Total number of feasible (task, worker) pairs.

@@ -1,5 +1,7 @@
-//! Privacy budget vectors `ε_{i,j}` and state vectors `b_{i,j}`
-//! (Definition 5 / Table I of the paper).
+//! Privacy budget vectors `ε_{i,j}` (Definition 5 / Table I of the
+//! paper). The paper's 0/1 state vector `b_{i,j}` is a prefix of
+//! consumed slots, tracked by the board as a per-pair slot count
+//! (`Board::used_slots`).
 
 use crate::validate_epsilon;
 use serde::{Deserialize, Serialize};
@@ -50,149 +52,18 @@ impl BudgetVector {
     }
 }
 
-/// The consumption state of a [`BudgetVector`] — the paper's 0/1 vector
-/// `b_{i,j}`.
-///
-/// Proposals consume slots strictly in order (the `u`-th proposal uses
-/// `ε⁽ᵘ⁾`), so the state is a prefix `⟨1,…,1,0,…,0⟩` and a counter
-/// suffices. `b_{1,2} = ⟨1,1,0,0,0⟩` in the paper's example corresponds
-/// to `used == 2`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BudgetState {
-    used: usize,
-}
-
-impl BudgetState {
-    /// Fresh state: nothing consumed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of consumed slots (`sum(b)` in the paper's notation).
-    #[inline]
-    pub fn used(&self) -> usize {
-        self.used
-    }
-
-    /// Index of the next unconsumed slot, or `None` when exhausted.
-    pub fn next_slot(&self, budgets: &BudgetVector) -> Option<usize> {
-        (self.used < budgets.len()).then_some(self.used)
-    }
-
-    /// Whether every slot has been consumed.
-    pub fn exhausted(&self, budgets: &BudgetVector) -> bool {
-        self.used >= budgets.len()
-    }
-
-    /// Consumes the next slot, returning its budget. Panics when
-    /// exhausted — callers must gate on [`BudgetState::next_slot`].
-    pub fn consume(&mut self, budgets: &BudgetVector) -> f64 {
-        let u = self
-            .next_slot(budgets)
-            .expect("budget vector exhausted: no slot left to consume");
-        self.used += 1;
-        budgets.slot(u)
-    }
-
-    /// Total budget consumed so far: `b_{i,j} · ε_{i,j}`.
-    pub fn spent(&self, budgets: &BudgetVector) -> f64 {
-        budgets.slots()[..self.used].iter().sum()
-    }
-
-    /// The state as the paper's explicit 0/1 vector (for reports/tests).
-    pub fn as_bits(&self, budgets: &BudgetVector) -> Vec<u8> {
-        (0..budgets.len())
-            .map(|u| u8::from(u < self.used))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    fn vector() -> BudgetVector {
-        BudgetVector::new(vec![0.5, 0.75, 1.0])
-    }
-
-    #[test]
-    fn consume_in_order() {
-        let v = vector();
-        let mut st = BudgetState::new();
-        assert_eq!(st.next_slot(&v), Some(0));
-        assert_eq!(st.consume(&v), 0.5);
-        assert_eq!(st.consume(&v), 0.75);
-        assert_eq!(st.next_slot(&v), Some(2));
-        assert_eq!(st.consume(&v), 1.0);
-        assert!(st.exhausted(&v));
-        assert_eq!(st.next_slot(&v), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "budget vector exhausted")]
-    fn consume_past_end_panics() {
-        let v = BudgetVector::new(vec![1.0]);
-        let mut st = BudgetState::new();
-        st.consume(&v);
-        st.consume(&v);
-    }
-
-    #[test]
-    fn spent_is_prefix_sum() {
-        let v = vector();
-        let mut st = BudgetState::new();
-        assert_eq!(st.spent(&v), 0.0);
-        st.consume(&v);
-        assert!((st.spent(&v) - 0.5).abs() < 1e-15);
-        st.consume(&v);
-        assert!((st.spent(&v) - 1.25).abs() < 1e-15);
-    }
-
-    #[test]
-    fn bits_match_paper_notation() {
-        let v = BudgetVector::new(vec![1.0; 5]);
-        let mut st = BudgetState::new();
-        st.consume(&v);
-        st.consume(&v);
-        assert_eq!(st.as_bits(&v), vec![1, 1, 0, 0, 0]); // b = <1,1,0,0,0>
-    }
 
     #[test]
     fn total_sums_all_slots() {
-        assert!((vector().total() - 2.25).abs() < 1e-15);
+        assert!((BudgetVector::new(vec![0.5, 0.75, 1.0]).total() - 2.25).abs() < 1e-15);
     }
 
     #[test]
     #[should_panic(expected = "privacy budget must be finite")]
     fn invalid_slot_rejected() {
         let _ = BudgetVector::new(vec![0.5, f64::NAN]);
-    }
-
-    #[test]
-    fn empty_vector_is_immediately_exhausted() {
-        let v = BudgetVector::new(vec![]);
-        let st = BudgetState::new();
-        assert!(v.is_empty());
-        assert!(st.exhausted(&v));
-        assert_eq!(st.next_slot(&v), None);
-    }
-
-    proptest! {
-        #[test]
-        fn spent_plus_remaining_is_total(
-            slots in proptest::collection::vec(0.05f64..3.0, 1..10),
-            take in 0usize..10
-        ) {
-            let v = BudgetVector::new(slots.clone());
-            let mut st = BudgetState::new();
-            let take = take.min(v.len());
-            for _ in 0..take {
-                st.consume(&v);
-            }
-            let remaining: f64 = v.slots()[take..].iter().sum();
-            prop_assert!((st.spent(&v) + remaining - v.total()).abs() < 1e-9);
-            prop_assert_eq!(st.used(), take);
-        }
     }
 }

@@ -14,8 +14,10 @@
 //! * [`ReleaseSet`] / [`EffectivePair`] — maximum-likelihood estimation of
 //!   the *effective obfuscated distance* and *effective privacy budget*
 //!   from a worker's sequence of releases (Section V-A);
-//! * [`BudgetVector`] / [`BudgetState`] — the per-(task, worker) privacy
-//!   budget vectors `ε_{i,j}` and state vectors `b_{i,j}` of Definition 5;
+//! * [`BudgetVector`] — the per-(task, worker) privacy budget vectors
+//!   `ε_{i,j}` of Definition 5, and [`SeededBudgets`], the keyed source
+//!   that derives every slot from the pair's logical ids instead of
+//!   storing it;
 //! * [`PrivacyLedger`] — per-worker accounting of published budgets,
 //!   reproducing the `Σ_{t_i∈R_j} b_{i,j}·ε_{i,j}·r_j` local-DP bound of
 //!   Theorems V.2 / VI.4;
@@ -36,6 +38,7 @@
 
 mod accountant;
 mod budget;
+mod budgets;
 mod diff;
 mod geo;
 pub mod intern;
@@ -47,7 +50,8 @@ mod ppcf;
 mod release;
 
 pub use accountant::{AccountId, CumulativeAccountant, PrivacyLedger};
-pub use budget::{BudgetState, BudgetVector};
+pub use budget::BudgetVector;
+pub use budgets::SeededBudgets;
 pub use diff::LaplaceDiff;
 pub use geo::{lambert_w_m1, PlanarLaplace};
 pub use intern::{EpochTable, FastMap, FastSet, Interner, Sym};

@@ -436,6 +436,17 @@ impl StreamConfig {
         StreamConfigBuilder { cfg: self.clone() }
     }
 
+    /// The stream's budget source: every pair's `ε_{i,j}` is drawn from
+    /// the logical `(task id, worker id)`, salted off the noise seed.
+    pub(crate) fn budget_source(&self) -> dpta_dp::SeededBudgets {
+        dpta_dp::SeededBudgets::new(
+            self.params.seed ^ 0x5712_EA11,
+            0,
+            self.budget_range,
+            self.budget_group_size,
+        )
+    }
+
     /// Validates every knob, returning the offending field on failure.
     /// [`StreamConfigBuilder::build`] funnels through this; session and
     /// driver constructors assert the same invariants.

@@ -89,10 +89,9 @@ use crate::snapshot::SnapshotError;
 use crate::window::Window;
 use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance, Instance, RunOutcome};
-use dpta_dp::{BudgetLedger, FastMap, LedgerState, SeededNoise};
+use dpta_dp::{BudgetLedger, FastMap, LedgerState, SeededBudgets, SeededNoise};
 use dpta_matching::repair::PairComponents;
 use dpta_spatial::GridPartition;
-use dpta_workloads::budgets::BudgetGen;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
@@ -217,16 +216,13 @@ fn pool_worker(
     partition: &GridPartition,
     member: &mut FastMap<u32, Membership>,
     deltas: &mut [DeltaInstance],
-    budget_gen: &BudgetGen,
     w: &WorkerArrival,
 ) -> usize {
     let m = member
         .entry(w.id)
         .or_insert_with(|| Membership::of(partition, w));
     for &k in &m.reach {
-        deltas[k].insert_worker(u64::from(w.id), w.worker, |t, wk| {
-            budget_gen.vector(t as usize, wk as usize)
-        });
+        deltas[k].insert_worker(u64::from(w.id), w.worker);
     }
     m.home
 }
@@ -244,7 +240,6 @@ pub(crate) struct HaloCore<'e> {
     cfg: StreamConfig,
     warm: bool,
     incremental: bool,
-    budget_gen: BudgetGen,
     // Per-shard report state.
     shard_windows: Vec<Vec<WindowReport>>,
     shard_fates: Vec<BTreeMap<u32, TaskFate>>,
@@ -281,18 +276,12 @@ impl<'e> HaloCore<'e> {
         // between passes), so capped reruns stay full.
         // `halo_full_rerun` is the debugging / reference override.
         let incremental = !life.capped && !cfg.halo_full_rerun;
-        let budget_gen = BudgetGen::new(
-            cfg.params.seed ^ 0x5712_EA11,
-            0,
-            cfg.budget_range,
-            cfg.budget_group_size,
-        );
+        let budgets = cfg.budget_source();
         HaloCore {
             engine,
             cfg,
             warm,
             incremental,
-            budget_gen,
             shard_windows: vec![Vec::new(); n_shards],
             shard_fates: vec![BTreeMap::new(); n_shards],
             shard_tasks: vec![0; n_shards],
@@ -301,7 +290,7 @@ impl<'e> HaloCore<'e> {
             life,
             charged: ReleaseDedup::default(),
             carried: (0..n_shards).map(|_| None).collect(),
-            deltas: (0..n_shards).map(|_| DeltaInstance::new()).collect(),
+            deltas: (0..n_shards).map(|_| DeltaInstance::new(budgets)).collect(),
             member: FastMap::default(),
         }
     }
@@ -320,7 +309,6 @@ impl<'e> HaloCore<'e> {
             cfg,
             warm,
             incremental,
-            budget_gen,
             shard_windows,
             shard_fates,
             shard_tasks,
@@ -340,10 +328,10 @@ impl<'e> HaloCore<'e> {
         // ── Mirror the admissions into the shard instances ────────────
         let mut returned_by_home = vec![0usize; n_shards];
         for s in &opened.returned {
-            returned_by_home[pool_worker(partition, member, deltas, budget_gen, &s.worker)] += 1;
+            returned_by_home[pool_worker(partition, member, deltas, &s.worker)] += 1;
         }
         for w in &window.workers {
-            shard_workers[pool_worker(partition, member, deltas, budget_gen, w)] += 1;
+            shard_workers[pool_worker(partition, member, deltas, w)] += 1;
         }
         // Unserved tasks already maintained per shard, before this
         // window's admissions (the report's carried-in view).
@@ -364,9 +352,7 @@ impl<'e> HaloCore<'e> {
             if k < opened.readmitted {
                 readmitted_by_shard[home] += 1;
             }
-            deltas[home].insert_task(u64::from(p.arrival.id), p.arrival.task, |t, w| {
-                budget_gen.vector(t as usize, w as usize)
-            });
+            deltas[home].insert_task(u64::from(p.arrival.id), p.arrival.task);
         }
 
         // Per-window id → index maps (pool and pending are frozen for
@@ -494,7 +480,7 @@ impl<'e> HaloCore<'e> {
                                 &pool_at,
                                 &life.pending,
                                 &life.pool,
-                                budget_gen,
+                                cfg.budget_source(),
                                 &carried[k],
                                 warm,
                             );
@@ -869,13 +855,7 @@ impl<'e> HaloCore<'e> {
         core.charged = snap.charged.clone();
         core.carried = snap.carried.clone();
         for w in &snap.pool {
-            pool_worker(
-                partition,
-                &mut core.member,
-                &mut core.deltas,
-                &core.budget_gen,
-                w,
-            );
+            pool_worker(partition, &mut core.member, &mut core.deltas, w);
         }
         for s in &snap.in_service {
             // Serving workers left the maintained instances with their
@@ -886,9 +866,7 @@ impl<'e> HaloCore<'e> {
         }
         for p in &snap.pending {
             let home = partition.shard_of(&p.arrival.task.location);
-            core.deltas[home].insert_task(u64::from(p.arrival.id), p.arrival.task, |t, w| {
-                core.budget_gen.vector(t as usize, w as usize)
-            });
+            core.deltas[home].insert_task(u64::from(p.arrival.id), p.arrival.task);
         }
         Ok(core)
     }
@@ -1148,11 +1126,11 @@ fn prepare_sub_run(
     pool_at: &FastMap<u32, usize>,
     pending: &[PendingTask],
     pool: &[WorkerArrival],
-    budget_gen: &BudgetGen,
+    budgets: SeededBudgets,
     carried: &Option<Carried>,
     warm: bool,
 ) -> PreparedRun {
-    let inst = Instance::from_locations(
+    let inst = Instance::from_keyed_locations(
         task_ids
             .iter()
             .map(|&id| pending[pend_at[&id]].arrival.task)
@@ -1161,7 +1139,9 @@ fn prepare_sub_run(
             .iter()
             .map(|&id| pool[pool_at[&id]].worker)
             .collect(),
-        |i, j| budget_gen.vector(task_ids[i] as usize, worker_ids[j] as usize),
+        budgets,
+        task_ids.iter().map(|&id| u64::from(id)).collect(),
+        worker_ids.iter().map(|&id| u64::from(id)).collect(),
     );
     let board = carry_board(
         carried,

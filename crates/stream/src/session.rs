@@ -48,7 +48,6 @@ use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::metrics::measure;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance};
 use dpta_dp::{AccountId, BudgetLedger, FastMap, Interner, LedgerState, SeededNoise};
-use dpta_workloads::budgets::BudgetGen;
 use dpta_workloads::ValueModel;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -294,7 +293,6 @@ pub(crate) struct SessionCore<'e> {
     /// with his column, so his bit-identical re-publications must be
     /// filtered by the dedup, not the board spend delta).
     reentry: bool,
-    budget_gen: BudgetGen,
     life: Lifecycle,
     carried: Option<CarriedBoard>,
     charged: ReleaseDedup,
@@ -315,8 +313,8 @@ pub(crate) struct SessionCore<'e> {
 /// The serializable state of a [`SessionCore`] at a window boundary.
 ///
 /// Everything not here is reconstructed on restore: `warm`/`reentry`
-/// are pure functions of the configuration and engine, `budget_gen` is
-/// a pure keyed generator re-derived from the seed, and the
+/// are pure functions of the configuration and engine, budgets are
+/// drawn from a keyed source re-derived from the seed, and the
 /// [`DeltaInstance`] caches are rebuilt by re-inserting the live pool
 /// and pending set in their maintained order — which *is* the insertion
 /// order a live session would have reached (pool/pending only append
@@ -344,23 +342,17 @@ impl<'e> SessionCore<'e> {
         cfg.service.validate();
         let warm = cfg.carry_releases && engine.supports_warm_start();
         let reentry = cfg.service.reenters();
-        let budget_gen = BudgetGen::new(
-            cfg.params.seed ^ 0x5712_EA11,
-            0,
-            cfg.budget_range,
-            cfg.budget_group_size,
-        );
         let life = Lifecycle::new(&cfg, warm);
+        let delta = DeltaInstance::new(cfg.budget_source());
         SessionCore {
             engine,
             cfg,
             warm,
             reentry,
-            budget_gen,
             life,
             carried: None,
             charged: ReleaseDedup::default(),
-            delta: DeltaInstance::new(),
+            delta,
             fates: FastMap::default(),
             spend_by_worker: FastMap::default(),
             reports: Vec::new(),
@@ -428,16 +420,11 @@ impl<'e> SessionCore<'e> {
         core.reports = snap.reports.clone();
         core.outcomes = snap.outcomes.clone();
         for w in &snap.pool {
-            core.delta
-                .insert_worker(u64::from(w.id), w.worker, |t, wk| {
-                    core.budget_gen.vector(t as usize, wk as usize)
-                });
+            core.delta.insert_worker(u64::from(w.id), w.worker);
         }
         for p in &snap.pending {
             core.delta
-                .insert_task(u64::from(p.arrival.id), p.arrival.task, |tk, wk| {
-                    core.budget_gen.vector(tk as usize, wk as usize)
-                });
+                .insert_task(u64::from(p.arrival.id), p.arrival.task);
         }
         core
     }
@@ -483,10 +470,7 @@ impl<'e> SessionCore<'e> {
             .map(|s| &s.worker)
             .chain(&window.workers)
         {
-            self.delta
-                .insert_worker(u64::from(w.id), w.worker, |t, wk| {
-                    self.budget_gen.vector(t as usize, wk as usize)
-                });
+            self.delta.insert_worker(u64::from(w.id), w.worker);
         }
         for t in &opened.deferred {
             self.outcomes.push_back(Outcome::Deferred {
@@ -496,9 +480,7 @@ impl<'e> SessionCore<'e> {
         }
         for p in &self.life.pending[opened.carried_in..] {
             self.delta
-                .insert_task(u64::from(p.arrival.id), p.arrival.task, |tk, wk| {
-                    self.budget_gen.vector(tk as usize, wk as usize)
-                });
+                .insert_task(u64::from(p.arrival.id), p.arrival.task);
         }
         let (pool, pending) = (&self.life.pool, &self.life.pending);
         let carried = &mut self.carried;
@@ -535,10 +517,11 @@ impl<'e> SessionCore<'e> {
             let task_ids: Vec<u32> = pending.iter().map(|p| p.arrival.id).collect();
             let worker_ids: Vec<u32> = pool.iter().map(|w| w.id).collect();
             // The maintained delta emits the window's instance — reach
-            // sets and budget rows were resolved incrementally at each
-            // arrival/return, and emission order equals the pool/pending
-            // order `Instance::from_locations` would see, bit for bit
-            // (pinned by the incremental property suite).
+            // sets were resolved incrementally at each arrival/return,
+            // budgets are drawn from the logical ids, and emission order
+            // equals the pool/pending order a from-locations rebuild
+            // would see, bit for bit (pinned by the incremental property
+            // suite).
             let inst = self.delta.instance();
             debug_assert_eq!(inst.n_tasks(), pending.len());
             debug_assert_eq!(inst.n_workers(), pool.len());

@@ -26,12 +26,12 @@
 //! reach-dependent location ε).
 
 use dpta_core::{DeltaInstance, Instance, Method, Task, Worker};
+use dpta_dp::SeededBudgets;
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
     run_sharded_halo, ArrivalEvent, ArrivalStream, StreamConfig, TaskArrival, WindowPolicy,
     WorkerArrival,
 };
-use dpta_workloads::budgets::BudgetGen;
 use proptest::prelude::*;
 
 /// One random mutation of the maintained instance, tuple-encoded for
@@ -53,12 +53,12 @@ fn assert_matches_rebuild(
     delta: &DeltaInstance,
     tasks: &[(u64, Task)],
     workers: &[(u64, Worker)],
-    gen: &BudgetGen,
+    gen: &SeededBudgets,
 ) {
     let reference = Instance::from_locations(
         tasks.iter().map(|&(_, t)| t).collect(),
         workers.iter().map(|&(_, w)| w).collect(),
-        |i, j| gen.vector(tasks[i].0 as usize, workers[j].0 as usize),
+        |i, j| gen.vector(tasks[i].0, workers[j].0),
     );
     let emitted = delta.instance();
     prop_assert_eq!(emitted.n_tasks(), reference.n_tasks());
@@ -122,8 +122,8 @@ proptest! {
     fn delta_instance_matches_a_from_scratch_rebuild(
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        let gen = BudgetGen::new(0xD0_17A5, 0, (0.2, 1.0), 4);
-        let mut delta = DeltaInstance::new();
+        let gen = SeededBudgets::new(0xD0_17A5, 0, (0.2, 1.0), 4);
+        let mut delta = DeltaInstance::new(gen);
         // Insertion-order mirrors of the live entity sets. A key
         // removed and re-inserted moves to the back — exactly the
         // arena's never-reuse-a-slot rule.
@@ -134,18 +134,14 @@ proptest! {
                 0 => {
                     if !delta.contains_task(key) {
                         let t = Task::new(Point::new(x, y), 1.0);
-                        delta.insert_task(key, t, |tk, wk| {
-                            gen.vector(tk as usize, wk as usize)
-                        });
+                        delta.insert_task(key, t);
                         tasks.push((key, t));
                     }
                 }
                 1 => {
                     if !delta.contains_worker(key) {
                         let w = Worker::new(Point::new(x, y), r);
-                        delta.insert_worker(key, w, |tk, wk| {
-                            gen.vector(tk as usize, wk as usize)
-                        });
+                        delta.insert_worker(key, w);
                         workers.push((key, w));
                     }
                 }

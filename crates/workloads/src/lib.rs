@@ -15,16 +15,16 @@
 //! * **normal** — 2-D normal points with variance 150.
 //!
 //! [`scenario`] turns a Table X parameter assignment into ready-to-run
-//! [`Instance`](dpta_core::Instance) batches; [`budgets`] derives the
-//! per-pair privacy budget vectors (group size `Z = 7`, values drawn
-//! uniformly from the configured range).
+//! [`Instance`](dpta_core::Instance) batches, whose per-pair privacy
+//! budget vectors (group size `Z = 7`, values drawn uniformly from the
+//! configured range) come keyed from
+//! [`SeededBudgets`](dpta_dp::SeededBudgets).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod batching;
-pub mod budgets;
 pub mod chengdu;
 pub mod scenario;
 pub mod synthetic;

@@ -2,10 +2,10 @@
 //! [`Instance`] batches.
 
 use crate::batching::{batch_orders, TaxiGroups, TAXI_GROUPS};
-use crate::budgets::BudgetGen;
 use crate::chengdu::ChengduSim;
 use crate::synthetic::{normal_points, uniform_points};
 use dpta_core::{Instance, Task, Worker};
+use dpta_dp::SeededBudgets;
 use dpta_spatial::Point;
 use serde::{Deserialize, Serialize};
 
@@ -242,9 +242,18 @@ impl Scenario {
             .collect()
     }
 
+    /// One batch's instance, its budgets keyed by `(seed, batch)` and
+    /// the entities' indices within the batch.
     fn instance(&self, batch: usize, tasks: Vec<Task>, workers: Vec<Worker>) -> Instance {
-        let gen = BudgetGen::new(self.seed, batch, self.budget_range, self.budget_group_size);
-        Instance::from_locations(tasks, workers, |i, j| gen.vector(i, j))
+        let source = SeededBudgets::new(
+            self.seed,
+            batch as u64,
+            self.budget_range,
+            self.budget_group_size,
+        );
+        let task_keys = (0..tasks.len() as u64).collect();
+        let worker_keys = (0..workers.len() as u64).collect();
+        Instance::from_keyed_locations(tasks, workers, source, task_keys, worker_keys)
     }
 }
 
