@@ -713,14 +713,16 @@ impl StreamConfigBuilder {
     }
 }
 
-/// Sums worker `j`'s *novel* releases off his board ledger — the
-/// charge both the session stepper (warm boards under re-entry) and
-/// the halo coordinator apply, in the same ledger order, so flat and
-/// sharded runs accumulate per-worker spend identically. Novel means
+/// Sums worker `j`'s *novel* releases off his board ledger — the one
+/// charge path of the pipeline. The session stepper (fresh or warm
+/// board, with or without re-entry) and the halo coordinator all
+/// charge through it, in the same ledger order — tasks ascending by
+/// instance index, the whole-location release last — so flat and
+/// sharded runs accumulate per-worker spend bit for bit. Novel means
 /// the release was not yet in `charged`; re-derivations of
-/// already-charged releases (reruns, carried history, returned
-/// workers) sum to zero. Whole-location releases (Geo-I) are charged
-/// once per distinct total spend.
+/// already-charged releases (fresh-board re-publications, reruns,
+/// carried history, returned workers) sum to zero. Whole-location
+/// releases (Geo-I) are charged once per distinct total spend.
 pub(crate) fn novel_ledger_spend(
     board: &dpta_core::Board,
     j: usize,

@@ -44,7 +44,6 @@ use crate::lifecycle::{InService, Lifecycle, PaceState, StepSignals};
 use crate::metrics::{StreamReport, TaskFate, WindowCutDecision, WindowReport};
 use crate::snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
 use crate::window::{Window, WindowFormer};
-use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::metrics::measure;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance};
 use dpta_dp::{AccountId, BudgetLedger, FastMap, Interner, LedgerState, SeededNoise};
@@ -287,12 +286,6 @@ pub(crate) struct SessionCore<'e> {
     engine: &'e dyn AssignmentEngine,
     cfg: StreamConfig,
     warm: bool,
-    /// Worker re-entry on: matched workers keep their accountant entry
-    /// and the lifetime charge goes through the id-keyed dedup set even
-    /// on warm boards (a returned worker's carried history was dropped
-    /// with his column, so his bit-identical re-publications must be
-    /// filtered by the dedup, not the board spend delta).
-    reentry: bool,
     life: Lifecycle,
     carried: Option<CarriedBoard>,
     charged: ReleaseDedup,
@@ -312,9 +305,9 @@ pub(crate) struct SessionCore<'e> {
 
 /// The serializable state of a [`SessionCore`] at a window boundary.
 ///
-/// Everything not here is reconstructed on restore: `warm`/`reentry`
-/// are pure functions of the configuration and engine, budgets are
-/// drawn from a keyed source re-derived from the seed, and the
+/// Everything not here is reconstructed on restore: `warm` is a pure
+/// function of the configuration and engine, budgets are drawn from a
+/// keyed source re-derived from the seed, and the
 /// [`DeltaInstance`] caches are rebuilt by re-inserting the live pool
 /// and pending set in their maintained order — which *is* the insertion
 /// order a live session would have reached (pool/pending only append
@@ -341,14 +334,12 @@ impl<'e> SessionCore<'e> {
     pub(crate) fn new(engine: &'e dyn AssignmentEngine, cfg: StreamConfig) -> Self {
         cfg.service.validate();
         let warm = cfg.carry_releases && engine.supports_warm_start();
-        let reentry = cfg.service.reenters();
         let life = Lifecycle::new(&cfg, warm);
         let delta = DeltaInstance::new(cfg.budget_source());
         SessionCore {
             engine,
             cfg,
             warm,
-            reentry,
             life,
             carried: None,
             charged: ReleaseDedup::default(),
@@ -564,13 +555,6 @@ impl<'e> SessionCore<'e> {
                 }
                 _ => Board::new(inst.n_tasks(), inst.n_workers()),
             };
-            // Only the delta-charging path below reads the pre-drive
-            // spend snapshot; skip the scan everywhere else.
-            let pre_spend: Option<Vec<f64>> = (warm && !self.reentry).then(|| {
-                (0..inst.n_workers())
-                    .map(|j| board.spent_total(j))
-                    .collect()
-            });
             let pre_pubs = board.publications();
 
             // With a finite lifetime capacity, warm drives run under
@@ -609,70 +593,21 @@ impl<'e> SessionCore<'e> {
             };
             report.drive_time = start.elapsed();
 
-            if let Some(pre_spend) = &pre_spend {
-                // Warm board, serve-and-leave: a carried board never
-                // re-publishes (slots only advance), so the spend delta
-                // is exactly the novel information released this
-                // window.
-                for (j, w) in pool.iter().enumerate() {
-                    let novel = (outcome.board.spent_total(j) - pre_spend[j]).max(0.0);
-                    self.life.ledger.charge_at(worker_handles[j], novel);
-                    report.epsilon_spent += novel;
-                    if novel > 0.0 {
-                        *spend_by_worker.entry(w.id).or_insert(0.0) += novel;
-                    }
-                }
-            } else if warm {
-                // Warm board under re-entry: a returned worker's column
-                // is fresh (his history left the board with his old
-                // column), so bit-identical re-publications to
-                // still-pending tasks show up as board spend again. The
-                // shared ledger-ordered dedup — the same helper the
-                // halo coordinator charges through — filters them, so
-                // each release is charged once per lifetime, service
-                // cycles included, and flat and sharded runs sum spend
-                // in the same order.
-                for (j, &wid) in worker_ids.iter().enumerate() {
-                    let novel = novel_ledger_spend(&outcome.board, j, wid, &task_ids, charged);
-                    self.life.ledger.charge_at(worker_handles[j], novel);
-                    report.epsilon_spent += novel;
-                    if novel > 0.0 {
-                        *spend_by_worker.entry(wid).or_insert(0.0) += novel;
-                    }
-                }
-            } else {
-                // Fresh boards re-publish for pairs still pending from
-                // earlier windows. Under id-keyed noise and budgets the
-                // repeat is bit-identical to the original release —
-                // zero new information — so each distinct release is
-                // charged exactly once over the stream's lifetime.
-                // Deliberately NOT `novel_ledger_spend`: this path
-                // predates re-entry and iterates `inst.reach(j)` —
-                // switching to ledger order would reorder the float
-                // sums and move serve-and-leave spend off its
-                // historical bit pattern.
-                for (j, &wid) in worker_ids.iter().enumerate() {
-                    let mut novel = 0.0;
-                    for &i in inst.reach(j) {
-                        if let Some(set) = outcome.board.releases(i, j) {
-                            for (u, rel) in set.releases().iter().enumerate() {
-                                if charged.charge_pair(wid, task_ids[i], u as u32) {
-                                    novel += rel.epsilon;
-                                }
-                            }
-                        }
-                    }
-                    // Whole-location releases (Geo-I) appear only on
-                    // the ledger, one per drive.
-                    let loc = outcome.board.ledger(j).spent_on(LOCATION_RELEASE);
-                    if loc > 0.0 && charged.charge_location(wid, loc.to_bits()) {
-                        novel += loc;
-                    }
-                    self.life.ledger.charge_at(worker_handles[j], novel);
-                    report.epsilon_spent += novel;
-                    if novel > 0.0 {
-                        *spend_by_worker.entry(wid).or_insert(0.0) += novel;
-                    }
+            // One charge path, shared with the halo coordinator: each
+            // worker's novel releases, summed in ledger order through
+            // the id-keyed dedup. Re-derivations of already-charged
+            // releases — fresh boards re-publishing for pairs still
+            // pending, a returned worker's fresh column re-publishing
+            // his old releases, carried history — are bit-identical
+            // under id-keyed noise and budgets and sum to zero, so each
+            // release is charged once per lifetime, and flat and
+            // sharded runs sum spend in the same order.
+            for (j, &wid) in worker_ids.iter().enumerate() {
+                let novel = novel_ledger_spend(&outcome.board, j, wid, &task_ids, charged);
+                self.life.ledger.charge_at(worker_handles[j], novel);
+                report.epsilon_spent += novel;
+                if novel > 0.0 {
+                    *spend_by_worker.entry(wid).or_insert(0.0) += novel;
                 }
             }
             let m = measure(

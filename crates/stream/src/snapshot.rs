@@ -7,7 +7,7 @@
 //! the pool / pending / in-service sets, the lifetime-budget ledger
 //! with its release-dedup set, carried warm-start boards, fates and
 //! per-window reports. Pure-function state is deliberately *not*
-//! serialized — budget generators are re-derived from the seed, and
+//! serialized — the keyed budget source is re-derived from the seed, and
 //! the incremental delta-instance caches are rebuilt from the live
 //! pool/pending order — so the format stays small and stable.
 //!
@@ -24,7 +24,10 @@
 //! — and added the deferred-task queue and pacing state; v3 gave the
 //! halo coordinator's in-service entries and state the service-cycle
 //! counts the flat session already carried, now that both run one
-//! lifecycle. Older snapshots are rejected with
+//! lifecycle; v4 made the release-dedup set authoritative for every
+//! flat session — a v3 warm serve-and-leave session charged by board
+//! spend delta and left it empty, so restoring one would double-charge
+//! its carried releases. Older snapshots are rejected with
 //! [`SnapshotError::VersionMismatch`].)
 //!
 //! # Exactly-once across restart
@@ -48,7 +51,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Current snapshot format version, embedded in every snapshot.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// The full serializable state of a [`StreamSession`] at a window
 /// boundary, produced by [`StreamSession::snapshot`] and consumed by

@@ -286,8 +286,9 @@ proptest! {
                 }
                 for (w, eps) in &flat.spend_by_worker {
                     let got = merged_spend.get(w).copied().unwrap_or(0.0);
-                    prop_assert!(
-                        (got - eps).abs() < 1e-9,
+                    prop_assert_eq!(
+                        got.to_bits(),
+                        eps.to_bits(),
                         "{}/{}: worker {} spend {} vs {}",
                         method, label, w, got, eps
                     );

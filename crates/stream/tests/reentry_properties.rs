@@ -182,8 +182,9 @@ proptest! {
                     "{}: {} charged workers", method, label
                 );
                 for (w, eps) in &spend {
-                    prop_assert!(
-                        (eps - flat.spend_by_worker[w]).abs() < 1e-9,
+                    prop_assert_eq!(
+                        eps.to_bits(),
+                        flat.spend_by_worker[w].to_bits(),
                         "{}: {} worker {} spend {} vs flat {}",
                         method, label, w, eps, flat.spend_by_worker[w]
                     );

@@ -8,8 +8,9 @@
 //!   scratch state) reproduces the pre-interning observable contract
 //!   on random streams across all three window policies and all three
 //!   execution shapes (flat, drop-pairs sharded, halo sharded): task
-//!   fates bit for bit, per-worker privacy spend to ≤ 1e-9 (exact on
-//!   the flat path), window cut sequences, and the typed outcome log.
+//!   fates bit for bit, per-worker privacy spend bit for bit (every
+//!   mode charges through one ledger-ordered path), window cut
+//!   sequences, and the typed outcome log.
 //!   The oracle is the set of cross-path equivalences that were pinned
 //!   *before* interning landed: drain ≡ push-session, flat ≡ sharded
 //!   on shard-disjoint input, repeat ≡ first run.
@@ -127,8 +128,8 @@ fn merge_spend(sharded: &ShardedReport) -> BTreeMap<u32, f64> {
     out
 }
 
-/// Asserts two spend maps agree to ≤ `tol` per worker (same key sets).
-fn assert_spend_close(a: &BTreeMap<u32, f64>, b: &BTreeMap<u32, f64>, tol: f64, what: &str) {
+/// Asserts two spend maps agree bit for bit per worker (same key sets).
+fn assert_spend_exact(a: &BTreeMap<u32, f64>, b: &BTreeMap<u32, f64>, what: &str) {
     assert_eq!(
         a.keys().collect::<Vec<_>>(),
         b.keys().collect::<Vec<_>>(),
@@ -136,8 +137,9 @@ fn assert_spend_close(a: &BTreeMap<u32, f64>, b: &BTreeMap<u32, f64>, tol: f64, 
     );
     for (id, &eps) in a {
         let other = b[id];
-        assert!(
-            (eps - other).abs() <= tol,
+        assert_eq!(
+            eps.to_bits(),
+            other.to_bits(),
             "{what}: worker {id} spend {eps} vs {other}"
         );
     }
@@ -181,7 +183,7 @@ proptest! {
     // streams, under every window policy, the interned pipeline's
     // flat drain, push-session, drop-pairs sharded and halo sharded
     // runs all agree on everything observable — fates bit for bit,
-    // spend to ≤ 1e-9, window cuts, and the outcome log.
+    // spend bit for bit, window cuts, and the outcome log.
     #[test]
     fn interned_pipeline_agrees_across_paths_and_policies(
         tasks in proptest::collection::vec(
@@ -239,8 +241,8 @@ proptest! {
                     merge_fates(&halo), flat.fates.clone(),
                     "{}/{:?}: halo fates diverged", method, policy
                 );
-                assert_spend_close(
-                    &merge_spend(&halo), &flat.spend_by_worker, 1e-9,
+                assert_spend_exact(
+                    &merge_spend(&halo), &flat.spend_by_worker,
                     &format!("{method}/{policy:?} halo"),
                 );
 
@@ -262,8 +264,8 @@ proptest! {
                         merge_fates(&dropped), flat.fates.clone(),
                         "{}/{:?}: drop-pairs fates diverged", method, policy
                     );
-                    assert_spend_close(
-                        &merge_spend(&dropped), &flat.spend_by_worker, 1e-9,
+                    assert_spend_exact(
+                        &merge_spend(&dropped), &flat.spend_by_worker,
                         &format!("{method}/{policy:?} drop-pairs"),
                     );
                     // Window cuts line up shard by shard: every driven

@@ -243,8 +243,9 @@ fn sharded_equals_unsharded_for_private_and_plain_engines() {
             "halo {method}: charged workers"
         );
         for (w, eps) in &halo_spend {
-            assert!(
-                (eps - flat.spend_by_worker[w]).abs() < 1e-9,
+            assert_eq!(
+                eps.to_bits(),
+                flat.spend_by_worker[w].to_bits(),
                 "halo {method}: worker {w} spend {eps} vs {}",
                 flat.spend_by_worker[w]
             );
