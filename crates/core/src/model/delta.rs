@@ -1,8 +1,8 @@
 //! Incremental instance maintenance: [`DeltaInstance`] carries the
-//! spatial index and reach sets `R_j` across stream windows, applying arrivals, TTL expiries, retirements and service
-//! returns as *diffs* — O(affected cells) per entity instead of the
-//! O(m + n + pairs) scratch rebuild of
-//! [`Instance::from_locations`].
+//! spatial index and reach sets `R_j` across stream windows, applying
+//! arrivals, TTL expiries, retirements and service returns as *diffs*
+//! — O(affected cells) per entity instead of the O(m + n + pairs)
+//! scratch rebuild of [`Instance::from_locations`].
 //!
 //! ## Exactness
 //!
@@ -10,11 +10,11 @@
 //! `distance_sq(task, worker) <= radius²` — independent of any index
 //! structure, so an incrementally maintained reach set is bit-identical
 //! to a scratch rebuild's. Budgets are not maintained at all: the
-//! delta holds one [`SeededBudgets`] source and emits a *keyed*
-//! instance, whose `ε⁽ᵘ⁾_{i,j}` is drawn from the pair's logical
-//! `(task id, worker id)` on demand — the same value whichever window,
-//! shard or rebuild asks. Entity *order* is preserved because live entities are
-//! kept in insertion order and the stream's pending/pool vectors are
+//! emitted instance is *keyed*, drawing `ε⁽ᵘ⁾_{i,j}` from one
+//! [`SeededBudgets`] source by the pair's logical `(task id, worker
+//! id)` — the same value whichever window, shard or rebuild asks.
+//! Entity *order* is preserved because live entities are kept in
+//! insertion order and the stream's pending/pool vectors are
 //! append-plus-retain: the emitted [`Instance`] lists tasks and workers
 //! in exactly the order `from_locations` would see them, which keeps
 //! every index-based engine tie-break unchanged.
@@ -339,11 +339,11 @@ impl DeltaInstance {
             .candidates_into(&loc, worker.radius, &mut cands);
         cands.sort_unstable();
         let mut reach = self.reach_pool.pop().unwrap_or_default();
-        reach.extend(
-            cands
-                .iter()
-                .filter(|&&ts| loc.distance_sq(&self.tasks.rows[ts as usize].location) <= r_sq),
-        );
+        for &ts in &cands {
+            if loc.distance_sq(&self.tasks.rows[ts as usize].location) <= r_sq {
+                reach.push(ts);
+            }
+        }
         self.scratch = cands;
         self.pairs += reach.len();
         self.max_radius = self.max_radius.max(worker.radius);

@@ -1,13 +1,11 @@
 //! A PA-TA problem instance: tasks, workers, distances, service-area
 //! reach sets `R_j`, and privacy budget vectors `ε_{i,j}`.
 //!
-//! Budgets come from one of two places. A *keyed* instance holds a
-//! [`SeededBudgets`] source plus each entity's logical id and derives
-//! every slot on demand — the streaming pipeline's instances, whose
-//! budgets are a pure function of the ids. A *table* instance stores
-//! the vectors a caller's closure returned, for budgets no generator
-//! expresses (the paper's worked examples, tests' stateful draws).
-//! Either way the engines read through [`Instance::epsilon`].
+//! A *keyed* instance draws every budget on demand from a
+//! [`SeededBudgets`] source and each entity's logical id; a *table*
+//! instance stores what a caller's closure returned, for budgets no
+//! generator expresses (the paper's worked examples). Engines read
+//! both through [`Instance::epsilon`].
 
 use crate::model::{Task, Worker};
 use dpta_dp::{BudgetVector, SeededBudgets};
@@ -30,17 +28,14 @@ enum DistanceStore {
 /// Where the budget vectors `ε_{i,j}` come from.
 #[derive(Debug, Clone)]
 enum BudgetStore {
-    /// Drawn on demand from a keyed source: slot `u` of pair `(i, j)`
-    /// is `source.epsilon(task_keys[i], worker_keys[j], u)`. Nothing is
-    /// stored per pair.
+    /// Slot `u` of pair `(i, j)` is
+    /// `source.epsilon(task_keys[i], worker_keys[j], u)`.
     Keyed {
         source: SeededBudgets,
         task_keys: Vec<u64>,
         worker_keys: Vec<u64>,
     },
-    /// An explicit table — `table[j][k]` is the vector for task
-    /// `reach[j][k]` — for budgets no generator expresses (the paper's
-    /// worked examples, caller-supplied closures).
+    /// `table[j][k]` is the vector for task `reach[j][k]`.
     Table(Vec<Vec<BudgetVector>>),
 }
 
@@ -120,12 +115,9 @@ impl Instance {
         }
     }
 
-    /// Builds an instance from entity locations, like
-    /// [`from_locations`](Instance::from_locations), whose budgets are
-    /// drawn on demand from `source` keyed by each entity's logical id
-    /// (`task_keys[i]`, `worker_keys[j]`) — nothing is stored per pair.
-    /// With keys equal to the indices this is `from_locations` over
-    /// `|i, j| source.vector(i as u64, j as u64)`.
+    /// Like [`from_locations`](Instance::from_locations), but budgets
+    /// are drawn on demand from `source` by each entity's logical id
+    /// (`task_keys[i]`, `worker_keys[j]`); nothing is stored per pair.
     pub fn from_keyed_locations(
         tasks: Vec<Task>,
         workers: Vec<Worker>,
@@ -139,12 +131,9 @@ impl Instance {
 
     /// Assembles a keyed instance from pre-resolved reach sets — the
     /// emission path of [`DeltaInstance`](crate::model::DeltaInstance),
-    /// which maintains reach sets incrementally and hands them over
-    /// here instead of re-deriving them from locations.
-    ///
-    /// Invariants (checked in debug builds): `reach[j]` ascending and
-    /// in range, one key per entity. Distances are geometric, exactly
-    /// as in [`from_locations`](Instance::from_locations).
+    /// which maintains them incrementally. Invariants (checked in debug
+    /// builds): `reach[j]` ascending and in range. Distances are
+    /// geometric, exactly as in [`from_locations`](Instance::from_locations).
     pub(crate) fn from_parts(
         tasks: Vec<Task>,
         workers: Vec<Worker>,

@@ -128,112 +128,41 @@ mod tests {
         let _ = SeededBudgets::new(1, 0, (0.0, 1.0), 3);
     }
 
-    /// Every draw is pinned to the bits the generator produced before
-    /// it moved into this crate, so a port that changes the hash (and
-    /// with it every budget of every run) cannot pass silently.
+    /// Draws pinned to the bits the generator produced before it moved
+    /// into this crate, so a port that changes the hash (and with it
+    /// every budget of every run) cannot pass silently. Covers plain
+    /// keys, the streaming pipeline's `run seed ^ 0x5712_EA11` base
+    /// (run seeds 42, 7 and 0), a nonzero batch, and slots across the
+    /// vector.
     #[test]
     fn draws_match_pinned_golden_bits() {
-        let cases: [(SeededBudgets, u64, u64, [u64; 7]); 6] = [
-            (
-                SeededBudgets::new(42, 0, (0.5, 1.75), 7),
-                3,
-                9,
-                [
-                    0x3FF5_5DEB_12B3_48E6,
-                    0x3FFA_A102_5774_D024,
-                    0x3FF6_DBB9_765E_881D,
-                    0x3FF3_A373_09D6_B5B8,
-                    0x3FE8_447B_D2A0_88B8,
-                    0x3FFA_1B27_37F0_99A5,
-                    0x3FEF_DE4A_9B94_A2C1,
-                ],
-            ),
-            (
-                SeededBudgets::new(42, 0, (0.5, 1.75), 7),
-                0,
-                0,
-                [
-                    0x3FFB_2DD1_FD92_94DF,
-                    0x3FF8_649C_7CD0_0AA5,
-                    0x3FF1_276A_AC12_9B60,
-                    0x3FE2_EB8B_B0BD_8F94,
-                    0x3FE5_B26D_D32A_1FB9,
-                    0x3FE5_A23B_3C24_CE90,
-                    0x3FF5_7181_760E_DA6C,
-                ],
-            ),
-            (
-                SeededBudgets::new(42, 0, (0.5, 1.75), 7),
-                123_456,
-                7_890_123,
-                [
-                    0x3FEE_3346_0F1A_E8A6,
-                    0x3FF4_290B_B275_72AD,
-                    0x3FF0_139F_1A84_3C40,
-                    0x3FE5_68E2_51BD_3EBB,
-                    0x3FEB_BAD8_2B65_9D34,
-                    0x3FF7_0D99_4B08_2390,
-                    0x3FEC_9D7A_69A6_36A2,
-                ],
-            ),
-            // The streaming pipeline's base: run seed ^ 0x5712_EA11
-            // (default run seed 42, and seed 0).
-            (
-                SeededBudgets::new(42 ^ 0x5712_EA11, 0, (0.5, 1.75), 7),
-                17,
-                23,
-                [
-                    0x3FF8_C3D5_F6DB_D778,
-                    0x3FF7_80E6_E604_43CA,
-                    0x3FF1_DEC2_06B9_8B30,
-                    0x3FEA_B6B2_CF0E_5C08,
-                    0x3FEB_7FE7_A2CF_D158,
-                    0x3FF8_10B4_F2F3_7129,
-                    0x3FF0_4D5F_3B1A_957A,
-                ],
-            ),
-            (
-                SeededBudgets::new(0x5712_EA11, 0, (0.5, 1.75), 7),
-                2,
-                5,
-                [
-                    0x3FEA_3A19_63A0_EA80,
-                    0x3FE1_9612_2B16_6B5E,
-                    0x3FF2_AFDD_4A3C_8B13,
-                    0x3FF1_9CFE_2BE6_2FBB,
-                    0x3FE1_C342_5493_07D8,
-                    0x3FF8_32C9_D8DB_BC03,
-                    0x3FEC_F3DC_F442_8790,
-                ],
-            ),
-            // A batch != 0 generator (Scenario::batches keys batches).
-            (
-                SeededBudgets::new(42, 3, (0.5, 1.75), 7),
-                3,
-                9,
-                [
-                    0x3FFA_690B_1282_CEAC,
-                    0x3FF9_752B_4B45_90AA,
-                    0x3FEA_BC09_642F_D3C7,
-                    0x3FF0_A02F_46C1_9EEA,
-                    0x3FF0_8653_1A95_B169,
-                    0x3FF8_BD17_F5DA_4349,
-                    0x3FF8_0E74_19F5_1519,
-                ],
-            ),
+        let stream = |run_seed: u64| run_seed ^ 0x5712_EA11;
+        let golden: [(u64, u64, u64, u64, usize, u64); 14] = [
+            (42, 0, 3, 9, 0, 0x3FF5_5DEB_12B3_48E6),
+            (42, 0, 3, 9, 3, 0x3FF3_A373_09D6_B5B8),
+            (42, 0, 3, 9, 6, 0x3FEF_DE4A_9B94_A2C1),
+            (42, 0, 0, 0, 0, 0x3FFB_2DD1_FD92_94DF),
+            (42, 0, 0, 0, 3, 0x3FE2_EB8B_B0BD_8F94),
+            (42, 0, 123_456, 7_890_123, 6, 0x3FEC_9D7A_69A6_36A2),
+            (stream(42), 0, 17, 23, 0, 0x3FF8_C3D5_F6DB_D778),
+            (stream(42), 0, 17, 23, 3, 0x3FEA_B6B2_CF0E_5C08),
+            (stream(42), 0, 17, 23, 6, 0x3FF0_4D5F_3B1A_957A),
+            (stream(7), 0, 11, 4, 6, 0x3FF9_AA59_B529_D048),
+            (stream(0), 0, 2, 5, 3, 0x3FF1_9CFE_2BE6_2FBB),
+            (42, 3, 3, 9, 0, 0x3FFA_690B_1282_CEAC),
+            (42, 3, 3, 9, 3, 0x3FF0_A02F_46C1_9EEA),
+            (42, 3, 3, 9, 6, 0x3FF8_0E74_19F5_1519),
         ];
-        for (g, task, worker, want) in cases {
-            for (u, &w) in want.iter().enumerate() {
-                assert_eq!(
-                    g.epsilon(task, worker, u).to_bits(),
-                    w,
-                    "{g:?} ({task}, {worker}, {u})"
-                );
-            }
+        for (seed, batch, task, worker, slot, bits) in golden {
+            let e = SeededBudgets::new(seed, batch, (0.5, 1.75), 7).epsilon(task, worker, slot);
+            assert_eq!(
+                e.to_bits(),
+                bits,
+                "{seed:#x}/{batch} ({task}, {worker}, {slot})"
+            );
         }
+        // lo == hi draws the constant without hashing.
         let flat = SeededBudgets::new(1, 0, (1.0, 1.0), 3);
-        for u in 0..3 {
-            assert_eq!(flat.epsilon(5, 6, u).to_bits(), 1.0f64.to_bits());
-        }
+        assert!((0..3).all(|u| flat.epsilon(5, 6, u).to_bits() == 1.0f64.to_bits()));
     }
 }

@@ -158,11 +158,6 @@ impl ServiceModel {
         }
     }
 
-    /// Whether matched workers re-enter the pool at all.
-    pub fn reenters(&self) -> bool {
-        !matches!(self, ServiceModel::Never)
-    }
-
     pub(crate) fn validate(&self) {
         match *self {
             ServiceModel::Never => {}
