@@ -1,15 +1,16 @@
 //! The CI bench-trajectory gate.
 //!
-//! Runs the five streaming benches (`time_to_drain`, `halo_sharding`,
-//! `adaptive_window`, `reentry_drain`, `incremental_window`) with the
-//! criterion shim's machine-readable JSON output, assembles
-//! `BENCH_stream.json` (median ns per bench id), prints the derived
-//! cost-ratio columns (halo/drop-pairs, adaptive/static,
-//! delta/scratch), and compares the fresh medians against the
-//! committed baseline at the repo root: any benchmark more than
-//! `--max-ratio` (default 3×) slower fails the gate. On the first run
-//! — no committed baseline — the fresh trajectory is written to the
-//! baseline path so CI can commit it.
+//! Runs the six streaming benches (`time_to_drain`, `halo_sharding`,
+//! `adaptive_window`, `reentry_drain`, `incremental_window`,
+//! `windowed_ledger`) with the criterion shim's machine-readable JSON
+//! output, assembles `BENCH_stream.json` (median ns per bench id),
+//! prints the derived cost-ratio columns (halo/drop-pairs,
+//! adaptive/static, delta/scratch), and compares the fresh medians
+//! against the committed baseline at the repo root: any benchmark more
+//! than `--max-ratio` (default 3×) slower fails the gate. On the first
+//! run — no committed baseline — the fresh trajectory is written to the
+//! baseline path so CI can commit it. A bench with no committed
+//! baseline entries is reported as new and not gated.
 //!
 //! `--scale-sweep` additionally runs the `scale_sweep` bench (drain
 //! wall time at 10³ → 10⁵ entities, 10⁶ behind `SCALE_SWEEP_FULL=1`),

@@ -28,6 +28,10 @@ pub struct Board {
     ledgers: Vec<PrivacyLedger>,
     /// Cached `Σ_i b_{i,j}·ε_{i,j}` per worker.
     spent_total: Vec<f64>,
+    /// Cached publication count per worker (the length of the worker's
+    /// ledger);
+    /// derived, so it is not serialized.
+    column_pubs: Vec<u32>,
     publications: usize,
 }
 
@@ -42,6 +46,7 @@ impl Board {
             held: vec![None; n_workers],
             ledgers: vec![PrivacyLedger::new(); n_workers],
             spent_total: vec![0.0; n_workers],
+            column_pubs: vec![0; n_workers],
             publications: 0,
         }
     }
@@ -67,6 +72,7 @@ impl Board {
             .push(Release { value, epsilon });
         self.ledgers[worker].record(task as u32, epsilon);
         self.spent_total[worker] += epsilon;
+        self.column_pubs[worker] += 1;
         self.publications += 1;
     }
 
@@ -77,6 +83,7 @@ impl Board {
         assert!(worker < self.n_workers);
         self.ledgers[worker].record(LOCATION_RELEASE, epsilon);
         self.spent_total[worker] += epsilon;
+        self.column_pubs[worker] += 1;
         self.publications += 1;
     }
 
@@ -122,6 +129,15 @@ impl Board {
     /// Total number of publications on the board.
     pub fn publications(&self) -> usize {
         self.publications
+    }
+
+    /// Number of publications per worker column, in column order — a
+    /// cached view of each [`ledger`](Self::ledger)'s
+    /// [`publications`](PrivacyLedger::publications). Comparing it
+    /// before and after a drive names the columns the drive published
+    /// on.
+    pub fn column_publications(&self) -> &[u32] {
+        &self.column_pubs
     }
 
     /// Current winner of `task`.
@@ -190,7 +206,8 @@ impl Board {
     ///   warm-start.
     ///
     /// Iteration is index-ascending throughout, so the result is
-    /// deterministic.
+    /// deterministic. Columns without publications are skipped before
+    /// they are mapped.
     pub fn carry(
         &self,
         n_tasks: usize,
@@ -200,6 +217,9 @@ impl Board {
     ) -> Board {
         let mut next = Board::new(n_tasks, n_workers);
         for j_old in 0..self.n_workers {
+            if self.column_pubs[j_old] == 0 {
+                continue;
+            }
             let Some(j_new) = worker_map(j_old) else {
                 continue;
             };
@@ -317,13 +337,15 @@ impl Deserialize for Board {
                 return Err(serde::Error(format!("duplicate board release ({t}, {w})")));
             }
         }
+        let ledgers: Vec<PrivacyLedger> = Vec::deserialize_value(field("ledgers")?)?;
         let board = Board {
             n_tasks,
             n_workers,
             releases,
             alloc: Vec::deserialize_value(field("alloc")?)?,
             held: Vec::deserialize_value(field("held")?)?,
-            ledgers: Vec::deserialize_value(field("ledgers")?)?,
+            column_pubs: ledgers.iter().map(|l| l.publications() as u32).collect(),
+            ledgers,
             spent_total: Vec::deserialize_value(field("spent_total")?)?,
             publications: usize::deserialize_value(field("publications")?)?,
         };
@@ -454,6 +476,7 @@ mod tests {
         assert_eq!(back.winner(0), Some(1));
         assert_eq!(back.task_of(0), Some(2));
         assert_eq!(back.publications(), b.publications());
+        assert_eq!(back.column_publications(), b.column_publications());
         // Bit-exact floats and a canonical rendering: serializing the
         // restored board yields the identical tree.
         assert_eq!(back.spent_total(1).to_bits(), b.spent_total(1).to_bits());
@@ -478,6 +501,7 @@ mod tests {
         b.publish(1, 0, 2.0, 0.3);
         let l = b.ledger(0);
         assert_eq!(l.publications(), 3);
+        assert_eq!(b.column_publications(), &[3]);
         assert!((l.spent_on(0) - 1.2).abs() < 1e-12);
         assert!((l.ldp_bound(2.0) - 3.0).abs() < 1e-12);
     }

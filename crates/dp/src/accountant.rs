@@ -120,12 +120,17 @@ pub struct CumulativeAccountant {
     /// [`AccountId`]s can never alias a different entity.
     slots: Vec<Option<Account>>,
     /// Live ids, ascending. Every public iteration (`tracked`,
-    /// `drain_exhausted`, `total_spent`, serialization) walks this
-    /// list, so observable ordering — including float summation order —
-    /// is identical to the historical id-sorted map storage. Kept
-    /// sorted eagerly: streaming registration is near-monotone in id,
-    /// so the common case is an O(1) push.
+    /// `total_spent`, serialization) walks this list, so observable
+    /// ordering — including float summation order — is identical to the
+    /// historical id-sorted map storage. Kept sorted eagerly: streaming
+    /// registration is near-monotone in id, so the common case is an
+    /// O(1) push.
     live: Vec<u64>,
+    /// Ids charged, committed or (re)registered since the last
+    /// [`drain_exhausted`](Self::drain_exhausted), each account listed
+    /// once (see [`Account::marked`]); ids removed since are skipped at
+    /// the drain.
+    marked: Vec<u64>,
 }
 
 /// One tracked entity: lifetime capacity, committed spend, and budget
@@ -135,6 +140,67 @@ struct Account {
     capacity: f64,
     spent: f64,
     reserved: f64,
+    /// Listed in the accountant's `marked` ids: committed spend grew or
+    /// the capacity was set since the last drain. Only those two moves
+    /// can make an entity exhausted, so the drain examines marked
+    /// entities alone.
+    marked: bool,
+}
+
+/// Lists `id` among the marked ids unless its account already is.
+pub(crate) fn mark(marked: &mut Vec<u64>, id: u64, flag: &mut bool) {
+    if !*flag {
+        *flag = true;
+        marked.push(id);
+    }
+}
+
+/// The drain both accountants share: examines the `marked` ids still
+/// in `index`, clearing each one's mark, and removes those `exhausted`
+/// reports from `index`, `slots` and `live`. Returns them ascending.
+/// An id listed twice (forgotten, then registered again) is examined
+/// twice, to the same verdict.
+pub(crate) fn drain_marked<A>(
+    marked: &mut Vec<u64>,
+    index: &mut FastMap<u64, u32>,
+    slots: &mut [Option<A>],
+    live: &mut Vec<u64>,
+    exhausted: impl Fn(&mut A) -> bool,
+) -> Vec<u64> {
+    let mut gone = Vec::new();
+    for id in marked.drain(..) {
+        let Some(&slot) = index.get(&id) else {
+            continue;
+        };
+        if exhausted(slots[slot as usize].as_mut().expect("indexed")) {
+            index.remove(&id);
+            slots[slot as usize] = None;
+            gone.push(id);
+        }
+    }
+    gone.sort_unstable();
+    remove_sorted(live, &gone);
+    gone
+}
+
+/// Removes the ascending ids `gone` (all present) from the ascending
+/// list `live` in one compacting pass from the first removed position.
+fn remove_sorted(live: &mut Vec<u64>, gone: &[u64]) {
+    let Some(&first) = gone.first() else {
+        return;
+    };
+    let start = live.partition_point(|&x| x < first);
+    let (mut keep, mut k) = (start, 0);
+    for r in start..live.len() {
+        if gone.get(k) == Some(&live[r]) {
+            k += 1;
+        } else {
+            live[keep] = live[r];
+            keep += 1;
+        }
+    }
+    debug_assert_eq!(k, gone.len(), "every drained id was live");
+    live.truncate(keep);
 }
 
 /// A dense handle to one tracked entity, obtained from
@@ -149,20 +215,30 @@ struct Account {
 /// that, read accessors return zero (like unknown ids) and mutating
 /// accessors panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AccountId(u32);
+pub struct AccountId {
+    slot: u32,
+    /// The logical id, carried so a charge through the handle can mark
+    /// the account for the next drain without storing the id per slot.
+    id: u64,
+}
 
 impl AccountId {
-    /// Wraps a dense slot index — shared with the sibling
-    /// [`WindowedAccountant`](crate::WindowedAccountant), which uses
-    /// the same tombstoned-slot layout and hands out interchangeable
-    /// handles.
-    pub(crate) fn from_slot(slot: u32) -> Self {
-        AccountId(slot)
+    /// Wraps a dense slot index and its logical id — shared with the
+    /// sibling [`WindowedAccountant`](crate::WindowedAccountant), which
+    /// uses the same tombstoned-slot layout and hands out
+    /// interchangeable handles.
+    pub(crate) fn new(slot: u32, id: u64) -> Self {
+        AccountId { slot, id }
     }
 
     /// The dense slot index this handle wraps.
     pub(crate) fn slot(self) -> u32 {
-        self.0
+        self.slot
+    }
+
+    /// The logical id this handle resolves.
+    pub(crate) fn id(self) -> u64 {
+        self.id
     }
 }
 
@@ -201,15 +277,21 @@ impl CumulativeAccountant {
             capacity > 0.0 && !capacity.is_nan(),
             "capacity must be positive, got {capacity}"
         );
-        match self.get_mut(id) {
-            Some(a) => a.capacity = capacity,
+        match self.index.get(&id) {
+            Some(&slot) => {
+                let a = self.slots[slot as usize].as_mut().expect("indexed");
+                a.capacity = capacity;
+                mark(&mut self.marked, id, &mut a.marked);
+            }
             None => {
                 let slot = self.slots.len() as u32;
                 self.slots.push(Some(Account {
                     capacity,
                     spent: 0.0,
                     reserved: 0.0,
+                    marked: true,
                 }));
+                self.marked.push(id);
                 self.index.insert(id, slot);
                 match self.live.last() {
                     Some(&last) if last >= id => {
@@ -228,7 +310,9 @@ impl CumulativeAccountant {
     /// loops.
     pub fn resolve(&self, id: u64) -> Option<AccountId> {
         let slot = *self.index.get(&id)?;
-        self.slots[slot as usize].as_ref().map(|_| AccountId(slot))
+        self.slots[slot as usize]
+            .as_ref()
+            .map(|_| AccountId::new(slot, id))
     }
 
     /// Charges `epsilon` (≥ 0) against `id`'s lifetime budget. Panics if
@@ -239,22 +323,26 @@ impl CumulativeAccountant {
             epsilon.is_finite() && epsilon >= 0.0,
             "charge must be finite and >= 0, got {epsilon}"
         );
-        self.get_mut(id)
-            .unwrap_or_else(|| panic!("entity {id} was never registered"))
-            .spent += epsilon;
+        let at = self
+            .resolve(id)
+            .unwrap_or_else(|| panic!("entity {id} was never registered"));
+        self.charge_at(at, epsilon);
     }
 
     /// Handle counterpart of [`charge`](Self::charge); panics on a
-    /// stale handle.
+    /// stale handle. A zero charge changes no state at all.
     pub fn charge_at(&mut self, at: AccountId, epsilon: f64) {
         assert!(
             epsilon.is_finite() && epsilon >= 0.0,
             "charge must be finite and >= 0, got {epsilon}"
         );
-        self.slots[at.0 as usize]
+        let a = self.slots[at.slot as usize]
             .as_mut()
-            .expect("stale account handle")
-            .spent += epsilon;
+            .expect("stale account handle");
+        if epsilon > 0.0 {
+            a.spent += epsilon;
+            mark(&mut self.marked, at.id, &mut a.marked);
+        }
     }
 
     /// Reserves `epsilon` (≥ 0) against `id`'s lifetime budget without
@@ -278,7 +366,7 @@ impl CumulativeAccountant {
             epsilon.is_finite() && epsilon >= 0.0,
             "reservation must be finite and >= 0, got {epsilon}"
         );
-        self.slots[at.0 as usize]
+        self.slots[at.slot as usize]
             .as_mut()
             .expect("stale account handle")
             .reserved += epsilon;
@@ -294,12 +382,16 @@ impl CumulativeAccountant {
     /// and returns the amount. A no-op returning zero when nothing is
     /// reserved; panics if the id was never registered.
     pub fn commit(&mut self, id: u64) -> f64 {
-        let a = self
-            .get_mut(id)
+        let at = self
+            .resolve(id)
             .unwrap_or_else(|| panic!("entity {id} was never registered"));
+        let a = self.slots[at.slot as usize].as_mut().expect("resolved");
         let amount = a.reserved;
         a.spent += amount;
         a.reserved = 0.0;
+        if amount > 0.0 {
+            mark(&mut self.marked, id, &mut a.marked);
+        }
         amount
     }
 
@@ -321,7 +413,7 @@ impl CumulativeAccountant {
     /// Handle counterpart of [`spent`](Self::spent); zero for stale
     /// handles.
     pub fn spent_at(&self, at: AccountId) -> f64 {
-        self.slots[at.0 as usize].map_or(0.0, |a| a.spent)
+        self.slots[at.slot as usize].map_or(0.0, |a| a.spent)
     }
 
     /// Remaining lifetime budget of `id` (zero for unknown ids), net of
@@ -334,7 +426,7 @@ impl CumulativeAccountant {
     /// Handle counterpart of [`remaining`](Self::remaining); zero for
     /// stale handles.
     pub fn remaining_at(&self, at: AccountId) -> f64 {
-        self.slots[at.0 as usize].map_or(0.0, |a| (a.capacity - a.spent - a.reserved).max(0.0))
+        self.slots[at.slot as usize].map_or(0.0, |a| (a.capacity - a.spent - a.reserved).max(0.0))
     }
 
     /// Whether `id` has spent its whole capacity (unknown ids count as
@@ -348,20 +440,24 @@ impl CumulativeAccountant {
 
     /// Removes and returns every exhausted entity, ascending by id —
     /// the retirement step the stream driver runs after each window.
+    ///
+    /// Only entities charged, committed or (re)registered since the
+    /// previous drain are examined: exhaustion compares committed spend
+    /// with capacity, and nothing else moves either, so an entity the
+    /// last drain kept and nobody touched since is still not exhausted.
+    /// The cost is proportional to the touched entities, not to the
+    /// tracked ones.
     pub fn drain_exhausted(&mut self) -> Vec<u64> {
-        let mut gone = Vec::new();
-        let (index, slots) = (&mut self.index, &mut self.slots);
-        self.live.retain(|&id| {
-            let slot = *index.get(&id).expect("live id is indexed");
-            let exhausted = slots[slot as usize].is_some_and(|a| a.spent >= a.capacity - 1e-12);
-            if exhausted {
-                index.remove(&id);
-                slots[slot as usize] = None;
-                gone.push(id);
-            }
-            !exhausted
-        });
-        gone
+        drain_marked(
+            &mut self.marked,
+            &mut self.index,
+            &mut self.slots,
+            &mut self.live,
+            |a| {
+                a.marked = false;
+                a.spent >= a.capacity - 1e-12
+            },
+        )
     }
 
     /// Stops tracking `id` regardless of its state (e.g. a worker who
@@ -439,10 +535,13 @@ impl Deserialize for CumulativeAccountant {
                     .ok_or_else(|| serde::Error(format!("missing accountant field `{name}`")))
             };
             let id = u64::deserialize_value(field("id")?)?;
+            // The marks are not serialized: a restored ledger marks
+            // every entity, so its first drain is a full scan.
             let account = Account {
                 capacity: f64::deserialize_value(field("capacity")?)?,
                 spent: f64::deserialize_value(field("spent")?)?,
                 reserved: f64::deserialize_value(field("reserved")?)?,
+                marked: true,
             };
             if account.capacity <= 0.0 || account.capacity.is_nan() {
                 return Err(serde::Error(format!(
@@ -451,6 +550,7 @@ impl Deserialize for CumulativeAccountant {
             }
             let slot = acc.slots.len() as u32;
             acc.slots.push(Some(account));
+            acc.marked.push(id);
             if acc.index.insert(id, slot).is_some() {
                 return Err(serde::Error(format!("duplicate accountant entity {id}")));
             }
@@ -502,6 +602,13 @@ mod tests {
         let mut l = PrivacyLedger::new();
         l.record(0, 1.0);
         let _ = l.ldp_bound(-0.1);
+    }
+
+    #[test]
+    fn tombstoned_slots_stay_four_words() {
+        // Slots are never reused, so a slot's size is a per-entity cost
+        // that grows with the stream's history.
+        assert_eq!(std::mem::size_of::<Option<Account>>(), 32);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!
 //! [`advance_time`]: BudgetLedger::advance_time
 
-use crate::accountant::{AccountId, CumulativeAccountant};
+use crate::accountant::{drain_marked, mark, AccountId, CumulativeAccountant};
 use crate::intern::FastMap;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -90,6 +90,9 @@ pub trait BudgetLedger {
     /// Whether `id`'s committed spend has reached capacity.
     fn is_exhausted(&self, id: u64) -> bool;
     /// Removes and returns every exhausted entity, ascending by id.
+    /// Examines only the entities charged, committed or (re)registered
+    /// since the previous drain (every entity, on a deserialized
+    /// ledger): nothing else can start an exhaustion.
     fn drain_exhausted(&mut self) -> Vec<u64>;
     /// Stops tracking `id`; returns whether it was tracked.
     fn forget(&mut self, id: u64) -> bool;
@@ -177,6 +180,10 @@ struct WindowedAccount {
     spent: f64,
     reserved: f64,
     entries: VecDeque<(f64, f64)>,
+    /// Listed in the accountant's `marked` ids (see the lifetime
+    /// accountant: the same drain rule applies — reclamation only ever
+    /// lowers spend, so it cannot exhaust anyone).
+    marked: bool,
 }
 
 /// Sliding-window budget accounting: spend older than the protection
@@ -216,6 +223,8 @@ pub struct WindowedAccountant {
     index: FastMap<u64, u32>,
     slots: Vec<Option<WindowedAccount>>,
     live: Vec<u64>,
+    /// Ids charged, committed or (re)registered since the last drain.
+    marked: Vec<u64>,
     /// Protection window length `W`; `f64::INFINITY` disables
     /// reclamation entirely (lifetime semantics).
     window: f64,
@@ -237,6 +246,7 @@ impl WindowedAccountant {
             index: FastMap::default(),
             slots: Vec::new(),
             live: Vec::new(),
+            marked: Vec::new(),
             window,
             now: f64::NEG_INFINITY,
         }
@@ -263,15 +273,29 @@ impl WindowedAccountant {
         self.slots[slot as usize].as_mut()
     }
 
-    /// Stamps a committed amount into the charge ledger. Zero amounts
-    /// are skipped (they cannot change any future recomputed sum) and
-    /// an infinite window records nothing at all — the spend
-    /// accumulator is the only state, exactly as in
-    /// [`CumulativeAccountant`].
-    fn stamp(window: f64, now: f64, account: &mut WindowedAccount, amount: f64) {
-        if window.is_finite() && amount > 0.0 {
-            account.entries.push_back((now, amount));
+    /// Books a committed amount against the account `at`: adds it to
+    /// the spend accumulator, stamps it into the charge ledger and marks
+    /// the account for the next drain. Zero amounts change no state
+    /// (they cannot change any future recomputed sum), and an infinite
+    /// window stamps nothing at all — the spend accumulator is the only
+    /// state, exactly as in [`CumulativeAccountant`].
+    fn book(&mut self, at: AccountId, amount: f64) {
+        let a = self.slots[at.slot() as usize]
+            .as_mut()
+            .expect("stale account handle");
+        if amount <= 0.0 {
+            return;
         }
+        a.spent += amount;
+        if self.window.is_finite() {
+            a.entries.push_back((self.now, amount));
+        }
+        mark(&mut self.marked, at.id(), &mut a.marked);
+    }
+
+    fn registered(&self, id: u64) -> AccountId {
+        self.resolve(id)
+            .unwrap_or_else(|| panic!("entity {id} was never registered"))
     }
 }
 
@@ -281,8 +305,12 @@ impl BudgetLedger for WindowedAccountant {
             capacity > 0.0 && !capacity.is_nan(),
             "capacity must be positive, got {capacity}"
         );
-        match self.get_mut(id) {
-            Some(a) => a.capacity = capacity,
+        match self.index.get(&id) {
+            Some(&slot) => {
+                let a = self.slots[slot as usize].as_mut().expect("indexed");
+                a.capacity = capacity;
+                mark(&mut self.marked, id, &mut a.marked);
+            }
             None => {
                 let slot = self.slots.len() as u32;
                 self.slots.push(Some(WindowedAccount {
@@ -290,7 +318,9 @@ impl BudgetLedger for WindowedAccountant {
                     spent: 0.0,
                     reserved: 0.0,
                     entries: VecDeque::new(),
+                    marked: true,
                 }));
+                self.marked.push(id);
                 self.index.insert(id, slot);
                 match self.live.last() {
                     Some(&last) if last >= id => {
@@ -307,7 +337,7 @@ impl BudgetLedger for WindowedAccountant {
         let slot = *self.index.get(&id)?;
         self.slots[slot as usize]
             .as_ref()
-            .map(|_| AccountId::from_slot(slot))
+            .map(|_| AccountId::new(slot, id))
     }
 
     fn charge(&mut self, id: u64, epsilon: f64) {
@@ -315,12 +345,8 @@ impl BudgetLedger for WindowedAccountant {
             epsilon.is_finite() && epsilon >= 0.0,
             "charge must be finite and >= 0, got {epsilon}"
         );
-        let (window, now) = (self.window, self.now);
-        let a = self
-            .get_mut(id)
-            .unwrap_or_else(|| panic!("entity {id} was never registered"));
-        a.spent += epsilon;
-        Self::stamp(window, now, a, epsilon);
+        let at = self.registered(id);
+        self.book(at, epsilon);
     }
 
     fn charge_at(&mut self, at: AccountId, epsilon: f64) {
@@ -328,12 +354,7 @@ impl BudgetLedger for WindowedAccountant {
             epsilon.is_finite() && epsilon >= 0.0,
             "charge must be finite and >= 0, got {epsilon}"
         );
-        let (window, now) = (self.window, self.now);
-        let a = self.slots[at.slot() as usize]
-            .as_mut()
-            .expect("stale account handle");
-        a.spent += epsilon;
-        Self::stamp(window, now, a, epsilon);
+        self.book(at, epsilon);
     }
 
     fn reserve(&mut self, id: u64, epsilon: f64) {
@@ -362,14 +383,10 @@ impl BudgetLedger for WindowedAccountant {
     }
 
     fn commit(&mut self, id: u64) -> f64 {
-        let (window, now) = (self.window, self.now);
-        let a = self
-            .get_mut(id)
-            .unwrap_or_else(|| panic!("entity {id} was never registered"));
-        let amount = a.reserved;
-        a.spent += amount;
-        a.reserved = 0.0;
-        Self::stamp(window, now, a, amount);
+        let at = self.registered(id);
+        let a = self.slots[at.slot() as usize].as_mut().expect("resolved");
+        let amount = std::mem::take(&mut a.reserved);
+        self.book(at, amount);
         amount
     }
 
@@ -410,21 +427,16 @@ impl BudgetLedger for WindowedAccountant {
     }
 
     fn drain_exhausted(&mut self) -> Vec<u64> {
-        let mut gone = Vec::new();
-        let (index, slots) = (&mut self.index, &mut self.slots);
-        self.live.retain(|&id| {
-            let slot = *index.get(&id).expect("live id is indexed");
-            let exhausted = slots[slot as usize]
-                .as_ref()
-                .is_some_and(|a| a.spent >= a.capacity - 1e-12);
-            if exhausted {
-                index.remove(&id);
-                slots[slot as usize] = None;
-                gone.push(id);
-            }
-            !exhausted
-        });
-        gone
+        drain_marked(
+            &mut self.marked,
+            &mut self.index,
+            &mut self.slots,
+            &mut self.live,
+            |a| {
+                a.marked = false;
+                a.spent >= a.capacity - 1e-12
+            },
+        )
     }
 
     fn forget(&mut self, id: u64) -> bool {
@@ -581,14 +593,18 @@ impl Deserialize for WindowedAccountant {
                     .collect::<Result<VecDeque<_>, serde::Error>>()?,
                 other => return Err(serde::Error::expected("charge-entry array", other)),
             };
+            // Marks are not serialized: every restored entity is
+            // marked, so the first drain is a full scan.
             let account = WindowedAccount {
                 capacity,
                 spent: f64::deserialize_value(field("spent")?)?,
                 reserved: f64::deserialize_value(field("reserved")?)?,
                 entries,
+                marked: true,
             };
             let slot = acc.slots.len() as u32;
             acc.slots.push(Some(account));
+            acc.marked.push(id);
             if acc.index.insert(id, slot).is_some() {
                 return Err(serde::Error(format!("duplicate windowed account {id}")));
             }
@@ -878,17 +894,41 @@ mod tests {
         Rollback(u64),
         Advance(f64),
         Drain,
+        /// Registers (or re-registers, possibly lowering the capacity
+        /// of) an entity.
+        Register(u64, f64),
+        /// Serializes and deserializes the accountant.
+        RoundTrip,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u8..6, 0u64..5, 0.0f64..0.6, 0.0f64..1e4).prop_map(|(kind, id, e, dt)| match kind {
-            0 => Op::Charge(id, e),
-            1 => Op::Reserve(id, e),
-            2 => Op::Commit(id),
-            3 => Op::Rollback(id),
-            4 => Op::Advance(dt),
-            _ => Op::Drain,
-        })
+        (
+            (0u8..8, 0u64..5, 0.0f64..0.6),
+            (0.0f64..1e4, 0u8..4, 0.05f64..3.0),
+        )
+            .prop_map(|((kind, id, e), (dt, cap_kind, cap))| match kind {
+                0 => Op::Charge(id, e),
+                1 => Op::Reserve(id, e),
+                2 => Op::Commit(id),
+                3 => Op::Rollback(id),
+                4 => Op::Advance(dt),
+                5 => Op::Drain,
+                // Capacities at and below the drain's 1e-12 tolerance
+                // are exhausted from the moment they are registered.
+                6 => Op::Register(
+                    id,
+                    match cap_kind {
+                        0 => 1e-12,
+                        1 => 4e-13,
+                        _ => cap,
+                    },
+                ),
+                _ => Op::RoundTrip,
+            })
+    }
+
+    fn round_trip<T: Serialize + Deserialize>(acc: &T) -> T {
+        T::deserialize_value(&acc.serialize_value()).expect("round trip")
     }
 
     proptest! {
@@ -943,6 +983,14 @@ mod tests {
                             life.drain_exhausted(),
                             BudgetLedger::drain_exhausted(&mut windowed)
                         );
+                    }
+                    Op::Register(id, capacity) => {
+                        life.register(id, capacity);
+                        windowed.register(id, capacity);
+                    }
+                    Op::RoundTrip => {
+                        life = round_trip(&life);
+                        windowed = round_trip(&windowed);
                     }
                 }
                 for id in 0..5u64 {
@@ -1049,6 +1097,8 @@ mod tests {
                     Op::Drain => {
                         acc.drain_exhausted();
                     }
+                    Op::Register(id, capacity) => acc.register(id, capacity),
+                    Op::RoundTrip => acc = round_trip(&acc),
                     _ => {}
                 }
             }
@@ -1059,6 +1109,64 @@ mod tests {
             for id in 0..5u64 {
                 prop_assert_eq!(back.spent(id).to_bits(), acc.spent(id).to_bits());
                 prop_assert_eq!(back.reserved(id).to_bits(), acc.reserved(id).to_bits());
+            }
+        }
+
+        // The drain examines only the entities touched since the last
+        // one, yet returns exactly what a scan of every tracked entity
+        // would: lifetime, `W = ∞` and finite `W` alike, under charges,
+        // two-phase commits, reclamation, (re-)registrations with
+        // capacities at or below the exhaustion tolerance and
+        // serialization round trips.
+        #[test]
+        fn drain_matches_the_full_scan_oracle(
+            window in 50.0f64..500.0,
+            ops in proptest::collection::vec(op_strategy(), 0..80)
+        ) {
+            let mut ledgers = [
+                LedgerState::lifetime(),
+                LedgerState::windowed(f64::INFINITY),
+                LedgerState::windowed(window),
+            ];
+            for ledger in &mut ledgers {
+                for id in 0..5u64 {
+                    ledger.register(id, 1.0 + id as f64 * 0.37);
+                }
+            }
+            let mut clock = 0.0;
+            for &op in &ops {
+                if let Op::Advance(dt) = op {
+                    clock += dt;
+                }
+                for ledger in &mut ledgers {
+                    let live = |l: &LedgerState, id| l.resolve(id).is_some();
+                    match op {
+                        Op::Charge(id, e) if live(ledger, id) => ledger.charge(id, e),
+                        Op::Reserve(id, e) if live(ledger, id) => ledger.reserve(id, e),
+                        Op::Commit(id) if live(ledger, id) => {
+                            ledger.commit(id);
+                        }
+                        Op::Rollback(id) => {
+                            ledger.rollback(id);
+                        }
+                        Op::Advance(_) => ledger.advance_time(clock),
+                        Op::Register(id, capacity) => ledger.register(id, capacity),
+                        Op::RoundTrip => *ledger = round_trip(ledger),
+                        Op::Drain => {
+                            let oracle: Vec<u64> = ledger
+                                .tracked_ids()
+                                .into_iter()
+                                .filter(|&id| ledger.is_exhausted(id))
+                                .collect();
+                            prop_assert_eq!(ledger.drain_exhausted(), oracle);
+                            prop_assert!(ledger
+                                .tracked_ids()
+                                .into_iter()
+                                .all(|id| !ledger.is_exhausted(id)));
+                        }
+                        _ => {}
+                    }
+                }
             }
         }
     }

@@ -63,8 +63,9 @@ use serde::{Deserialize, Serialize};
 ///   only whole-location (Geo-I) releases need their bits deduped.
 ///
 /// Workers are interned to dense indices on first charge, making the
-/// per-release hot-path cost two small hash probes (worker id, task
-/// id) instead of a `BTreeSet` descent over wide tuple keys.
+/// hot-path cost one small hash probe per charged column (worker id)
+/// and one per pair (task id) instead of a `BTreeSet` descent per
+/// release over wide tuple keys.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ReleaseDedup {
     /// Worker id → dense index into `workers` (the dedup's interning
@@ -76,7 +77,7 @@ pub(crate) struct ReleaseDedup {
 /// One worker's charged releases: a contiguous-slot count per task and
 /// the distinct whole-location ε bit patterns.
 #[derive(Debug, Clone, Default)]
-struct WorkerCharges {
+pub(crate) struct WorkerCharges {
     /// Task id → number of slots already charged (slots `0..count`).
     pairs: dpta_dp::FastMap<u32, u32>,
     /// Whole-location release spends already charged, by exact bits.
@@ -86,7 +87,8 @@ struct WorkerCharges {
 }
 
 impl ReleaseDedup {
-    fn worker_mut(&mut self, wid: u32) -> &mut WorkerCharges {
+    /// The charged releases of worker `wid`, interned on first use.
+    pub(crate) fn worker(&mut self, wid: u32) -> &mut WorkerCharges {
         let next = self.workers.len() as u32;
         let idx = *self.index.entry(wid).or_insert(next);
         if idx == next {
@@ -94,32 +96,30 @@ impl ReleaseDedup {
         }
         &mut self.workers[idx as usize]
     }
+}
 
-    /// Charges slot `slot` of pair `(wid, tid)`; returns whether it was
-    /// novel. Slots of one pair must arrive in contiguous ascending
-    /// sweeps starting at 0 (the release-set enumeration order), which
-    /// the count representation asserts.
-    pub(crate) fn charge_pair(&mut self, wid: u32, tid: u32, slot: u32) -> bool {
-        let count = self.worker_mut(wid).pairs.entry(tid).or_insert(0);
-        if slot < *count {
-            return false;
+impl WorkerCharges {
+    /// Charges slots `0..slots` of the worker's pair with task `tid`
+    /// and returns the first slot that was not charged before: slots
+    /// from there up to `slots` are novel (none if it is `slots` or
+    /// more). Release sets only append, so the charged slots stay a
+    /// contiguous prefix.
+    pub(crate) fn charge_slots(&mut self, tid: u32, slots: usize) -> usize {
+        let count = self.pairs.entry(tid).or_insert(0);
+        let first = *count as usize;
+        if slots > first {
+            *count = slots as u32;
         }
-        assert_eq!(
-            slot, *count,
-            "release slots of a pair must be charged contiguously"
-        );
-        *count += 1;
-        true
+        first
     }
 
-    /// Charges a whole-location (Geo-I) release of `spend_bits` total ε
-    /// for `wid`; returns whether that exact spend was novel.
-    pub(crate) fn charge_location(&mut self, wid: u32, spend_bits: u64) -> bool {
-        let locs = &mut self.worker_mut(wid).locations;
-        if locs.contains(&spend_bits) {
+    /// Charges a whole-location (Geo-I) release of `spend_bits` total
+    /// ε; returns whether that exact spend was novel.
+    pub(crate) fn charge_location(&mut self, spend_bits: u64) -> bool {
+        if self.locations.contains(&spend_bits) {
             return false;
         }
-        locs.push(spend_bits);
+        self.locations.push(spend_bits);
         true
     }
 }
@@ -174,7 +174,7 @@ impl Deserialize for ReleaseDedup {
             let locations = item
                 .get("locations")
                 .ok_or_else(|| serde::Error("ReleaseDedup entry missing locations".to_string()))?;
-            let charges = dedup.worker_mut(wid);
+            let charges = dedup.worker(wid);
             for (tid, count) in Vec::<(u32, u32)>::deserialize_value(pairs)? {
                 if charges.pairs.insert(tid, count).is_some() {
                     return Err(serde::Error(format!(
@@ -713,42 +713,60 @@ impl StreamConfigBuilder {
     }
 }
 
-/// Sums worker `j`'s *novel* releases off his board ledger — the one
-/// charge path of the pipeline. The session stepper (fresh or warm
-/// board, with or without re-entry) and the halo coordinator all
-/// charge through it, in the same ledger order — tasks ascending by
+/// Charges every worker column of a driven `board` with its *novel*
+/// releases — the one charge path of the pipeline. The session stepper
+/// (fresh or warm board, with or without re-entry) and the halo
+/// coordinator all charge through it: `charge(j, novel)` is called for
+/// each column `j` whose novel spend is positive, ascending in `j`, with
+/// that column's releases summed in ledger order — tasks ascending by
 /// instance index, the whole-location release last — so flat and
 /// sharded runs accumulate per-worker spend bit for bit. Novel means
 /// the release was not yet in `charged`; re-derivations of
 /// already-charged releases (fresh-board re-publications, reruns,
 /// carried history, returned workers) sum to zero. Whole-location
 /// releases (Geo-I) are charged once per distinct total spend.
-pub(crate) fn novel_ledger_spend(
+///
+/// `pre` holds the board's [`column_publications`] when the drive
+/// started. A column whose count did not grow holds only carried
+/// releases; each was charged when it was first published, and the
+/// dedup outlives snapshots, so the column's novel spend is exactly
+/// 0.0 and it is skipped without a look. Charging is therefore
+/// proportional to the columns the drive published on.
+///
+/// [`column_publications`]: dpta_core::Board::column_publications
+pub(crate) fn charge_novel(
     board: &dpta_core::Board,
-    j: usize,
-    wid: u32,
+    pre: &[u32],
+    worker_ids: &[u32],
     task_ids: &[u32],
     charged: &mut ReleaseDedup,
-) -> f64 {
+    mut charge: impl FnMut(usize, f64),
+) {
     use dpta_core::board::LOCATION_RELEASE;
-    let mut novel = 0.0;
-    for t in board.ledger(j).tasks() {
-        if t == LOCATION_RELEASE {
-            continue;
-        }
-        if let Some(set) = board.releases(t as usize, j) {
-            for (u, rel) in set.releases().iter().enumerate() {
-                if charged.charge_pair(wid, task_ids[t as usize], u as u32) {
+    let grown = board.column_publications().iter().zip(pre);
+    for (j, _) in grown.enumerate().filter(|(_, (now, was))| now > was) {
+        let worker = charged.worker(worker_ids[j]);
+        let mut novel = 0.0;
+        for t in board.ledger(j).tasks() {
+            if t == LOCATION_RELEASE {
+                continue;
+            }
+            if let Some(set) = board.releases(t as usize, j) {
+                let releases = set.releases();
+                let first = worker.charge_slots(task_ids[t as usize], releases.len());
+                for rel in releases.iter().skip(first) {
                     novel += rel.epsilon;
                 }
             }
         }
+        let loc = board.ledger(j).spent_on(LOCATION_RELEASE);
+        if loc > 0.0 && worker.charge_location(loc.to_bits()) {
+            novel += loc;
+        }
+        if novel > 0.0 {
+            charge(j, novel);
+        }
     }
-    let loc = board.ledger(j).spent_on(LOCATION_RELEASE);
-    if loc > 0.0 && charged.charge_location(wid, loc.to_bits()) {
-        novel += loc;
-    }
-    novel
 }
 
 /// Noise keyed by logical ids: per-window instance indices are

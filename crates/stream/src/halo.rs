@@ -81,7 +81,7 @@
 //! [`ShardStrategy::DropPairs`]: crate::ShardStrategy::DropPairs
 //! [`ReleaseDedup`]: crate::driver::ReleaseDedup
 
-use crate::driver::{novel_ledger_spend, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
+use crate::driver::{charge_novel, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
 use crate::event::WorkerArrival;
 use crate::lifecycle::{InService, Lifecycle, PaceState, StepSignals};
 use crate::metrics::{ShardedReport, StreamReport, TaskFate, WindowCutDecision, WindowReport};
@@ -126,6 +126,9 @@ struct ShardRun {
     /// Publications already on the board before the drive (carried
     /// history), subtracted from the reported publication count.
     pre_pubs: usize,
+    /// The board's per-column publication counts before the drive: the
+    /// charge path skips columns that did not grow.
+    pre_cols: Vec<u32>,
     /// Feasibility components of the driven instance, resolved to a
     /// root per entity id. Computed for full drives on the incremental
     /// path; `None` for sub-drives (which inherit the base's roots)
@@ -172,6 +175,7 @@ struct PreparedRun {
     inst: Instance,
     board: Board,
     pre_pubs: usize,
+    pre_cols: Vec<u32>,
     /// Remaining lifetime budget per worker (finite caps only).
     guard: Option<Vec<f64>>,
     /// Component roots of `inst` (incremental full drives only).
@@ -258,6 +262,9 @@ pub(crate) struct HaloCore<'e> {
     // is an O(live + pairs) emission instead of a from-scratch rebuild.
     deltas: Vec<DeltaInstance>,
     member: FastMap<u32, Membership>,
+    /// Bound of the per-pass drive pool, read once here: the query
+    /// reads cgroup files and costs more than a small window's drive.
+    threads: usize,
 }
 
 impl<'e> HaloCore<'e> {
@@ -292,6 +299,7 @@ impl<'e> HaloCore<'e> {
             carried: (0..n_shards).map(|_| None).collect(),
             deltas: (0..n_shards).map(|_| DeltaInstance::new(budgets)).collect(),
             member: FastMap::default(),
+            threads: std::thread::available_parallelism().map_or(8, std::num::NonZeroUsize::get),
         }
     }
 
@@ -319,6 +327,7 @@ impl<'e> HaloCore<'e> {
             carried,
             deltas,
             member,
+            threads,
         } = self;
         let engine: &dyn AssignmentEngine = *engine;
         let cfg: &StreamConfig = cfg;
@@ -527,7 +536,7 @@ impl<'e> HaloCore<'e> {
                 // Charge accounting stays sequential in ascending shard
                 // order so the dedup set is deterministic.
                 let mut driven: Vec<(usize, ShardRun, Duration, bool)> =
-                    drive_parallel(engine, cfg, prepared)
+                    drive_parallel(engine, cfg, prepared, *threads)
                         .into_iter()
                         .map(|(k, run, dt)| (k, run, dt, false))
                         .collect();
@@ -694,16 +703,18 @@ impl<'e> HaloCore<'e> {
         // Commit this window's reservations — exactly once per worker —
         // then depart matched workers and retire exhausted ones.
         for (&wid, &eps) in &window_spend {
-            life.ledger.commit(u64::from(wid));
+            life.commit(pool_at[&wid]);
             *shard_spend[member[&wid].home].entry(wid).or_insert(0.0) += eps;
         }
+        let mut departed = vec![false; life.pool.len()];
         for (&w, &task_at) in &committed {
             reports[member[&w].home].workers_departed += 1;
+            departed[pool_at[&w]] = true;
             life.depart(cfg, window.end, task_at, pool_at[&w]);
         }
         // Home shards come off the membership cache — every tracked
         // worker was admitted through it, pooled or serving alike.
-        for id in life.retire(cfg, |w| committed.contains_key(&w)) {
+        for id in life.retire(cfg, departed) {
             let m = &member[&(id as u32)];
             for &k2 in &m.reach {
                 deltas[k2].remove_worker(id);
@@ -852,6 +863,7 @@ impl<'e> HaloCore<'e> {
         life.cycles = snap.cycles.clone();
         life.ledger = snap.ledger.clone();
         life.pace = snap.pace.clone();
+        life.rebuild_handles();
         core.charged = snap.charged.clone();
         core.carried = snap.carried.clone();
         for w in &snap.pool {
@@ -1079,6 +1091,7 @@ fn prepare_run(
         inst.n_workers(),
     );
     let pre_pubs = board.publications();
+    let pre_cols = board.column_publications().to_vec();
     // The cap guard reads the live accountant, reservations included.
     // On a *rerun* this is deliberately conservative: the shard's own
     // earlier pass already reserved the releases it published, and the
@@ -1107,6 +1120,7 @@ fn prepare_run(
         inst,
         board,
         pre_pubs,
+        pre_cols,
         guard,
         roots,
     })
@@ -1152,6 +1166,7 @@ fn prepare_sub_run(
         inst.n_workers(),
     );
     let pre_pubs = board.publications();
+    let pre_cols = board.column_publications().to_vec();
     PreparedRun {
         shard: k,
         task_ids,
@@ -1159,6 +1174,7 @@ fn prepare_sub_run(
         inst,
         board,
         pre_pubs,
+        pre_cols,
         guard: None,
         roots: None,
     }
@@ -1194,24 +1210,23 @@ fn drive_prepared(
             worker_ids: p.worker_ids,
             outcome,
             pre_pubs: p.pre_pubs,
+            pre_cols: p.pre_cols,
             roots: p.roots,
         },
         dt,
     )
 }
 
-/// Fans a pass's prepared runs over a bounded scoped-thread pool and
-/// returns `(shard, run, wall time)` tuples in completion order.
+/// Fans a pass's prepared runs over a scoped-thread pool of at most
+/// `max_threads` and returns `(shard, run, wall time)` tuples in
+/// completion order.
 fn drive_parallel(
     engine: &dyn AssignmentEngine,
     cfg: &StreamConfig,
     prepared: Vec<PreparedRun>,
+    max_threads: usize,
 ) -> Vec<(usize, ShardRun, Duration)> {
-    let threads = prepared.len().min(
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(8),
-    );
+    let threads = prepared.len().min(max_threads);
     if threads <= 1 {
         return prepared
             .into_iter()
@@ -1260,15 +1275,19 @@ fn account_run(
     window_spend: &mut BTreeMap<u32, f64>,
     report: &mut WindowReport,
 ) {
-    let board = &run.outcome.board;
-    for (j, &wid) in run.worker_ids.iter().enumerate() {
-        let novel = novel_ledger_spend(board, j, wid, &run.task_ids, charged);
-        if novel > 0.0 {
+    charge_novel(
+        &run.outcome.board,
+        &run.pre_cols,
+        &run.worker_ids,
+        &run.task_ids,
+        charged,
+        |j, novel| {
+            let wid = run.worker_ids[j];
             ledger.reserve(u64::from(wid), novel);
             report.epsilon_spent += novel;
             *window_spend.entry(wid).or_insert(0.0) += novel;
-        }
-    }
+        },
+    );
 }
 
 /// Records a finished full run: claims, rounds, publications, wall

@@ -23,9 +23,9 @@ use crate::driver::{PendingTask, StreamConfig};
 use crate::event::{TaskArrival, WorkerArrival};
 use crate::metrics::{percentile, WindowFeedback};
 use crate::window::{Window, WindowPolicy};
-use dpta_dp::{BudgetLedger, LedgerState};
+use dpta_dp::{AccountId, BudgetLedger, LedgerState};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// One worker held out of the pool while serving a match.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -103,6 +103,16 @@ pub(crate) struct Opened {
 /// through it, one window at a time (see the module docs).
 pub(crate) struct Lifecycle {
     pub(crate) pool: Vec<WorkerArrival>,
+    /// Each pooled worker's ledger handle, beside `pool`. A handle stays
+    /// valid while its worker is pooled: accounts are forgotten or
+    /// drained only as their workers leave the pool (at the settle that
+    /// also drops them here). Rebuilt on restore.
+    pub(crate) handles: Vec<AccountId>,
+    /// Pool positions charged this window (see [`retire`](Self::retire)).
+    charged: Vec<usize>,
+    /// Pool position of the first worker pooled this window: workers
+    /// returned from service, then fresh registrations.
+    fresh_from: usize,
     pub(crate) pending: Vec<PendingTask>,
     /// Tasks held back by admission control: arrived, not yet admitted
     /// into any window, burning no TTL. FIFO — the oldest deferral is
@@ -128,6 +138,9 @@ impl Lifecycle {
     pub(crate) fn new(cfg: &StreamConfig, warm: bool) -> Self {
         Lifecycle {
             pool: Vec::new(),
+            handles: Vec::new(),
+            charged: Vec::new(),
+            fresh_from: 0,
             pending: Vec::new(),
             deferred: VecDeque::new(),
             in_service: VecDeque::new(),
@@ -136,6 +149,18 @@ impl Lifecycle {
             pace: BTreeMap::new(),
             capped: warm && cfg.worker_capacity.is_finite(),
         }
+    }
+
+    /// Re-resolves every pooled worker's ledger handle — the one cache
+    /// a restored lifecycle must rebuild from its pool and ledger.
+    pub(crate) fn rebuild_handles(&mut self) {
+        self.handles = self.pool.iter().map(|w| self.handle(w.id)).collect();
+    }
+
+    fn handle(&self, id: u32) -> AccountId {
+        self.ledger
+            .resolve(u64::from(id))
+            .expect("pooled worker is registered")
     }
 
     /// Opens `window`: advances the ledger clock, re-admits returned
@@ -147,6 +172,8 @@ impl Lifecycle {
         // global across flat, drop-pairs and halo execution, so every
         // driving mode reclaims at identical instants.
         self.ledger.advance_time(window.start);
+        self.charged.clear();
+        self.fresh_from = self.pool.len();
         let mut returned = Vec::new();
         while self
             .in_service
@@ -155,11 +182,13 @@ impl Lifecycle {
         {
             let s = self.in_service.pop_front().expect("front exists");
             self.pool.push(s.worker);
+            self.handles.push(self.handle(s.worker.id));
             returned.push(s);
         }
         for w in &window.workers {
             self.ledger.register(u64::from(w.id), cfg.worker_capacity);
             self.pool.push(*w);
+            self.handles.push(self.handle(w.id));
         }
         let carried_in = self.pending.len();
         let fresh = window.tasks.iter().map(|&arrival| PendingTask {
@@ -177,8 +206,8 @@ impl Lifecycle {
             // deferral first.
             Some(ac) => {
                 let mut aggregate = 0.0f64;
-                for w in &self.pool {
-                    aggregate += self.ledger.remaining(u64::from(w.id));
+                for &h in &self.handles {
+                    aggregate += self.ledger.remaining_at(h);
                 }
                 let serveable = if aggregate.is_finite() {
                     (aggregate / ac.epsilon_per_task) as usize
@@ -279,52 +308,112 @@ impl Lifecycle {
         Some(return_time)
     }
 
-    /// Retires exhausted workers and settles the pool: departed and
-    /// retired workers leave it. Returns the retired ids, ascending —
-    /// pooled or in service alike.
-    pub(crate) fn retire(
-        &mut self,
-        cfg: &StreamConfig,
-        departed: impl Fn(u32) -> bool,
-    ) -> BTreeSet<u64> {
+    /// Charges `epsilon` to the pooled worker at `pool[at]` and lists
+    /// that worker as a retirement candidate. Callers skip zero
+    /// charges, which change no ledger state.
+    pub(crate) fn charge(&mut self, at: usize, epsilon: f64) {
+        self.ledger.charge_at(self.handles[at], epsilon);
+        self.charged.push(at);
+    }
+
+    /// Commits the whole reservation of the pooled worker at `pool[at]`
+    /// and lists the worker as a retirement candidate.
+    pub(crate) fn commit(&mut self, at: usize) {
+        self.ledger.commit(u64::from(self.pool[at].id));
+        self.charged.push(at);
+    }
+
+    /// Retires exhausted workers and settles the pool: the workers
+    /// flagged in `departed` (a mask indexed by pool position) and the
+    /// retired ones leave it. Returns the retired ids, ascending — pooled or in
+    /// service alike.
+    ///
+    /// Both retirement rules read a worker's budget, and a pooled
+    /// worker's budget moves only when the worker is charged or
+    /// (re)registered. Every other worker was checked at an earlier
+    /// close and passed, so only three groups are candidates: workers
+    /// charged this window ([`charge`](Self::charge) /
+    /// [`commit`](Self::commit)), workers registered this window, and
+    /// workers back from service this window — a worker charged in the
+    /// window they departed skipped the hard-cap check then, so it
+    /// happens when they re-enter. The ledger drain keeps its own set
+    /// of touched accounts, which also covers workers who exhausted
+    /// their budget on the match that sent them out.
+    pub(crate) fn retire(&mut self, cfg: &StreamConfig, departed: Vec<bool>) -> Vec<u64> {
+        debug_assert_eq!(departed.len(), self.pool.len());
         // Sliding-window (renewable) accounting never retires: an
         // exhausted worker idles — the remaining-budget guard stops his
         // releases — until old charges age out of the protection
         // window. An infinite protection window is not renewable, so
         // `Windowed { window_secs: ∞ }` retires exactly like lifetime
         // accounting.
-        let renewable = self.ledger.renewable();
-        let mut retired: BTreeSet<u64> = if renewable {
-            BTreeSet::new()
-        } else {
-            self.ledger.drain_exhausted().into_iter().collect()
-        };
-        if !renewable && self.capped {
-            // The hard cap never overshoots, so spend rarely reaches
-            // the capacity exactly; instead a worker is effectively
-            // exhausted once his remaining budget cannot cover even the
-            // cheapest possible release (the draw range's lower bound).
-            for w in &self.pool {
-                let id = u64::from(w.id);
-                if !departed(w.id)
-                    && !retired.contains(&id)
-                    && self.ledger.remaining(id) + 1e-12 < cfg.budget_range.0
-                {
-                    self.ledger.forget(id);
-                    retired.insert(id);
-                }
+        let mut leaving = departed;
+        if self.ledger.renewable() {
+            self.settle_pool(&leaving);
+            return Vec::new();
+        }
+        let drained = self.ledger.drain_exhausted();
+        let mut retired = drained.clone();
+        // Drained workers found in the pool or the in-service set.
+        let mut found = 0usize;
+        let candidates = self
+            .charged
+            .iter()
+            .copied()
+            .chain(self.fresh_from..self.pool.len());
+        for at in candidates {
+            if leaving[at] {
+                continue;
+            }
+            let id = u64::from(self.pool[at].id);
+            if drained.binary_search(&id).is_ok() {
+                leaving[at] = true;
+                found += 1;
+            } else if self.capped
+                && self.ledger.remaining_at(self.handles[at]) + 1e-12 < cfg.budget_range.0
+            {
+                // The hard cap never overshoots, so spend rarely reaches
+                // the capacity exactly; instead a worker is effectively
+                // exhausted once their remaining budget cannot cover even
+                // the cheapest possible release (the draw range's lower
+                // bound).
+                self.ledger.forget(id);
+                retired.push(id);
+                leaving[at] = true;
             }
         }
         // An in-service worker can exhaust his budget at the very match
         // that sent him out: he finishes the trip he is on but retires
         // instead of returning.
-        if !retired.is_empty() {
+        if !drained.is_empty() {
+            let serving = self.in_service.len();
             self.in_service
-                .retain(|s| !retired.contains(&u64::from(s.worker.id)));
+                .retain(|s| drained.binary_search(&u64::from(s.worker.id)).is_err());
+            found += serving - self.in_service.len();
         }
-        self.pool
-            .retain(|w| !departed(w.id) && !retired.contains(&u64::from(w.id)));
+        debug_assert_eq!(
+            found,
+            drained.len(),
+            "a drained worker was neither a candidate nor in service"
+        );
+        retired.sort_unstable();
+        self.settle_pool(&leaving);
         retired
+    }
+
+    /// Drops the workers flagged in `leaving` (by pool position) from
+    /// the pool and their handles beside it.
+    fn settle_pool(&mut self, leaving: &[bool]) {
+        let mut at = 0;
+        self.pool.retain(|_| {
+            at += 1;
+            !leaving[at - 1]
+        });
+        at = 0;
+        self.handles.retain(|_| {
+            at += 1;
+            !leaving[at - 1]
+        });
     }
 
     /// Settles the pending set: tasks flagged in `matched` (indexed by
@@ -375,6 +464,239 @@ impl Lifecycle {
             ages,
             backlog: self.pending.len(),
             pool: self.pool.len(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::LedgerMode;
+    use crate::event::TaskArrival;
+    use crate::session::ServiceModel;
+    use dpta_core::{Task, Worker};
+    use dpta_spatial::Point;
+    use proptest::prelude::*;
+    use serde::{Deserialize, Serialize};
+    use std::collections::BTreeSet;
+
+    const WIDTH: f64 = 60.0;
+
+    /// Matched workers serve 90 s, so they are back two windows later.
+    fn config(capacity: f64, ledger: LedgerMode) -> StreamConfig {
+        StreamConfig {
+            policy: WindowPolicy::ByTime { width: WIDTH },
+            worker_capacity: capacity,
+            ledger,
+            service: ServiceModel::Fixed { secs: 90.0 },
+            ..StreamConfig::default()
+        }
+    }
+
+    fn worker(id: u32, time: f64) -> WorkerArrival {
+        WorkerArrival {
+            id,
+            time,
+            worker: Worker::new(Point::new(0.0, 0.0), 1.0),
+        }
+    }
+
+    /// Window `index` with the given worker arrivals; window 0 also
+    /// brings the one task every departure below is matched to.
+    fn window(index: usize, workers: Vec<WorkerArrival>) -> Window {
+        let start = index as f64 * WIDTH;
+        let tasks = if index == 0 {
+            vec![TaskArrival {
+                id: 0,
+                time: 0.0,
+                task: Task::new(Point::new(0.5, 0.0), 4.5),
+            }]
+        } else {
+            Vec::new()
+        };
+        Window {
+            index,
+            start,
+            end: start + WIDTH,
+            tasks,
+            workers,
+        }
+    }
+
+    /// The retirement rules applied to the whole pool and the whole
+    /// ledger — what [`Lifecycle::retire`] must return.
+    fn full_scan(life: &Lifecycle, cfg: &StreamConfig, departed: &[bool]) -> Vec<u64> {
+        if life.ledger.renewable() {
+            return Vec::new();
+        }
+        let mut out: BTreeSet<u64> = life
+            .ledger
+            .tracked_ids()
+            .into_iter()
+            .filter(|&id| life.ledger.is_exhausted(id))
+            .collect();
+        if life.capped {
+            for (at, w) in life.pool.iter().enumerate() {
+                let id = u64::from(w.id);
+                if !departed[at]
+                    && !out.contains(&id)
+                    && life.ledger.remaining(id) + 1e-12 < cfg.budget_range.0
+                {
+                    out.insert(id);
+                }
+            }
+        }
+        out.into_iter().collect()
+    }
+
+    #[test]
+    fn returned_worker_below_the_floor_retires_in_the_return_window() {
+        let cfg = config(3.0, LedgerMode::Lifetime);
+        let mut life = Lifecycle::new(&cfg, true);
+        life.open(&cfg, &window(0, vec![worker(7, 0.0)]));
+        // The last match leaves less than the cheapest release, but the
+        // worker departs to serve, so the hard cap skips them this window.
+        life.charge(0, 3.0 - cfg.budget_range.0 / 2.0);
+        assert_eq!(life.depart(&cfg, WIDTH, 0, 0), Some(WIDTH + 90.0));
+        assert!(life.retire(&cfg, vec![true]).is_empty());
+        life.open(&cfg, &window(1, Vec::new()));
+        assert!(life.retire(&cfg, Vec::new()).is_empty(), "still serving");
+        let opened = life.open(&cfg, &window(2, Vec::new()));
+        assert_eq!(opened.returned.len(), 1);
+        assert_eq!(life.retire(&cfg, vec![false]), vec![7]);
+        assert!(life.pool.is_empty() && life.handles.is_empty());
+    }
+
+    #[test]
+    fn capacity_below_the_floor_retires_every_worker_at_the_first_close() {
+        let cfg = config(0.25, LedgerMode::Lifetime);
+        assert!(cfg.worker_capacity < cfg.budget_range.0);
+        let mut life = Lifecycle::new(&cfg, true);
+        let arrivals = (1..=3).map(|id| worker(id, 1.0)).collect();
+        life.open(&cfg, &window(0, arrivals));
+        assert_eq!(life.retire(&cfg, vec![false; 3]), vec![1, 2, 3]);
+        assert!(life.pool.is_empty());
+        // The same through a session: nobody can afford a release, and
+        // each worker retires at the close of their arrival window.
+        let engine = dpta_core::Method::Puce.engine(&cfg.params);
+        let mut session = crate::StreamSession::new(engine.as_ref(), cfg);
+        for (k, id) in [(0.0, 1), (70.0, 2), (130.0, 3)] {
+            session.push(crate::ArrivalEvent::Worker(worker(id, k)));
+        }
+        session.push(crate::ArrivalEvent::Task(TaskArrival {
+            id: 0,
+            time: 5.0,
+            task: Task::new(Point::new(0.5, 0.0), 4.5),
+        }));
+        let _ = session.close();
+        let retired: Vec<(u32, usize)> = session
+            .poll_outcomes()
+            .into_iter()
+            .filter_map(|o| match o {
+                crate::Outcome::Retired { worker, window } => Some((worker, window)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retired, vec![(1, 0), (2, 1), (3, 2)]);
+    }
+
+    /// A worker registered with a capacity the ledger already counts as
+    /// spent retires at the first close whether or not the hard cap is
+    /// on: the drain sees every registration.
+    #[test]
+    fn registrations_reach_the_drain_uncapped() {
+        let cfg = config(1e-13, LedgerMode::Lifetime);
+        let mut life = Lifecycle::new(&cfg, false);
+        life.open(&cfg, &window(0, vec![worker(4, 0.0), worker(9, 0.0)]));
+        assert_eq!(life.retire(&cfg, vec![false; 2]), vec![4, 9]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Candidate-only retirement equals the full-pool, full-ledger
+        // scan under any schedule of arrivals (with capacities above,
+        // below and at the floor), re-registrations, charges,
+        // departures, returns and snapshot round trips, in every
+        // ledger mode.
+        #[test]
+        fn retirement_equals_the_full_scan(
+            mode in 0u8..4,
+            steps in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u8..5, 0..4),
+                    proptest::collection::vec((0usize..64, 0.0f64..2.5), 0..6),
+                    proptest::collection::vec(0usize..64, 0..3),
+                    proptest::bool::ANY,
+                ),
+                1..14,
+            ),
+        ) {
+            let (ledger, warm) = match mode {
+                0 => (LedgerMode::Lifetime, true),
+                1 => (LedgerMode::Lifetime, false),
+                2 => (LedgerMode::Windowed { window_secs: 150.0 }, true),
+                _ => (LedgerMode::Windowed { window_secs: f64::INFINITY }, true),
+            };
+            let cfg = config(3.0, ledger);
+            let lo = cfg.budget_range.0;
+            let mut life = Lifecycle::new(&cfg, warm);
+            let mut next_id = 0u32;
+            for (index, (kinds, charges, departs, round_trip)) in steps.into_iter().enumerate() {
+                let arrivals: Vec<WorkerArrival> = kinds
+                    .iter()
+                    .map(|_| {
+                        next_id += 1;
+                        worker(next_id, index as f64 * WIDTH)
+                    })
+                    .collect();
+                life.open(&cfg, &window(index, arrivals.clone()));
+                for (w, &kind) in arrivals.iter().zip(&kinds) {
+                    let capacity = match kind {
+                        0 => 1e-13,
+                        1 => 0.5 * lo,
+                        2 => 1.5 * lo,
+                        3 => 0.75,
+                        _ => 3.0,
+                    };
+                    life.ledger.register(u64::from(w.id), capacity);
+                }
+                let n = life.pool.len();
+                if n > 0 {
+                    for &(slot, eps) in &charges {
+                        if eps > 0.0 {
+                            life.charge(slot % n, eps);
+                        }
+                    }
+                }
+                let mut departed = vec![false; n];
+                for &slot in departs.iter().filter(|_| n > 0) {
+                    let at = slot % n;
+                    if !departed[at] {
+                        departed[at] = true;
+                        life.depart(&cfg, index as f64 * WIDTH + WIDTH, 0, at);
+                    }
+                }
+                let want = full_scan(&life, &cfg, &departed);
+                let want_pool: Vec<u32> = life
+                    .pool
+                    .iter()
+                    .enumerate()
+                    .filter(|&(at, w)| !departed[at] && want.binary_search(&u64::from(w.id)).is_err())
+                    .map(|(_, w)| w.id)
+                    .collect();
+                let got = life.retire(&cfg, departed);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(life.pool.iter().map(|w| w.id).collect::<Vec<_>>(), want_pool);
+                for (w, &h) in life.pool.iter().zip(&life.handles) {
+                    prop_assert_eq!(life.ledger.resolve(u64::from(w.id)), Some(h));
+                }
+                if round_trip {
+                    let value = life.ledger.serialize_value();
+                    life.ledger = LedgerState::deserialize_value(&value).expect("round trip");
+                    life.rebuild_handles();
+                }
+            }
         }
     }
 }

@@ -38,7 +38,7 @@
 //! value), never wall-clock time, so re-entry preserves bit-for-bit
 //! replay and the flat/drop-pairs/halo equivalence gates.
 
-use crate::driver::{novel_ledger_spend, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
+use crate::driver::{charge_novel, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
 use crate::event::{ArrivalEvent, WorkerArrival};
 use crate::lifecycle::{InService, Lifecycle, PaceState, StepSignals};
 use crate::metrics::{StreamReport, TaskFate, WindowCutDecision, WindowReport};
@@ -46,10 +46,10 @@ use crate::snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
 use crate::window::{Window, WindowFormer};
 use dpta_core::metrics::measure;
 use dpta_core::{AssignmentEngine, Board, DeltaInstance};
-use dpta_dp::{AccountId, BudgetLedger, FastMap, Interner, LedgerState, SeededNoise};
+use dpta_dp::{BudgetLedger, FastMap, Interner, LedgerState, SeededNoise};
 use dpta_workloads::ValueModel;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
 /// How long a matched worker is held in service before re-entering the
@@ -270,6 +270,38 @@ pub(crate) struct CarriedBoard {
     worker_ids: Vec<u32>,
 }
 
+/// Maps a carried board's old indices to this window's, for
+/// [`Board::carry`]: `old` and `new` are the id lists (pool or pending
+/// order) of the carried and the current window.
+///
+/// Settling only removes entries and admission only appends, so the
+/// survivors of `old` appear at the front of `new` in their old order,
+/// followed by everything pooled or admitted since. One two-pointer walk
+/// therefore maps every survivor; an id it misses either left for good
+/// or re-entered (a worker back from service) and sits in the appended
+/// tail past the walk's end — which a small lookup over that tail alone
+/// resolves.
+fn carry_map(old: &[u32], new: &[u32]) -> Vec<Option<u32>> {
+    let mut map = vec![None; old.len()];
+    let mut missed = Vec::new();
+    let mut next = 0usize;
+    for (k, &id) in old.iter().enumerate() {
+        if new.get(next) == Some(&id) {
+            map[k] = Some(next as u32);
+            next += 1;
+        } else {
+            missed.push(k);
+        }
+    }
+    if !missed.is_empty() && next < new.len() {
+        let tail: FastMap<u32, u32> = (next..new.len()).map(|at| (new[at], at as u32)).collect();
+        for k in missed {
+            map[k] = tail.get(&old[k]).copied();
+        }
+    }
+    map
+}
+
 /// The mutable state of one driven stream: the shared [`Lifecycle`]
 /// plus the flat stepper's own maintained instance, carried protocol
 /// state and fate/outcome records, stepped one window at a time.
@@ -395,6 +427,7 @@ impl<'e> SessionCore<'e> {
         life.cycles = snap.cycles.clone();
         life.ledger = snap.ledger.clone();
         life.pace = snap.pace.clone();
+        life.rebuild_handles();
         core.carried = snap.carried.clone();
         core.charged = snap.charged.clone();
         core.fates = snap.fates.iter().map(|(&id, f)| (id, *f)).collect();
@@ -511,18 +544,6 @@ impl<'e> SessionCore<'e> {
             let inst = self.delta.instance();
             debug_assert_eq!(inst.n_tasks(), pending.len());
             debug_assert_eq!(inst.n_workers(), pool.len());
-            // Lifetime accounts, interned once per window: the guard
-            // and charge loops below do dense-slot lookups instead of
-            // per-worker tree descents.
-            let worker_handles: Vec<AccountId> = pool
-                .iter()
-                .map(|w| {
-                    self.life
-                        .ledger
-                        .resolve(u64::from(w.id))
-                        .expect("pooled worker is registered")
-                })
-                .collect();
             let noise = IdStableNoise {
                 base: SeededNoise::new(self.cfg.params.seed),
                 task_ids: &task_ids,
@@ -531,26 +552,19 @@ impl<'e> SessionCore<'e> {
 
             let board = match carried.take() {
                 Some(prev) if warm => {
-                    let task_to_new: FastMap<u32, usize> = task_ids
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &id)| (id, i))
-                        .collect();
-                    let worker_to_new: FastMap<u32, usize> = worker_ids
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &id)| (id, j))
-                        .collect();
+                    let task_to_new = carry_map(&prev.task_ids, &task_ids);
+                    let worker_to_new = carry_map(&prev.worker_ids, &worker_ids);
                     prev.board.carry(
                         inst.n_tasks(),
                         inst.n_workers(),
-                        |t_old| task_to_new.get(&prev.task_ids[t_old]).copied(),
-                        |j_old| worker_to_new.get(&prev.worker_ids[j_old]).copied(),
+                        |t_old| task_to_new[t_old].map(|t| t as usize),
+                        |j_old| worker_to_new[j_old].map(|j| j as usize),
                     )
                 }
                 _ => Board::new(inst.n_tasks(), inst.n_workers()),
             };
             let pre_pubs = board.publications();
+            let pre_cols = board.column_publications().to_vec();
 
             // With a finite lifetime capacity, warm drives run under
             // the engine-level remaining-budget hook: every proposal
@@ -559,16 +573,17 @@ impl<'e> SessionCore<'e> {
             // retire-at-window-close. (Fresh-board drives re-publish
             // already-charged releases the hook cannot distinguish from
             // novel spend, so they keep the window-close semantics.)
-            let guard: Option<Vec<f64>> = self.life.capped.then(|| {
-                worker_handles
+            let life = &self.life;
+            let guard: Option<Vec<f64>> = life.capped.then(|| {
+                life.handles
                     .iter()
                     .zip(worker_ids.iter())
                     .map(|(&h, &wid)| {
-                        let cap = self.life.pace_cap(&self.cfg, wid);
+                        let cap = life.pace_cap(&self.cfg, wid);
                         if cap.is_some() {
                             report.workers_throttled += 1;
                         }
-                        cap.unwrap_or_else(|| self.life.ledger.remaining_at(h))
+                        cap.unwrap_or_else(|| life.ledger.remaining_at(h))
                     })
                     .collect()
             });
@@ -588,23 +603,24 @@ impl<'e> SessionCore<'e> {
             };
             report.drive_time = start.elapsed();
 
-            // One charge path, shared with the halo coordinator: each
-            // worker's novel releases, summed in ledger order through
-            // the id-keyed dedup. Re-derivations of already-charged
-            // releases — fresh boards re-publishing for pairs still
-            // pending, a returned worker's fresh column re-publishing
-            // his old releases, carried history — are bit-identical
-            // under id-keyed noise and budgets and sum to zero, so each
-            // release is charged once per lifetime, and flat and
-            // sharded runs sum spend in the same order.
-            for (j, &wid) in worker_ids.iter().enumerate() {
-                let novel = novel_ledger_spend(&outcome.board, j, wid, &task_ids, charged);
-                self.life.ledger.charge_at(worker_handles[j], novel);
-                report.epsilon_spent += novel;
-                if novel > 0.0 {
-                    *spend_by_worker.entry(wid).or_insert(0.0) += novel;
-                }
-            }
+            // One charge path, shared with the halo coordinator (see
+            // `charge_novel`): each worker's novel releases, summed in
+            // ledger order through the id-keyed dedup, so each release
+            // is charged once per lifetime and flat and sharded runs sum
+            // spend in the same order.
+            let life = &mut self.life;
+            charge_novel(
+                &outcome.board,
+                &pre_cols,
+                &worker_ids,
+                &task_ids,
+                charged,
+                |j, novel| {
+                    life.charge(j, novel);
+                    report.epsilon_spent += novel;
+                    *spend_by_worker.entry(worker_ids[j]).or_insert(0.0) += novel;
+                },
+            );
             let m = measure(
                 &inst,
                 &outcome,
@@ -620,7 +636,7 @@ impl<'e> SessionCore<'e> {
 
             for (i, j) in outcome.assignment.pairs() {
                 let worker_id = worker_ids[j];
-                let latency = window.end - pending[i].arrival.time;
+                let latency = window.end - self.life.pending[i].arrival.time;
                 fates.insert(
                     task_ids[i],
                     TaskFate::Assigned {
@@ -650,8 +666,9 @@ impl<'e> SessionCore<'e> {
         // Settle the pool: matched workers depart to serve — for good
         // under `ServiceModel::Never`, into the in-service set
         // otherwise — and exhausted workers retire.
-        let departed: BTreeSet<u32> = matched_tasks.iter().map(|&(_, _, w)| w).collect();
+        let mut departed = vec![false; self.life.pool.len()];
         for &(i, j, wid) in &matched_tasks {
+            departed[j] = true;
             let returns_at = self.life.depart(&self.cfg, window.end, i, j);
             self.outcomes.push_back(Outcome::EnteredService {
                 worker: wid,
@@ -659,8 +676,8 @@ impl<'e> SessionCore<'e> {
                 returns_at,
             });
         }
-        report.workers_departed = departed.len();
-        let retired = self.life.retire(&self.cfg, |w| departed.contains(&w));
+        report.workers_departed = matched_tasks.len();
+        let retired = self.life.retire(&self.cfg, departed);
         report.workers_retired = retired.len();
         for &id in &retired {
             self.outcomes.push_back(Outcome::Retired {
@@ -671,7 +688,7 @@ impl<'e> SessionCore<'e> {
         // Mirror the pool settlement into the maintained instance.
         // Removal is idempotent, so retired ids that were never pooled
         // (e.g. workers retiring mid-service) fall through harmlessly.
-        for &wid in &departed {
+        for &(_, _, wid) in &matched_tasks {
             self.delta.remove_worker(u64::from(wid));
         }
         for &id in &retired {
