@@ -1,16 +1,18 @@
 //! The CI bench-trajectory gate.
 //!
-//! Runs the six streaming benches (`time_to_drain`, `halo_sharding`,
-//! `adaptive_window`, `reentry_drain`, `incremental_window`,
-//! `windowed_ledger`) with the criterion shim's machine-readable JSON
-//! output, assembles `BENCH_stream.json` (median ns per bench id),
-//! prints the derived cost-ratio columns (halo/drop-pairs,
-//! adaptive/static, delta/scratch), and compares the fresh medians
-//! against the committed baseline at the repo root: any benchmark more
-//! than `--max-ratio` (default 3×) slower fails the gate. On the first
-//! run — no committed baseline — the fresh trajectory is written to the
-//! baseline path so CI can commit it. A bench with no committed
-//! baseline entries is reported as new and not gated.
+//! Runs the five streaming benches (`time_to_drain`, `halo_sharding`,
+//! `adaptive_window`, `reentry_drain`, `windowed_ledger`) with the
+//! criterion shim's machine-readable JSON output, assembles
+//! `BENCH_stream.json` (median ns per bench id), prints the derived
+//! cost-ratio columns (halo/drop-pairs, adaptive/static), and compares
+//! the fresh medians against the committed baseline at the repo root:
+//! any benchmark more than `--max-ratio` (default 3×) slower fails the
+//! gate. On the first run — no committed baseline — the fresh
+//! trajectory is written to the baseline path so CI can commit it. A
+//! bench with no committed baseline entries is reported as new and not
+//! gated. Every trajectory records the run's environment in its `_env`
+//! metadata group (available parallelism and build profile); a changed
+//! environment is printed as a note, never gated.
 //!
 //! `--scale-sweep` additionally runs the `scale_sweep` bench (drain
 //! wall time at 10³ → 10⁵ entities, 10⁶ behind `SCALE_SWEEP_FULL=1`),
@@ -27,8 +29,9 @@
 //! ```
 
 use dpta_bench::{
-    compare_trajectories, entity_scale, parse_bench_lines, parse_trajectory, ratio_columns,
-    render_trajectory, scale_exponents, scale_regressions, BenchTrajectory, SCALES_GROUP,
+    compare_trajectories, entity_scale, env_group, parse_bench_lines, parse_trajectory,
+    ratio_columns, render_trajectory, scale_exponents, scale_regressions, BenchTrajectory,
+    ENV_GROUP, SCALES_GROUP,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -36,12 +39,11 @@ use std::process::{Command, ExitCode};
 
 /// The bench binaries the trajectory always tracks, in run order
 /// (`--scale-sweep` appends the `scale_sweep` sweep).
-const BENCHES: [&str; 6] = [
+const BENCHES: [&str; 5] = [
     "time_to_drain",
     "halo_sharding",
     "adaptive_window",
     "reentry_drain",
-    "incremental_window",
     "windowed_ledger",
 ];
 
@@ -164,6 +166,9 @@ fn main() -> ExitCode {
     if !scales.is_empty() {
         fresh.insert(SCALES_GROUP.to_string(), scales);
     }
+    // Every bench runs under `cargo bench`, hence the `bench` profile.
+    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    fresh.insert(ENV_GROUP.to_string(), env_group(parallelism, "bench"));
 
     for col in ratio_columns(&fresh) {
         eprintln!("bench_gate: ratio: {col}");

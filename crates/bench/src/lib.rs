@@ -13,7 +13,7 @@ use dpta_experiments::report::render_figure;
 use dpta_experiments::{figures, runner, RunOptions};
 use dpta_workloads::{Dataset, Scenario};
 use serde::Deserialize as _;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Median nanoseconds per benchmark id, grouped by bench binary — the
 /// shape of `BENCH_stream.json`.
@@ -59,7 +59,9 @@ pub fn parse_trajectory(text: &str) -> Result<BenchTrajectory, String> {
 /// Compares a fresh trajectory against the baseline: any shared bench
 /// id whose fresh median exceeds `max_ratio ×` the baseline median is
 /// a regression. Ids present on only one side are reported as notes,
-/// never failures (benches come and go across PRs).
+/// never failures (benches come and go across PRs). The [`ENV_GROUP`]
+/// is never gated: each entry that differs between the two runs is a
+/// note.
 pub fn compare_trajectories(
     baseline: &BenchTrajectory,
     fresh: &BenchTrajectory,
@@ -67,7 +69,25 @@ pub fn compare_trajectories(
 ) -> (Vec<String>, Vec<String>) {
     let mut regressions = Vec::new();
     let mut notes = Vec::new();
+    let no_env = BTreeMap::new();
+    let base_env = baseline.get(ENV_GROUP).unwrap_or(&no_env);
+    let fresh_env = fresh.get(ENV_GROUP).unwrap_or(&no_env);
+    let env_keys: BTreeSet<&String> = base_env.keys().chain(fresh_env.keys()).collect();
+    for key in env_keys {
+        let (was, now) = (base_env.get(key), fresh_env.get(key));
+        if was != now {
+            let show = |v: Option<&f64>| v.map_or("unset".to_string(), f64::to_string);
+            notes.push(format!(
+                "{ENV_GROUP}: {key} differs from the baseline ({} -> {})",
+                show(was),
+                show(now)
+            ));
+        }
+    }
     for (bench, base_ids) in baseline {
+        if bench == ENV_GROUP {
+            continue;
+        }
         let Some(fresh_ids) = fresh.get(bench) else {
             notes.push(format!("bench {bench} missing from the fresh run"));
             continue;
@@ -93,7 +113,7 @@ pub fn compare_trajectories(
         }
     }
     for bench in fresh.keys() {
-        if !baseline.contains_key(bench) {
+        if bench != ENV_GROUP && !baseline.contains_key(bench) {
             notes.push(format!("bench {bench} is new (no baseline)"));
         }
     }
@@ -101,9 +121,9 @@ pub fn compare_trajectories(
 }
 
 /// Derived cost-ratio columns for a trajectory: what the halo protocol
-/// costs over lossy drop-pairs sharding, what the adaptive controller
-/// costs over a static width, and what delta maintenance saves over
-/// from-scratch instance rebuilds — one line per comparable id pair.
+/// costs over lossy drop-pairs sharding and what the adaptive
+/// controller costs over a static width — one line per comparable id
+/// pair.
 /// `bench_gate` prints these after every run so the ratios the PR
 /// acceptance gates track are visible without opening the JSON.
 pub fn ratio_columns(t: &BenchTrajectory) -> Vec<String> {
@@ -144,22 +164,6 @@ pub fn ratio_columns(t: &BenchTrajectory) -> Vec<String> {
             }
         }
     }
-    if let Some(ids) = t.get("incremental_window") {
-        for (id, &delta) in ids {
-            let Some(w) = id.strip_prefix("incremental_window/delta/") else {
-                continue;
-            };
-            let Some(&scratch) = ids.get(&format!("incremental_window/scratch/{w}")) else {
-                continue;
-            };
-            if scratch > 0.0 {
-                out.push(format!(
-                    "incremental_window/{w} delta/scratch = {:.2}x",
-                    delta / scratch
-                ));
-            }
-        }
-    }
     out
 }
 
@@ -170,6 +174,25 @@ pub fn ratio_columns(t: &BenchTrajectory) -> Vec<String> {
 /// them). Written whenever the gate runs the scale sweep — including
 /// the first-run auto-seed.
 pub const SCALES_GROUP: &str = "_scales";
+
+/// The reserved trajectory group recording where the medians were
+/// taken: the machine's available parallelism and the cargo profile the
+/// benches were built under (a `profile/<name>` key set to 1). Metadata
+/// only — [`compare_trajectories`] never gates it and reports each
+/// entry that changed as a note, so a median taken on a different
+/// machine class is visible as such.
+pub const ENV_GROUP: &str = "_env";
+
+/// The [`ENV_GROUP`] entries of one gate run.
+pub fn env_group(available_parallelism: usize, profile: &str) -> BTreeMap<String, f64> {
+    BTreeMap::from([
+        (
+            "available_parallelism".to_string(),
+            available_parallelism as f64,
+        ),
+        (format!("profile/{profile}"), 1.0),
+    ])
+}
 
 /// The entity count encoded in a sweep benchmark id's trailing
 /// `/n<count>` segment (`scale_sweep/drain/n10000` → `10000`).
@@ -354,16 +377,9 @@ mod tests {
                     ("adaptive_window/GRD_time300s/burst0.2", 100.0),
                 ],
             ),
-            (
-                "incremental_window",
-                &[
-                    ("incremental_window/delta/w16", 25.0),
-                    ("incremental_window/scratch/w16", 100.0),
-                ],
-            ),
         ]);
         let cols = ratio_columns(&t);
-        assert_eq!(cols.len(), 3, "{cols:?}");
+        assert_eq!(cols.len(), 2, "{cols:?}");
         assert!(
             cols.iter()
                 .any(|c| c.contains("GRD halo/drop_pairs = 1.50x")),
@@ -372,10 +388,6 @@ mod tests {
         assert!(
             cols.iter()
                 .any(|c| c.contains("GRD/burst0.2 adaptive/static = 1.30x")),
-            "{cols:?}"
-        );
-        assert!(
-            cols.iter().any(|c| c.contains("w16 delta/scratch = 0.25x")),
             "{cols:?}"
         );
     }
@@ -433,5 +445,25 @@ mod tests {
         assert_eq!(regressions.len(), 1, "{regressions:?}");
         assert!(regressions[0].contains("drain: b regressed 3.5×"));
         assert_eq!(notes.len(), 3, "{notes:?}"); // gone, new, extra
+    }
+
+    #[test]
+    fn env_group_is_noted_never_gated() {
+        let mut base = traj(&[("drain", &[("a", 100.0)])]);
+        let mut fresh = base.clone();
+        base.insert(ENV_GROUP.to_string(), env_group(2, "bench"));
+        fresh.insert(ENV_GROUP.to_string(), env_group(16, "release"));
+        let (regressions, notes) = compare_trajectories(&base, &fresh, 3.0);
+        assert!(regressions.is_empty(), "{regressions:?}");
+        assert_eq!(notes.len(), 3, "{notes:?}");
+        assert!(notes[0].contains("available_parallelism differs from the baseline (2 -> 16)"));
+        assert!(notes[1].contains("profile/bench differs from the baseline (1 -> unset)"));
+        assert!(notes[2].contains("profile/release differs from the baseline (unset -> 1)"));
+        // A baseline from before the group existed: every entry is new.
+        base.remove(ENV_GROUP);
+        let (regressions, notes) = compare_trajectories(&base, &fresh, 3.0);
+        assert!(regressions.is_empty(), "{regressions:?}");
+        assert_eq!(notes.len(), 2, "{notes:?}");
+        assert!(notes.iter().all(|n| n.contains("(unset -> ")), "{notes:?}");
     }
 }

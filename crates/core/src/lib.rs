@@ -48,5 +48,5 @@ pub use dpta_dp::{FastMap, FastSet, Interner, Sym};
 pub use engine::{AssignmentEngine, BudgetRemaining, EngineTrace, Uncapped};
 pub use method::Method;
 pub use metrics::Measures;
-pub use model::{DeltaInstance, Instance, LinearValue, Task, Worker};
+pub use model::{Instance, LinearValue, Task, Worker};
 pub use outcome::{MoveRecord, RunOutcome};

@@ -9,7 +9,7 @@
 
 use crate::model::{Task, Worker};
 use dpta_dp::{BudgetVector, SeededBudgets};
-use dpta_spatial::{DistanceMatrix, GridIndex};
+use dpta_spatial::{Circle, DistanceMatrix, GridIndex};
 use std::borrow::Cow;
 
 /// How pair distances are stored.
@@ -35,8 +35,46 @@ enum BudgetStore {
         task_keys: Vec<u64>,
         worker_keys: Vec<u64>,
     },
-    /// `table[j][k]` is the vector for task `reach[j][k]`.
+    /// `table[j][k]` is the vector for task `reach.row(j)[k]`.
     Table(Vec<Vec<BudgetVector>>),
+}
+
+/// The reach sets `R_j` in compressed rows: worker `j`'s tasks are
+/// `tasks[start[j]..start[j + 1]]`, ascending. One allocation for all
+/// rows, however many workers the instance holds.
+#[derive(Debug, Clone)]
+struct Reach {
+    start: Vec<usize>,
+    tasks: Vec<usize>,
+}
+
+impl Reach {
+    #[inline]
+    fn row(&self, worker: usize) -> &[usize] {
+        &self.tasks[self.start[worker]..self.start[worker + 1]]
+    }
+
+    /// Groups `(worker, task)` pairs by worker with a stable counting
+    /// sort, so rows keep the pairs' task order.
+    fn from_pairs(n_workers: usize, pairs: &[(usize, usize)]) -> Self {
+        let mut start = vec![0usize; n_workers + 1];
+        for &(j, _) in pairs {
+            start[j + 1] += 1;
+        }
+        for j in 0..n_workers {
+            start[j + 1] += start[j];
+        }
+        // Fill each row through its start as a cursor, which leaves
+        // `start[j]` at row `j`'s end; shifting by one restores it.
+        let mut tasks = vec![0usize; pairs.len()];
+        for &(j, i) in pairs {
+            tasks[start[j]] = i;
+            start[j] += 1;
+        }
+        start.copy_within(0..n_workers, 1);
+        start[0] = 0;
+        Reach { start, tasks }
+    }
 }
 
 /// One batch's worth of the PA-TA problem (Definition 5).
@@ -50,44 +88,52 @@ pub struct Instance {
     tasks: Vec<Task>,
     workers: Vec<Worker>,
     store: DistanceStore,
-    /// `reach[j]` = the paper's `R_j`: task indices within `r_j` of
-    /// worker `j`, ascending.
-    reach: Vec<Vec<usize>>,
+    /// `reach.row(j)` = the paper's `R_j`: task indices within `r_j`
+    /// of worker `j`, ascending.
+    reach: Reach,
     budgets: BudgetStore,
 }
 
 /// `R_j = {i : d_{i,j} <= r_j}` for every worker, resolved with a
-/// uniform grid index over the task locations: O(m + n + feasible
-/// pairs) instead of O(m·n).
-fn reach_from_locations(tasks: &[Task], workers: &[Worker]) -> Vec<Vec<usize>> {
-    let task_locs: Vec<_> = tasks.iter().map(|t| t.location).collect();
+/// uniform grid index over the worker locations sized by the widest
+/// disc: one candidate query per task, then each candidate's own
+/// radius test, O(m + n + candidate pairs) instead of O(m·n). Tasks are
+/// visited in ascending order, so every row comes out ascending. The
+/// test is `distance_sq(worker, task) <= r_j²` whichever side is
+/// indexed (`distance_sq` is exactly symmetric), so the sets do not
+/// depend on the index.
+fn reach_from_locations(tasks: &[Task], workers: &[Worker]) -> Reach {
+    let mut pairs = Vec::new();
+    if tasks.is_empty() || workers.is_empty() {
+        return Reach::from_pairs(workers.len(), &[]);
+    }
+    let worker_locs: Vec<_> = workers.iter().map(|w| w.location).collect();
+    // Radii are finite (checked by `Worker::new`), so a plain compare
+    // stands in for `f64::max`.
     let max_radius = workers
         .iter()
-        .map(|w| w.radius)
-        .fold(0.0f64, f64::max)
-        .max(1e-6);
-    let index = GridIndex::build_for_radius(&task_locs, max_radius);
-    let mut buf = Vec::new();
-    workers
-        .iter()
-        .map(|w| {
-            index.query_circle_into(&w.service_area(), &mut buf);
-            buf.clone()
-        })
-        .collect()
+        .fold(1e-6, |m, w| if w.radius > m { w.radius } else { m });
+    let index = GridIndex::build_for_radius(&worker_locs, max_radius);
+    for (i, t) in tasks.iter().enumerate() {
+        index.for_each_candidate(&Circle::new(t.location, max_radius), |j| {
+            let w = &workers[j];
+            if w.location.distance_sq(&t.location) <= w.radius * w.radius {
+                pairs.push((j, i));
+            }
+        });
+    }
+    Reach::from_pairs(workers.len(), &pairs)
 }
 
 /// The explicit budget table of `reach`: `budget_of(i, j)` for every
 /// feasible pair, in reach order.
 fn budget_table(
-    reach: &[Vec<usize>],
+    reach: &Reach,
     mut budget_of: impl FnMut(usize, usize) -> BudgetVector,
 ) -> BudgetStore {
     BudgetStore::Table(
-        reach
-            .iter()
-            .enumerate()
-            .map(|(j, r)| r.iter().map(|&i| budget_of(i, j)).collect())
+        (0..reach.start.len() - 1)
+            .map(|j| reach.row(j).iter().map(|&i| budget_of(i, j)).collect())
             .collect(),
     )
 }
@@ -95,8 +141,8 @@ fn budget_table(
 impl Instance {
     /// Builds an instance from entity locations; distances are Euclidean
     /// and `R_j = {i : d_{i,j} <= r_j}`. Service areas are resolved with
-    /// a uniform grid index over the task locations, so construction is
-    /// O(m + n + feasible pairs) instead of O(m·n). `budget_of(i, j)`
+    /// a uniform grid index over the worker locations, so construction
+    /// is O(m + n + candidate pairs) instead of O(m·n). `budget_of(i, j)`
     /// supplies the budget vector for each feasible pair, stored as an
     /// explicit table.
     pub fn from_locations(
@@ -125,30 +171,9 @@ impl Instance {
         task_keys: Vec<u64>,
         worker_keys: Vec<u64>,
     ) -> Self {
-        let reach = reach_from_locations(&tasks, &workers);
-        Self::from_parts(tasks, workers, reach, source, task_keys, worker_keys)
-    }
-
-    /// Assembles a keyed instance from pre-resolved reach sets — the
-    /// emission path of [`DeltaInstance`](crate::model::DeltaInstance),
-    /// which maintains them incrementally. Invariants (checked in debug
-    /// builds): `reach[j]` ascending and in range. Distances are
-    /// geometric, exactly as in [`from_locations`](Instance::from_locations).
-    pub(crate) fn from_parts(
-        tasks: Vec<Task>,
-        workers: Vec<Worker>,
-        reach: Vec<Vec<usize>>,
-        source: SeededBudgets,
-        task_keys: Vec<u64>,
-        worker_keys: Vec<u64>,
-    ) -> Self {
         assert_eq!(task_keys.len(), tasks.len(), "one key per task");
         assert_eq!(worker_keys.len(), workers.len(), "one key per worker");
-        debug_assert_eq!(reach.len(), workers.len());
-        for r in &reach {
-            debug_assert!(r.windows(2).all(|w| w[0] < w[1]), "reach not ascending");
-            debug_assert!(r.iter().all(|&i| i < tasks.len()), "reach out of range");
-        }
+        let reach = reach_from_locations(&tasks, &workers);
         Instance {
             tasks,
             workers,
@@ -177,15 +202,15 @@ impl Instance {
             workers.len(),
             "distance matrix cols != workers"
         );
-        let reach: Vec<Vec<usize>> = workers
-            .iter()
-            .enumerate()
-            .map(|(j, w)| {
-                (0..tasks.len())
-                    .filter(|&i| dist.get(i, j) <= w.radius)
-                    .collect()
-            })
-            .collect();
+        let mut pairs = Vec::new();
+        for (j, w) in workers.iter().enumerate() {
+            for i in 0..tasks.len() {
+                if dist.get(i, j) <= w.radius {
+                    pairs.push((j, i));
+                }
+            }
+        }
+        let reach = Reach::from_pairs(workers.len(), &pairs);
         let budgets = budget_table(&reach, budget_of);
         Instance {
             tasks,
@@ -236,12 +261,12 @@ impl Instance {
     /// The paper's `R_j`: tasks inside worker `j`'s service area,
     /// ascending by task index.
     pub fn reach(&self, worker: usize) -> &[usize] {
-        &self.reach[worker]
+        self.reach.row(worker)
     }
 
     /// Whether task `i` is inside worker `j`'s service area.
     pub fn in_reach(&self, task: usize, worker: usize) -> bool {
-        self.reach[worker].binary_search(&task).is_ok()
+        self.reach.row(worker).binary_search(&task).is_ok()
     }
 
     /// The budget `ε⁽ᵘ⁾_{i,j}` of the pair's `slot`-th release; `None`
@@ -250,7 +275,7 @@ impl Instance {
     /// it allocates nothing, whether the budget is drawn or tabled.
     #[inline]
     pub fn epsilon(&self, task: usize, worker: usize, slot: usize) -> Option<f64> {
-        let k = self.reach[worker].binary_search(&task).ok()?;
+        let k = self.reach.row(worker).binary_search(&task).ok()?;
         match &self.budgets {
             BudgetStore::Keyed {
                 source,
@@ -266,7 +291,7 @@ impl Instance {
     /// from a table, drawn for a keyed instance); `None` when the task
     /// is outside the worker's service area.
     pub fn budget(&self, task: usize, worker: usize) -> Option<Cow<'_, BudgetVector>> {
-        let k = self.reach[worker].binary_search(&task).ok()?;
+        let k = self.reach.row(worker).binary_search(&task).ok()?;
         Some(match &self.budgets {
             BudgetStore::Keyed {
                 source,
@@ -279,7 +304,7 @@ impl Instance {
 
     /// Total number of feasible (task, worker) pairs.
     pub fn feasible_pairs(&self) -> usize {
-        self.reach.iter().map(Vec::len).sum()
+        self.reach.tasks.len()
     }
 
     /// Average number of tasks per worker service area — the data-set
@@ -382,6 +407,69 @@ mod tests {
         assert_eq!(inst.n_tasks(), 0);
         assert_eq!(inst.n_workers(), 0);
         assert_eq!(inst.mean_tasks_in_range(), 0.0);
+        let keyed = keyed(vec![], vec![]);
+        assert_eq!(keyed.n_tasks(), 0);
+        assert_eq!(keyed.n_workers(), 0);
+        let no_tasks = keyed_at(&[], &[(0.0, 0.0, 1.0)]);
+        assert_eq!(no_tasks.reach(0), &[] as &[usize]);
+    }
+
+    /// Key-dependent draws, so misaligned budgets are caught.
+    fn source() -> SeededBudgets {
+        SeededBudgets::new(7, 0, (0.2, 1.0), 3)
+    }
+
+    /// A keyed instance whose keys are the entity indices.
+    fn keyed(tasks: Vec<Task>, workers: Vec<Worker>) -> Instance {
+        let task_keys = (0..tasks.len() as u64).collect();
+        let worker_keys = (0..workers.len() as u64).collect();
+        Instance::from_keyed_locations(tasks, workers, source(), task_keys, worker_keys)
+    }
+
+    fn keyed_at(task_pts: &[(f64, f64)], worker_pts: &[(f64, f64, f64)]) -> Instance {
+        keyed(
+            task_pts
+                .iter()
+                .map(|&(x, y)| Task::new(Point::new(x, y), 1.0))
+                .collect(),
+            worker_pts
+                .iter()
+                .map(|&(x, y, r)| Worker::new(Point::new(x, y), r))
+                .collect(),
+        )
+    }
+
+    /// The O(m·n) reference: every task whose squared distance to the
+    /// worker is within the worker's own squared radius.
+    fn brute_force_reach(inst: &Instance, j: usize) -> Vec<usize> {
+        let w = &inst.workers()[j];
+        inst.tasks()
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| w.location.distance_sq(&t.location) <= w.radius * w.radius)
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    #[test]
+    fn geometric_boundary_task_is_in_reach() {
+        let inst = keyed_at(&[(2.0, 0.0)], &[(0.0, 0.0, 2.0)]);
+        assert_eq!(inst.feasible_pairs(), 1); // d == r counts (A_j closed)
+        assert_eq!(inst.budget(0, 0).unwrap().slots().len(), 3);
+    }
+
+    #[test]
+    fn wide_radius_after_small_cell_still_exact() {
+        // A small disc next to one spanning the whole frame: the index
+        // is sized by the wide one, the small one keeps its own radius.
+        let mut task_pts: Vec<(f64, f64)> = (0..20).map(|k| (k as f64, 0.0)).collect();
+        task_pts.push((-4.0, 3.0));
+        let inst = keyed_at(&task_pts, &[(0.0, 0.0, 0.5), (10.0, 0.0, 50.0)]);
+        assert_eq!(inst.reach(0), &[0]);
+        assert_eq!(inst.reach(1), &(0..21).collect::<Vec<_>>()[..]);
+        for j in 0..2 {
+            assert_eq!(inst.reach(j), &brute_force_reach(&inst, j)[..]);
+        }
     }
 
     proptest! {
@@ -408,6 +496,31 @@ mod tests {
                     .map(|(i, _)| i)
                     .collect();
                 prop_assert_eq!(inst.reach(j), &brute[..], "worker {}", j);
+            }
+        }
+
+        // Mixed radii with an optional disc wider than the frame, both
+        // m < n and m > n, half-unit lattice points so exact `d == r`
+        // ties occur (3-4-5 triangles included), and repeated points so
+        // tasks and workers coincide.
+        #[test]
+        fn keyed_reach_equals_brute_force(
+            task_pts in proptest::collection::vec((0u8..24, 0u8..24), 0..40),
+            worker_pts in proptest::collection::vec((0u8..24, 0u8..24, 0u8..6), 1..40),
+            wide in (proptest::bool::ANY, 0u8..24, 0u8..24),
+        ) {
+            let half = |v: u8| f64::from(v) * 0.5;
+            let tasks: Vec<(f64, f64)> = task_pts.iter().map(|&(x, y)| (half(x), half(y))).collect();
+            let mut workers: Vec<(f64, f64, f64)> = worker_pts
+                .iter()
+                .map(|&(x, y, r)| (half(x), half(y), half(r)))
+                .collect();
+            if let (true, x, y) = wide {
+                workers.push((half(x), half(y), 40.0));
+            }
+            let inst = keyed_at(&tasks, &workers);
+            for j in 0..inst.n_workers() {
+                prop_assert_eq!(inst.reach(j), &brute_force_reach(&inst, j)[..], "worker {}", j);
             }
         }
 

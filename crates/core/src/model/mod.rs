@@ -1,11 +1,9 @@
 //! The PA-TA problem model (Definitions 1–5 of the paper).
 
-mod delta;
 mod entities;
 mod instance;
 mod values;
 
-pub use delta::DeltaInstance;
 pub use entities::{Task, Worker};
 pub use instance::Instance;
 pub use values::{DistanceValue, LinearValue, PrivacyValue, ZeroValue};

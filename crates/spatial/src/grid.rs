@@ -16,7 +16,11 @@ use crate::{Aabb, Circle, Point};
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     bounds: Aabb,
-    cell_size: f64,
+    /// Reciprocal of the effective cell size. Building and querying
+    /// both map a coordinate to a cell as `(v - min) * inv_cell`, a
+    /// monotone function, so a point inside a query's bounding box
+    /// always lands in one of the cells the query visits.
+    inv_cell: f64,
     cols: usize,
     rows: usize,
     /// CSR-style layout: `cell_start[c]..cell_start[c+1]` indexes into
@@ -37,11 +41,23 @@ impl GridIndex {
             cell_size.is_finite() && cell_size > 0.0,
             "cell_size must be finite and > 0, got {cell_size}"
         );
-        for (i, p) in points.iter().enumerate() {
-            assert!(p.is_finite(), "point #{i} is not finite: {p:?}");
+        // Validation and bounds in one branch-free pass over the points
+        // (`f64::min` would carry NaN handling the check makes moot).
+        let first = points.first().copied().unwrap_or(Point::ORIGIN);
+        let (mut lo, mut hi, mut finite) = (first, first, true);
+        for p in points {
+            finite &= p.is_finite();
+            lo.x = if p.x < lo.x { p.x } else { lo.x };
+            lo.y = if p.y < lo.y { p.y } else { lo.y };
+            hi.x = if p.x > hi.x { p.x } else { hi.x };
+            hi.y = if p.y > hi.y { p.y } else { hi.y };
         }
-        let bounds =
-            Aabb::bounding(points).unwrap_or_else(|| Aabb::new(Point::ORIGIN, Point::ORIGIN));
+        if !finite {
+            let i = points.iter().position(|p| !p.is_finite());
+            let i = i.expect("a non-finite point exists");
+            panic!("point #{i} is not finite: {:?}", points[i]);
+        }
+        let bounds = Aabb::new(lo, hi);
         // Grid dimensions, capped to keep memory proportional to the data.
         let max_cells_per_axis = ((points.len().max(1) as f64).sqrt() as usize * 4).max(1);
         let cols = ((bounds.width() / cell_size).ceil() as usize + 1).clamp(1, max_cells_per_axis);
@@ -52,29 +68,35 @@ impl GridIndex {
             .max(bounds.height() / rows as f64)
             .max(cell_size);
 
-        let n_cells = cols * rows;
-        let mut counts = vec![0u32; n_cells + 1];
-        let cell_of = |p: &Point| -> usize {
-            let cx = (((p.x - bounds.min.x) / eff_cell) as usize).min(cols - 1);
-            let cy = (((p.y - bounds.min.y) / eff_cell) as usize).min(rows - 1);
-            cy * cols + cx
-        };
-        for p in points {
-            counts[cell_of(p) + 1] += 1;
+        // Each point's cell, resolved once for both counting-sort passes.
+        let inv_cell = 1.0 / eff_cell;
+        let (last_col, last_row) = ((cols - 1) as u32, (rows - 1) as u32);
+        let cells: Vec<u32> = points
+            .iter()
+            .map(|p| {
+                let cx = (((p.x - bounds.min.x) * inv_cell) as u32).min(last_col);
+                let cy = (((p.y - bounds.min.y) * inv_cell) as u32).min(last_row);
+                cy * cols as u32 + cx
+            })
+            .collect();
+        let mut counts = vec![0u32; cols * rows + 1];
+        for &c in &cells {
+            counts[c as usize + 1] += 1;
         }
-        for c in 0..n_cells {
-            counts[c + 1] += counts[c];
+        let mut total = 0u32;
+        for n in &mut counts {
+            total += *n;
+            *n = total;
         }
         let mut entries = vec![0u32; points.len()];
         let mut cursor = counts.clone();
-        for (i, p) in points.iter().enumerate() {
-            let c = cell_of(p);
-            entries[cursor[c] as usize] = i as u32;
-            cursor[c] += 1;
+        for (i, &c) in cells.iter().enumerate() {
+            entries[cursor[c as usize] as usize] = i as u32;
+            cursor[c as usize] += 1;
         }
         GridIndex {
             bounds,
-            cell_size: eff_cell,
+            inv_cell,
             cols,
             rows,
             cell_start: counts,
@@ -112,6 +134,20 @@ impl GridIndex {
     /// algorithms iterate tasks in a stable order.
     pub fn query_circle_into(&self, circle: &Circle, out: &mut Vec<usize>) {
         out.clear();
+        let r_sq = circle.radius * circle.radius;
+        self.for_each_candidate(circle, |idx| {
+            if circle.center.distance_sq(&self.points[idx]) <= r_sq {
+                out.push(idx);
+            }
+        });
+        out.sort_unstable();
+    }
+
+    /// Calls `visit` with every indexed point in a cell that the
+    /// bounding box of `circle` overlaps: a superset of the points
+    /// inside it, in no particular order. For callers that apply their
+    /// own exact predicate to each candidate.
+    pub fn for_each_candidate(&self, circle: &Circle, mut visit: impl FnMut(usize)) {
         if self.points.is_empty() {
             return;
         }
@@ -126,25 +162,19 @@ impl GridIndex {
                 (v as usize).min(max - 1)
             }
         };
-        let cx0 = clamp_cell((bb.min.x - self.bounds.min.x) / self.cell_size, self.cols);
-        let cx1 = clamp_cell((bb.max.x - self.bounds.min.x) / self.cell_size, self.cols);
-        let cy0 = clamp_cell((bb.min.y - self.bounds.min.y) / self.cell_size, self.rows);
-        let cy1 = clamp_cell((bb.max.y - self.bounds.min.y) / self.cell_size, self.rows);
-        let r_sq = circle.radius * circle.radius;
+        let cx0 = clamp_cell((bb.min.x - self.bounds.min.x) * self.inv_cell, self.cols);
+        let cx1 = clamp_cell((bb.max.x - self.bounds.min.x) * self.inv_cell, self.cols);
+        let cy0 = clamp_cell((bb.min.y - self.bounds.min.y) * self.inv_cell, self.rows);
+        let cy1 = clamp_cell((bb.max.y - self.bounds.min.y) * self.inv_cell, self.rows);
         for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let c = cy * self.cols + cx;
-                let lo = self.cell_start[c] as usize;
-                let hi = self.cell_start[c + 1] as usize;
-                for &idx in &self.entries[lo..hi] {
-                    let p = &self.points[idx as usize];
-                    if circle.center.distance_sq(p) <= r_sq {
-                        out.push(idx as usize);
-                    }
-                }
+            // Cells `cx0..=cx1` of one row are contiguous in the CSR
+            // layout.
+            let lo = self.cell_start[cy * self.cols + cx0] as usize;
+            let hi = self.cell_start[cy * self.cols + cx1 + 1] as usize;
+            for &idx in &self.entries[lo..hi] {
+                visit(idx as usize);
             }
         }
-        out.sort_unstable();
     }
 
     /// Allocating convenience wrapper around

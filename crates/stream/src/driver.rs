@@ -29,12 +29,12 @@
 //! run bit for bit — and a spatially disjoint shard sees exactly the
 //! draws it would see inside the unsharded run.
 
-use crate::event::{ArrivalStream, TaskArrival};
+use crate::event::{ArrivalStream, TaskArrival, WorkerArrival};
 use crate::metrics::StreamReport;
 use crate::session::{ServiceModel, StreamSession};
 use crate::window::WindowPolicy;
-use dpta_core::{AssignmentEngine, RunParams};
-use dpta_dp::{NoiseSource, SeededNoise};
+use dpta_core::{AssignmentEngine, Instance, RunParams};
+use dpta_dp::{NoiseSource, SeededBudgets, SeededNoise};
 use dpta_workloads::Scenario;
 use serde::{Deserialize, Serialize};
 
@@ -438,8 +438,8 @@ impl StreamConfig {
 
     /// The stream's budget source: every pair's `ε_{i,j}` is drawn from
     /// the logical `(task id, worker id)`, salted off the noise seed.
-    pub(crate) fn budget_source(&self) -> dpta_dp::SeededBudgets {
-        dpta_dp::SeededBudgets::new(
+    pub(crate) fn budget_source(&self) -> SeededBudgets {
+        SeededBudgets::new(
             self.params.seed ^ 0x5712_EA11,
             0,
             self.budget_range,
@@ -791,6 +791,24 @@ impl NoiseSource for IdStableNoise<'_> {
             .unwrap_or(worker);
         self.base.noise(t, w, slot, epsilon)
     }
+}
+
+/// The keyed PA-TA instance over `tasks` × `workers` in the given
+/// order, budgets drawn from `budgets` by logical id. The flat stepper
+/// and the halo coordinator build every window's instance here, from
+/// the lifecycle's pending and pool order.
+pub(crate) fn keyed_instance<'a>(
+    tasks: impl Iterator<Item = &'a PendingTask> + Clone,
+    workers: impl Iterator<Item = &'a WorkerArrival> + Clone,
+    budgets: SeededBudgets,
+) -> Instance {
+    Instance::from_keyed_locations(
+        tasks.clone().map(|p| p.arrival.task).collect(),
+        workers.clone().map(|w| w.worker).collect(),
+        budgets,
+        tasks.map(|p| u64::from(p.arrival.id)).collect(),
+        workers.map(|w| u64::from(w.id)).collect(),
+    )
 }
 
 /// A task waiting to be served.

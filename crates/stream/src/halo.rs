@@ -13,10 +13,12 @@
 //!    (each lives in exactly the cell owning its location), so every
 //!    feasible pair, cross-boundary or not, is seen by exactly one
 //!    shard: the task's. Membership is resolved once per worker —
-//!    locations are immutable — and each shard's instance is
-//!    *maintained* as a [`DeltaInstance`] across windows and
-//!    reconciliation passes, so building a shard's window costs
-//!    O(arrivals + departures), not a from-scratch rebuild.
+//!    locations are immutable. Each window lists every shard's
+//!    pending tasks and reaching workers as positions in the
+//!    lifecycle's pending and pool order, and each pass builds the
+//!    shard's keyed instance from those lists minus what earlier
+//!    passes committed. The order is the lifecycle's, so a shard
+//!    instance lists its entities exactly as the unsharded one does.
 //! 2. **Propose.** Shards drive the engine over interior ∪ halo and
 //!    *propose* their matches. A worker reaching `k` cells can be
 //!    claimed by up to `k` shards.
@@ -43,9 +45,9 @@
 //!    undisturbed components keep their previous claims, spend and
 //!    board columns, which are bit-identical to what a full rerun
 //!    would re-derive. A shard none of whose remaining entities sit in
-//!    a dirty component skips the drive entirely — the PR-5
-//!    zero-feasible early-out is the trivial case, now an O(1) check
-//!    off the maintained instance. The next window's carried board is
+//!    a dirty component skips the drive entirely — the zero-feasible
+//!    early-out (the built instance has no feasible pair) is the
+//!    trivial case. The next window's carried board is
 //!    stitched per entity from the last drive that covered it; the
 //!    stitch is exact because a worker's whole release history lives
 //!    inside his own component. Full reruns are kept in two cases:
@@ -75,20 +77,23 @@
 //! unsharded run assignment for assignment, fate for fate. On general
 //! input the protocol is near-exact: the only utility left unrecovered
 //! is what reconciliation rejects in the final pass of a window.
-//! `ARCHITECTURE.md` ("Sharding & the halo protocol", "Incremental
-//! instance maintenance") documents the guarantees and their limits.
+//! `ARCHITECTURE.md` ("Sharding & the halo protocol", "Window
+//! instances & incremental reruns") documents the guarantees and their
+//! limits.
 //!
 //! [`ShardStrategy::DropPairs`]: crate::ShardStrategy::DropPairs
 //! [`ReleaseDedup`]: crate::driver::ReleaseDedup
 
-use crate::driver::{charge_novel, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
+use crate::driver::{
+    charge_novel, keyed_instance, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig,
+};
 use crate::event::WorkerArrival;
 use crate::lifecycle::{InService, Lifecycle, PaceState, StepSignals};
 use crate::metrics::{ShardedReport, StreamReport, TaskFate, WindowCutDecision, WindowReport};
 use crate::snapshot::SnapshotError;
 use crate::window::Window;
 use dpta_core::board::LOCATION_RELEASE;
-use dpta_core::{AssignmentEngine, Board, DeltaInstance, Instance, RunOutcome};
+use dpta_core::{AssignmentEngine, Board, Instance, RunOutcome};
 use dpta_dp::{BudgetLedger, FastMap, LedgerState, SeededBudgets, SeededNoise};
 use dpta_matching::repair::PairComponents;
 use dpta_spatial::GridPartition;
@@ -214,21 +219,17 @@ impl Membership {
     }
 }
 
-/// Inserts a pooled worker into every shard instance his disc reaches,
-/// resolving his membership on first sight. Returns his home shard.
+/// Resolves a pooled worker's membership on first sight. Returns his
+/// home shard.
 fn pool_worker(
     partition: &GridPartition,
     member: &mut FastMap<u32, Membership>,
-    deltas: &mut [DeltaInstance],
     w: &WorkerArrival,
 ) -> usize {
-    let m = member
+    member
         .entry(w.id)
-        .or_insert_with(|| Membership::of(partition, w));
-    for &k in &m.reach {
-        deltas[k].insert_worker(u64::from(w.id), w.worker);
-    }
-    m.home
+        .or_insert_with(|| Membership::of(partition, w))
+        .home
 }
 
 /// The halo coordinator's cross-window state, stepped one globally
@@ -237,8 +238,8 @@ fn pool_worker(
 /// coordinator durable — a restored shard re-enters reconciliation
 /// coherently because the whole protocol state (the shared
 /// [`Lifecycle`], release dedup, carried board stacks) lives here,
-/// while the per-shard membership and maintained instances are
-/// deterministically rebuilt from it.
+/// while the per-worker membership is deterministically rebuilt from
+/// it.
 pub(crate) struct HaloCore<'e> {
     engine: &'e dyn AssignmentEngine,
     cfg: StreamConfig,
@@ -255,12 +256,6 @@ pub(crate) struct HaloCore<'e> {
     life: Lifecycle,
     charged: ReleaseDedup,
     carried: Vec<Option<Carried>>,
-    // The maintained per-shard instances: shard `k`'s delta holds its
-    // uncommitted owned tasks and every uncommitted worker whose disc
-    // reaches cell `k`, in pool/pending order. All pool and pending
-    // mutations below are mirrored into them, so preparing a shard run
-    // is an O(live + pairs) emission instead of a from-scratch rebuild.
-    deltas: Vec<DeltaInstance>,
     member: FastMap<u32, Membership>,
     /// Bound of the per-pass drive pool, read once here: the query
     /// reads cgroup files and costs more than a small window's drive.
@@ -283,7 +278,6 @@ impl<'e> HaloCore<'e> {
         // between passes), so capped reruns stay full.
         // `halo_full_rerun` is the debugging / reference override.
         let incremental = !life.capped && !cfg.halo_full_rerun;
-        let budgets = cfg.budget_source();
         HaloCore {
             engine,
             cfg,
@@ -297,7 +291,6 @@ impl<'e> HaloCore<'e> {
             life,
             charged: ReleaseDedup::default(),
             carried: (0..n_shards).map(|_| None).collect(),
-            deltas: (0..n_shards).map(|_| DeltaInstance::new(budgets)).collect(),
             member: FastMap::default(),
             threads: std::thread::available_parallelism().map_or(8, std::num::NonZeroUsize::get),
         }
@@ -325,26 +318,21 @@ impl<'e> HaloCore<'e> {
             life,
             charged,
             carried,
-            deltas,
             member,
             threads,
         } = self;
         let engine: &dyn AssignmentEngine = *engine;
         let cfg: &StreamConfig = cfg;
         let (warm, incremental, capped) = (*warm, *incremental, life.capped);
-        let n_shards = deltas.len();
+        let n_shards = carried.len();
         let opened = life.open(cfg, window);
-        // ── Mirror the admissions into the shard instances ────────────
         let mut returned_by_home = vec![0usize; n_shards];
         for s in &opened.returned {
-            returned_by_home[pool_worker(partition, member, deltas, &s.worker)] += 1;
+            returned_by_home[pool_worker(partition, member, &s.worker)] += 1;
         }
         for w in &window.workers {
-            shard_workers[pool_worker(partition, member, deltas, w)] += 1;
+            shard_workers[pool_worker(partition, member, w)] += 1;
         }
-        // Unserved tasks already maintained per shard, before this
-        // window's admissions (the report's carried-in view).
-        let carried_by_shard: Vec<usize> = deltas.iter().map(DeltaInstance::n_tasks).collect();
         let mut arrived_by_shard = vec![0usize; n_shards];
         for arrival in &window.tasks {
             let home = partition.shard_of(&arrival.task.location);
@@ -355,17 +343,25 @@ impl<'e> HaloCore<'e> {
         for t in &opened.deferred {
             deferred_by_shard[partition.shard_of(&t.task.location)] += 1;
         }
-        let mut readmitted_by_shard = vec![0usize; n_shards];
-        for (k, p) in life.pending[opened.carried_in..].iter().enumerate() {
-            let home = task_home_of(partition, p);
-            if k < opened.readmitted {
-                readmitted_by_shard[home] += 1;
-            }
-            deltas[home].insert_task(u64::from(p.arrival.id), p.arrival.task);
-        }
 
-        // Per-window id → index maps (pool and pending are frozen for
-        // the duration of the reconciliation loop).
+        // Each shard's entities as ascending positions in the lifecycle
+        // order: the pending tasks homed in its cell and every pooled
+        // worker whose disc reaches it. Pool and pending are frozen for
+        // the reconciliation loop; a pass filters out what was
+        // committed.
+        let mut shard_pending: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+        for (i, p) in life.pending.iter().enumerate() {
+            shard_pending[task_home_of(partition, p)].push(i);
+        }
+        let mut shard_pool: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+        for (j, w) in life.pool.iter().enumerate() {
+            for &k in &member[&w.id].reach {
+                shard_pool[k].push(j);
+            }
+        }
+        let carried_in = opened.carried_in + opened.readmitted;
+
+        // Per-window id → index maps, for resolving claims.
         let pend_at: FastMap<u32, usize> = life
             .pending
             .iter()
@@ -378,12 +374,6 @@ impl<'e> HaloCore<'e> {
             .enumerate()
             .map(|(j, w)| (w.id, j))
             .collect();
-        let mut avail = vec![0usize; n_shards];
-        for w in &life.pool {
-            for &k in &member[&w.id].reach {
-                avail[k] += 1;
-            }
-        }
 
         let mut reports: Vec<WindowReport> = (0..n_shards)
             .map(|k| WindowReport {
@@ -391,8 +381,10 @@ impl<'e> HaloCore<'e> {
                 start: window.start,
                 end: window.end,
                 tasks_arrived: arrived_by_shard[k],
-                carried_in: carried_by_shard[k] + readmitted_by_shard[k],
-                workers_available: avail[k],
+                // Carried-over tasks and readmitted deferrals lead the
+                // pending order, ahead of this window's admissions.
+                carried_in: shard_pending[k].partition_point(|&i| i < carried_in),
+                workers_available: shard_pool[k].len(),
                 matched: 0,
                 expired: 0,
                 carried_out: 0,
@@ -423,7 +415,10 @@ impl<'e> HaloCore<'e> {
         }
 
         // ── Propose / reconcile loop ──────────────────────────────────
+        // Committed tasks and workers, by pending and pool position.
         let mut matched_mask = vec![false; life.pending.len()];
+        let mut taken = vec![false; life.pool.len()];
+        let budgets = cfg.budget_source();
         // Committed worker → pending index of the task he serves.
         let mut committed: BTreeMap<u32, usize> = BTreeMap::new();
         let mut window_spend: BTreeMap<u32, f64> = BTreeMap::new();
@@ -448,25 +443,36 @@ impl<'e> HaloCore<'e> {
             let mut sub_driven: Vec<(usize, ShardRun, Duration)> = Vec::new();
             for &k in &flagged_now {
                 needs_run[k] = false;
-                if deltas[k].n_tasks() == 0 || deltas[k].n_workers() == 0 {
+                let shard = ShardInstance::build(
+                    shard_pending[k]
+                        .iter()
+                        .filter(|&&i| !matched_mask[i])
+                        .map(|&i| &life.pending[i]),
+                    shard_pool[k]
+                        .iter()
+                        .filter(|&&j| !taken[j])
+                        .map(|&j| &life.pool[j]),
+                    budgets,
+                );
+                if shard.inst.n_tasks() == 0 || shard.inst.n_workers() == 0 {
                     claims[k].clear();
                     continue;
                 }
-                if rerun && deltas[k].feasible_pairs() == 0 {
+                if rerun && shard.inst.feasible_pairs() == 0 {
                     // Losing a boundary worker often leaves a shard
                     // whose remaining tasks nobody can reach. Driving
                     // that instance is a guaranteed no-op — engines
                     // publish and claim only over feasible pairs — so
-                    // skip it. O(1) off the maintained pair count; the
-                    // trivial case of the component skip below. Never
-                    // taken on first-pass runs: those mirror the
-                    // unsharded drive bit for bit, and location engines
-                    // (Geo-I) may legitimately publish there.
+                    // skip it; the trivial case of the component skip
+                    // below. Never taken on first-pass runs: those
+                    // mirror the unsharded drive bit for bit, and
+                    // location engines (Geo-I) may legitimately publish
+                    // there.
                     claims[k].clear();
                     continue;
                 }
                 if rerun && incremental {
-                    match plan_incremental(&states[k], &deltas[k]) {
+                    match plan_incremental(&states[k], &shard.task_ids, &shard.worker_ids) {
                         Some(IncrementalPlan::Keep) => {
                             // Proven no-op: every remaining entity sits
                             // in an undisturbed component, so a full
@@ -481,18 +487,15 @@ impl<'e> HaloCore<'e> {
                             task_ids,
                             worker_ids,
                         }) => {
-                            let p = prepare_sub_run(
-                                k,
-                                task_ids,
-                                worker_ids,
-                                &pend_at,
-                                &pool_at,
-                                &life.pending,
-                                &life.pool,
-                                cfg.budget_source(),
-                                &carried[k],
-                                warm,
+                            // Exactly the dirty components' remaining
+                            // entities, in instance order. Only reached
+                            // on uncapped runs, so no guard.
+                            let sub = ShardInstance::build(
+                                task_ids.iter().map(|id| &life.pending[pend_at[id]]),
+                                worker_ids.iter().map(|id| &life.pool[pool_at[id]]),
+                                budgets,
                             );
+                            let p = prepare_run(k, sub, &carried[k], warm, None, &pace_caps, false);
                             let (run, dt) = drive_prepared(engine, cfg, p);
                             sub_driven.push((k, run, dt));
                             continue;
@@ -501,32 +504,30 @@ impl<'e> HaloCore<'e> {
                     }
                 }
                 claims[k].clear();
-                let built = prepare_run(
+                let p = prepare_run(
                     k,
-                    &deltas[k],
+                    shard,
                     &carried[k],
                     warm,
                     capped.then_some(&life.ledger),
                     &pace_caps,
                     incremental,
                 );
-                if let Some(p) = built {
-                    if capped {
-                        // Finite caps gate on the live accountant
-                        // (reservations included), so capped shard runs
-                        // execute sequentially in ascending shard id.
-                        let (run, dt) = drive_prepared(engine, cfg, p);
-                        account_run(
-                            &run,
-                            charged,
-                            &mut life.ledger,
-                            &mut window_spend,
-                            &mut reports[k],
-                        );
-                        finish_run(k, run, dt, &mut reports, &mut claims, &mut states);
-                    } else {
-                        prepared.push(p);
-                    }
+                if capped {
+                    // Finite caps gate on the live accountant
+                    // (reservations included), so capped shard runs
+                    // execute sequentially in ascending shard id.
+                    let (run, dt) = drive_prepared(engine, cfg, p);
+                    account_run(
+                        &run,
+                        charged,
+                        &mut life.ledger,
+                        &mut window_spend,
+                        &mut reports[k],
+                    );
+                    finish_run(k, run, dt, &mut reports, &mut claims, &mut states);
+                } else {
+                    prepared.push(p);
                 }
             }
             if !prepared.is_empty() || !sub_driven.is_empty() {
@@ -634,7 +635,8 @@ impl<'e> HaloCore<'e> {
                     .expect("winner shard holds a claim on the worker");
                 let task_at = pend_at[&claim.task];
                 let task = &life.pending[task_at];
-                let worker = &life.pool[pool_at[&w]];
+                let worker_at = pool_at[&w];
+                let worker = &life.pool[worker_at];
                 let d = task.arrival.task.location.distance(&worker.worker.location);
                 let privacy_cost = if engine.accounts_privacy() {
                     cfg.params.beta
@@ -658,23 +660,20 @@ impl<'e> HaloCore<'e> {
                     },
                 );
                 matched_mask[task_at] = true;
+                taken[worker_at] = true;
                 committed.insert(w, task_at);
                 claims[k].retain(|c| c.worker != w);
-                // The committed pair leaves every maintained instance
-                // that sees it, and its components become dirty: any
-                // shard later flagged re-drives exactly the components
-                // that lost an entity.
-                deltas[k].remove_task(u64::from(claim.task));
+                // The committed pair leaves every shard that sees it,
+                // and its components become dirty: any shard later
+                // flagged re-drives exactly the components that lost an
+                // entity.
                 if incremental {
                     if let Some(roots) = states[k].base.as_ref().and_then(|b| b.roots.as_ref()) {
                         if let Some(&r) = roots.task_root.get(&claim.task) {
                             states[k].dirty.insert(r);
                         }
                     }
-                }
-                for &k2 in &member[&w].reach {
-                    deltas[k2].remove_worker(u64::from(w));
-                    if incremental {
+                    for &k2 in &member[&w].reach {
                         if let Some(roots) = states[k2].base.as_ref().and_then(|b| b.roots.as_ref())
                         {
                             if let Some(&r) = roots.worker_root.get(&w) {
@@ -715,11 +714,7 @@ impl<'e> HaloCore<'e> {
         // Home shards come off the membership cache — every tracked
         // worker was admitted through it, pooled or serving alike.
         for id in life.retire(cfg, departed) {
-            let m = &member[&(id as u32)];
-            for &k2 in &m.reach {
-                deltas[k2].remove_worker(id);
-            }
-            reports[m.home].workers_retired += 1;
+            reports[member[&(id as u32)].home].workers_retired += 1;
         }
 
         // Carry each shard's last drives into the next window: the base
@@ -744,10 +739,8 @@ impl<'e> HaloCore<'e> {
             }
         }
 
-        // Committed tasks already left their shard's instance.
         for p in life.expire(&matched_mask) {
             let home = task_home_of(partition, &p);
-            deltas[home].remove_task(u64::from(p.arrival.id));
             shard_fates[home].insert(
                 p.arrival.id,
                 TaskFate::Expired {
@@ -787,10 +780,9 @@ impl<'e> HaloCore<'e> {
         }
     }
 
-    /// Captures the coordinator's window-boundary state. The per-shard
-    /// maintained instances and the membership cache are *not* here —
-    /// both are pure functions of the partition and the serialized
-    /// pool / pending / in-service sets, rebuilt on restore.
+    /// Captures the coordinator's window-boundary state. The membership
+    /// cache is *not* here — it is a pure function of the partition and
+    /// the serialized pool and in-service sets, rebuilt on restore.
     pub(crate) fn snapshot(&self) -> HaloSnapshot {
         let life = &self.life;
         HaloSnapshot {
@@ -814,10 +806,9 @@ impl<'e> HaloCore<'e> {
     /// Rebuilds a coordinator mid-stream from a snapshot. Membership is
     /// re-resolved from the partition for every tracked worker (pooled
     /// or serving — locations are immutable, so the result is
-    /// identical), and each shard's maintained instance is re-derived
-    /// by inserting the pool and pending set in their maintained order,
-    /// which equals the live coordinator's insertion order — so the
-    /// rebuilt instances emit bit-identically.
+    /// identical). Each window's shard instances are built from the
+    /// restored pool and pending order, which equals the live
+    /// coordinator's, so a restored coordinator drives bit-identically.
     pub(crate) fn from_snapshot(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
@@ -866,29 +857,23 @@ impl<'e> HaloCore<'e> {
         life.rebuild_handles();
         core.charged = snap.charged.clone();
         core.carried = snap.carried.clone();
-        for w in &snap.pool {
-            pool_worker(partition, &mut core.member, &mut core.deltas, w);
-        }
-        for s in &snap.in_service {
-            // Serving workers left the maintained instances with their
-            // commit, but settle still consults their membership (home
-            // attribution, retirement mid-service).
-            core.member
-                .insert(s.worker.id, Membership::of(partition, &s.worker));
-        }
-        for p in &snap.pending {
-            let home = partition.shard_of(&p.arrival.task.location);
-            core.deltas[home].insert_task(u64::from(p.arrival.id), p.arrival.task);
+        // Serving workers are out of the pool, but settle still consults
+        // their membership (home attribution, retirement mid-service).
+        for w in snap
+            .pool
+            .iter()
+            .chain(snap.in_service.iter().map(|s| &s.worker))
+        {
+            pool_worker(partition, &mut core.member, w);
         }
         Ok(core)
     }
 }
 
 /// The serializable window-boundary state of a [`HaloCore`]: per-shard
-/// report accumulators plus the global protocol state. Maintained
-/// instances and worker membership are deliberately absent — they are
-/// rebuild markers, re-derived on restore from the partition and the
-/// pool / pending order (see [`HaloCore::from_snapshot`]).
+/// report accumulators plus the global protocol state. Worker
+/// membership is deliberately absent — it is re-derived on restore
+/// from the partition (see [`HaloCore::from_snapshot`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct HaloSnapshot {
     pub(crate) shard_windows: Vec<Vec<WindowReport>>,
@@ -922,20 +907,22 @@ fn task_home_of(partition: &GridPartition, p: &PendingTask) -> usize {
 /// the dirty components need re-driving. Returns `None` when the shard
 /// has no component information (no full drive yet), forcing a full
 /// drive.
-fn plan_incremental(st: &ShardPassState, delta: &DeltaInstance) -> Option<IncrementalPlan> {
+fn plan_incremental(
+    st: &ShardPassState,
+    shard_task_ids: &[u32],
+    shard_worker_ids: &[u32],
+) -> Option<IncrementalPlan> {
     let roots = st.base.as_ref()?.roots.as_ref()?;
     let mut task_ids: Vec<u32> = Vec::new();
     let mut worker_ids: Vec<u32> = Vec::new();
-    for key in delta.task_keys() {
-        let id = key as u32;
+    for &id in shard_task_ids {
         match roots.task_root.get(&id) {
             Some(r) if st.dirty.contains(r) => task_ids.push(id),
             Some(_) => {}
             None => return None,
         }
     }
-    for key in delta.worker_keys() {
-        let id = key as u32;
+    for &id in shard_worker_ids {
         match roots.worker_root.get(&id) {
             Some(r) if st.dirty.contains(r) => worker_ids.push(id),
             Some(_) => {}
@@ -1063,24 +1050,46 @@ fn carry_board(
     next
 }
 
-/// Builds shard `k`'s full run from its maintained instance, carrying
-/// protocol state from the pre-window board. Returns `None` when the
-/// shard has nothing to drive.
+/// A shard's entities for one drive, by logical id, with their keyed
+/// instance in the same order.
+struct ShardInstance {
+    task_ids: Vec<u32>,
+    worker_ids: Vec<u32>,
+    inst: Instance,
+}
+
+impl ShardInstance {
+    fn build<'a>(
+        tasks: impl Iterator<Item = &'a PendingTask> + Clone,
+        workers: impl Iterator<Item = &'a WorkerArrival> + Clone,
+        budgets: SeededBudgets,
+    ) -> Self {
+        ShardInstance {
+            task_ids: tasks.clone().map(|p| p.arrival.id).collect(),
+            worker_ids: workers.clone().map(|w| w.id).collect(),
+            inst: keyed_instance(tasks, workers, budgets),
+        }
+    }
+}
+
+/// Prepares shard `k`'s drive over `shard`, carrying protocol state
+/// from the pre-window board restricted to its entities. A full run
+/// tracks components on the incremental path; a component re-drive
+/// inherits its base's and passes `track_components = false`.
 fn prepare_run(
     k: usize,
-    delta: &DeltaInstance,
+    shard: ShardInstance,
     carried: &Option<Carried>,
     warm: bool,
     guard_from: Option<&LedgerState>,
     pace_caps: &BTreeMap<u32, f64>,
     track_components: bool,
-) -> Option<PreparedRun> {
-    if delta.n_tasks() == 0 || delta.n_workers() == 0 {
-        return None;
-    }
-    let task_ids: Vec<u32> = delta.task_keys().map(|key| key as u32).collect();
-    let worker_ids: Vec<u32> = delta.worker_keys().map(|key| key as u32).collect();
-    let inst = delta.instance();
+) -> PreparedRun {
+    let ShardInstance {
+        task_ids,
+        worker_ids,
+        inst,
+    } = shard;
     let roots = track_components.then(|| compute_roots(&inst, &task_ids, &worker_ids));
     let board = carry_board(
         carried,
@@ -1113,7 +1122,7 @@ fn prepare_run(
             })
             .collect()
     });
-    Some(PreparedRun {
+    PreparedRun {
         shard: k,
         task_ids,
         worker_ids,
@@ -1123,60 +1132,6 @@ fn prepare_run(
         pre_cols,
         guard,
         roots,
-    })
-}
-
-/// Builds the component-restricted re-drive of a flagged shard: the
-/// instance over exactly the dirty components' remaining entities, in
-/// instance order, with the carried board restricted to them. Exact by
-/// the component-locality argument in the module docs; only reached on
-/// uncapped runs, so no guard.
-#[allow(clippy::too_many_arguments)]
-fn prepare_sub_run(
-    k: usize,
-    task_ids: Vec<u32>,
-    worker_ids: Vec<u32>,
-    pend_at: &FastMap<u32, usize>,
-    pool_at: &FastMap<u32, usize>,
-    pending: &[PendingTask],
-    pool: &[WorkerArrival],
-    budgets: SeededBudgets,
-    carried: &Option<Carried>,
-    warm: bool,
-) -> PreparedRun {
-    let inst = Instance::from_keyed_locations(
-        task_ids
-            .iter()
-            .map(|&id| pending[pend_at[&id]].arrival.task)
-            .collect(),
-        worker_ids
-            .iter()
-            .map(|&id| pool[pool_at[&id]].worker)
-            .collect(),
-        budgets,
-        task_ids.iter().map(|&id| u64::from(id)).collect(),
-        worker_ids.iter().map(|&id| u64::from(id)).collect(),
-    );
-    let board = carry_board(
-        carried,
-        warm,
-        &task_ids,
-        &worker_ids,
-        inst.n_tasks(),
-        inst.n_workers(),
-    );
-    let pre_pubs = board.publications();
-    let pre_cols = board.column_publications().to_vec();
-    PreparedRun {
-        shard: k,
-        task_ids,
-        worker_ids,
-        inst,
-        board,
-        pre_pubs,
-        pre_cols,
-        guard: None,
-        roots: None,
     }
 }
 

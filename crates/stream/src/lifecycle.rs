@@ -13,11 +13,11 @@
 //! the halo coordinator ([`HaloCore`](crate::halo::HaloCore)) both call
 //! it. It returns plain data (returned workers, admitted and deferred
 //! tasks, departures, retired ids, expired tasks) and each caller copies
-//! that into its own bookkeeping: one maintained instance, a window
-//! report and an outcome log for the flat stepper; per-shard instances
-//! and per-home-shard counters for the halo. Because both run the same
-//! code, pool and pending order — and so instance shape — agree across
-//! flat, drop-pairs and halo execution.
+//! that into its own bookkeeping: a window report and an outcome log
+//! for the flat stepper, per-home-shard counters for the halo. Both
+//! build each window's instances from the pool and pending order kept
+//! here, so instance shape agrees across flat, drop-pairs and halo
+//! execution.
 
 use crate::driver::{PendingTask, StreamConfig};
 use crate::event::{TaskArrival, WorkerArrival};

@@ -38,14 +38,16 @@
 //! value), never wall-clock time, so re-entry preserves bit-for-bit
 //! replay and the flat/drop-pairs/halo equivalence gates.
 
-use crate::driver::{charge_novel, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
+use crate::driver::{
+    charge_novel, keyed_instance, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig,
+};
 use crate::event::{ArrivalEvent, WorkerArrival};
 use crate::lifecycle::{InService, Lifecycle, PaceState, StepSignals};
 use crate::metrics::{StreamReport, TaskFate, WindowCutDecision, WindowReport};
 use crate::snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
 use crate::window::{Window, WindowFormer};
 use dpta_core::metrics::measure;
-use dpta_core::{AssignmentEngine, Board, DeltaInstance};
+use dpta_core::{AssignmentEngine, Board};
 use dpta_dp::{BudgetLedger, FastMap, Interner, LedgerState, SeededNoise};
 use dpta_workloads::ValueModel;
 use serde::{Deserialize, Serialize};
@@ -303,8 +305,8 @@ fn carry_map(old: &[u32], new: &[u32]) -> Vec<Option<u32>> {
 }
 
 /// The mutable state of one driven stream: the shared [`Lifecycle`]
-/// plus the flat stepper's own maintained instance, carried protocol
-/// state and fate/outcome records, stepped one window at a time.
+/// plus the flat stepper's own carried protocol state and fate/outcome
+/// records, stepped one window at a time.
 /// [`StreamSession`] wraps it behind the push API;
 /// [`StreamDriver::run`](crate::StreamDriver::run) drains it over a
 /// whole stream; lockstep drop-pairs execution steps one core per shard
@@ -316,11 +318,6 @@ pub(crate) struct SessionCore<'e> {
     life: Lifecycle,
     carried: Option<CarriedBoard>,
     charged: ReleaseDedup,
-    /// The pool and pending set as a maintained PA-TA instance: every
-    /// admission/settlement below mirrors into it, so forming a
-    /// window's [`Instance`](dpta_core::Instance) is an O(live +
-    /// feasible pairs) emission instead of an all-pairs rebuild.
-    delta: DeltaInstance,
     /// Task id → fate, hash-interned for O(1) per-settlement updates;
     /// every observable artefact (report, snapshot) re-sorts by id.
     fates: FastMap<u32, TaskFate>,
@@ -333,12 +330,11 @@ pub(crate) struct SessionCore<'e> {
 /// The serializable state of a [`SessionCore`] at a window boundary.
 ///
 /// Everything not here is reconstructed on restore: `warm` is a pure
-/// function of the configuration and engine, budgets are drawn from a
-/// keyed source re-derived from the seed, and the
-/// [`DeltaInstance`] caches are rebuilt by re-inserting the live pool
-/// and pending set in their maintained order — which *is* the insertion
+/// function of the configuration and engine, and budgets are drawn from
+/// a keyed source re-derived from the seed. Each window's instance is
+/// built from the restored pool and pending order, which *is* the
 /// order a live session would have reached (pool/pending only append
-/// and retain), so the rebuilt instance emits bit-identically.
+/// and retain), so a restored session drives bit-identically.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct CoreSnapshot {
     pub(crate) pool: Vec<WorkerArrival>,
@@ -362,7 +358,6 @@ impl<'e> SessionCore<'e> {
         cfg.service.validate();
         let warm = cfg.carry_releases && engine.supports_warm_start();
         let life = Lifecycle::new(&cfg, warm);
-        let delta = DeltaInstance::new(cfg.budget_source());
         SessionCore {
             engine,
             cfg,
@@ -370,7 +365,6 @@ impl<'e> SessionCore<'e> {
             life,
             carried: None,
             charged: ReleaseDedup::default(),
-            delta,
             fates: FastMap::default(),
             spend_by_worker: FastMap::default(),
             reports: Vec::new(),
@@ -408,11 +402,9 @@ impl<'e> SessionCore<'e> {
         }
     }
 
-    /// Rebuilds a core mid-stream from a snapshot. The delta caches are
-    /// re-derived by inserting the pool (workers, in pool order) and
-    /// the pending set (tasks, in pending order) — the maintained order
-    /// equals the live session's insertion order, so the rebuilt
-    /// instance emission is bit-identical to the uninterrupted run's.
+    /// Rebuilds a core mid-stream from a snapshot. The pool and pending
+    /// set come back in the live session's order, so the next window's
+    /// instance is bit-identical to the uninterrupted run's.
     pub(crate) fn from_snapshot(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
@@ -438,13 +430,6 @@ impl<'e> SessionCore<'e> {
             .collect();
         core.reports = snap.reports.clone();
         core.outcomes = snap.outcomes.clone();
-        for w in &snap.pool {
-            core.delta.insert_worker(u64::from(w.id), w.worker);
-        }
-        for p in &snap.pending {
-            core.delta
-                .insert_task(u64::from(p.arrival.id), p.arrival.task);
-        }
         core
     }
 
@@ -468,7 +453,7 @@ impl<'e> SessionCore<'e> {
     }
 
     /// One window: open it through the lifecycle, drive the engine over
-    /// the maintained instance, charge, settle. Returns the window's
+    /// the instance of the pending set and pool, charge, settle. Returns the window's
     /// stream-observable signals for the adaptive controller.
     pub(crate) fn step(&mut self, window: &Window, cut: WindowCutDecision) -> StepSignals {
         let warm = self.warm;
@@ -481,25 +466,11 @@ impl<'e> SessionCore<'e> {
                 cycle: s.cycle,
             });
         }
-        // Returned workers enter the instance ahead of the window's
-        // fresh arrivals, in pool order.
-        for w in opened
-            .returned
-            .iter()
-            .map(|s| &s.worker)
-            .chain(&window.workers)
-        {
-            self.delta.insert_worker(u64::from(w.id), w.worker);
-        }
         for t in &opened.deferred {
             self.outcomes.push_back(Outcome::Deferred {
                 task: t.id,
                 window: window.index,
             });
-        }
-        for p in &self.life.pending[opened.carried_in..] {
-            self.delta
-                .insert_task(u64::from(p.arrival.id), p.arrival.task);
         }
         let (pool, pending) = (&self.life.pool, &self.life.pending);
         let carried = &mut self.carried;
@@ -535,15 +506,9 @@ impl<'e> SessionCore<'e> {
         if !pending.is_empty() && !pool.is_empty() {
             let task_ids: Vec<u32> = pending.iter().map(|p| p.arrival.id).collect();
             let worker_ids: Vec<u32> = pool.iter().map(|w| w.id).collect();
-            // The maintained delta emits the window's instance — reach
-            // sets were resolved incrementally at each arrival/return,
-            // budgets are drawn from the logical ids, and emission order
-            // equals the pool/pending order a from-locations rebuild
-            // would see, bit for bit (pinned by the incremental property
-            // suite).
-            let inst = self.delta.instance();
-            debug_assert_eq!(inst.n_tasks(), pending.len());
-            debug_assert_eq!(inst.n_workers(), pool.len());
+            // The window's instance in pending/pool order, budgets drawn
+            // from the logical ids.
+            let inst = keyed_instance(pending.iter(), pool.iter(), self.cfg.budget_source());
             let noise = IdStableNoise {
                 base: SeededNoise::new(self.cfg.params.seed),
                 task_ids: &task_ids,
@@ -685,26 +650,14 @@ impl<'e> SessionCore<'e> {
                 window: window.index,
             });
         }
-        // Mirror the pool settlement into the maintained instance.
-        // Removal is idempotent, so retired ids that were never pooled
-        // (e.g. workers retiring mid-service) fall through harmlessly.
-        for &(_, _, wid) in &matched_tasks {
-            self.delta.remove_worker(u64::from(wid));
-        }
-        for &id in &retired {
-            self.delta.remove_worker(id);
-        }
 
         // Settle the tasks: matched leave, survivors age, the too-old
         // expire.
         let mut matched_mask = vec![false; self.life.pending.len()];
         for &(i, _, _) in &matched_tasks {
             matched_mask[i] = true;
-            self.delta
-                .remove_task(u64::from(self.life.pending[i].arrival.id));
         }
         for p in self.life.expire(&matched_mask) {
-            self.delta.remove_task(u64::from(p.arrival.id));
             self.fates.insert(
                 p.arrival.id,
                 TaskFate::Expired {
@@ -932,8 +885,8 @@ impl<'e> StreamSession<'e> {
     /// configuration field (engine, policy, capacity, service model,
     /// ...) as [`SnapshotError::ConfigMismatch`] naming the field.
     /// Everything derivable is reconstructed: budget generators from
-    /// the seed, delta-instance caches from the live pool/pending
-    /// order.
+    /// the seed, and each window's instance from the restored
+    /// pool/pending order.
     pub fn restore(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,

@@ -8,8 +8,8 @@
 //! with its release-dedup set, carried warm-start boards, fates and
 //! per-window reports. Pure-function state is deliberately *not*
 //! serialized — the keyed budget source is re-derived from the seed, and
-//! the incremental delta-instance caches are rebuilt from the live
-//! pool/pending order — so the format stays small and stable.
+//! each window's instance is built from the live pool/pending order —
+//! so the format stays small and stable.
 //!
 //! # Versioning rules
 //!

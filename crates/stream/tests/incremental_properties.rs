@@ -1,97 +1,29 @@
-//! Property tests of the incremental maintenance layer (PR 6):
+//! Property tests of the halo coordinator's incremental reruns:
+//! driving the protocol with component-restricted reconciliation
+//! re-drives ([`StreamConfig::halo_full_rerun`] `= false`, the default)
+//! reproduces the full-rerun reference *bit for bit* in everything
+//! observable: task fates, per-worker privacy spend, per-window
+//! matched/expired/carried counts, utility, distance and ε totals.
+//! Only effort counters (rounds, publications, drive time) may differ
+//! — that is the point of the optimisation.
 //!
-//! * **delta ≡ rebuild** — a [`DeltaInstance`] maintained through a
-//!   random sequence of arrivals, expiries, retirements and service
-//!   returns emits an [`Instance`] structurally identical to an
-//!   [`Instance::from_locations`] rebuild over the surviving entities
-//!   in insertion order — same entities, same order, same reach sets,
-//!   same budget vectors, same feasible-pair count;
-//! * **incremental ≡ full rerun** — driving the halo protocol with
-//!   component-restricted reconciliation re-drives
-//!   ([`StreamConfig::halo_full_rerun`] `= false`, the default)
-//!   reproduces the full-rerun reference *bit for bit* in everything
-//!   observable: task fates, per-worker privacy spend, per-window
-//!   matched/expired/carried counts, utility, distance and ε totals.
-//!   Only effort counters (rounds, publications, drive time) may
-//!   differ — that is the point of the optimisation.
-//!
-//! The second property is the acceptance gate for the component-
-//! locality argument in `crates/stream/src/halo.rs`: engine
-//! interactions flow only along feasibility edges and noise/budgets
-//! are keyed by logical ids, so skipping undisturbed components must
-//! be observationally undetectable. It runs the full engine spread —
-//! greedy, conflict-elimination, game-theoretic and the one-shot
-//! Geo-I location baseline — because each stresses a different part of
-//! the argument (proposal order, budget slots, best-response rounds,
+//! This is the acceptance gate for the component-locality argument in
+//! `crates/stream/src/halo.rs`: engine interactions flow only along
+//! feasibility edges and noise/budgets are keyed by logical ids, so
+//! skipping undisturbed components must be observationally
+//! undetectable. It runs the full engine spread — greedy,
+//! conflict-elimination, game-theoretic and the one-shot Geo-I
+//! location baseline — because each stresses a different part of the
+//! argument (proposal order, budget slots, best-response rounds,
 //! reach-dependent location ε).
 
-use dpta_core::{DeltaInstance, Instance, Method, Task, Worker};
-use dpta_dp::SeededBudgets;
+use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
     run_sharded_halo, ArrivalEvent, ArrivalStream, StreamConfig, TaskArrival, WindowPolicy,
     WorkerArrival,
 };
 use proptest::prelude::*;
-
-/// One random mutation of the maintained instance, tuple-encoded for
-/// the strategy layer: `(kind, key)` picks the operation and target,
-/// `(x, y, r)` supplies geometry for the insert kinds.
-type RawOp = ((usize, u64), (f64, f64, f64));
-
-fn op_strategy() -> impl Strategy<Value = RawOp> {
-    (
-        (0usize..4, 0u64..8),
-        (0.0f64..50.0, 0.0f64..50.0, 2.0f64..20.0),
-    )
-}
-
-/// Asserts `delta.instance()` is structurally identical to a
-/// from-scratch rebuild over `(key, entity)` mirrors kept in insertion
-/// order.
-fn assert_matches_rebuild(
-    delta: &DeltaInstance,
-    tasks: &[(u64, Task)],
-    workers: &[(u64, Worker)],
-    gen: &SeededBudgets,
-) {
-    let reference = Instance::from_locations(
-        tasks.iter().map(|&(_, t)| t).collect(),
-        workers.iter().map(|&(_, w)| w).collect(),
-        |i, j| gen.vector(tasks[i].0, workers[j].0),
-    );
-    let emitted = delta.instance();
-    prop_assert_eq!(emitted.n_tasks(), reference.n_tasks());
-    prop_assert_eq!(emitted.n_workers(), reference.n_workers());
-    prop_assert_eq!(
-        delta.task_keys().collect::<Vec<_>>(),
-        tasks.iter().map(|&(k, _)| k).collect::<Vec<_>>(),
-        "task emission order must be insertion order"
-    );
-    prop_assert_eq!(
-        delta.worker_keys().collect::<Vec<_>>(),
-        workers.iter().map(|&(k, _)| k).collect::<Vec<_>>(),
-        "worker emission order must be insertion order"
-    );
-    prop_assert_eq!(emitted.tasks(), reference.tasks());
-    prop_assert_eq!(emitted.workers(), reference.workers());
-    for j in 0..reference.n_workers() {
-        prop_assert_eq!(emitted.reach(j), reference.reach(j), "worker {}", j);
-        for &i in reference.reach(j) {
-            prop_assert_eq!(
-                emitted.distance(i, j).to_bits(),
-                reference.distance(i, j).to_bits()
-            );
-            prop_assert_eq!(emitted.budget(i, j), reference.budget(i, j));
-        }
-    }
-    prop_assert_eq!(emitted.feasible_pairs(), reference.feasible_pairs());
-    prop_assert_eq!(
-        delta.feasible_pairs(),
-        reference.feasible_pairs(),
-        "the O(1) pair counter must track the true edge count"
-    );
-}
 
 /// A random stream over the frame with worker radii large enough that
 /// many discs cross cell boundaries — the regime where reconciliation
@@ -113,52 +45,6 @@ fn random_stream(tasks: &[(f64, f64, f64)], workers: &[(f64, f64, f64, f64)]) ->
         }));
     }
     ArrivalStream::new(events)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn delta_instance_matches_a_from_scratch_rebuild(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-    ) {
-        let gen = SeededBudgets::new(0xD0_17A5, 0, (0.2, 1.0), 4);
-        let mut delta = DeltaInstance::new(gen);
-        // Insertion-order mirrors of the live entity sets. A key
-        // removed and re-inserted moves to the back — exactly the
-        // arena's never-reuse-a-slot rule.
-        let mut tasks: Vec<(u64, Task)> = Vec::new();
-        let mut workers: Vec<(u64, Worker)> = Vec::new();
-        for ((kind, key), (x, y, r)) in ops {
-            match kind {
-                0 => {
-                    if !delta.contains_task(key) {
-                        let t = Task::new(Point::new(x, y), 1.0);
-                        delta.insert_task(key, t);
-                        tasks.push((key, t));
-                    }
-                }
-                1 => {
-                    if !delta.contains_worker(key) {
-                        let w = Worker::new(Point::new(x, y), r);
-                        delta.insert_worker(key, w);
-                        workers.push((key, w));
-                    }
-                }
-                2 => {
-                    let was_live = tasks.iter().any(|&(k, _)| k == key);
-                    prop_assert_eq!(delta.remove_task(key), was_live);
-                    tasks.retain(|&(k, _)| k != key);
-                }
-                _ => {
-                    let was_live = workers.iter().any(|&(k, _)| k == key);
-                    prop_assert_eq!(delta.remove_worker(key), was_live);
-                    workers.retain(|&(k, _)| k != key);
-                }
-            }
-            assert_matches_rebuild(&delta, &tasks, &workers, &gen);
-        }
-    }
 }
 
 proptest! {
