@@ -407,6 +407,10 @@ mod tests {
         assert_eq!(inst.n_tasks(), 0);
         assert_eq!(inst.n_workers(), 0);
         assert_eq!(inst.mean_tasks_in_range(), 0.0);
+    }
+
+    #[test]
+    fn empty_keyed_instance() {
         let keyed = keyed(vec![], vec![]);
         assert_eq!(keyed.n_tasks(), 0);
         assert_eq!(keyed.n_workers(), 0);

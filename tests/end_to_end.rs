@@ -3,6 +3,18 @@
 
 use dpta::experiments::{expectations, figures, runner, RunOptions};
 use dpta::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by every test in this file for its whole run, so the tests run
+/// one at a time. The fig04 timing claims compare sub-millisecond
+/// engine runs, and a sibling test busy on the other cores swamps them.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; the guarded state is `()`, so
+    // the next test can still run.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tiny_opts() -> RunOptions {
     RunOptions {
@@ -16,6 +28,7 @@ fn tiny_opts() -> RunOptions {
 
 #[test]
 fn every_dataset_runs_every_method_end_to_end() {
+    let _serial = serial();
     for dataset in Dataset::all() {
         let scenario = Scenario {
             dataset,
@@ -42,6 +55,7 @@ fn every_dataset_runs_every_method_end_to_end() {
 
 #[test]
 fn figure_runner_covers_the_whole_registry() {
+    let _serial = serial();
     // Structural smoke over every registered experiment at minimal
     // scale: panels exist, series are finite and complete.
     let opts = RunOptions {
@@ -70,6 +84,7 @@ fn figure_runner_covers_the_whole_registry() {
 
 #[test]
 fn headline_claims_hold_at_test_scale() {
+    let _serial = serial();
     // The paper's most load-bearing qualitative claims, checked on the
     // real harness at reduced scale. Larger-scale runs live in
     // EXPERIMENTS.md. Timing-based claims (fig04) need sequential
@@ -103,6 +118,7 @@ fn headline_claims_hold_at_test_scale() {
 
 #[test]
 fn relative_deviation_wiring_matches_direct_computation() {
+    let _serial = serial();
     let scenario = Scenario {
         dataset: Dataset::Normal,
         batch_size: 100,
@@ -119,6 +135,7 @@ fn relative_deviation_wiring_matches_direct_computation() {
 
 #[test]
 fn whole_pipeline_is_deterministic() {
+    let _serial = serial();
     let run = || {
         let scenario = Scenario {
             dataset: Dataset::Chengdu,
