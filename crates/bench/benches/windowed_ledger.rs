@@ -1,10 +1,10 @@
 //! Budget-ledger drain cost — wall time for the push-based
 //! `StreamSession` to drain a bursty arrival stream under each
-//! accounting policy: lifetime (`CumulativeAccountant`) vs the
-//! sliding-window ledger (`WindowedAccountant`, with the pacing
-//! controller on). The windowed ledger stamps every charge and pops
-//! aged entries at each window cut, so this is where a regression in
-//! the reclamation path or the per-window EMA update would surface.
+//! accounting policy: a lifetime `Ledger` vs a sliding-window one
+//! (`Ledger::windowed`, with the pacing controller on). The windowed
+//! ledger stamps every charge and pops aged entries at each window cut,
+//! so this is where a regression in the reclamation path or the
+//! per-window EMA update would surface.
 //!
 //! Tracked by `bench_gate` in `BENCH_stream.json` from the budget
 //! economics redesign onward.

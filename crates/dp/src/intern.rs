@@ -17,7 +17,7 @@
 //!   `dpta-stream` pins this byte-for-byte.
 //! * **Symbols are assigned in first-insertion order** and never reused,
 //!   so within one run a symbol is a stable handle (the same property
-//!   the slot-based `CumulativeAccountant` relies on).
+//!   the slot-based [`Ledger`](crate::Ledger) relies on).
 //!
 //! The module also provides [`FastMap`]/[`FastSet`] aliases using a
 //! deterministic multiplicative hasher ([`FastHasher`]) for integer

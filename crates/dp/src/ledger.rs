@@ -1,33 +1,28 @@
-//! The budget-ledger abstraction: lifetime vs sliding-window privacy
-//! accounting behind one trait.
+//! Per-entity privacy budgets across a stream of windows: lifetime and
+//! sliding-window accounting in one [`Ledger`].
 //!
 //! The paper's model is *lifetime* depletion: every publication burns a
-//! worker's ε forever and an exhausted worker retires ([Theorems V.2 /
-//! VI.4], tracked by [`CumulativeAccountant`]). That is correct over
-//! the paper's finite horizon but wrong for a service that runs for
-//! months: under the continual-observation / sliding-window model of
-//! *Differential Privacy on Dynamic Data* (Qiu & Yi, arXiv:2209.01387)
-//! the adversary is only promised indistinguishability over any span of
-//! length `W`, so spend older than the protection window stops counting
-//! against the worker and his budget *renews*.
-//!
-//! [`BudgetLedger`] is the object-safe surface both accountants share —
-//! the streaming pipeline's budget guards, single-charge dedup, and
-//! snapshot machinery are written against it. [`WindowedAccountant`]
-//! implements the sliding-window policy as a time-stamped charge
-//! ledger; with `W = ∞` it performs *bit-for-bit* the same arithmetic
-//! as [`CumulativeAccountant`] (no entries are ever recorded, the spend
-//! accumulator is the only state — pinned by proptests here and at the
-//! stream level). [`LedgerState`] is the serializable sum of the two,
-//! the concrete storage the stream session embeds and snapshots.
+//! worker's ε forever and an exhausted worker retires (Theorems V.2 /
+//! VI.4). That is correct over the paper's finite horizon but wrong for
+//! a service that runs for months: under the continual-observation /
+//! sliding-window model of *Differential Privacy on Dynamic Data* (Qiu &
+//! Yi, arXiv:2209.01387) the adversary is only promised
+//! indistinguishability over any span of length `W`, so spend older
+//! than the protection window stops counting against the worker and
+//! his budget *renews*. Lifetime accounting is that model with
+//! `W = ∞`: [`Ledger::windowed`]`(f64::INFINITY)` performs *bit-for-bit*
+//! the arithmetic of [`Ledger::lifetime`] (no charge is ever stamped,
+//! the spend accumulator is the only state — pinned by proptests here
+//! and at the stream level).
 //!
 //! # The reclamation rule
 //!
-//! Charges are stamped with the ledger's current time (the enclosing
-//! window's start, in the stream pipeline). [`advance_time`] to `now`
-//! drops every entry stamped `t ≤ now − W` and recomputes the spend
-//! accumulator as a fresh left-to-right sum over the survivors. Two
-//! consequences, both load-bearing:
+//! Under a finite window, charges are stamped with the ledger's current
+//! time (the enclosing window's start, in the stream pipeline).
+//! [`advance_time`](Ledger::advance_time) to `now` drops every entry
+//! stamped `t ≤ now − W` and recomputes the spend accumulator as a
+//! fresh left-to-right sum over the survivors. Two consequences, both
+//! load-bearing:
 //!
 //! * **Spend inside any `W`-span never exceeds capacity.** The budget
 //!   guard reads `remaining = capacity − spent − reserved` where
@@ -37,319 +32,250 @@
 //!   addition is monotone in the accumulator, so summing a suffix of
 //!   the entry list can never exceed summing the whole list: shrinking
 //!   `W` never *decreases* remaining budget, with no tolerance needed.
-//!
-//! [`advance_time`]: BudgetLedger::advance_time
 
-use crate::accountant::{drain_marked, mark, AccountId, CumulativeAccountant};
 use crate::intern::FastMap;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 
-/// The accounting surface shared by lifetime and sliding-window budget
-/// ledgers.
+/// A dense handle to one tracked entity, obtained from
+/// [`Ledger::resolve`].
 ///
-/// Mirrors [`CumulativeAccountant`]'s method set — registration, the
-/// two-phase reserve/commit/rollback protocol, dense [`AccountId`]
-/// handles for hot per-proposal paths, retirement draining — plus the
-/// two knobs that distinguish the policies:
-/// [`advance_time`](Self::advance_time) (a no-op for lifetime
-/// accounting) and [`renewable`](Self::renewable) (whether exhausted
-/// entities may come back, i.e. whether retiring them is wrong).
-///
-/// The trait is object-safe: the streaming halo coordinator passes
-/// `&dyn BudgetLedger` as its remaining-budget guard source.
-pub trait BudgetLedger {
-    /// Starts tracking `id` with the given budget capacity.
-    /// Re-registering keeps spend and adjusts only the capacity.
-    fn register(&mut self, id: u64, capacity: f64);
-    /// The dense handle for `id`, if currently tracked.
-    fn resolve(&self, id: u64) -> Option<AccountId>;
-    /// Charges `epsilon` (≥ 0) against `id`. Panics if unregistered.
-    fn charge(&mut self, id: u64, epsilon: f64);
-    /// Handle counterpart of [`charge`](Self::charge).
-    fn charge_at(&mut self, at: AccountId, epsilon: f64);
-    /// Reserves `epsilon` (≥ 0) without committing it.
-    fn reserve(&mut self, id: u64, epsilon: f64);
-    /// Handle counterpart of [`reserve`](Self::reserve).
-    fn reserve_at(&mut self, at: AccountId, epsilon: f64);
-    /// Budget reserved against `id` and awaiting commit.
-    fn reserved(&self, id: u64) -> f64;
-    /// Converts `id`'s pending reservation into spend; returns it.
-    fn commit(&mut self, id: u64) -> f64;
-    /// Discards `id`'s pending reservation; returns it.
-    fn rollback(&mut self, id: u64) -> f64;
-    /// Committed spend of `id` (zero for unknown ids). For a windowed
-    /// ledger this is the spend *inside the current protection window*.
-    fn spent(&self, id: u64) -> f64;
-    /// Handle counterpart of [`spent`](Self::spent).
-    fn spent_at(&self, at: AccountId) -> f64;
-    /// Remaining budget of `id`, net of reservations, clamped at zero.
-    fn remaining(&self, id: u64) -> f64;
-    /// Handle counterpart of [`remaining`](Self::remaining).
-    fn remaining_at(&self, at: AccountId) -> f64;
-    /// Whether `id`'s committed spend has reached capacity.
-    fn is_exhausted(&self, id: u64) -> bool;
-    /// Removes and returns every exhausted entity, ascending by id.
-    /// Examines only the entities charged, committed or (re)registered
-    /// since the previous drain (every entity, on a deserialized
-    /// ledger): nothing else can start an exhaustion.
-    fn drain_exhausted(&mut self) -> Vec<u64>;
-    /// Stops tracking `id`; returns whether it was tracked.
-    fn forget(&mut self, id: u64) -> bool;
-    /// Ids still tracked, ascending.
-    fn tracked_ids(&self) -> Vec<u64>;
-    /// Total spend across tracked entities, summed ascending by id.
-    fn total_spent(&self) -> f64;
-    /// Advances the ledger clock to `now`, reclaiming any spend that
-    /// has aged out of the protection window. A no-op for lifetime
-    /// accounting.
-    fn advance_time(&mut self, now: f64) {
-        let _ = now;
-    }
-    /// Whether reclaimed budget can return to exhausted entities — if
-    /// `true`, retiring an exhausted entity forever is wrong and the
-    /// caller should let it idle instead.
-    fn renewable(&self) -> bool {
-        false
-    }
+/// Hot per-proposal paths (budget guards, release charging) resolve a
+/// worker's logical id once per window and then use the `*_at` methods,
+/// which are plain vector lookups — no id hashing per proposal. A
+/// handle stays valid until its entity is removed
+/// ([`forget`](Ledger::forget) /
+/// [`drain_exhausted`](Ledger::drain_exhausted)); after that, read
+/// accessors return zero (like unknown ids) and mutating accessors
+/// panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AccountId {
+    slot: u32,
+    /// The logical id, carried so a charge through the handle can mark
+    /// the account for the next drain without storing the id per slot.
+    id: u64,
 }
 
-impl BudgetLedger for CumulativeAccountant {
-    fn register(&mut self, id: u64, capacity: f64) {
-        CumulativeAccountant::register(self, id, capacity);
-    }
-    fn resolve(&self, id: u64) -> Option<AccountId> {
-        CumulativeAccountant::resolve(self, id)
-    }
-    fn charge(&mut self, id: u64, epsilon: f64) {
-        CumulativeAccountant::charge(self, id, epsilon);
-    }
-    fn charge_at(&mut self, at: AccountId, epsilon: f64) {
-        CumulativeAccountant::charge_at(self, at, epsilon);
-    }
-    fn reserve(&mut self, id: u64, epsilon: f64) {
-        CumulativeAccountant::reserve(self, id, epsilon);
-    }
-    fn reserve_at(&mut self, at: AccountId, epsilon: f64) {
-        CumulativeAccountant::reserve_at(self, at, epsilon);
-    }
-    fn reserved(&self, id: u64) -> f64 {
-        CumulativeAccountant::reserved(self, id)
-    }
-    fn commit(&mut self, id: u64) -> f64 {
-        CumulativeAccountant::commit(self, id)
-    }
-    fn rollback(&mut self, id: u64) -> f64 {
-        CumulativeAccountant::rollback(self, id)
-    }
-    fn spent(&self, id: u64) -> f64 {
-        CumulativeAccountant::spent(self, id)
-    }
-    fn spent_at(&self, at: AccountId) -> f64 {
-        CumulativeAccountant::spent_at(self, at)
-    }
-    fn remaining(&self, id: u64) -> f64 {
-        CumulativeAccountant::remaining(self, id)
-    }
-    fn remaining_at(&self, at: AccountId) -> f64 {
-        CumulativeAccountant::remaining_at(self, at)
-    }
-    fn is_exhausted(&self, id: u64) -> bool {
-        CumulativeAccountant::is_exhausted(self, id)
-    }
-    fn drain_exhausted(&mut self) -> Vec<u64> {
-        CumulativeAccountant::drain_exhausted(self)
-    }
-    fn forget(&mut self, id: u64) -> bool {
-        CumulativeAccountant::forget(self, id)
-    }
-    fn tracked_ids(&self) -> Vec<u64> {
-        self.tracked().collect()
-    }
-    fn total_spent(&self) -> f64 {
-        CumulativeAccountant::total_spent(self)
-    }
-}
-
-/// One tracked entity of a [`WindowedAccountant`]: capacity, the spend
-/// accumulator (over in-window entries), pending reservation, and the
-/// time-stamped charge ledger itself, stamps ascending.
-#[derive(Debug, Clone, PartialEq)]
-struct WindowedAccount {
+/// One tracked entity: capacity, committed spend (in-window spend under
+/// a finite protection window), and budget reserved by an in-flight
+/// window awaiting commit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Account {
     capacity: f64,
     spent: f64,
     reserved: f64,
-    entries: VecDeque<(f64, f64)>,
-    /// Listed in the accountant's `marked` ids (see the lifetime
-    /// accountant: the same drain rule applies — reclamation only ever
-    /// lowers spend, so it cannot exhaust anyone).
+    /// Listed in the ledger's `marked` ids: committed spend grew or the
+    /// capacity was set since the last drain. Only those two moves can
+    /// make an entity exhausted (reclamation only lowers spend), so the
+    /// drain examines marked entities alone.
     marked: bool,
 }
 
-/// Sliding-window budget accounting: spend older than the protection
-/// window `W` is reclaimed, making entities renewable resources.
+impl Account {
+    fn remaining(&self) -> f64 {
+        (self.capacity - self.spent - self.reserved).max(0.0)
+    }
+
+    fn exhausted(&self) -> bool {
+        // Tolerance mirrors the ledger-vs-board float comparisons.
+        self.spent >= self.capacity - 1e-12
+    }
+}
+
+/// Per-entity privacy budgets, lifetime or sliding-window.
 ///
-/// Shares [`CumulativeAccountant`]'s interned fast-map layout (logical
-/// id → dense slot, tombstoned on removal, id-sorted live list for
-/// every observable iteration) and its exact two-phase
-/// reserve/commit/rollback semantics. On top, every committed charge is
-/// stamped with the ledger clock, and
-/// [`advance_time`](BudgetLedger::advance_time) drops entries that have
-/// aged out, recomputing the spend accumulator as a fresh left-to-right
-/// sum over the survivors.
+/// Entities are keyed by caller-chosen `u64` ids (the stream's logical
+/// worker ids), not per-instance indices, so accounting survives the
+/// re-indexing every new window performs. Each id maps to a dense slot,
+/// tombstoned on removal and never reused, so an outstanding
+/// [`AccountId`] can never alias a different entity.
 ///
-/// With `window = ∞` no entry is ever recorded and no reclamation ever
-/// runs: the arithmetic performed is bit-for-bit the
-/// [`CumulativeAccountant`]'s (proptest-pinned, here and at the stream
-/// level).
+/// # Two-phase charging
+///
+/// [`charge_at`](Self::charge_at) records spend immediately.
+/// Coordinated runs — the streaming pipeline's cross-shard halo mode,
+/// where several shards publish on behalf of one worker inside one
+/// window — instead [`reserve`](Self::reserve) the budget each shard's
+/// publications would cost. Reservations count against
+/// [`remaining`](Self::remaining), so later proposals see a depleted
+/// budget, and after cross-shard reconciliation the coordinator
+/// [`commit`](Self::commit)s each entity's pending total exactly once.
+/// Retirement ([`is_exhausted`](Self::is_exhausted) /
+/// [`drain_exhausted`](Self::drain_exhausted)) looks at *committed*
+/// spend only — a reservation can never retire anyone.
 ///
 /// # Examples
 ///
 /// ```
-/// use dpta_dp::{BudgetLedger, WindowedAccountant};
+/// use dpta_dp::Ledger;
 ///
-/// let mut acc = WindowedAccountant::new(600.0); // W = 600 s
-/// acc.register(7, 1.0);
-/// acc.advance_time(0.0);
-/// acc.charge(7, 1.0);
-/// assert!(acc.is_exhausted(7));
-/// // 600 s later the charge ages out and the budget renews.
-/// acc.advance_time(600.0);
-/// assert!(!acc.is_exhausted(7));
-/// assert_eq!(acc.remaining(7), 1.0);
+/// let mut ledger = Ledger::windowed(600.0); // W = 600 s
+/// ledger.register(7, 2.0);
+/// let worker = ledger.resolve(7).expect("registered");
+/// ledger.advance_time(0.0);
+/// ledger.charge_at(worker, 1.5);
+/// assert_eq!(ledger.remaining_at(worker), 0.5);
+///
+/// // Two-phase: a reservation depletes `remaining` but not `spent`
+/// // until committed.
+/// ledger.reserve(7, 0.5);
+/// assert_eq!(ledger.remaining(7), 0.0);
+/// assert_eq!(ledger.spent(7), 1.5);
+/// assert_eq!(ledger.commit(7), 0.5);
+/// assert!(ledger.is_exhausted(7));
+///
+/// // 600 s later both charges age out and the budget renews.
+/// ledger.advance_time(600.0);
+/// assert_eq!(ledger.remaining_at(worker), 2.0);
+///
+/// // Lifetime accounting never renews: exhausted entities retire.
+/// let mut life = Ledger::lifetime();
+/// life.register(7, 1.0);
+/// life.charge_at(life.resolve(7).unwrap(), 1.0);
+/// assert_eq!(life.drain_exhausted(), vec![7]);
+/// assert!(life.tracked().is_empty());
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct WindowedAccountant {
+#[derive(Debug, Clone)]
+pub struct Ledger {
+    /// Logical id → slot in `slots`: one deterministic [`FastMap`]
+    /// probe per lookup.
     index: FastMap<u64, u32>,
-    slots: Vec<Option<WindowedAccount>>,
+    /// Dense account storage; a forgotten or drained entity leaves a
+    /// `None` tombstone.
+    slots: Vec<Option<Account>>,
+    /// Live ids, ascending. Every observable iteration (`tracked`,
+    /// serialization) walks this list. Streaming registration is
+    /// near-monotone in id, so keeping it sorted is usually a push.
     live: Vec<u64>,
-    /// Ids charged, committed or (re)registered since the last drain.
+    /// Ids charged, committed or (re)registered since the last
+    /// [`drain_exhausted`](Self::drain_exhausted), each account listed
+    /// once (see [`Account::marked`]); ids removed since are skipped at
+    /// the drain.
     marked: Vec<u64>,
-    /// Protection window length `W`; `f64::INFINITY` disables
-    /// reclamation entirely (lifetime semantics).
-    window: f64,
+    /// Protection window `W`; `None` is lifetime accounting, and
+    /// `Some(f64::INFINITY)` behaves identically but serializes as a
+    /// window.
+    window: Option<f64>,
     /// The ledger clock: charges are stamped with it, reclamation
-    /// measures age against it.
+    /// measures age against it. `-∞` before the first advance.
     now: f64,
+    /// Each slot's time-stamped committed charges `(t, ε)`, stamps
+    /// ascending. Kept beside `slots` only when a window is set, so
+    /// lifetime accounts cost no more than their [`Account`].
+    entries: Vec<VecDeque<(f64, f64)>>,
+    /// Slots whose `entries` are non-empty: the only accounts
+    /// [`advance_time`](Self::advance_time) can reclaim from.
+    stamped: Vec<u32>,
 }
 
-impl WindowedAccountant {
-    /// Creates a windowed accountant with protection window `window`
-    /// (seconds of stream time; `f64::INFINITY` for lifetime
-    /// semantics). Panics on a non-positive or NaN window.
-    pub fn new(window: f64) -> Self {
-        assert!(
-            window > 0.0 && !window.is_nan(),
-            "protection window must be positive, got {window}"
-        );
-        WindowedAccountant {
+impl Ledger {
+    /// An empty lifetime ledger: spend is never reclaimed and exhausted
+    /// entities retire.
+    pub fn lifetime() -> Self {
+        Ledger {
             index: FastMap::default(),
             slots: Vec::new(),
             live: Vec::new(),
             marked: Vec::new(),
-            window,
+            window: None,
             now: f64::NEG_INFINITY,
+            entries: Vec::new(),
+            stamped: Vec::new(),
         }
     }
 
-    /// The protection window length `W`.
-    pub fn window(&self) -> f64 {
-        self.window
+    /// An empty sliding-window ledger with protection window `window`
+    /// (seconds of stream time; `f64::INFINITY` is bit-identical to
+    /// [`lifetime`](Self::lifetime) accounting). Panics on a
+    /// non-positive or NaN window.
+    pub fn windowed(window: f64) -> Self {
+        assert!(
+            window > 0.0 && !window.is_nan(),
+            "protection window must be positive, got {window}"
+        );
+        Ledger {
+            window: Some(window),
+            ..Ledger::lifetime()
+        }
     }
 
-    /// The ledger clock (the last `advance_time` value;
-    /// `-∞` before the first advance).
-    pub fn now(&self) -> f64 {
-        self.now
+    /// Whether reclaimed budget can return to exhausted entities (a
+    /// finite protection window) — if `true`, retiring an exhausted
+    /// entity forever is wrong and the caller should let it idle
+    /// instead.
+    pub fn renewable(&self) -> bool {
+        self.window.is_some_and(f64::is_finite)
     }
 
-    fn get(&self, id: u64) -> Option<&WindowedAccount> {
+    fn get(&self, id: u64) -> Option<&Account> {
         let slot = *self.index.get(&id)?;
         self.slots[slot as usize].as_ref()
-    }
-
-    fn get_mut(&mut self, id: u64) -> Option<&mut WindowedAccount> {
-        let slot = *self.index.get(&id)?;
-        self.slots[slot as usize].as_mut()
-    }
-
-    /// Books a committed amount against the account `at`: adds it to
-    /// the spend accumulator, stamps it into the charge ledger and marks
-    /// the account for the next drain. Zero amounts change no state
-    /// (they cannot change any future recomputed sum), and an infinite
-    /// window stamps nothing at all — the spend accumulator is the only
-    /// state, exactly as in [`CumulativeAccountant`].
-    fn book(&mut self, at: AccountId, amount: f64) {
-        let a = self.slots[at.slot() as usize]
-            .as_mut()
-            .expect("stale account handle");
-        if amount <= 0.0 {
-            return;
-        }
-        a.spent += amount;
-        if self.window.is_finite() {
-            a.entries.push_back((self.now, amount));
-        }
-        mark(&mut self.marked, at.id(), &mut a.marked);
     }
 
     fn registered(&self, id: u64) -> AccountId {
         self.resolve(id)
             .unwrap_or_else(|| panic!("entity {id} was never registered"))
     }
-}
 
-impl BudgetLedger for WindowedAccountant {
-    fn register(&mut self, id: u64, capacity: f64) {
+    /// Appends a fresh account for `id` (not yet tracked) in the next
+    /// slot, marked for the next drain; the caller keeps `live` sorted.
+    fn push_account(&mut self, id: u64, account: Account, entries: VecDeque<(f64, f64)>) -> bool {
+        let slot = self.slots.len() as u32;
+        self.slots.push(Some(account));
+        if self.window.is_some() {
+            if !entries.is_empty() {
+                self.stamped.push(slot);
+            }
+            self.entries.push(entries);
+        }
+        self.marked.push(id);
+        self.index.insert(id, slot).is_none()
+    }
+
+    /// Starts tracking `id` with the given budget capacity.
+    /// Re-registering an id keeps its spend and raises/lowers only the
+    /// capacity, so late capacity adjustments cannot reset history.
+    /// `capacity` may be `f64::INFINITY` for never-retiring entities.
+    pub fn register(&mut self, id: u64, capacity: f64) {
         assert!(
             capacity > 0.0 && !capacity.is_nan(),
             "capacity must be positive, got {capacity}"
         );
-        match self.index.get(&id) {
-            Some(&slot) => {
-                let a = self.slots[slot as usize].as_mut().expect("indexed");
-                a.capacity = capacity;
-                mark(&mut self.marked, id, &mut a.marked);
+        if let Some(&slot) = self.index.get(&id) {
+            let a = self.slots[slot as usize].as_mut().expect("indexed");
+            a.capacity = capacity;
+            mark(&mut self.marked, id, &mut a.marked);
+            return;
+        }
+        let account = Account {
+            capacity,
+            spent: 0.0,
+            reserved: 0.0,
+            marked: true,
+        };
+        self.push_account(id, account, VecDeque::new());
+        match self.live.last() {
+            Some(&last) if last >= id => {
+                let at = self.live.partition_point(|&x| x < id);
+                self.live.insert(at, id);
             }
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(Some(WindowedAccount {
-                    capacity,
-                    spent: 0.0,
-                    reserved: 0.0,
-                    entries: VecDeque::new(),
-                    marked: true,
-                }));
-                self.marked.push(id);
-                self.index.insert(id, slot);
-                match self.live.last() {
-                    Some(&last) if last >= id => {
-                        let at = self.live.partition_point(|&x| x < id);
-                        self.live.insert(at, id);
-                    }
-                    _ => self.live.push(id),
-                }
-            }
+            _ => self.live.push(id),
         }
     }
 
-    fn resolve(&self, id: u64) -> Option<AccountId> {
+    /// The dense handle for `id`, if it is currently tracked. Resolve
+    /// once per window, then use [`charge_at`](Self::charge_at) /
+    /// [`remaining_at`](Self::remaining_at) in per-proposal loops.
+    pub fn resolve(&self, id: u64) -> Option<AccountId> {
         let slot = *self.index.get(&id)?;
         self.slots[slot as usize]
             .as_ref()
-            .map(|_| AccountId::new(slot, id))
+            .map(|_| AccountId { slot, id })
     }
 
-    fn charge(&mut self, id: u64, epsilon: f64) {
-        assert!(
-            epsilon.is_finite() && epsilon >= 0.0,
-            "charge must be finite and >= 0, got {epsilon}"
-        );
-        let at = self.registered(id);
-        self.book(at, epsilon);
-    }
-
-    fn charge_at(&mut self, at: AccountId, epsilon: f64) {
+    /// Charges `epsilon` (≥ 0) against the account `at`; panics on a
+    /// stale handle. A zero charge changes no state at all.
+    pub fn charge_at(&mut self, at: AccountId, epsilon: f64) {
         assert!(
             epsilon.is_finite() && epsilon >= 0.0,
             "charge must be finite and >= 0, got {epsilon}"
@@ -357,397 +283,357 @@ impl BudgetLedger for WindowedAccountant {
         self.book(at, epsilon);
     }
 
-    fn reserve(&mut self, id: u64, epsilon: f64) {
-        assert!(
-            epsilon.is_finite() && epsilon >= 0.0,
-            "reservation must be finite and >= 0, got {epsilon}"
-        );
-        self.get_mut(id)
-            .unwrap_or_else(|| panic!("entity {id} was never registered"))
-            .reserved += epsilon;
-    }
-
-    fn reserve_at(&mut self, at: AccountId, epsilon: f64) {
-        assert!(
-            epsilon.is_finite() && epsilon >= 0.0,
-            "reservation must be finite and >= 0, got {epsilon}"
-        );
-        self.slots[at.slot() as usize]
+    /// Books a committed amount against the account `at`: adds it to
+    /// the spend accumulator, stamps it under a finite window and marks
+    /// the account for the next drain. Zero amounts change no state
+    /// (they cannot change any future recomputed sum).
+    fn book(&mut self, at: AccountId, amount: f64) {
+        let stamp = self.renewable();
+        let a = self.slots[at.slot as usize]
             .as_mut()
-            .expect("stale account handle")
+            .expect("stale account handle");
+        if amount <= 0.0 {
+            return;
+        }
+        a.spent += amount;
+        mark(&mut self.marked, at.id, &mut a.marked);
+        if stamp {
+            let entries = &mut self.entries[at.slot as usize];
+            if entries.is_empty() {
+                self.stamped.push(at.slot);
+            }
+            entries.push_back((self.now, amount));
+        }
+    }
+
+    /// Reserves `epsilon` (≥ 0) against `id`'s budget without
+    /// committing it: [`remaining`](Self::remaining) shrinks at once,
+    /// [`spent`](Self::spent) moves only on [`commit`](Self::commit).
+    /// Panics if the id was never registered.
+    pub fn reserve(&mut self, id: u64, epsilon: f64) {
+        assert!(
+            epsilon.is_finite() && epsilon >= 0.0,
+            "reservation must be finite and >= 0, got {epsilon}"
+        );
+        let at = self.registered(id);
+        self.slots[at.slot as usize]
+            .as_mut()
+            .expect("resolved")
             .reserved += epsilon;
     }
 
-    fn reserved(&self, id: u64) -> f64 {
-        self.get(id).map_or(0.0, |a| a.reserved)
-    }
-
-    fn commit(&mut self, id: u64) -> f64 {
+    /// Converts `id`'s whole pending reservation into committed spend
+    /// (stamped like a direct charge) and returns the amount. A no-op
+    /// returning zero when nothing is reserved; panics if the id was
+    /// never registered.
+    pub fn commit(&mut self, id: u64) -> f64 {
         let at = self.registered(id);
-        let a = self.slots[at.slot() as usize].as_mut().expect("resolved");
+        let a = self.slots[at.slot as usize].as_mut().expect("resolved");
         let amount = std::mem::take(&mut a.reserved);
         self.book(at, amount);
         amount
     }
 
-    fn rollback(&mut self, id: u64) -> f64 {
-        self.get_mut(id).map_or(0.0, |a| {
-            let amount = a.reserved;
-            a.reserved = 0.0;
-            amount
-        })
-    }
-
-    fn spent(&self, id: u64) -> f64 {
+    /// Committed spend of `id` (zero for unknown ids). Under a finite
+    /// window this is the spend *inside the current protection window*.
+    pub fn spent(&self, id: u64) -> f64 {
         self.get(id).map_or(0.0, |a| a.spent)
     }
 
-    fn spent_at(&self, at: AccountId) -> f64 {
-        self.slots[at.slot() as usize]
-            .as_ref()
-            .map_or(0.0, |a| a.spent)
+    /// Remaining budget of `id` (zero for unknown ids), net of both
+    /// committed spend and pending reservations, clamped at zero.
+    pub fn remaining(&self, id: u64) -> f64 {
+        self.get(id).map_or(0.0, Account::remaining)
     }
 
-    fn remaining(&self, id: u64) -> f64 {
-        self.get(id)
-            .map_or(0.0, |a| (a.capacity - a.spent - a.reserved).max(0.0))
+    /// Handle counterpart of [`remaining`](Self::remaining); zero for
+    /// stale handles.
+    pub fn remaining_at(&self, at: AccountId) -> f64 {
+        self.slots[at.slot as usize].map_or(0.0, |a| a.remaining())
     }
 
-    fn remaining_at(&self, at: AccountId) -> f64 {
-        self.slots[at.slot() as usize]
-            .as_ref()
-            .map_or(0.0, |a| (a.capacity - a.spent - a.reserved).max(0.0))
+    /// Whether `id` has spent its whole capacity (unknown ids count as
+    /// exhausted — they have nothing left to spend).
+    pub fn is_exhausted(&self, id: u64) -> bool {
+        self.get(id).is_none_or(Account::exhausted)
     }
 
-    fn is_exhausted(&self, id: u64) -> bool {
-        self.get(id).is_none_or(|a| {
-            // Tolerance mirrors the ledger-vs-board float comparisons.
-            a.spent >= a.capacity - 1e-12
-        })
-    }
-
-    fn drain_exhausted(&mut self) -> Vec<u64> {
-        drain_marked(
-            &mut self.marked,
-            &mut self.index,
-            &mut self.slots,
-            &mut self.live,
-            |a| {
-                a.marked = false;
-                a.spent >= a.capacity - 1e-12
-            },
-        )
-    }
-
-    fn forget(&mut self, id: u64) -> bool {
-        match self.index.remove(&id) {
-            Some(slot) => {
-                self.slots[slot as usize] = None;
-                let at = self.live.partition_point(|&x| x < id);
-                debug_assert_eq!(self.live.get(at), Some(&id));
-                self.live.remove(at);
-                true
+    /// Removes and returns every exhausted entity, ascending by id —
+    /// the retirement step the stream driver runs after each window.
+    ///
+    /// Only entities charged, committed or (re)registered since the
+    /// previous drain (every entity, on a deserialized ledger) are
+    /// examined: exhaustion compares committed spend with capacity, and
+    /// nothing else can raise one or lower the other, so an entity the
+    /// last drain kept and nobody touched since is still not exhausted.
+    /// An id listed twice (forgotten, then registered again) is
+    /// examined twice, to the same verdict.
+    pub fn drain_exhausted(&mut self) -> Vec<u64> {
+        let mut gone = Vec::new();
+        // Taken out of `self` for the loop and put back after, so its
+        // capacity is reused by the next window's marks.
+        let mut marked = std::mem::take(&mut self.marked);
+        for id in marked.drain(..) {
+            let Some(&slot) = self.index.get(&id) else {
+                continue;
+            };
+            let a = self.slots[slot as usize].as_mut().expect("indexed");
+            a.marked = false;
+            if a.exhausted() {
+                self.index.remove(&id);
+                self.tombstone(slot);
+                gone.push(id);
             }
-            None => false,
+        }
+        self.marked = marked;
+        gone.sort_unstable();
+        remove_sorted(&mut self.live, &gone);
+        gone
+    }
+
+    /// Stops tracking `id` regardless of its state (e.g. a worker who
+    /// departed by being matched). Returns whether it was tracked.
+    pub fn forget(&mut self, id: u64) -> bool {
+        let Some(slot) = self.index.remove(&id) else {
+            return false;
+        };
+        self.tombstone(slot);
+        let at = self.live.partition_point(|&x| x < id);
+        debug_assert_eq!(self.live.get(at), Some(&id));
+        self.live.remove(at);
+        true
+    }
+
+    /// Empties `slot` for good, releasing its charge stamps; the next
+    /// [`advance_time`](Self::advance_time) drops it from `stamped`.
+    fn tombstone(&mut self, slot: u32) {
+        self.slots[slot as usize] = None;
+        if let Some(entries) = self.entries.get_mut(slot as usize) {
+            *entries = VecDeque::new();
         }
     }
 
-    fn tracked_ids(&self) -> Vec<u64> {
-        self.live.clone()
+    /// Ids still tracked, ascending.
+    pub fn tracked(&self) -> &[u64] {
+        &self.live
     }
 
-    fn total_spent(&self) -> f64 {
-        self.live
-            .iter()
-            .filter_map(|id| {
-                let slot = *self.index.get(id)?;
-                self.slots[slot as usize].as_ref()
-            })
-            .map(|a| a.spent)
-            .sum()
-    }
-
-    fn advance_time(&mut self, now: f64) {
+    /// Advances the ledger clock to `now`, reclaiming any spend that has
+    /// aged out of a finite protection window. The walk visits only
+    /// accounts holding stamped charges, so it costs time proportional
+    /// to those, not to every entity the ledger ever tracked.
+    pub fn advance_time(&mut self, now: f64) {
         assert!(!now.is_nan(), "ledger clock must not be NaN");
         self.now = now;
-        if !self.window.is_finite() {
+        let Some(window) = self.window.filter(|w| w.is_finite()) else {
             return;
-        }
-        let cutoff = now - self.window;
-        for slot in &mut self.slots {
-            let Some(a) = slot.as_mut() else { continue };
-            let mut reclaimed = false;
-            while a.entries.front().is_some_and(|&(t, _)| t <= cutoff) {
-                a.entries.pop_front();
-                reclaimed = true;
+        };
+        let cutoff = now - window;
+        let (slots, entries) = (&mut self.slots, &mut self.entries);
+        self.stamped.retain(|&slot| {
+            let Some(a) = slots[slot as usize].as_mut() else {
+                return false;
+            };
+            let e = &mut entries[slot as usize];
+            let held = e.len();
+            while e.front().is_some_and(|&(t, _)| t <= cutoff) {
+                e.pop_front();
             }
-            if reclaimed {
+            if e.len() < held {
                 // A fresh left-to-right sum over the survivors: exactly
                 // the accumulator a run that never saw the reclaimed
-                // prefix would hold, and — because IEEE
-                // round-to-nearest addition is monotone in the
-                // accumulator — never more than the pre-reclamation
-                // spend.
-                a.spent = a.entries.iter().map(|&(_, e)| e).sum();
+                // prefix would hold, and — because IEEE round-to-nearest
+                // addition is monotone in the accumulator — never more
+                // than the pre-reclamation spend.
+                a.spent = e.iter().map(|&(_, eps)| eps).sum();
             }
-        }
-    }
-
-    fn renewable(&self) -> bool {
-        self.window.is_finite()
+            !e.is_empty()
+        });
     }
 }
 
-/// Canonical form: the window and clock, then one row per live entity
-/// ascending by id, each carrying its time-stamped charge ledger. The
-/// dense slot layout is discarded; restoring assigns fresh contiguous
-/// slots (see [`CumulativeAccountant`]'s serde notes — the same
-/// argument applies).
-impl Serialize for WindowedAccountant {
-    fn serialize_value(&self) -> serde::Value {
-        let accounts = self
+/// Lists `id` among the marked ids unless its account already is.
+fn mark(marked: &mut Vec<u64>, id: u64, flag: &mut bool) {
+    if !*flag {
+        *flag = true;
+        marked.push(id);
+    }
+}
+
+/// Removes the ascending ids `gone` (all present) from the ascending
+/// list `live` in one compacting pass from the first removed position.
+fn remove_sorted(live: &mut Vec<u64>, gone: &[u64]) {
+    let Some(&first) = gone.first() else {
+        return;
+    };
+    let start = live.partition_point(|&x| x < first);
+    let (mut keep, mut k) = (start, 0);
+    for r in start..live.len() {
+        if gone.get(k) == Some(&live[r]) {
+            k += 1;
+        } else {
+            live[keep] = live[r];
+            keep += 1;
+        }
+    }
+    debug_assert_eq!(k, gone.len(), "every drained id was live");
+    live.truncate(keep);
+}
+
+fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, serde::Error> {
+    v.get(name)
+        .ok_or_else(|| serde::Error(format!("missing ledger field `{name}`")))
+}
+
+fn object<'k>(fields: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// Canonical form, tagged by policy: `{"Lifetime":{"accountant":rows}}`
+/// or `{"Windowed":{"accountant":{"window","now","accounts":rows}}}`,
+/// with one row per live entity ascending by id (windowed rows also
+/// carry their charge stamps). The dense slot layout is discarded:
+/// restoring assigns fresh contiguous slots — safe because every
+/// observable behaviour goes through the id index, never the slot
+/// vector, and it makes snapshot → restore → snapshot idempotent
+/// however many tombstones the original accumulated.
+impl Serialize for Ledger {
+    fn serialize_value(&self) -> Value {
+        let rows = self
             .live
             .iter()
-            .filter_map(|&id| {
-                let slot = *self.index.get(&id)?;
-                self.slots[slot as usize].as_ref().map(|a| {
-                    serde::Value::Object(vec![
-                        ("id".to_string(), id.serialize_value()),
-                        ("capacity".to_string(), a.capacity.serialize_value()),
-                        ("spent".to_string(), a.spent.serialize_value()),
-                        ("reserved".to_string(), a.reserved.serialize_value()),
-                        (
-                            "entries".to_string(),
-                            serde::Value::Array(
-                                a.entries
-                                    .iter()
-                                    .map(|&(t, e)| {
-                                        serde::Value::Object(vec![
-                                            ("t".to_string(), t.serialize_value()),
-                                            ("eps".to_string(), e.serialize_value()),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
+            .map(|&id| {
+                let slot = self.index[&id] as usize;
+                let a = self.slots[slot].expect("live ids are indexed");
+                let mut row = vec![
+                    ("id".to_string(), id.serialize_value()),
+                    ("capacity".to_string(), a.capacity.serialize_value()),
+                    ("spent".to_string(), a.spent.serialize_value()),
+                    ("reserved".to_string(), a.reserved.serialize_value()),
+                ];
+                if self.window.is_some() {
+                    let stamps = self.entries[slot].iter().map(|&(t, eps)| {
+                        object([("t", t.serialize_value()), ("eps", eps.serialize_value())])
+                    });
+                    row.push(("entries".to_string(), Value::Array(stamps.collect())));
+                }
+                Value::Object(row)
             })
             .collect();
-        serde::Value::Object(vec![
-            ("window".to_string(), self.window.serialize_value()),
-            ("now".to_string(), self.now.serialize_value()),
-            ("accounts".to_string(), serde::Value::Array(accounts)),
-        ])
+        let (tag, accountant) = match self.window {
+            None => ("Lifetime", Value::Array(rows)),
+            Some(window) => (
+                "Windowed",
+                object([
+                    ("window", window.serialize_value()),
+                    ("now", self.now.serialize_value()),
+                    ("accounts", Value::Array(rows)),
+                ]),
+            ),
+        };
+        object([(tag, object([("accountant", accountant)]))])
     }
 }
 
-impl Deserialize for WindowedAccountant {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error(format!("missing windowed-ledger field `{name}`")))
+impl Deserialize for Ledger {
+    fn deserialize_value(v: &Value) -> Result<Self, serde::Error> {
+        let (tag, inner) = match v {
+            Value::Object(fields) if fields.len() == 1 => (&fields[0].0, &fields[0].1),
+            other => return Err(serde::Error::expected("tagged ledger", other)),
         };
-        let window = f64::deserialize_value(field("window")?)?;
-        if window.is_nan() || window <= 0.0 {
-            return Err(serde::Error(format!(
-                "windowed ledger has non-positive window {window}"
-            )));
-        }
-        let now = f64::deserialize_value(field("now")?)?;
-        if now.is_nan() {
-            return Err(serde::Error("windowed ledger clock is NaN".to_string()));
-        }
-        let rows = match field("accounts")? {
-            serde::Value::Array(rows) => rows,
-            other => return Err(serde::Error::expected("windowed account row array", other)),
-        };
-        let mut acc = WindowedAccountant::new(window);
-        acc.now = now;
-        for row in rows {
-            let field = |name: &str| {
-                row.get(name)
-                    .ok_or_else(|| serde::Error(format!("missing windowed account field `{name}`")))
-            };
-            let id = u64::deserialize_value(field("id")?)?;
-            let capacity = f64::deserialize_value(field("capacity")?)?;
-            if capacity <= 0.0 || capacity.is_nan() {
-                return Err(serde::Error(format!(
-                    "windowed account {id} has non-positive capacity"
-                )));
+        let accountant = field(inner, "accountant")?;
+        let (mut ledger, rows) = match tag.as_str() {
+            "Lifetime" => (Ledger::lifetime(), accountant),
+            "Windowed" => {
+                let window = f64::deserialize_value(field(accountant, "window")?)?;
+                if window.is_nan() || window <= 0.0 {
+                    return Err(serde::Error(format!(
+                        "windowed ledger has non-positive window {window}"
+                    )));
+                }
+                let now = f64::deserialize_value(field(accountant, "now")?)?;
+                if now.is_nan() {
+                    return Err(serde::Error("windowed ledger clock is NaN".to_string()));
+                }
+                let mut ledger = Ledger::windowed(window);
+                ledger.now = now;
+                (ledger, field(accountant, "accounts")?)
             }
-            let entries = match field("entries")? {
-                serde::Value::Array(entries) => entries
-                    .iter()
-                    .map(|entry| {
-                        let field = |name: &str| {
-                            entry.get(name).ok_or_else(|| {
-                                serde::Error(format!("missing charge-entry field `{name}`"))
-                            })
-                        };
-                        Ok((
-                            f64::deserialize_value(field("t")?)?,
-                            f64::deserialize_value(field("eps")?)?,
-                        ))
-                    })
-                    .collect::<Result<VecDeque<_>, serde::Error>>()?,
-                other => return Err(serde::Error::expected("charge-entry array", other)),
-            };
-            // Marks are not serialized: every restored entity is
-            // marked, so the first drain is a full scan.
-            let account = WindowedAccount {
-                capacity,
-                spent: f64::deserialize_value(field("spent")?)?,
-                reserved: f64::deserialize_value(field("reserved")?)?,
-                entries,
+            _ => return Err(serde::Error::expected("Lifetime or Windowed ledger", v)),
+        };
+        let Value::Array(rows) = rows else {
+            return Err(serde::Error::expected("ledger account rows", rows));
+        };
+        ledger.index.reserve(rows.len());
+        ledger.slots.reserve_exact(rows.len());
+        ledger.live.reserve_exact(rows.len());
+        ledger.marked.reserve_exact(rows.len());
+        for row in rows {
+            let id = u64::deserialize_value(field(row, "id")?)?;
+            // Marks are not serialized: every restored entity is marked,
+            // so the first drain is a full scan.
+            let account = Account {
+                capacity: f64::deserialize_value(field(row, "capacity")?)?,
+                spent: f64::deserialize_value(field(row, "spent")?)?,
+                reserved: f64::deserialize_value(field(row, "reserved")?)?,
                 marked: true,
             };
-            let slot = acc.slots.len() as u32;
-            acc.slots.push(Some(account));
-            acc.marked.push(id);
-            if acc.index.insert(id, slot).is_some() {
-                return Err(serde::Error(format!("duplicate windowed account {id}")));
+            if account.capacity <= 0.0 || account.capacity.is_nan() {
+                return Err(serde::Error(format!(
+                    "ledger account {id} has non-positive capacity"
+                )));
             }
-            acc.live.push(id);
+            let mut entries = VecDeque::new();
+            if ledger.window.is_some() {
+                let Value::Array(stamps) = field(row, "entries")? else {
+                    return Err(serde::Error(format!(
+                        "ledger account {id} has no charge-entry array"
+                    )));
+                };
+                for stamp in stamps {
+                    entries.push_back((
+                        f64::deserialize_value(field(stamp, "t")?)?,
+                        f64::deserialize_value(field(stamp, "eps")?)?,
+                    ));
+                }
+            }
+            if !ledger.push_account(id, account, entries) {
+                return Err(serde::Error(format!("duplicate ledger account {id}")));
+            }
+            ledger.live.push(id);
         }
-        acc.live.sort_unstable();
-        Ok(acc)
-    }
-}
-
-/// The serializable sum of the two accounting policies — the concrete
-/// ledger storage the stream session embeds, clones, and snapshots.
-///
-/// Dispatch goes through [`BudgetLedger`] (also implemented here, by
-/// delegation), so pipeline code is written once against the trait and
-/// the policy is a pure configuration choice.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum LedgerState {
-    /// Lifetime depletion — the paper's model, a
-    /// [`CumulativeAccountant`].
-    Lifetime {
-        /// The wrapped lifetime accountant.
-        accountant: CumulativeAccountant,
-    },
-    /// Sliding-window accounting — spend older than the protection
-    /// window is reclaimed, a [`WindowedAccountant`].
-    Windowed {
-        /// The wrapped sliding-window accountant.
-        accountant: WindowedAccountant,
-    },
-}
-
-impl LedgerState {
-    /// An empty lifetime ledger.
-    pub fn lifetime() -> Self {
-        LedgerState::Lifetime {
-            accountant: CumulativeAccountant::new(),
-        }
-    }
-
-    /// An empty sliding-window ledger with protection window `window`
-    /// (may be `f64::INFINITY`, which is bit-identical to
-    /// [`lifetime`](Self::lifetime) accounting).
-    pub fn windowed(window: f64) -> Self {
-        LedgerState::Windowed {
-            accountant: WindowedAccountant::new(window),
-        }
-    }
-
-    /// The ledger as a trait object (read side).
-    pub fn as_ledger(&self) -> &dyn BudgetLedger {
-        match self {
-            LedgerState::Lifetime { accountant } => accountant,
-            LedgerState::Windowed { accountant } => accountant,
-        }
-    }
-
-    /// The ledger as a trait object (write side).
-    pub fn as_ledger_mut(&mut self) -> &mut dyn BudgetLedger {
-        match self {
-            LedgerState::Lifetime { accountant } => accountant,
-            LedgerState::Windowed { accountant } => accountant,
-        }
-    }
-}
-
-impl BudgetLedger for LedgerState {
-    fn register(&mut self, id: u64, capacity: f64) {
-        self.as_ledger_mut().register(id, capacity);
-    }
-    fn resolve(&self, id: u64) -> Option<AccountId> {
-        self.as_ledger().resolve(id)
-    }
-    fn charge(&mut self, id: u64, epsilon: f64) {
-        self.as_ledger_mut().charge(id, epsilon);
-    }
-    fn charge_at(&mut self, at: AccountId, epsilon: f64) {
-        self.as_ledger_mut().charge_at(at, epsilon);
-    }
-    fn reserve(&mut self, id: u64, epsilon: f64) {
-        self.as_ledger_mut().reserve(id, epsilon);
-    }
-    fn reserve_at(&mut self, at: AccountId, epsilon: f64) {
-        self.as_ledger_mut().reserve_at(at, epsilon);
-    }
-    fn reserved(&self, id: u64) -> f64 {
-        self.as_ledger().reserved(id)
-    }
-    fn commit(&mut self, id: u64) -> f64 {
-        self.as_ledger_mut().commit(id)
-    }
-    fn rollback(&mut self, id: u64) -> f64 {
-        self.as_ledger_mut().rollback(id)
-    }
-    fn spent(&self, id: u64) -> f64 {
-        self.as_ledger().spent(id)
-    }
-    fn spent_at(&self, at: AccountId) -> f64 {
-        self.as_ledger().spent_at(at)
-    }
-    fn remaining(&self, id: u64) -> f64 {
-        self.as_ledger().remaining(id)
-    }
-    fn remaining_at(&self, at: AccountId) -> f64 {
-        self.as_ledger().remaining_at(at)
-    }
-    fn is_exhausted(&self, id: u64) -> bool {
-        self.as_ledger().is_exhausted(id)
-    }
-    fn drain_exhausted(&mut self) -> Vec<u64> {
-        self.as_ledger_mut().drain_exhausted()
-    }
-    fn forget(&mut self, id: u64) -> bool {
-        self.as_ledger_mut().forget(id)
-    }
-    fn tracked_ids(&self) -> Vec<u64> {
-        self.as_ledger().tracked_ids()
-    }
-    fn total_spent(&self) -> f64 {
-        self.as_ledger().total_spent()
-    }
-    fn advance_time(&mut self, now: f64) {
-        self.as_ledger_mut().advance_time(now);
-    }
-    fn renewable(&self) -> bool {
-        self.as_ledger().renewable()
+        // Canonical snapshots are already ascending; tolerate (and
+        // normalise) any other ordering.
+        ledger.live.sort_unstable();
+        Ok(ledger)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Charges `id` through its handle.
+    pub(crate) fn charge(acc: &mut Ledger, id: u64, epsilon: f64) {
+        let at = acc.resolve(id).expect("registered");
+        acc.charge_at(at, epsilon);
+    }
+
     #[test]
     fn windowed_reclaims_aged_spend() {
-        let mut acc = WindowedAccountant::new(100.0);
+        let mut acc = Ledger::windowed(100.0);
         acc.register(1, 2.0);
         acc.advance_time(0.0);
-        acc.charge(1, 1.5);
+        charge(&mut acc, 1, 1.5);
         assert!((acc.remaining(1) - 0.5).abs() < 1e-12);
         acc.advance_time(50.0);
-        acc.charge(1, 0.5);
+        charge(&mut acc, 1, 0.5);
         assert!(acc.is_exhausted(1));
         // t=0 charge ages out at t=100; the t=50 one survives.
         acc.advance_time(100.0);
@@ -762,18 +648,15 @@ mod tests {
 
     #[test]
     fn windowed_two_phase_round_trip() {
-        let mut acc = WindowedAccountant::new(100.0);
+        let mut acc = Ledger::windowed(100.0);
         acc.register(4, 3.0);
         acc.advance_time(0.0);
-        acc.charge(4, 1.0);
+        charge(&mut acc, 4, 1.0);
         acc.reserve(4, 0.5);
         acc.reserve(4, 0.25);
-        assert!((acc.reserved(4) - 0.75).abs() < 1e-12);
         assert!((acc.remaining(4) - 1.25).abs() < 1e-12);
         assert!((acc.spent(4) - 1.0).abs() < 1e-12);
-        assert!((acc.rollback(4) - 0.75).abs() < 1e-12);
-        assert_eq!(acc.reserved(4), 0.0);
-        acc.reserve(4, 2.0);
+        acc.reserve(4, 1.25);
         assert!((acc.commit(4) - 2.0).abs() < 1e-12);
         assert_eq!(acc.commit(4), 0.0);
         assert!(acc.is_exhausted(4));
@@ -786,7 +669,7 @@ mod tests {
 
     #[test]
     fn windowed_retirement_and_handles_match_lifetime_semantics() {
-        let mut acc = WindowedAccountant::new(f64::INFINITY);
+        let mut acc = Ledger::windowed(f64::INFINITY);
         acc.register(8, 1.0);
         acc.register(9, 1.0);
         let h8 = acc.resolve(8).unwrap();
@@ -794,7 +677,7 @@ mod tests {
         assert_eq!(acc.drain_exhausted(), vec![8]);
         assert!(acc.resolve(8).is_none());
         assert_eq!(acc.remaining_at(h8), 0.0);
-        assert_eq!(acc.tracked_ids(), vec![9]);
+        assert_eq!(acc.tracked(), [9]);
         assert!(acc.forget(9));
         assert!(!acc.forget(9));
     }
@@ -802,120 +685,165 @@ mod tests {
     #[test]
     #[should_panic(expected = "never registered")]
     fn windowed_charging_unknown_id_panics() {
-        WindowedAccountant::new(10.0).charge(0, 0.5);
+        Ledger::windowed(10.0).commit(0);
     }
 
     #[test]
     #[should_panic(expected = "protection window must be positive")]
     fn zero_window_panics() {
-        let _ = WindowedAccountant::new(0.0);
+        let _ = Ledger::windowed(0.0);
     }
 
     #[test]
     fn windowed_round_trips_canonically() {
-        let mut acc = WindowedAccountant::new(300.0);
+        let mut acc = Ledger::windowed(300.0);
         acc.register(7, f64::INFINITY);
         acc.register(2, 1.5);
         acc.register(9, 4.0);
         acc.advance_time(10.0);
-        acc.charge(2, 0.5);
+        charge(&mut acc, 2, 0.5);
         acc.advance_time(20.0);
-        acc.charge(2, 0.25);
+        charge(&mut acc, 2, 0.25);
         acc.reserve(9, 1.25);
         acc.forget(7);
-        let back =
-            WindowedAccountant::deserialize_value(&acc.serialize_value()).expect("round trip");
-        assert_eq!(back.tracked_ids(), vec![2, 9]);
-        assert_eq!(back.window(), 300.0);
-        assert_eq!(back.now(), 20.0);
+        let back = Ledger::deserialize_value(&acc.serialize_value()).expect("round trip");
+        assert_eq!(back.tracked(), [2, 9]);
         assert_eq!(back.spent(2), acc.spent(2));
-        assert_eq!(back.reserved(9), acc.reserved(9));
+        assert_eq!(back.remaining(9), acc.remaining(9));
         assert_eq!(back.serialize_value(), acc.serialize_value());
         // And restored ledgers keep reclaiming correctly.
         let mut back = back;
         back.advance_time(311.0);
         assert_eq!(back.spent(2), 0.25, "only the t=10 entry ages out");
         // An infinite window survives the trip exactly.
-        let inf = WindowedAccountant::new(f64::INFINITY);
-        let back = WindowedAccountant::deserialize_value(&inf.serialize_value()).unwrap();
-        assert_eq!(back.window(), f64::INFINITY);
+        let inf = Ledger::windowed(f64::INFINITY);
+        let back = Ledger::deserialize_value(&inf.serialize_value()).unwrap();
+        assert_eq!(back.serialize_value(), inf.serialize_value());
+        assert!(!back.renewable());
     }
 
     #[test]
     fn windowed_rejects_malformed_rows() {
-        use serde::Value;
-        let mut acc = WindowedAccountant::new(10.0);
-        acc.register(1, 1.0);
-        let good = acc.serialize_value();
+        let parse = |json: &str| Ledger::deserialize_value(&serde_json::from_str(json).unwrap());
+        let row = r#"{"id":1,"capacity":1,"spent":0,"reserved":0,"entries":[]}"#;
+        let ledger = |window: &str, rows: &str| {
+            format!(
+                r#"{{"Windowed":{{"accountant":{{"window":{window},"now":0,"accounts":[{rows}]}}}}}}"#
+            )
+        };
+        assert!(parse(&ledger("10", row)).is_ok());
         // Duplicate ids.
-        let mut dup = good.clone();
-        if let Value::Object(fields) = &mut dup {
-            for (k, v) in fields.iter_mut() {
-                if k == "accounts" {
-                    if let Value::Array(rows) = v {
-                        let row = rows[0].clone();
-                        rows.push(row);
-                    }
-                }
-            }
-        }
-        assert!(WindowedAccountant::deserialize_value(&dup).is_err());
+        assert!(parse(&ledger("10", &format!("{row},{row}"))).is_err());
         // Bad window.
-        let bad = Value::Object(vec![
-            ("window".into(), Value::Number(0.0)),
-            ("now".into(), Value::Number(0.0)),
-            ("accounts".into(), Value::Array(vec![])),
-        ]);
-        assert!(WindowedAccountant::deserialize_value(&bad).is_err());
+        assert!(parse(&ledger("0", "")).is_err());
     }
 
+    /// The wire format the session snapshot embeds: byte-identical to
+    /// the tagged lifetime / sliding-window encoding of snapshot v4.
     #[test]
-    fn ledger_state_dispatches_and_round_trips() {
-        for mut state in [LedgerState::lifetime(), LedgerState::windowed(600.0)] {
-            state.register(3, 2.0);
-            state.advance_time(0.0);
-            state.charge(3, 0.5);
-            assert!((state.remaining(3) - 1.5).abs() < 1e-12);
-            let back = LedgerState::deserialize_value(&state.serialize_value()).unwrap();
-            assert_eq!(back.spent(3), state.spent(3));
-            assert_eq!(back.serialize_value(), state.serialize_value());
+    fn wire_format_is_pinned() {
+        let mut life = Ledger::lifetime();
+        life.register(7, f64::INFINITY);
+        life.register(2, 1.5);
+        life.register(9, 4.0);
+        life.register(5, 1.0);
+        charge(&mut life, 2, 0.5);
+        charge(&mut life, 7, 0.125);
+        life.reserve(9, 1.25);
+        life.forget(5);
+        let golden = concat!(
+            r#"{"Lifetime":{"accountant":[{"id":2,"capacity":1.5,"spent":0.5,"reserved":0},"#,
+            r#"{"id":7,"capacity":"inf","spent":0.125,"reserved":0},"#,
+            r#"{"id":9,"capacity":4,"spent":0,"reserved":1.25}]}}"#
+        );
+        assert_eq!(serde_json::to_string(&life).unwrap(), golden);
+
+        let mut windowed = Ledger::windowed(300.0);
+        windowed.register(7, f64::INFINITY);
+        windowed.register(2, 1.5);
+        windowed.register(9, 4.0);
+        windowed.advance_time(10.0);
+        charge(&mut windowed, 2, 0.5);
+        windowed.advance_time(20.0);
+        charge(&mut windowed, 2, 0.25);
+        windowed.reserve(9, 1.25);
+        windowed.forget(7);
+        let golden_windowed = concat!(
+            r#"{"Windowed":{"accountant":{"window":300,"now":20,"accounts":["#,
+            r#"{"id":2,"capacity":1.5,"spent":0.75,"reserved":0,"#,
+            r#""entries":[{"t":10,"eps":0.5},{"t":20,"eps":0.25}]},"#,
+            r#"{"id":9,"capacity":4,"spent":0,"reserved":1.25,"entries":[]}]}}}"#
+        );
+        assert_eq!(serde_json::to_string(&windowed).unwrap(), golden_windowed);
+
+        for json in [golden, golden_windowed] {
+            let back = Ledger::deserialize_value(&serde_json::from_str(json).unwrap()).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
         }
-        assert!(!LedgerState::lifetime().renewable());
-        assert!(LedgerState::windowed(10.0).renewable());
-        assert!(!LedgerState::windowed(f64::INFINITY).renewable());
+        assert_eq!(
+            serde_json::to_string(&Ledger::windowed(f64::INFINITY)).unwrap(),
+            r#"{"Windowed":{"accountant":{"window":"inf","now":"-inf","accounts":[]}}}"#
+        );
     }
 
-    /// One randomized op against both accountants at once.
+    /// Reclamation visits only accounts holding stamps: removed and
+    /// fully reclaimed accounts leave the walk at the next advance.
+    #[test]
+    fn reclamation_walks_only_stamped_accounts() {
+        let mut acc = Ledger::windowed(100.0);
+        for id in 0..50 {
+            acc.register(id, 1.0);
+        }
+        acc.advance_time(0.0);
+        for id in 0..3 {
+            charge(&mut acc, id, 0.25);
+        }
+        assert_eq!(acc.stamped.len(), 3);
+        acc.forget(0);
+        acc.advance_time(50.0);
+        assert_eq!(acc.stamped, [1, 2]);
+        charge(&mut acc, 1, 0.25);
+        acc.advance_time(100.0);
+        assert_eq!(acc.stamped, [1], "the t=0 charges aged out");
+        assert_eq!(acc.spent(1), 0.25);
+        acc.advance_time(150.0);
+        assert!(acc.stamped.is_empty());
+        // Lifetime and `W = ∞` ledgers keep no stamps at all.
+        let mut life = Ledger::lifetime();
+        life.register(1, 1.0);
+        charge(&mut life, 1, 0.5);
+        assert!(life.entries.is_empty() && life.stamped.is_empty());
+    }
+
+    /// One randomized op against several ledgers at once.
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Charge(u64, f64),
         Reserve(u64, f64),
         Commit(u64),
-        Rollback(u64),
         Advance(f64),
         Drain,
         /// Registers (or re-registers, possibly lowering the capacity
         /// of) an entity.
         Register(u64, f64),
-        /// Serializes and deserializes the accountant.
+        /// Serializes and deserializes the ledger.
         RoundTrip,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         (
-            (0u8..8, 0u64..5, 0.0f64..0.6),
+            (0u8..7, 0u64..5, 0.0f64..0.6),
             (0.0f64..1e4, 0u8..4, 0.05f64..3.0),
         )
             .prop_map(|((kind, id, e), (dt, cap_kind, cap))| match kind {
                 0 => Op::Charge(id, e),
                 1 => Op::Reserve(id, e),
                 2 => Op::Commit(id),
-                3 => Op::Rollback(id),
-                4 => Op::Advance(dt),
-                5 => Op::Drain,
+                3 => Op::Advance(dt),
+                4 => Op::Drain,
                 // Capacities at and below the drain's 1e-12 tolerance
                 // are exhausted from the moment they are registered.
-                6 => Op::Register(
+                5 => Op::Register(
                     id,
                     match cap_kind {
                         0 => 1e-12,
@@ -927,8 +855,13 @@ mod tests {
             })
     }
 
-    fn round_trip<T: Serialize + Deserialize>(acc: &T) -> T {
-        T::deserialize_value(&acc.serialize_value()).expect("round trip")
+    fn round_trip(acc: &Ledger) -> Ledger {
+        Ledger::deserialize_value(&acc.serialize_value()).expect("round trip")
+    }
+
+    /// Spend across tracked entities, summed ascending by id.
+    fn total_spent(acc: &Ledger) -> f64 {
+        acc.tracked().iter().map(|&id| acc.spent(id)).sum()
     }
 
     proptest! {
@@ -939,8 +872,8 @@ mod tests {
         fn infinite_window_is_bit_identical_to_lifetime(
             ops in proptest::collection::vec(op_strategy(), 0..60)
         ) {
-            let mut life = CumulativeAccountant::new();
-            let mut windowed = WindowedAccountant::new(f64::INFINITY);
+            let mut life = Ledger::lifetime();
+            let mut windowed = Ledger::windowed(f64::INFINITY);
             for id in 0..5u64 {
                 life.register(id, 1.0 + id as f64 * 0.37);
                 windowed.register(id, 1.0 + id as f64 * 0.37);
@@ -950,8 +883,8 @@ mod tests {
                 match op {
                     Op::Charge(id, e) => {
                         if life.resolve(id).is_some() {
-                            life.charge(id, e);
-                            windowed.charge(id, e);
+                            charge(&mut life, id, e);
+                            charge(&mut windowed, id, e);
                         }
                     }
                     Op::Reserve(id, e) => {
@@ -964,25 +897,16 @@ mod tests {
                         if life.resolve(id).is_some() {
                             prop_assert_eq!(
                                 life.commit(id).to_bits(),
-                                BudgetLedger::commit(&mut windowed, id).to_bits()
+                                windowed.commit(id).to_bits()
                             );
                         }
-                    }
-                    Op::Rollback(id) => {
-                        prop_assert_eq!(
-                            life.rollback(id).to_bits(),
-                            BudgetLedger::rollback(&mut windowed, id).to_bits()
-                        );
                     }
                     Op::Advance(dt) => {
                         clock += dt;
                         windowed.advance_time(clock);
                     }
                     Op::Drain => {
-                        prop_assert_eq!(
-                            life.drain_exhausted(),
-                            BudgetLedger::drain_exhausted(&mut windowed)
-                        );
+                        prop_assert_eq!(life.drain_exhausted(), windowed.drain_exhausted());
                     }
                     Op::Register(id, capacity) => {
                         life.register(id, capacity);
@@ -994,22 +918,16 @@ mod tests {
                     }
                 }
                 for id in 0..5u64 {
-                    prop_assert_eq!(
-                        life.spent(id).to_bits(),
-                        BudgetLedger::spent(&windowed, id).to_bits()
-                    );
+                    prop_assert_eq!(life.spent(id).to_bits(), windowed.spent(id).to_bits());
                     prop_assert_eq!(
                         life.remaining(id).to_bits(),
-                        BudgetLedger::remaining(&windowed, id).to_bits()
+                        windowed.remaining(id).to_bits()
                     );
-                    prop_assert_eq!(
-                        life.is_exhausted(id),
-                        BudgetLedger::is_exhausted(&windowed, id)
-                    );
+                    prop_assert_eq!(life.is_exhausted(id), windowed.is_exhausted(id));
                 }
                 prop_assert_eq!(
-                    life.total_spent().to_bits(),
-                    BudgetLedger::total_spent(&windowed).to_bits()
+                    total_spent(&life).to_bits(),
+                    total_spent(&windowed).to_bits()
                 );
             }
         }
@@ -1022,14 +940,14 @@ mod tests {
             window in 50.0f64..500.0,
             charges in proptest::collection::vec((0.0f64..30.0, 0.0f64..0.9), 1..80)
         ) {
-            let mut acc = WindowedAccountant::new(window);
+            let mut acc = Ledger::windowed(window);
             acc.register(1, 1.0);
             let mut t = 0.0;
             for &(dt, want) in &charges {
                 t += dt;
                 acc.advance_time(t);
                 let granted = want.min(acc.remaining(1));
-                acc.charge(1, granted);
+                charge(&mut acc, 1, granted);
                 prop_assert!(acc.spent(1) <= 1.0 + 1e-9);
             }
         }
@@ -1045,8 +963,8 @@ mod tests {
             charges in proptest::collection::vec((0.0f64..40.0, 0.0f64..0.4), 1..60)
         ) {
             let w_short = w_long * shrink;
-            let mut long = WindowedAccountant::new(w_long);
-            let mut short = WindowedAccountant::new(w_short);
+            let mut long = Ledger::windowed(w_long);
+            let mut short = Ledger::windowed(w_short);
             long.register(1, 5.0);
             short.register(1, 5.0);
             let mut t = 0.0;
@@ -1054,8 +972,8 @@ mod tests {
                 t += dt;
                 long.advance_time(t);
                 short.advance_time(t);
-                long.charge(1, e);
-                short.charge(1, e);
+                charge(&mut long, 1, e);
+                charge(&mut short, 1, e);
                 prop_assert!(
                     short.remaining(1) >= long.remaining(1),
                     "shorter window must never hold less budget: \
@@ -1075,20 +993,17 @@ mod tests {
             window in 50.0f64..500.0,
             ops in proptest::collection::vec(op_strategy(), 0..40)
         ) {
-            let mut acc = WindowedAccountant::new(window);
+            let mut acc = Ledger::windowed(window);
             for id in 0..5u64 {
                 acc.register(id, 2.0);
             }
             let mut clock = 0.0;
             for &op in &ops {
                 match op {
-                    Op::Charge(id, e) if acc.resolve(id).is_some() => acc.charge(id, e),
+                    Op::Charge(id, e) if acc.resolve(id).is_some() => charge(&mut acc, id, e),
                     Op::Reserve(id, e) if acc.resolve(id).is_some() => acc.reserve(id, e),
                     Op::Commit(id) if acc.resolve(id).is_some() => {
                         acc.commit(id);
-                    }
-                    Op::Rollback(id) => {
-                        acc.rollback(id);
                     }
                     Op::Advance(dt) => {
                         clock += dt;
@@ -1103,12 +1018,12 @@ mod tests {
                 }
             }
             let value = acc.serialize_value();
-            let back = WindowedAccountant::deserialize_value(&value).unwrap();
+            let back = Ledger::deserialize_value(&value).unwrap();
             prop_assert_eq!(back.serialize_value(), value);
-            prop_assert_eq!(back.tracked_ids(), acc.tracked_ids());
+            prop_assert_eq!(back.tracked(), acc.tracked());
             for id in 0..5u64 {
                 prop_assert_eq!(back.spent(id).to_bits(), acc.spent(id).to_bits());
-                prop_assert_eq!(back.reserved(id).to_bits(), acc.reserved(id).to_bits());
+                prop_assert_eq!(back.remaining(id).to_bits(), acc.remaining(id).to_bits());
             }
         }
 
@@ -1124,9 +1039,9 @@ mod tests {
             ops in proptest::collection::vec(op_strategy(), 0..80)
         ) {
             let mut ledgers = [
-                LedgerState::lifetime(),
-                LedgerState::windowed(f64::INFINITY),
-                LedgerState::windowed(window),
+                Ledger::lifetime(),
+                Ledger::windowed(f64::INFINITY),
+                Ledger::windowed(window),
             ];
             for ledger in &mut ledgers {
                 for id in 0..5u64 {
@@ -1139,30 +1054,28 @@ mod tests {
                     clock += dt;
                 }
                 for ledger in &mut ledgers {
-                    let live = |l: &LedgerState, id| l.resolve(id).is_some();
+                    let live = |l: &Ledger, id| l.resolve(id).is_some();
                     match op {
-                        Op::Charge(id, e) if live(ledger, id) => ledger.charge(id, e),
+                        Op::Charge(id, e) if live(ledger, id) => charge(ledger, id, e),
                         Op::Reserve(id, e) if live(ledger, id) => ledger.reserve(id, e),
                         Op::Commit(id) if live(ledger, id) => {
                             ledger.commit(id);
-                        }
-                        Op::Rollback(id) => {
-                            ledger.rollback(id);
                         }
                         Op::Advance(_) => ledger.advance_time(clock),
                         Op::Register(id, capacity) => ledger.register(id, capacity),
                         Op::RoundTrip => *ledger = round_trip(ledger),
                         Op::Drain => {
                             let oracle: Vec<u64> = ledger
-                                .tracked_ids()
-                                .into_iter()
+                                .tracked()
+                                .iter()
+                                .copied()
                                 .filter(|&id| ledger.is_exhausted(id))
                                 .collect();
                             prop_assert_eq!(ledger.drain_exhausted(), oracle);
                             prop_assert!(ledger
-                                .tracked_ids()
-                                .into_iter()
-                                .all(|id| !ledger.is_exhausted(id)));
+                                .tracked()
+                                .iter()
+                                .all(|&id| !ledger.is_exhausted(id)));
                         }
                         _ => {}
                     }

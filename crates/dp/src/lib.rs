@@ -21,14 +21,12 @@
 //! * [`PrivacyLedger`] — per-worker accounting of published budgets,
 //!   reproducing the `Σ_{t_i∈R_j} b_{i,j}·ε_{i,j}·r_j` local-DP bound of
 //!   Theorems V.2 / VI.4;
-//! * [`CumulativeAccountant`] — lifetime budget depletion across a
-//!   stream of windows, keyed by stable entity ids (the retirement
-//!   authority of the `dpta-stream` pipeline);
-//! * [`BudgetLedger`] / [`WindowedAccountant`] / [`LedgerState`] — the
-//!   budget-ledger abstraction: lifetime vs sliding-window accounting
-//!   (spend older than the protection window `W` is reclaimed, making
-//!   workers renewable — the continual-observation model of Qiu & Yi,
-//!   arXiv:2209.01387) behind one object-safe trait;
+//! * [`Ledger`] — per-entity budget depletion across a stream of
+//!   windows, keyed by stable entity ids (the retirement authority of
+//!   the `dpta-stream` pipeline): lifetime accounting, or a sliding
+//!   protection window `W` whose older spend is reclaimed, making
+//!   workers renewable (the continual-observation model of Qiu & Yi,
+//!   arXiv:2209.01387);
 //! * [`NoiseSource`] — deterministic noise derivation so that a proposal
 //!   evaluated locally and published later reveals exactly one draw.
 
@@ -49,14 +47,14 @@ mod pcf;
 mod ppcf;
 mod release;
 
-pub use accountant::{AccountId, CumulativeAccountant, PrivacyLedger};
+pub use accountant::PrivacyLedger;
 pub use budget::BudgetVector;
 pub use budgets::SeededBudgets;
 pub use diff::LaplaceDiff;
 pub use geo::{lambert_w_m1, PlanarLaplace};
 pub use intern::{EpochTable, FastMap, FastSet, Interner, Sym};
 pub use laplace::Laplace;
-pub use ledger::{BudgetLedger, LedgerState, WindowedAccountant};
+pub use ledger::{AccountId, Ledger};
 pub use noise::{NoiseSource, ScriptedNoise, SeededNoise};
 pub use pcf::pcf;
 pub use ppcf::ppcf;

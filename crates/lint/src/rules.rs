@@ -72,8 +72,9 @@ const NOISE_DEF_PATHS: &[&str] = &[
 /// Identifiers that perform a noise draw when called.
 const SAMPLING_IDENTS: &[&str] = &["sample_from_uniform", "sample_from_uniforms"];
 
-/// Method/path names that constitute a charge edge: the
-/// `BudgetLedger` surface (`charge`/`charge_at`/`reserve`) and the
+/// Method/path names that constitute a charge edge: the budget
+/// `Ledger` surface (`charge_at`/`reserve`, and `charge` on the stream
+/// lifecycle that wraps it) and the
 /// `Board` surface (`publish`/`charge_location`), which charges the
 /// per-worker `PrivacyLedger` on every release.
 const CHARGE_IDENTS: &[&str] = &[
@@ -447,7 +448,7 @@ fn scan_noise_flow(ctx: &FileCtx, toks: &[Tok], mask: &[bool], out: &mut Vec<Fin
                 t.col,
                 CHARGED_NOISE_FLOW,
                 "noise sampling in a module with no visible charge edge \
-                 (`charge`/`charge_at`/`reserve` on a BudgetLedger, or \
+                 (`charge`/`charge_at`/`reserve` on a Ledger, or \
                  `publish`/`charge_location` on a Board); route the release \
                  through the charging surface or annotate where accounting happens"
                     .to_string(),

@@ -1,7 +1,7 @@
-use dpta_dp::{BudgetLedger, SeededNoise};
+use dpta_dp::{AccountId, Ledger, SeededNoise};
 
-pub fn charged_draw(seed: u64, ledger: &mut dyn BudgetLedger, id: u64, eps: f64) -> SeededNoise {
+pub fn charged_draw(seed: u64, ledger: &mut Ledger, at: AccountId, eps: f64) -> SeededNoise {
     let noise = SeededNoise::new(seed);
-    ledger.charge(id, eps);
+    ledger.charge_at(at, eps);
     noise
 }

@@ -13,10 +13,9 @@
 //! Each window becomes a PA-TA [`Instance`](dpta_core::Instance) of
 //! the tasks waiting and the workers on duty; the engine drives it;
 //! matched tasks complete, unmatched tasks carry over until their
-//! time-to-live runs out, and a
-//! [`CumulativeAccountant`](dpta_dp::CumulativeAccountant) charges every
-//! worker's *lifetime* privacy budget, retiring workers the moment it
-//! is exhausted. Engines that support warm starts resume from the
+//! time-to-live runs out, and a [`Ledger`](dpta_dp::Ledger) charges
+//! every worker's *lifetime* privacy budget, retiring workers the moment
+//! it is exhausted. Engines that support warm starts resume from the
 //! carried protocol state (releases, consumed budget slots) per the
 //! [warm-start contract](AssignmentEngine#warm-start-contract);
 //! one-shot engines get a fresh board every window. Matched workers
@@ -302,10 +301,10 @@ pub enum LedgerMode {
 
 impl LedgerMode {
     /// Builds the matching ledger state, ready to account a stream.
-    pub fn state(self) -> dpta_dp::LedgerState {
+    pub fn state(self) -> dpta_dp::Ledger {
         match self {
-            LedgerMode::Lifetime => dpta_dp::LedgerState::lifetime(),
-            LedgerMode::Windowed { window_secs } => dpta_dp::LedgerState::windowed(window_secs),
+            LedgerMode::Lifetime => dpta_dp::Ledger::lifetime(),
+            LedgerMode::Windowed { window_secs } => dpta_dp::Ledger::windowed(window_secs),
         }
     }
 }

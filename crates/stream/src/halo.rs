@@ -60,10 +60,10 @@
 //!    of `(worker id, task id, slot)`, so a rerun re-derives
 //!    bit-identical publications. A global release dedup
 //!    ([`ReleaseDedup`]) keys a
-//!    [`BudgetLedger::reserve`](dpta_dp::BudgetLedger::reserve) for
+//!    [`Ledger::reserve`](dpta_dp::Ledger::reserve) for
 //!    each *novel* release; after reconciliation the window's
 //!    reservations are committed exactly once per worker
-//!    ([`BudgetLedger::commit`](dpta_dp::BudgetLedger::commit)).
+//!    ([`Ledger::commit`](dpta_dp::Ledger::commit)).
 //!    Whole-location releases (the Geo-I baseline) are the one
 //!    exception: their ε is the mean over the worker's reach set, so a
 //!    rerun over fewer reachable tasks publishes a *genuinely new*
@@ -94,7 +94,7 @@ use crate::snapshot::SnapshotError;
 use crate::window::Window;
 use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::{AssignmentEngine, Board, Instance, RunOutcome};
-use dpta_dp::{BudgetLedger, FastMap, LedgerState, SeededBudgets, SeededNoise};
+use dpta_dp::{FastMap, Ledger, SeededBudgets, SeededNoise};
 use dpta_matching::repair::PairComponents;
 use dpta_spatial::GridPartition;
 use serde::{Deserialize, Serialize};
@@ -886,7 +886,7 @@ pub(crate) struct HaloSnapshot {
     pub(crate) deferred: VecDeque<PendingTask>,
     pub(crate) in_service: VecDeque<InService>,
     pub(crate) cycles: BTreeMap<u32, usize>,
-    pub(crate) ledger: LedgerState,
+    pub(crate) ledger: Ledger,
     pub(crate) pace: BTreeMap<u32, PaceState>,
     pub(crate) charged: ReleaseDedup,
     pub(crate) carried: Vec<Option<Carried>>,
@@ -1081,7 +1081,7 @@ fn prepare_run(
     shard: ShardInstance,
     carried: &Option<Carried>,
     warm: bool,
-    guard_from: Option<&LedgerState>,
+    guard_from: Option<&Ledger>,
     pace_caps: &BTreeMap<u32, f64>,
     track_components: bool,
 ) -> PreparedRun {
@@ -1226,7 +1226,7 @@ fn drive_parallel(
 fn account_run(
     run: &ShardRun,
     charged: &mut ReleaseDedup,
-    ledger: &mut LedgerState,
+    ledger: &mut Ledger,
     window_spend: &mut BTreeMap<u32, f64>,
     report: &mut WindowReport,
 ) {

@@ -22,7 +22,7 @@
 //!   emitting assignments, expiries, retirements and worker returns as
 //!   a typed [`Outcome`] log. Warm-start engines resume from carried
 //!   protocol state per the engine trait's warm-start contract, a
-//!   [`BudgetLedger`](dpta_dp::BudgetLedger) tracks budget depletion —
+//!   [`Ledger`](dpta_dp::Ledger) tracks budget depletion —
 //!   lifetime by default, or a sliding protection window
 //!   ([`LedgerMode::Windowed`]) with optional pacing
 //!   ([`PacingConfig`]) and admission control ([`AdmissionConfig`]) —

@@ -23,7 +23,7 @@ use crate::driver::{PendingTask, StreamConfig};
 use crate::event::{TaskArrival, WorkerArrival};
 use crate::metrics::{percentile, WindowFeedback};
 use crate::window::{Window, WindowPolicy};
-use dpta_dp::{AccountId, BudgetLedger, LedgerState};
+use dpta_dp::{AccountId, Ledger};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -122,7 +122,7 @@ pub(crate) struct Lifecycle {
     /// pure function of the run.
     pub(crate) in_service: VecDeque<InService>,
     pub(crate) cycles: BTreeMap<u32, usize>,
-    pub(crate) ledger: LedgerState,
+    pub(crate) ledger: Ledger,
     /// Per-worker pacing state, maintained only under
     /// [`StreamConfig::pacing`].
     pub(crate) pace: BTreeMap<u32, PaceState>,
@@ -446,8 +446,8 @@ impl Lifecycle {
         // `W` reclamation can shrink recorded spend, which is not
         // negative burn.
         if cfg.pacing.is_some() {
-            let tracked = self.ledger.tracked_ids();
-            for &id in &tracked {
+            let tracked = self.ledger.tracked();
+            for &id in tracked {
                 let spent = self.ledger.spent(id);
                 let st = self.pace.entry(id as u32).or_insert(PaceState {
                     last_spent: 0.0,
@@ -531,8 +531,9 @@ mod tests {
         }
         let mut out: BTreeSet<u64> = life
             .ledger
-            .tracked_ids()
-            .into_iter()
+            .tracked()
+            .iter()
+            .copied()
             .filter(|&id| life.ledger.is_exhausted(id))
             .collect();
         if life.capped {
@@ -693,7 +694,7 @@ mod tests {
                 }
                 if round_trip {
                     let value = life.ledger.serialize_value();
-                    life.ledger = LedgerState::deserialize_value(&value).expect("round trip");
+                    life.ledger = Ledger::deserialize_value(&value).expect("round trip");
                     life.rebuild_handles();
                 }
             }

@@ -31,8 +31,7 @@
 //! instead of departing for good (`ServiceModel::Never`, the
 //! serve-and-leave default), a matched worker is held in an in-service
 //! set and re-enters the pool at his completion time — with the same
-//! logical id, so lifetime budgets
-//! ([`CumulativeAccountant`](dpta_dp::CumulativeAccountant)), hard
+//! logical id, so lifetime budgets ([`Ledger`](dpta_dp::Ledger)), hard
 //! caps and replay determinism all carry across service cycles.
 //! Durations are pure functions of the match (pickup distance, task
 //! value), never wall-clock time, so re-entry preserves bit-for-bit
@@ -48,7 +47,7 @@ use crate::snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
 use crate::window::{Window, WindowFormer};
 use dpta_core::metrics::measure;
 use dpta_core::{AssignmentEngine, Board};
-use dpta_dp::{BudgetLedger, FastMap, Interner, LedgerState, SeededNoise};
+use dpta_dp::{FastMap, Interner, Ledger, SeededNoise};
 use dpta_workloads::ValueModel;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -342,7 +341,7 @@ pub(crate) struct CoreSnapshot {
     pub(crate) deferred: VecDeque<PendingTask>,
     pub(crate) in_service: VecDeque<InService>,
     pub(crate) cycles: BTreeMap<u32, usize>,
-    pub(crate) ledger: LedgerState,
+    pub(crate) ledger: Ledger,
     pub(crate) pace: BTreeMap<u32, PaceState>,
     pub(crate) carried: Option<CarriedBoard>,
     pub(crate) charged: ReleaseDedup,

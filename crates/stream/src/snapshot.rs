@@ -20,7 +20,7 @@
 //! *new* field with a restore-time default does not bump the version.
 //! A committed golden fixture pins the flat session's wire format. (v2
 //! replaced the bare accountant section with a tagged
-//! [`LedgerState`](dpta_dp::LedgerState) — lifetime or sliding-window
+//! [`Ledger`](dpta_dp::Ledger) section — lifetime or sliding-window
 //! — and added the deferred-task queue and pacing state; v3 gave the
 //! halo coordinator's in-service entries and state the service-cycle
 //! counts the flat session already carried, now that both run one
@@ -34,7 +34,7 @@
 //!
 //! Snapshots are taken at window boundaries, where every privacy
 //! charge of the preceding window has already been committed to the
-//! serialized [`LedgerState`](dpta_dp::LedgerState)
+//! serialized [`Ledger`](dpta_dp::Ledger)
 //! and recorded in the serialized release-dedup set. A restored
 //! session therefore re-charges nothing: re-derived publications of
 //! already-charged releases are filtered by the dedup exactly as they

@@ -121,10 +121,7 @@ pub mod prelude {
     pub use dpta_core::{
         AssignmentEngine, Board, Instance, Measures, Method, RunOutcome, RunParams, Task, Worker,
     };
-    pub use dpta_dp::{
-        pcf, ppcf, BudgetLedger, BudgetVector, CumulativeAccountant, EffectivePair, LedgerState,
-        PrivacyLedger, SeededNoise, WindowedAccountant,
-    };
+    pub use dpta_dp::{pcf, ppcf, BudgetVector, EffectivePair, Ledger, PrivacyLedger, SeededNoise};
     pub use dpta_matching::Assignment;
     pub use dpta_spatial::{Circle, GridPartition, Point};
     pub use dpta_stream::{
