@@ -21,13 +21,17 @@
 //! expires after `task_ttl` windows (or is still pending at stream
 //! end). Matched fractions are exact (4/5 of tasks), asserted before
 //! any timing.
+//!
+//! Each scale drains the stream three ways: flat (`drain`), drop-pairs
+//! over a 4×4 grid (`sharded4x4`) and the halo coordinator over the
+//! same grid (`halo4x4`), so the drift gate covers all three.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, ArrivalEvent, ArrivalStream, StreamConfig, StreamDriver, TaskArrival,
-    WindowPolicy, WorkerArrival,
+    run_sharded, run_sharded_halo, ArrivalEvent, ArrivalStream, StreamConfig, StreamDriver,
+    TaskArrival, WindowPolicy, WorkerArrival,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -132,6 +136,20 @@ fn scale_sweep(c: &mut Criterion) {
             &stream,
             |b, stream| {
                 b.iter(|| black_box(run_sharded(engine.as_ref(), black_box(stream), &cfg, &part)))
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("halo4x4", format!("n{n}")),
+            &stream,
+            |b, stream| {
+                b.iter(|| {
+                    black_box(run_sharded_halo(
+                        engine.as_ref(),
+                        black_box(stream),
+                        &cfg,
+                        &part,
+                    ))
+                })
             },
         );
     }

@@ -24,6 +24,5 @@ pub mod cea;
 pub mod greedy;
 pub mod hungarian;
 pub mod rank;
-pub mod repair;
 
 pub use assignment::Assignment;

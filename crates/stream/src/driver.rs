@@ -241,16 +241,6 @@ pub struct StreamConfig {
     /// Extend the windowed span to this horizon (used by the sharded
     /// runner so every shard forms the same window sequence).
     pub horizon: Option<f64>,
-    /// Force the halo coordinator to re-drive every flagged shard from
-    /// scratch on reconciliation passes, even when component analysis
-    /// proves the rerun's outcome unchanged. `false` (the default)
-    /// enables the incremental skip: a shard whose lost claims touch no
-    /// feasibility component of its remaining entities keeps its
-    /// previous run and only drops the departed workers' claims.
-    /// Equivalence of the two modes is pinned by the incremental
-    /// property suite; the knob exists to express that test and to
-    /// debug suspected skip misfires.
-    pub halo_full_rerun: bool,
     /// How per-worker budget spend is accounted over time.
     /// [`LedgerMode::Lifetime`] (the default) is the paper's model:
     /// spend accumulates forever and exhausted workers retire.
@@ -342,7 +332,6 @@ impl Default for StreamConfig {
             carry_releases: true,
             service: ServiceModel::Never,
             horizon: None,
-            halo_full_rerun: false,
             ledger: LedgerMode::Lifetime,
             pacing: None,
             admission: None,
@@ -677,12 +666,6 @@ impl StreamConfigBuilder {
     /// Sets the windowing horizon override.
     pub fn horizon(mut self, horizon: Option<f64>) -> Self {
         self.cfg.horizon = horizon;
-        self
-    }
-
-    /// Sets the halo full-rerun debug knob.
-    pub fn halo_full_rerun(mut self, full: bool) -> Self {
-        self.cfg.halo_full_rerun = full;
         self
     }
 

@@ -35,27 +35,12 @@
 //!    entities, and the loop repeats until no claim is rejected. Every
 //!    pass commits at least one worker, so the loop terminates within
 //!    `|pool|` passes.
-//! 4. **Incremental reruns.** Engine interactions flow only along
-//!    feasibility-graph edges, and noise/budgets are keyed by logical
-//!    ids — so a rerun over the remaining entities can differ from the
-//!    previous pass only inside the connected components that lost an
-//!    entity. The coordinator therefore tracks the components of each
-//!    shard's last full drive ([`PairComponents`]) and, on a
-//!    reconciliation pass, re-drives *only the dirty components*: the
-//!    undisturbed components keep their previous claims, spend and
-//!    board columns, which are bit-identical to what a full rerun
-//!    would re-derive. A shard none of whose remaining entities sit in
-//!    a dirty component skips the drive entirely — the zero-feasible
-//!    early-out (the built instance has no feasible pair) is the
-//!    trivial case. The next window's carried board is
-//!    stitched per entity from the last drive that covered it; the
-//!    stitch is exact because a worker's whole release history lives
-//!    inside his own component. Full reruns are kept in two cases:
-//!    under a finite hard cap (the budget guard reads the live
-//!    accountant, whose reservations move between passes, so a rerun
-//!    is guard-sensitive beyond its own components) and under
-//!    [`StreamConfig::halo_full_rerun`] (the reference semantics the
-//!    incremental property suite compares against).
+//! 4. **Reruns.** A flagged shard re-drives the engine over all it
+//!    has left: the instance of its pending and pool positions minus
+//!    what earlier passes committed, on the pre-window board carried
+//!    onto those entities. A rerun whose instance has no feasible pair
+//!    is a guaranteed no-op and is skipped. Each shard carries one
+//!    board into the next window, that of its last drive.
 //! 5. **Charge once.** Per-pair releases are deterministic functions
 //!    of `(worker id, task id, slot)`, so a rerun re-derives
 //!    bit-identical publications. A global release dedup
@@ -78,7 +63,7 @@
 //! input the protocol is near-exact: the only utility left unrecovered
 //! is what reconciliation rejects in the final pass of a window.
 //! `ARCHITECTURE.md` ("Sharding & the halo protocol", "Window
-//! instances & incremental reruns") documents the guarantees and their
+//! instances & halo reruns") documents the guarantees and their
 //! limits.
 //!
 //! [`ShardStrategy::DropPairs`]: crate::ShardStrategy::DropPairs
@@ -90,43 +75,30 @@ use crate::driver::{
 use crate::event::WorkerArrival;
 use crate::lifecycle::{InService, Lifecycle, PaceState, StepSignals};
 use crate::metrics::{ShardedReport, StreamReport, TaskFate, WindowCutDecision, WindowReport};
+use crate::session::CarriedBoard;
 use crate::snapshot::SnapshotError;
 use crate::window::Window;
-use dpta_core::board::LOCATION_RELEASE;
 use dpta_core::{AssignmentEngine, Board, Instance, RunOutcome};
 use dpta_dp::{FastMap, Ledger, SeededBudgets, SeededNoise};
-use dpta_matching::repair::PairComponents;
 use dpta_spatial::GridPartition;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
-/// Protocol state a shard carries across windows (warm-start engines).
-///
-/// After an incremental window this is a *stitched* view: the base
-/// full drive plus every component-restricted re-drive, later sources
-/// overriding earlier ones per entity. [`carry_board`] flattens the
-/// stack onto the next window's board; the result is bit-identical to
-/// carrying a monolithic full-rerun board because an entity's release
-/// history never leaves its own feasibility component.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct Carried {
-    sources: Vec<CarrySource>,
-}
-
-/// One board in the carried stack, keyed by the logical ids it was
-/// built over.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CarrySource {
-    board: Board,
+/// A shard's entities for one drive, in lifecycle order: their
+/// positions in the pending list and pool, which claims, commits and
+/// settlement resolve through, and their logical ids, which noise,
+/// charging and the carried board key on.
+struct ShardEntities {
+    task_at: Vec<usize>,
+    worker_at: Vec<usize>,
     task_ids: Vec<u32>,
     worker_ids: Vec<u32>,
 }
 
 /// One shard's engine run inside one reconciliation pass.
 struct ShardRun {
-    task_ids: Vec<u32>,
-    worker_ids: Vec<u32>,
+    ents: ShardEntities,
     outcome: RunOutcome,
     /// Publications already on the board before the drive (carried
     /// history), subtracted from the reported publication count.
@@ -134,72 +106,29 @@ struct ShardRun {
     /// The board's per-column publication counts before the drive: the
     /// charge path skips columns that did not grow.
     pre_cols: Vec<u32>,
-    /// Feasibility components of the driven instance, resolved to a
-    /// root per entity id. Computed for full drives on the incremental
-    /// path; `None` for sub-drives (which inherit the base's roots)
-    /// and for full-rerun / capped runs (which never consult them).
-    roots: Option<RunRoots>,
 }
 
-/// Component roots of one driven instance, by logical id.
-struct RunRoots {
-    task_root: FastMap<u32, u32>,
-    worker_root: FastMap<u32, u32>,
-}
-
-/// A shard's reconciliation state for the current window.
-#[derive(Default)]
-struct ShardPassState {
-    /// The last *full* drive of this window.
-    base: Option<ShardRun>,
-    /// Component-restricted re-drives since `base`, in pass order.
-    subs: Vec<ShardRun>,
-    /// Roots (of `base`'s components) that lost an entity since the
-    /// shard last drove. Cleared whenever the shard drives or proves a
-    /// skip.
-    dirty: BTreeSet<u32>,
-    /// Latest board spend per driven worker id — what the commit step
-    /// prices privacy cost from, regardless of which (full or sub) run
-    /// last covered the worker.
-    spent: FastMap<u32, f64>,
-}
-
-/// A shard's proposed match, by logical id.
+/// A shard's proposed match: the pair's pending and pool positions,
+/// and the worker's column in the shard's last run, whose board prices
+/// the commit's privacy cost.
 #[derive(Debug, Clone, Copy)]
 struct Claim {
-    task: u32,
-    worker: u32,
+    task_at: usize,
+    worker_at: usize,
+    col: usize,
 }
 
 /// The inputs of one shard run, assembled before the (possibly
 /// parallel) drive.
 struct PreparedRun {
     shard: usize,
-    task_ids: Vec<u32>,
-    worker_ids: Vec<u32>,
+    ents: ShardEntities,
     inst: Instance,
     board: Board,
     pre_pubs: usize,
     pre_cols: Vec<u32>,
     /// Remaining lifetime budget per worker (finite caps only).
     guard: Option<Vec<f64>>,
-    /// Component roots of `inst` (incremental full drives only).
-    roots: Option<RunRoots>,
-}
-
-/// What component analysis concludes about a flagged shard's rerun.
-enum IncrementalPlan {
-    /// No remaining entity shares a component with a removed one (or
-    /// the dirty side has only tasks / only workers, which cannot form
-    /// a pair): the rerun is a proven no-op. Keep the previous run —
-    /// claims, spend, board — minus the departed workers' claims.
-    Keep,
-    /// Re-drive exactly the listed entities — the remaining members of
-    /// every dirty component, in instance order.
-    Redrive {
-        task_ids: Vec<u32>,
-        worker_ids: Vec<u32>,
-    },
 }
 
 /// A worker's shard membership, resolved once on arrival (locations
@@ -237,14 +166,13 @@ fn pool_worker(
 /// [`HaloCore::snapshot`] / [`HaloCore::from_snapshot`] make a mid-run
 /// coordinator durable — a restored shard re-enters reconciliation
 /// coherently because the whole protocol state (the shared
-/// [`Lifecycle`], release dedup, carried board stacks) lives here,
+/// [`Lifecycle`], release dedup, carried boards) lives here,
 /// while the per-worker membership is deterministically rebuilt from
 /// it.
 pub(crate) struct HaloCore<'e> {
     engine: &'e dyn AssignmentEngine,
     cfg: StreamConfig,
     warm: bool,
-    incremental: bool,
     // Per-shard report state.
     shard_windows: Vec<Vec<WindowReport>>,
     shard_fates: Vec<BTreeMap<u32, TaskFate>>,
@@ -255,7 +183,7 @@ pub(crate) struct HaloCore<'e> {
     /// one in-service set, run by the same rules as the flat stepper.
     life: Lifecycle,
     charged: ReleaseDedup,
-    carried: Vec<Option<Carried>>,
+    carried: Vec<Option<CarriedBoard>>,
     member: FastMap<u32, Membership>,
     /// Bound of the per-pass drive pool, read once here: the query
     /// reads cgroup files and costs more than a small window's drive.
@@ -272,17 +200,10 @@ impl<'e> HaloCore<'e> {
     ) -> Self {
         let warm = cfg.carry_releases && engine.supports_warm_start();
         let life = Lifecycle::new(&cfg, warm);
-        // Component-restricted reruns are sound only when a rerun's
-        // inputs beyond the instance itself are pass-invariant: a
-        // finite hard cap reads the live accountant (reservations move
-        // between passes), so capped reruns stay full.
-        // `halo_full_rerun` is the debugging / reference override.
-        let incremental = !life.capped && !cfg.halo_full_rerun;
         HaloCore {
             engine,
             cfg,
             warm,
-            incremental,
             shard_windows: vec![Vec::new(); n_shards],
             shard_fates: vec![BTreeMap::new(); n_shards],
             shard_tasks: vec![0; n_shards],
@@ -309,7 +230,6 @@ impl<'e> HaloCore<'e> {
             engine,
             cfg,
             warm,
-            incremental,
             shard_windows,
             shard_fates,
             shard_tasks,
@@ -323,7 +243,7 @@ impl<'e> HaloCore<'e> {
         } = self;
         let engine: &dyn AssignmentEngine = *engine;
         let cfg: &StreamConfig = cfg;
-        let (warm, incremental, capped) = (*warm, *incremental, life.capped);
+        let (warm, capped) = (*warm, life.capped);
         let n_shards = carried.len();
         let opened = life.open(cfg, window);
         let mut returned_by_home = vec![0usize; n_shards];
@@ -360,20 +280,6 @@ impl<'e> HaloCore<'e> {
             }
         }
         let carried_in = opened.carried_in + opened.readmitted;
-
-        // Per-window id → index maps, for resolving claims.
-        let pend_at: FastMap<u32, usize> = life
-            .pending
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.arrival.id, i))
-            .collect();
-        let pool_at: FastMap<u32, usize> = life
-            .pool
-            .iter()
-            .enumerate()
-            .map(|(j, w)| (w.id, j))
-            .collect();
 
         let mut reports: Vec<WindowReport> = (0..n_shards)
             .map(|k| WindowReport {
@@ -419,13 +325,15 @@ impl<'e> HaloCore<'e> {
         let mut matched_mask = vec![false; life.pending.len()];
         let mut taken = vec![false; life.pool.len()];
         let budgets = cfg.budget_source();
-        // Committed worker → pending index of the task he serves.
-        let mut committed: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut window_spend: BTreeMap<u32, f64> = BTreeMap::new();
+        // Committed worker id → (pending, pool) position of the pair.
+        let mut committed: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
+        // Reserved worker id → (pool position, window spend).
+        let mut window_spend: BTreeMap<u32, (usize, f64)> = BTreeMap::new();
         let mut needs_run = vec![true; n_shards];
         let mut claims: Vec<Vec<Claim>> = vec![Vec::new(); n_shards];
-        let mut states: Vec<ShardPassState> =
-            (0..n_shards).map(|_| ShardPassState::default()).collect();
+        // Each shard's last run this window: every live claim of the
+        // shard comes from it.
+        let mut last_run: Vec<Option<ShardRun>> = (0..n_shards).map(|_| None).collect();
         let pool_size = life.pool.len();
         let mut passes = 0usize;
 
@@ -440,78 +348,42 @@ impl<'e> HaloCore<'e> {
             // (a) Run every flagged shard over its remaining entities.
             let flagged_now: Vec<usize> = (0..n_shards).filter(|&k| needs_run[k]).collect();
             let mut prepared: Vec<PreparedRun> = Vec::new();
-            let mut sub_driven: Vec<(usize, ShardRun, Duration)> = Vec::new();
             for &k in &flagged_now {
                 needs_run[k] = false;
-                let shard = ShardInstance::build(
-                    shard_pending[k]
-                        .iter()
-                        .filter(|&&i| !matched_mask[i])
-                        .map(|&i| &life.pending[i]),
-                    shard_pool[k]
-                        .iter()
-                        .filter(|&&j| !taken[j])
-                        .map(|&j| &life.pool[j]),
-                    budgets,
-                );
-                if shard.inst.n_tasks() == 0 || shard.inst.n_workers() == 0 {
-                    claims[k].clear();
+                claims[k].clear();
+                let task_at: Vec<usize> = shard_pending[k]
+                    .iter()
+                    .copied()
+                    .filter(|&i| !matched_mask[i])
+                    .collect();
+                let worker_at: Vec<usize> = shard_pool[k]
+                    .iter()
+                    .copied()
+                    .filter(|&j| !taken[j])
+                    .collect();
+                if task_at.is_empty() || worker_at.is_empty() {
                     continue;
                 }
-                if rerun && shard.inst.feasible_pairs() == 0 {
+                let (ents, inst) = ShardEntities::build(life, task_at, worker_at, budgets);
+                if rerun && inst.feasible_pairs() == 0 {
                     // Losing a boundary worker often leaves a shard
                     // whose remaining tasks nobody can reach. Driving
                     // that instance is a guaranteed no-op — engines
                     // publish and claim only over feasible pairs — so
-                    // skip it; the trivial case of the component skip
-                    // below. Never taken on first-pass runs: those
+                    // skip it. Never taken on first-pass runs: those
                     // mirror the unsharded drive bit for bit, and
                     // location engines (Geo-I) may legitimately publish
                     // there.
-                    claims[k].clear();
                     continue;
                 }
-                if rerun && incremental {
-                    match plan_incremental(&states[k], &shard.task_ids, &shard.worker_ids) {
-                        Some(IncrementalPlan::Keep) => {
-                            // Proven no-op: every remaining entity sits
-                            // in an undisturbed component, so a full
-                            // rerun would reproduce the previous run
-                            // exactly. Keep it; only the departed
-                            // workers' claims are withdrawn.
-                            claims[k].retain(|c| !committed.contains_key(&c.worker));
-                            states[k].dirty.clear();
-                            continue;
-                        }
-                        Some(IncrementalPlan::Redrive {
-                            task_ids,
-                            worker_ids,
-                        }) => {
-                            // Exactly the dirty components' remaining
-                            // entities, in instance order. Only reached
-                            // on uncapped runs, so no guard.
-                            let sub = ShardInstance::build(
-                                task_ids.iter().map(|id| &life.pending[pend_at[id]]),
-                                worker_ids.iter().map(|id| &life.pool[pool_at[id]]),
-                                budgets,
-                            );
-                            let p = prepare_run(k, sub, &carried[k], warm, None, &pace_caps, false);
-                            let (run, dt) = drive_prepared(engine, cfg, p);
-                            sub_driven.push((k, run, dt));
-                            continue;
-                        }
-                        None => {}
-                    }
-                }
-                claims[k].clear();
                 let p = prepare_run(
                     k,
-                    shard,
+                    ents,
+                    inst,
                     &carried[k],
                     warm,
                     capped.then_some(&life.ledger),
                     &pace_caps,
-                    incremental,
                 );
                 if capped {
                     // Finite caps gate on the live accountant
@@ -525,29 +397,20 @@ impl<'e> HaloCore<'e> {
                         &mut window_spend,
                         &mut reports[k],
                     );
-                    finish_run(k, run, dt, &mut reports, &mut claims, &mut states);
+                    finish_run(k, run, dt, &mut reports, &mut claims, &mut last_run);
                 } else {
                     prepared.push(p);
                 }
             }
-            if !prepared.is_empty() || !sub_driven.is_empty() {
-                // Uncapped: inputs were fixed above, so the full drives
-                // can fan out over a bounded thread pool without
-                // changing the result; sub-drives already ran inline.
-                // Charge accounting stays sequential in ascending shard
-                // order so the dedup set is deterministic.
-                let mut driven: Vec<(usize, ShardRun, Duration, bool)> =
-                    drive_parallel(engine, cfg, prepared, *threads)
-                        .into_iter()
-                        .map(|(k, run, dt)| (k, run, dt, false))
-                        .collect();
-                driven.extend(
-                    sub_driven
-                        .into_iter()
-                        .map(|(k, run, dt)| (k, run, dt, true)),
-                );
-                driven.sort_by_key(|&(k, _, _, _)| k);
-                for (k, run, dt, is_sub) in driven {
+            if !prepared.is_empty() {
+                // Uncapped: inputs were fixed above, so the drives can
+                // fan out over a bounded thread pool without changing
+                // the result. Charge accounting stays sequential in
+                // ascending shard order so the dedup set is
+                // deterministic.
+                let mut driven = drive_parallel(engine, cfg, prepared, *threads);
+                driven.sort_by_key(|&(k, _, _)| k);
+                for (k, run, dt) in driven {
                     account_run(
                         &run,
                         charged,
@@ -555,19 +418,7 @@ impl<'e> HaloCore<'e> {
                         &mut window_spend,
                         &mut reports[k],
                     );
-                    if is_sub {
-                        finish_sub_run(
-                            k,
-                            run,
-                            dt,
-                            &mut reports,
-                            &mut claims,
-                            &mut states,
-                            &committed,
-                        );
-                    } else {
-                        finish_run(k, run, dt, &mut reports, &mut claims, &mut states);
-                    }
+                    finish_run(k, run, dt, &mut reports, &mut claims, &mut last_run);
                 }
             }
 
@@ -575,7 +426,10 @@ impl<'e> HaloCore<'e> {
             let mut by_worker: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
             for (k, shard_claims) in claims.iter().enumerate() {
                 for c in shard_claims {
-                    by_worker.entry(c.worker).or_default().push(k);
+                    by_worker
+                        .entry(life.pool[c.worker_at].id)
+                        .or_default()
+                        .push(k);
                 }
             }
             if by_worker.is_empty() {
@@ -630,21 +484,15 @@ impl<'e> HaloCore<'e> {
             for &(w, k) in &winners {
                 let claim = claims[k]
                     .iter()
-                    .find(|c| c.worker == w)
+                    .find(|c| life.pool[c.worker_at].id == w)
                     .copied()
                     .expect("winner shard holds a claim on the worker");
-                let task_at = pend_at[&claim.task];
-                let task = &life.pending[task_at];
-                let worker_at = pool_at[&w];
-                let worker = &life.pool[worker_at];
+                let task = &life.pending[claim.task_at];
+                let worker = &life.pool[claim.worker_at];
                 let d = task.arrival.task.location.distance(&worker.worker.location);
                 let privacy_cost = if engine.accounts_privacy() {
-                    cfg.params.beta
-                        * states[k]
-                            .spent
-                            .get(&w)
-                            .copied()
-                            .expect("claimed worker was driven")
+                    let run = last_run[k].as_ref().expect("a claiming shard has driven");
+                    cfg.params.beta * run.outcome.board.spent_total(claim.col)
                 } else {
                     0.0
                 };
@@ -652,36 +500,17 @@ impl<'e> HaloCore<'e> {
                 reports[k].utility += task.arrival.task.value - cfg.params.alpha * d - privacy_cost;
                 reports[k].distance += d;
                 shard_fates[k].insert(
-                    claim.task,
+                    task.arrival.id,
                     TaskFate::Assigned {
                         window: window.index,
                         worker: w,
                         latency: window.end - task.arrival.time,
                     },
                 );
-                matched_mask[task_at] = true;
-                taken[worker_at] = true;
-                committed.insert(w, task_at);
-                claims[k].retain(|c| c.worker != w);
-                // The committed pair leaves every shard that sees it,
-                // and its components become dirty: any shard later
-                // flagged re-drives exactly the components that lost an
-                // entity.
-                if incremental {
-                    if let Some(roots) = states[k].base.as_ref().and_then(|b| b.roots.as_ref()) {
-                        if let Some(&r) = roots.task_root.get(&claim.task) {
-                            states[k].dirty.insert(r);
-                        }
-                    }
-                    for &k2 in &member[&w].reach {
-                        if let Some(roots) = states[k2].base.as_ref().and_then(|b| b.roots.as_ref())
-                        {
-                            if let Some(&r) = roots.worker_root.get(&w) {
-                                states[k2].dirty.insert(r);
-                            }
-                        }
-                    }
-                }
+                matched_mask[claim.task_at] = true;
+                taken[claim.worker_at] = true;
+                committed.insert(w, (claim.task_at, claim.worker_at));
+                claims[k].retain(|c| c.worker_at != claim.worker_at);
             }
             // The window is reconciled only when no claim is left
             // pending: a pass can commit clean candidates and flag
@@ -701,15 +530,15 @@ impl<'e> HaloCore<'e> {
         // ── Settle the window ─────────────────────────────────────────
         // Commit this window's reservations — exactly once per worker —
         // then depart matched workers and retire exhausted ones.
-        for (&wid, &eps) in &window_spend {
-            life.commit(pool_at[&wid]);
+        for (&wid, &(at, eps)) in &window_spend {
+            life.commit(at);
             *shard_spend[member[&wid].home].entry(wid).or_insert(0.0) += eps;
         }
         let mut departed = vec![false; life.pool.len()];
-        for (&w, &task_at) in &committed {
+        for (&w, &(task_at, worker_at)) in &committed {
             reports[member[&w].home].workers_departed += 1;
-            departed[pool_at[&w]] = true;
-            life.depart(cfg, window.end, task_at, pool_at[&w]);
+            departed[worker_at] = true;
+            life.depart(cfg, window.end, task_at, worker_at);
         }
         // Home shards come off the membership cache — every tracked
         // worker was admitted through it, pooled or serving alike.
@@ -717,24 +546,15 @@ impl<'e> HaloCore<'e> {
             reports[member[&(id as u32)].home].workers_retired += 1;
         }
 
-        // Carry each shard's last drives into the next window: the base
-        // full run plus its component re-drives, later sources owning
-        // the entities they cover.
+        // Carry each shard's last drive into the next window.
         if warm {
-            for (k, st) in states.iter_mut().enumerate() {
-                if let Some(base) = st.base.take() {
-                    let mut sources = Vec::with_capacity(1 + st.subs.len());
-                    sources.push(CarrySource {
-                        board: base.outcome.board,
-                        task_ids: base.task_ids,
-                        worker_ids: base.worker_ids,
+            for (k, run) in last_run.into_iter().enumerate() {
+                if let Some(run) = run {
+                    carried[k] = Some(CarriedBoard {
+                        board: run.outcome.board,
+                        task_ids: run.ents.task_ids,
+                        worker_ids: run.ents.worker_ids,
                     });
-                    sources.extend(st.subs.drain(..).map(|sub| CarrySource {
-                        board: sub.outcome.board,
-                        task_ids: sub.task_ids,
-                        worker_ids: sub.worker_ids,
-                    }));
-                    carried[k] = Some(Carried { sources });
                 }
             }
         }
@@ -889,7 +709,7 @@ pub(crate) struct HaloSnapshot {
     pub(crate) ledger: Ledger,
     pub(crate) pace: BTreeMap<u32, PaceState>,
     pub(crate) charged: ReleaseDedup,
-    pub(crate) carried: Vec<Option<Carried>>,
+    pub(crate) carried: Vec<Option<CarriedBoard>>,
 }
 
 /// Home shard of a pending task.
@@ -897,208 +717,44 @@ fn task_home_of(partition: &GridPartition, p: &PendingTask) -> usize {
     partition.shard_of(&p.arrival.task.location)
 }
 
-/// Decides how much of a flagged shard's rerun is actually needed.
-///
-/// Every remaining entity of the shard was present in its last full
-/// drive (instances only shrink within a window), so each resolves to
-/// a component root there. Entities in undisturbed components keep
-/// their previous outcome bit for bit — engine interactions flow only
-/// along feasibility edges and noise/budgets are id-keyed — so only
-/// the dirty components need re-driving. Returns `None` when the shard
-/// has no component information (no full drive yet), forcing a full
-/// drive.
-fn plan_incremental(
-    st: &ShardPassState,
-    shard_task_ids: &[u32],
-    shard_worker_ids: &[u32],
-) -> Option<IncrementalPlan> {
-    let roots = st.base.as_ref()?.roots.as_ref()?;
-    let mut task_ids: Vec<u32> = Vec::new();
-    let mut worker_ids: Vec<u32> = Vec::new();
-    for &id in shard_task_ids {
-        match roots.task_root.get(&id) {
-            Some(r) if st.dirty.contains(r) => task_ids.push(id),
-            Some(_) => {}
-            None => return None,
-        }
-    }
-    for &id in shard_worker_ids {
-        match roots.worker_root.get(&id) {
-            Some(r) if st.dirty.contains(r) => worker_ids.push(id),
-            Some(_) => {}
-            None => return None,
-        }
-    }
-    // A dirty side without a counterpart cannot form a feasible pair
-    // (components are edge-closed), so its re-drive is a no-op too.
-    if task_ids.is_empty() || worker_ids.is_empty() {
-        Some(IncrementalPlan::Keep)
-    } else {
-        Some(IncrementalPlan::Redrive {
-            task_ids,
-            worker_ids,
-        })
-    }
-}
-
-/// Resolves the feasibility components of a driven instance to a root
-/// per entity id.
-fn compute_roots(inst: &Instance, task_ids: &[u32], worker_ids: &[u32]) -> RunRoots {
-    let mut comp = PairComponents::new(inst.n_tasks(), inst.n_workers());
-    for j in 0..inst.n_workers() {
-        for &i in inst.reach(j) {
-            comp.join(i, j);
-        }
-    }
-    RunRoots {
-        task_root: task_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, comp.find_task(i)))
-            .collect(),
-        worker_root: worker_ids
-            .iter()
-            .enumerate()
-            .map(|(j, &id)| (id, comp.find_worker(j)))
-            .collect(),
-    }
-}
-
-/// Transplants the carried protocol state onto a fresh board for the
-/// given id lists, flattening the carried stack: the *last* source
-/// covering an entity owns its columns. With a single source this is
-/// exactly [`Board::carry`]; with re-drive sources the stitch is still
-/// bit-identical to carrying a monolithic full-rerun board, because a
-/// worker's release history never crosses his feasibility component
-/// (geometry is immutable, so a carried pair's edge persists) and
-/// ledger iteration is ascending in task index either way.
-fn carry_board(
-    carried: &Option<Carried>,
-    warm: bool,
-    task_ids: &[u32],
-    worker_ids: &[u32],
-    n_tasks: usize,
-    n_workers: usize,
-) -> Board {
-    let Some(prev) = carried else {
-        return Board::new(n_tasks, n_workers);
-    };
-    if !warm {
-        return Board::new(n_tasks, n_workers);
-    }
-    let task_to_new: FastMap<u32, usize> = task_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, i))
-        .collect();
-    let worker_to_new: FastMap<u32, usize> = worker_ids
-        .iter()
-        .enumerate()
-        .map(|(j, &id)| (id, j))
-        .collect();
-    let mut task_owner: FastMap<u32, usize> = FastMap::default();
-    let mut worker_owner: FastMap<u32, usize> = FastMap::default();
-    for (s, src) in prev.sources.iter().enumerate() {
-        for &id in &src.task_ids {
-            task_owner.insert(id, s);
-        }
-        for &id in &src.worker_ids {
-            worker_owner.insert(id, s);
-        }
-    }
-    let mut next = Board::new(n_tasks, n_workers);
-    for (s, src) in prev.sources.iter().enumerate() {
-        for (j_old, &wid) in src.worker_ids.iter().enumerate() {
-            if worker_owner[&wid] != s {
-                continue;
-            }
-            let Some(&j_new) = worker_to_new.get(&wid) else {
-                continue;
-            };
-            for t in src.board.ledger(j_old).tasks() {
-                if t == LOCATION_RELEASE {
-                    continue;
-                }
-                let t_old = t as usize;
-                let Some(&t_new) = task_to_new.get(&src.task_ids[t_old]) else {
-                    continue;
-                };
-                if let Some(set) = src.board.releases(t_old, j_old) {
-                    for r in set.releases() {
-                        next.publish(t_new, j_new, r.value, r.epsilon);
-                    }
-                }
-            }
-        }
-    }
-    for (s, src) in prev.sources.iter().enumerate() {
-        for (t_old, w) in src.board.alloc().iter().enumerate() {
-            let Some(j_old) = *w else {
-                continue;
-            };
-            if task_owner[&src.task_ids[t_old]] != s {
-                continue;
-            }
-            if let (Some(&t_new), Some(&j_new)) = (
-                task_to_new.get(&src.task_ids[t_old]),
-                worker_to_new.get(&src.worker_ids[j_old]),
-            ) {
-                next.set_winner(t_new, Some(j_new));
-            }
-        }
-    }
-    next
-}
-
-/// A shard's entities for one drive, by logical id, with their keyed
-/// instance in the same order.
-struct ShardInstance {
-    task_ids: Vec<u32>,
-    worker_ids: Vec<u32>,
-    inst: Instance,
-}
-
-impl ShardInstance {
-    fn build<'a>(
-        tasks: impl Iterator<Item = &'a PendingTask> + Clone,
-        workers: impl Iterator<Item = &'a WorkerArrival> + Clone,
+impl ShardEntities {
+    /// Lists the pending tasks at `task_at` and the pooled workers at
+    /// `worker_at` with their ids, and builds their keyed instance in
+    /// the same order.
+    fn build(
+        life: &Lifecycle,
+        task_at: Vec<usize>,
+        worker_at: Vec<usize>,
         budgets: SeededBudgets,
-    ) -> Self {
-        ShardInstance {
-            task_ids: tasks.clone().map(|p| p.arrival.id).collect(),
-            worker_ids: workers.clone().map(|w| w.id).collect(),
-            inst: keyed_instance(tasks, workers, budgets),
-        }
+    ) -> (Self, Instance) {
+        let tasks = task_at.iter().map(|&i| &life.pending[i]);
+        let workers = worker_at.iter().map(|&j| &life.pool[j]);
+        let inst = keyed_instance(tasks.clone(), workers.clone(), budgets);
+        let ents = ShardEntities {
+            task_ids: tasks.map(|p| p.arrival.id).collect(),
+            worker_ids: workers.map(|w| w.id).collect(),
+            task_at,
+            worker_at,
+        };
+        (ents, inst)
     }
 }
 
-/// Prepares shard `k`'s drive over `shard`, carrying protocol state
-/// from the pre-window board restricted to its entities. A full run
-/// tracks components on the incremental path; a component re-drive
-/// inherits its base's and passes `track_components = false`.
+/// Prepares shard `k`'s drive over `ents`, carrying protocol state
+/// from the shard's pre-window board onto its entities.
 fn prepare_run(
     k: usize,
-    shard: ShardInstance,
-    carried: &Option<Carried>,
+    ents: ShardEntities,
+    inst: Instance,
+    carried: &Option<CarriedBoard>,
     warm: bool,
     guard_from: Option<&Ledger>,
     pace_caps: &BTreeMap<u32, f64>,
-    track_components: bool,
 ) -> PreparedRun {
-    let ShardInstance {
-        task_ids,
-        worker_ids,
-        inst,
-    } = shard;
-    let roots = track_components.then(|| compute_roots(&inst, &task_ids, &worker_ids));
-    let board = carry_board(
-        carried,
-        warm,
-        &task_ids,
-        &worker_ids,
-        inst.n_tasks(),
-        inst.n_workers(),
-    );
+    let board = match carried {
+        Some(prev) if warm => prev.carry(&ents.task_ids, &ents.worker_ids),
+        _ => Board::new(inst.n_tasks(), inst.n_workers()),
+    };
     let pre_pubs = board.publications();
     let pre_cols = board.column_publications().to_vec();
     // The cap guard reads the live accountant, reservations included.
@@ -1112,7 +768,7 @@ fn prepare_run(
     // one thing the hard cap must never do. Conservative, deterministic
     // under-publishing in the (rare) rerun case is the chosen trade.
     let guard = guard_from.map(|acc| {
-        worker_ids
+        ents.worker_ids
             .iter()
             .map(|&id| {
                 let g = acc.remaining(u64::from(id));
@@ -1124,14 +780,12 @@ fn prepare_run(
     });
     PreparedRun {
         shard: k,
-        task_ids,
-        worker_ids,
+        ents,
         inst,
         board,
         pre_pubs,
         pre_cols,
         guard,
-        roots,
     }
 }
 
@@ -1144,8 +798,8 @@ fn drive_prepared(
 ) -> (ShardRun, Duration) {
     let noise = IdStableNoise {
         base: SeededNoise::new(cfg.params.seed),
-        task_ids: &p.task_ids,
-        worker_ids: &p.worker_ids,
+        task_ids: &p.ents.task_ids,
+        worker_ids: &p.ents.worker_ids,
     };
     // dpta-lint: allow(no-wall-clock) -- drive_time is observability-only; no windowing or matching decision reads it
     let start = Instant::now();
@@ -1161,12 +815,10 @@ fn drive_prepared(
     let dt = start.elapsed();
     (
         ShardRun {
-            task_ids: p.task_ids,
-            worker_ids: p.worker_ids,
+            ents: p.ents,
             outcome,
             pre_pubs: p.pre_pubs,
             pre_cols: p.pre_cols,
-            roots: p.roots,
         },
         dt,
     )
@@ -1227,34 +879,37 @@ fn account_run(
     run: &ShardRun,
     charged: &mut ReleaseDedup,
     ledger: &mut Ledger,
-    window_spend: &mut BTreeMap<u32, f64>,
+    window_spend: &mut BTreeMap<u32, (usize, f64)>,
     report: &mut WindowReport,
 ) {
+    let ents = &run.ents;
     charge_novel(
         &run.outcome.board,
         &run.pre_cols,
-        &run.worker_ids,
-        &run.task_ids,
+        &ents.worker_ids,
+        &ents.task_ids,
         charged,
         |j, novel| {
-            let wid = run.worker_ids[j];
+            let wid = ents.worker_ids[j];
             ledger.reserve(u64::from(wid), novel);
             report.epsilon_spent += novel;
-            *window_spend.entry(wid).or_insert(0.0) += novel;
+            window_spend
+                .entry(wid)
+                .or_insert((ents.worker_at[j], 0.0))
+                .1 += novel;
         },
     );
 }
 
-/// Records a finished full run: claims, rounds, publications, wall
-/// time, per-worker spend, and the component baseline for later
-/// incremental passes.
+/// Records a finished run: claims, rounds, publications and wall time.
+/// The run becomes the shard's last, replacing all its earlier claims.
 fn finish_run(
     k: usize,
     run: ShardRun,
     dt: Duration,
     reports: &mut [WindowReport],
     claims: &mut [Vec<Claim>],
-    states: &mut [ShardPassState],
+    last_run: &mut [Option<ShardRun>],
 ) {
     reports[k].rounds += run.outcome.rounds;
     reports[k].drive_time += dt;
@@ -1264,51 +919,10 @@ fn finish_run(
         .assignment
         .pairs()
         .map(|(i, j)| Claim {
-            task: run.task_ids[i],
-            worker: run.worker_ids[j],
+            task_at: run.ents.task_at[i],
+            worker_at: run.ents.worker_at[j],
+            col: j,
         })
         .collect();
-    let st = &mut states[k];
-    for (j, &wid) in run.worker_ids.iter().enumerate() {
-        st.spent.insert(wid, run.outcome.board.spent_total(j));
-    }
-    st.subs.clear();
-    st.dirty.clear();
-    st.base = Some(run);
-}
-
-/// Records a finished component re-drive: stats and spend like a full
-/// run, but claims *merge* — the re-driven components' claims replace
-/// only their own tasks' previous claims, everything undisturbed (and
-/// not departed) stays.
-fn finish_sub_run(
-    k: usize,
-    run: ShardRun,
-    dt: Duration,
-    reports: &mut [WindowReport],
-    claims: &mut [Vec<Claim>],
-    states: &mut [ShardPassState],
-    committed: &BTreeMap<u32, usize>,
-) {
-    reports[k].rounds += run.outcome.rounds;
-    reports[k].drive_time += dt;
-    reports[k].publications += run.outcome.board.publications() - run.pre_pubs;
-    let redriven: BTreeSet<u32> = run.task_ids.iter().copied().collect();
-    claims[k].retain(|c| !redriven.contains(&c.task) && !committed.contains_key(&c.worker));
-    let fresh: Vec<Claim> = run
-        .outcome
-        .assignment
-        .pairs()
-        .map(|(i, j)| Claim {
-            task: run.task_ids[i],
-            worker: run.worker_ids[j],
-        })
-        .collect();
-    claims[k].extend(fresh);
-    let st = &mut states[k];
-    for (j, &wid) in run.worker_ids.iter().enumerate() {
-        st.spent.insert(wid, run.outcome.board.spent_total(j));
-    }
-    st.dirty.clear();
-    st.subs.push(run);
+    last_run[k] = Some(run);
 }

@@ -263,12 +263,31 @@ pub enum Outcome {
     },
 }
 
-/// The protocol state carried between windows for warm-start engines.
+/// The protocol state carried between windows for warm-start engines:
+/// a drive's board and the id lists (pending and pool order) it was
+/// driven over.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct CarriedBoard {
-    board: Board,
-    task_ids: Vec<u32>,
-    worker_ids: Vec<u32>,
+    pub(crate) board: Board,
+    pub(crate) task_ids: Vec<u32>,
+    pub(crate) worker_ids: Vec<u32>,
+}
+
+impl CarriedBoard {
+    /// Transplants the carried board onto a drive over `task_ids` ×
+    /// `worker_ids` with [`Board::carry`]. Both lists must be in the
+    /// lifecycle's order, a later state of the carried lists (see
+    /// [`carry_map`]).
+    pub(crate) fn carry(&self, task_ids: &[u32], worker_ids: &[u32]) -> Board {
+        let task_to_new = carry_map(&self.task_ids, task_ids);
+        let worker_to_new = carry_map(&self.worker_ids, worker_ids);
+        self.board.carry(
+            task_ids.len(),
+            worker_ids.len(),
+            |t_old| task_to_new[t_old].map(|t| t as usize),
+            |j_old| worker_to_new[j_old].map(|j| j as usize),
+        )
+    }
 }
 
 /// Maps a carried board's old indices to this window's, for
@@ -277,8 +296,11 @@ pub(crate) struct CarriedBoard {
 ///
 /// Settling only removes entries and admission only appends, so the
 /// survivors of `old` appear at the front of `new` in their old order,
-/// followed by everything pooled or admitted since. One two-pointer walk
-/// therefore maps every survivor; an id it misses either left for good
+/// followed by everything pooled or admitted since. A halo shard's
+/// lists are this order restricted to the shard's members, and a member
+/// missing from a drive's lists was committed and departed, so the same
+/// holds for them. One two-pointer walk therefore maps every survivor;
+/// an id it misses either left for good
 /// or re-entered (a worker back from service) and sits in the appended
 /// tail past the walk's end — which a small lookup over that tail alone
 /// resolves.
@@ -515,16 +537,7 @@ impl<'e> SessionCore<'e> {
             };
 
             let board = match carried.take() {
-                Some(prev) if warm => {
-                    let task_to_new = carry_map(&prev.task_ids, &task_ids);
-                    let worker_to_new = carry_map(&prev.worker_ids, &worker_ids);
-                    prev.board.carry(
-                        inst.n_tasks(),
-                        inst.n_workers(),
-                        |t_old| task_to_new[t_old].map(|t| t as usize),
-                        |j_old| worker_to_new[j_old].map(|j| j as usize),
-                    )
-                }
+                Some(prev) if warm => prev.carry(&task_ids, &worker_ids),
                 _ => Board::new(inst.n_tasks(), inst.n_workers()),
             };
             let pre_pubs = board.publications();

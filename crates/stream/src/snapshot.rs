@@ -27,7 +27,9 @@
 //! lifecycle; v4 made the release-dedup set authoritative for every
 //! flat session — a v3 warm serve-and-leave session charged by board
 //! spend delta and left it empty, so restoring one would double-charge
-//! its carried releases. Older snapshots are rejected with
+//! its carried releases; v5 dropped the configuration's
+//! `halo_full_rerun` field and made each halo shard carry one board
+//! where it carried a stack of them. Older snapshots are rejected with
 //! [`SnapshotError::VersionMismatch`].)
 //!
 //! # Exactly-once across restart
@@ -51,7 +53,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Current snapshot format version, embedded in every snapshot.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// The full serializable state of a [`StreamSession`] at a window
 /// boundary, produced by [`StreamSession::snapshot`] and consumed by
@@ -165,9 +167,6 @@ pub(crate) fn check_config(snap: &StreamConfig, cfg: &StreamConfig) -> Result<()
     }
     if snap.horizon != cfg.horizon {
         return mismatch("horizon");
-    }
-    if snap.halo_full_rerun != cfg.halo_full_rerun {
-        return mismatch("halo_full_rerun");
     }
     if snap.ledger != cfg.ledger {
         return mismatch("ledger");

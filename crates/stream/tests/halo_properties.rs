@@ -17,13 +17,17 @@
 //!   means a pair dropped today can free the worker for a better task
 //!   tomorrow, an online-matching anomaly that hits the *unsharded*
 //!   pipeline identically — so the dominance property is asserted on
-//!   single-window streams, where the comparison is meaningful.
+//!   single-window streams, where the comparison is meaningful;
+//! * **golden reconciliation** — on a contended junction stream whose
+//!   every claim is contested, each engine's matched count, utility,
+//!   ε, publications and rounds equal values recorded from the
+//!   full-rerun reference, bit for bit.
 
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, run_sharded_halo, ArrivalEvent, ArrivalStream, StreamConfig, TaskArrival,
-    TaskFate, WindowPolicy, WorkerArrival,
+    run_sharded, run_sharded_halo, ArrivalEvent, ArrivalStream, ServiceModel, StreamConfig,
+    TaskArrival, TaskFate, WindowPolicy, WorkerArrival,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -189,5 +193,95 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A stream whose shards hold several feasibility components: a
+/// contended cluster around the 2x2 junction (every worker's disc
+/// covers all four cells, so every claim is contested and shards
+/// rerun) plus an interior cluster per cell whose discs stay inside
+/// it.
+fn junction_stream() -> ArrivalStream {
+    let mut tasks: Vec<(f64, f64, f64)> = (0..40)
+        .map(|i| {
+            (
+                40.0 + (i % 8) as f64 * 2.6,
+                41.0 + (i / 8) as f64 * 4.4,
+                20.0 * i as f64,
+            )
+        })
+        .collect();
+    let mut workers: Vec<(f64, f64, f64, f64)> = (0..16)
+        .map(|j| {
+            (
+                46.0 + (j % 4) as f64 * 2.5,
+                46.5 + (j / 4) as f64 * 2.4,
+                15.0,
+                40.0 * j as f64,
+            )
+        })
+        .collect();
+    for (c, &(cx, cy)) in [(20.0, 20.0), (80.0, 20.0), (20.0, 80.0), (80.0, 80.0)]
+        .iter()
+        .enumerate()
+    {
+        for i in 0..5 {
+            tasks.push((cx + i as f64 * 1.5, cy, 25.0 * i as f64 + c as f64));
+        }
+        workers.push((cx + 3.0, cy + 2.0, 6.0, 30.0 + c as f64));
+        workers.push((cx - 3.0, cy - 2.0, 6.0, 350.0 + c as f64));
+    }
+    random_stream(&tasks, &workers)
+}
+
+/// The junction stream's halo outcomes, recorded from the full-rerun
+/// reference coordinator: (capacity 6 with fixed-duration service,
+/// engine, matched, total utility bits, total ε bits, publications,
+/// rounds).
+#[rustfmt::skip]
+const GOLDEN: [(bool, Method, usize, u64, u64, usize, usize); 10] = [
+    (false, Method::Grd,  23, 0x404ae51bd9f6fe89, 0x0,                  0, 15),
+    (false, Method::Uce,  20, 0x40430d8d0edc1a62, 0x405c380f8e5ac152, 118, 37),
+    (false, Method::Puce, 18, 0xc00f5470752acc60, 0x404ff3df610f500c,  89, 31),
+    (false, Method::Pgt,  21, 0x402d19416e83473f, 0x4038ccd61d277d43,  34, 28),
+    (false, Method::GeoI, 20, 0x4038a777f3eb0c3a, 0x4055c9aa751464f7, 103, 16),
+    (true,  Method::Grd,  34, 0x4052708690d86a68, 0x0,                  0, 14),
+    (true,  Method::Uce,  24, 0x404715d82247a8b2, 0x405a491a22d3fe56, 100, 25),
+    (true,  Method::Puce, 23, 0x3ff2e710544a2f0d, 0x4051fa6e225bd49c, 106, 32),
+    (true,  Method::Pgt,  35, 0x4036d9fae4c0948a, 0x40461c802d70013b,  54, 31),
+    (true,  Method::GeoI, 32, 0x403e677dbbef8f5c, 0x40612917cd04f85f, 176, 17),
+];
+
+/// Pins non-disjoint halo output: reconciliation reruns on the
+/// junction stream reproduce, per engine, the matched count, total
+/// utility and total ε (as bits), publications and rounds recorded
+/// from the full-rerun reference coordinator. Uncapped runs take the
+/// parallel drive path; capacity 6 with fixed-duration service takes
+/// the capped sequential path (for warm engines) and re-entry.
+#[test]
+fn halo_reconciliation_matches_golden_outcomes() {
+    let stream = junction_stream();
+    let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 2, 2);
+    let capped = StreamConfig {
+        worker_capacity: 6.0,
+        service: ServiceModel::Fixed { secs: 240.0 },
+        ..cfg()
+    };
+    for (is_capped, method, matched, utility, epsilon, publications, rounds) in GOLDEN {
+        let cfg = if is_capped { capped.clone() } else { cfg() };
+        let engine = method.engine(&cfg.params);
+        let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+        let windows = || halo.shards.iter().flat_map(|s| s.windows.iter());
+        assert_eq!(
+            (
+                halo.matched(),
+                halo.total_utility().to_bits(),
+                halo.total_epsilon().to_bits(),
+                windows().map(|w| w.publications).sum::<usize>(),
+                windows().map(|w| w.rounds).sum::<usize>(),
+            ),
+            (matched, utility, epsilon, publications, rounds),
+            "{method} (capped: {is_capped})"
+        );
     }
 }
