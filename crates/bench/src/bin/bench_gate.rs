@@ -2,7 +2,8 @@
 //!
 //! Runs the five streaming benches (`time_to_drain`, `halo_sharding`,
 //! `adaptive_window`, `reentry_drain`, `windowed_ledger`) with the
-//! criterion shim's machine-readable JSON output, assembles
+//! criterion shim's machine-readable JSON output (`halo_sharding` on
+//! one CPU, through `taskset`; Linux only), assembles
 //! `BENCH_stream.json` (median ns per bench id), prints the derived
 //! cost-ratio columns (halo/drop-pairs, adaptive/static), and compares
 //! the fresh medians against the committed baseline at the repo root:
@@ -29,9 +30,9 @@
 //! ```
 
 use dpta_bench::{
-    compare_trajectories, entity_scale, env_group, parse_bench_lines, parse_trajectory,
-    ratio_columns, render_trajectory, scale_exponents, scale_regressions, BenchTrajectory,
-    ENV_GROUP, SCALES_GROUP,
+    compare_trajectories, entity_scale, env_group, last_allowed_cpu, parse_bench_lines,
+    parse_trajectory, ratio_columns, render_trajectory, scale_exponents, scale_regressions,
+    BenchTrajectory, ENV_GROUP, SCALES_GROUP,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -46,6 +47,13 @@ const BENCHES: [&str; 5] = [
     "reentry_drain",
     "windowed_ledger",
 ];
+
+/// The benches run under a one-CPU affinity mask. Their halo ids drive
+/// shards over a scoped-thread pool whose start-up and wake-up swing
+/// with host load far more than the drives they time; on one CPU
+/// `available_parallelism()` is 1 and the pool drives every shard on
+/// the calling thread, as perfbench's end-to-end sweep-halo run does.
+const PINNED: [&str; 1] = ["halo_sharding"];
 
 struct Args {
     quick: bool,
@@ -96,13 +104,37 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Runs one bench binary with the shim's JSON output redirected to
-/// `jsonl`, returning its parsed `(id, median_ns)` rows.
-fn run_bench(name: &str, jsonl: &PathBuf, quick: bool) -> Result<Vec<(String, f64)>, String> {
+/// `jsonl`, returning its parsed `(id, median_ns)` rows. With `pin`
+/// set, the bench is built first and then run under `taskset` on that
+/// CPU alone, so the build keeps every CPU.
+fn run_bench(
+    name: &str,
+    jsonl: &PathBuf,
+    quick: bool,
+    pin: Option<usize>,
+) -> Result<Vec<(String, f64)>, String> {
     let _ = std::fs::remove_file(jsonl);
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let mut cmd = Command::new(cargo);
-    cmd.args(["bench", "-p", "dpta-bench", "--bench", name])
-        .env("CRITERION_JSON", jsonl);
+    let bench = ["bench", "-p", "dpta-bench", "--bench", name];
+    let mut cmd = match pin {
+        None => Command::new(&cargo),
+        Some(cpu) => {
+            let built = Command::new(&cargo)
+                .args(bench)
+                .arg("--no-run")
+                .status()
+                .map_err(|e| format!("could not spawn cargo bench --bench {name}: {e}"))?;
+            if !built.success() {
+                return Err(format!(
+                    "cargo bench --bench {name} --no-run failed: {built}"
+                ));
+            }
+            let mut taskset = Command::new("taskset");
+            taskset.args(["-c", &cpu.to_string(), &cargo]);
+            taskset
+        }
+    };
+    cmd.args(bench).env("CRITERION_JSON", jsonl);
     if quick {
         cmd.env("CRITERION_QUICK", "1");
     }
@@ -137,11 +169,24 @@ fn main() -> ExitCode {
     }
     let mut fresh: BenchTrajectory = BTreeMap::new();
     for name in benches {
+        let pin = if PINNED.contains(&name) {
+            let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+            match last_allowed_cpu(&status) {
+                Some(cpu) => Some(cpu),
+                None => {
+                    eprintln!("error: {name} runs pinned, but no CPU affinity list was readable");
+                    return ExitCode::FAILURE;
+                }
+            }
+        } else {
+            None
+        };
         eprintln!(
-            "bench_gate: running {name} ({})",
-            if args.quick { "quick" } else { "full" }
+            "bench_gate: running {name} ({}{})",
+            if args.quick { "quick" } else { "full" },
+            pin.map_or(String::new(), |cpu| format!(", pinned to CPU {cpu}"))
         );
-        match run_bench(name, &jsonl, args.quick) {
+        match run_bench(name, &jsonl, args.quick, pin) {
             Ok(rows) => {
                 fresh.insert(name.to_string(), rows.into_iter().collect());
             }

@@ -302,6 +302,72 @@ impl Instance {
         })
     }
 
+    /// Drops the workers whose reach set `R_j` is empty (they can
+    /// neither publish nor be assigned) and returns the instance over
+    /// the rest with their old positions, ascending. Kept workers keep
+    /// their relative order, reach rows, budgets and distances, and task
+    /// indices do not move, so index tie-breaks resolve as before. One
+    /// O(n) pass over the reach rows, no second grid query; without an
+    /// empty row `self` comes back as it is.
+    pub fn drop_idle_workers(self) -> (Instance, Vec<usize>) {
+        let start = &self.reach.start;
+        let kept: Vec<usize> = (0..self.workers.len())
+            .filter(|&j| start[j] < start[j + 1])
+            .collect();
+        if kept.len() == self.workers.len() {
+            return (self, kept);
+        }
+        let Instance {
+            tasks,
+            workers,
+            store,
+            reach,
+            budgets,
+        } = self;
+        // Empty rows own no entries of `reach.tasks`, so each kept row
+        // keeps its slice; only the row starts shift.
+        let mut start = Vec::with_capacity(kept.len() + 1);
+        start.push(0);
+        start.extend(kept.iter().map(|&j| reach.start[j + 1]));
+        let store = match store {
+            DistanceStore::Geometric => DistanceStore::Geometric,
+            DistanceStore::Dense(m) => {
+                let rows: Vec<Vec<f64>> = (0..m.tasks())
+                    .map(|i| kept.iter().map(|&j| m.get(i, j)).collect())
+                    .collect();
+                let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+                DistanceStore::Dense(DistanceMatrix::from_rows(&rows))
+            }
+        };
+        let budgets = match budgets {
+            BudgetStore::Keyed {
+                source,
+                task_keys,
+                worker_keys,
+            } => BudgetStore::Keyed {
+                source,
+                task_keys,
+                worker_keys: kept.iter().map(|&j| worker_keys[j]).collect(),
+            },
+            // Empty rows are empty vectors; dropping them keeps the rest.
+            BudgetStore::Table(mut table) => {
+                table.retain(|row| !row.is_empty());
+                BudgetStore::Table(table)
+            }
+        };
+        let inst = Instance {
+            tasks,
+            workers: kept.iter().map(|&j| workers[j]).collect(),
+            store,
+            reach: Reach {
+                start,
+                tasks: reach.tasks,
+            },
+            budgets,
+        };
+        (inst, kept)
+    }
+
     /// Total number of feasible (task, worker) pairs.
     pub fn feasible_pairs(&self) -> usize {
         self.reach.tasks.len()
@@ -375,6 +441,26 @@ mod tests {
         assert_eq!(inst.reach(1), &[0, 1, 2]); // w2: all
         assert_eq!(inst.reach(2), &[0, 2]); // w3: t1, t3
         assert_eq!(inst.feasible_pairs(), 7);
+    }
+
+    #[test]
+    fn dropping_idle_workers_from_a_table_instance() {
+        let dist = DistanceMatrix::from_rows(&[&[1.0, 9.0, 2.0], &[8.0, 9.0, 3.0]]);
+        let tasks = vec![Task::new(Point::ORIGIN, 5.0), Task::new(Point::ORIGIN, 6.0)];
+        let workers = vec![
+            Worker::new(Point::ORIGIN, 1.5), // reaches t0
+            Worker::new(Point::ORIGIN, 1.0), // idle
+            Worker::new(Point::ORIGIN, 5.0), // reaches both
+        ];
+        let budget_of = |i: usize, j: usize| BudgetVector::new(vec![(1 + i + 10 * j) as f64]);
+        let inst = Instance::from_distance_matrix(tasks, workers, dist, budget_of);
+        let (inst, kept) = inst.drop_idle_workers();
+        assert_eq!(kept, vec![0, 2]);
+        assert_eq!(inst.reach(0), &[0]);
+        assert_eq!(inst.reach(1), &[0, 1]);
+        assert_eq!(inst.distance(1, 1), 3.0);
+        assert_eq!(inst.epsilon(1, 1, 0), Some(22.0));
+        assert_eq!(inst.epsilon(0, 0, 0), Some(1.0));
     }
 
     #[test]
@@ -525,6 +611,49 @@ mod tests {
             let inst = keyed_at(&tasks, &workers);
             for j in 0..inst.n_workers() {
                 prop_assert_eq!(inst.reach(j), &brute_force_reach(&inst, j)[..], "worker {}", j);
+            }
+        }
+
+        // Clustered tasks and workers scattered over a wider frame, so
+        // some draws leave workers with empty reach sets and some none.
+        #[test]
+        fn dropping_idle_workers_keeps_every_reaching_row(
+            task_pts in proptest::collection::vec((0u8..16, 0u8..16), 0..30),
+            worker_pts in proptest::collection::vec((0u8..48, 0u8..48, 0u8..8), 0..40),
+        ) {
+            let half = |v: u8| f64::from(v) * 0.5;
+            let tasks: Vec<(f64, f64)> = task_pts.iter().map(|&(x, y)| (half(x), half(y))).collect();
+            let workers: Vec<(f64, f64, f64)> = worker_pts
+                .iter()
+                .map(|&(x, y, r)| (half(x), half(y), half(r)))
+                .collect();
+            let full = keyed_at(&tasks, &workers);
+            let (kept_inst, kept) = keyed_at(&tasks, &workers).drop_idle_workers();
+            let reaching: Vec<usize> =
+                (0..full.n_workers()).filter(|&j| !full.reach(j).is_empty()).collect();
+            prop_assert_eq!(&kept, &reaching);
+            prop_assert_eq!(kept_inst.n_workers(), kept.len());
+            prop_assert_eq!(kept_inst.n_tasks(), full.n_tasks());
+            prop_assert_eq!(kept_inst.feasible_pairs(), full.feasible_pairs());
+            for (k, &j) in kept.iter().enumerate() {
+                prop_assert_eq!(kept_inst.workers()[k], full.workers()[j]);
+                prop_assert_eq!(kept_inst.reach(k), full.reach(j));
+                for &i in full.reach(j) {
+                    prop_assert_eq!(kept_inst.distance(i, k).to_bits(), full.distance(i, j).to_bits());
+                    for u in 0..=source().group_size() {
+                        prop_assert_eq!(
+                            kept_inst.epsilon(i, k, u).map(f64::to_bits),
+                            full.epsilon(i, j, u).map(f64::to_bits)
+                        );
+                    }
+                }
+            }
+            if reaching.len() == full.n_workers() {
+                // Nothing dropped: the very same instance comes back.
+                let ptr = full.workers().as_ptr();
+                let (same, kept) = full.drop_idle_workers();
+                prop_assert_eq!(same.workers().as_ptr(), ptr);
+                prop_assert_eq!(kept, (0..same.n_workers()).collect::<Vec<_>>());
             }
         }
 

@@ -718,21 +718,25 @@ fn task_home_of(partition: &GridPartition, p: &PendingTask) -> usize {
 }
 
 impl ShardEntities {
-    /// Lists the pending tasks at `task_at` and the pooled workers at
-    /// `worker_at` with their ids, and builds their keyed instance in
-    /// the same order.
+    /// Builds the keyed instance of the pending tasks at `task_at` and
+    /// the pooled workers at `worker_at`, in that order, and lists them
+    /// with their ids. Workers that reach none of the tasks are dropped
+    /// from both the instance and the lists.
     fn build(
         life: &Lifecycle,
         task_at: Vec<usize>,
-        worker_at: Vec<usize>,
+        mut worker_at: Vec<usize>,
         budgets: SeededBudgets,
     ) -> (Self, Instance) {
         let tasks = task_at.iter().map(|&i| &life.pending[i]);
         let workers = worker_at.iter().map(|&j| &life.pool[j]);
-        let inst = keyed_instance(tasks.clone(), workers.clone(), budgets);
+        let (inst, kept) = keyed_instance(tasks.clone(), workers, budgets).drop_idle_workers();
+        if kept.len() < worker_at.len() {
+            worker_at = kept.iter().map(|&k| worker_at[k]).collect();
+        }
         let ents = ShardEntities {
             task_ids: tasks.map(|p| p.arrival.id).collect(),
-            worker_ids: workers.map(|w| w.id).collect(),
+            worker_ids: worker_at.iter().map(|&j| life.pool[j].id).collect(),
             task_at,
             worker_at,
         };

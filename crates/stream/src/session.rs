@@ -264,8 +264,8 @@ pub enum Outcome {
 }
 
 /// The protocol state carried between windows for warm-start engines:
-/// a drive's board and the id lists (pending and pool order) it was
-/// driven over.
+/// a drive's board and the id lists (pending and pool order) of the
+/// tasks and workers it was driven over.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct CarriedBoard {
     pub(crate) board: Board,
@@ -275,9 +275,9 @@ pub(crate) struct CarriedBoard {
 
 impl CarriedBoard {
     /// Transplants the carried board onto a drive over `task_ids` ×
-    /// `worker_ids` with [`Board::carry`]. Both lists must be in the
-    /// lifecycle's order, a later state of the carried lists (see
-    /// [`carry_map`]).
+    /// `worker_ids` with [`Board::carry`]. Both lists must be
+    /// subsequences of the lifecycle's order, as the carried lists are
+    /// (see [`carry_map`]).
     pub(crate) fn carry(&self, task_ids: &[u32], worker_ids: &[u32]) -> Board {
         let task_to_new = carry_map(&self.task_ids, task_ids);
         let worker_to_new = carry_map(&self.worker_ids, worker_ids);
@@ -292,18 +292,22 @@ impl CarriedBoard {
 
 /// Maps a carried board's old indices to this window's, for
 /// [`Board::carry`]: `old` and `new` are the id lists (pool or pending
-/// order) of the carried and the current window.
+/// order) of the carried and the current drive.
 ///
-/// Settling only removes entries and admission only appends, so the
-/// survivors of `old` appear at the front of `new` in their old order,
-/// followed by everything pooled or admitted since. A halo shard's
-/// lists are this order restricted to the shard's members, and a member
-/// missing from a drive's lists was committed and departed, so the same
-/// holds for them. One two-pointer walk therefore maps every survivor;
-/// an id it misses either left for good
-/// or re-entered (a worker back from service) and sits in the appended
-/// tail past the walk's end — which a small lookup over that tail alone
-/// resolves.
+/// Both lists are subsequences of the lifecycle's order at their
+/// window. Settling only removes entries and admission only appends,
+/// and a drive lists only the entities its instance holds: a worker
+/// that reaches no pending task is left out, as is anything outside a
+/// halo shard. So the survivors of `old` keep their relative order in
+/// `new`, but ids `old` lacks can sit among them: a worker idle last
+/// window between two carried ones, and everything pooled, admitted or
+/// back from service since at the tail. One two-pointer walk maps each
+/// survivor it meets in step. An id it misses either left for good or
+/// sits past the walk's position — every earlier position of `new`
+/// already holds a matched id — so a lookup over the rest of `new`
+/// resolves it. Old lists with ids that are idle now, such as a
+/// snapshot written before idle workers were dropped, map those ids to
+/// nothing.
 fn carry_map(old: &[u32], new: &[u32]) -> Vec<Option<u32>> {
     let mut map = vec![None; old.len()];
     let mut missed = Vec::new();
@@ -526,10 +530,13 @@ impl<'e> SessionCore<'e> {
         let mut matched_tasks: Vec<(usize, usize, u32)> = Vec::new();
         if !pending.is_empty() && !pool.is_empty() {
             let task_ids: Vec<u32> = pending.iter().map(|p| p.arrival.id).collect();
-            let worker_ids: Vec<u32> = pool.iter().map(|w| w.id).collect();
             // The window's instance in pending/pool order, budgets drawn
-            // from the logical ids.
-            let inst = keyed_instance(pending.iter(), pool.iter(), self.cfg.budget_source());
+            // from the logical ids, over the workers that reach a task:
+            // column `j` is the pooled worker at `kept[j]`.
+            let (inst, kept) =
+                keyed_instance(pending.iter(), pool.iter(), self.cfg.budget_source())
+                    .drop_idle_workers();
+            let worker_ids: Vec<u32> = kept.iter().map(|&j| pool[j].id).collect();
             let noise = IdStableNoise {
                 base: SeededNoise::new(self.cfg.params.seed),
                 task_ids: &task_ids,
@@ -550,17 +557,18 @@ impl<'e> SessionCore<'e> {
             // retire-at-window-close. (Fresh-board drives re-publish
             // already-charged releases the hook cannot distinguish from
             // novel spend, so they keep the window-close semantics.)
+            // Throttling is counted over the whole pool, idle workers
+            // included.
             let life = &self.life;
             let guard: Option<Vec<f64>> = life.capped.then(|| {
-                life.handles
+                report.workers_throttled = pool
                     .iter()
-                    .zip(worker_ids.iter())
-                    .map(|(&h, &wid)| {
-                        let cap = life.pace_cap(&self.cfg, wid);
-                        if cap.is_some() {
-                            report.workers_throttled += 1;
-                        }
-                        cap.unwrap_or_else(|| life.ledger.remaining_at(h))
+                    .filter(|w| life.pace_cap(&self.cfg, w.id).is_some())
+                    .count();
+                kept.iter()
+                    .map(|&j| {
+                        life.pace_cap(&self.cfg, pool[j].id)
+                            .unwrap_or_else(|| life.ledger.remaining_at(life.handles[j]))
                     })
                     .collect()
             });
@@ -593,7 +601,7 @@ impl<'e> SessionCore<'e> {
                 &task_ids,
                 charged,
                 |j, novel| {
-                    life.charge(j, novel);
+                    life.charge(kept[j], novel);
                     report.epsilon_spent += novel;
                     *spend_by_worker.entry(worker_ids[j]).or_insert(0.0) += novel;
                 },
@@ -628,7 +636,7 @@ impl<'e> SessionCore<'e> {
                     window: window.index,
                     latency,
                 });
-                matched_tasks.push((i, j, worker_id));
+                matched_tasks.push((i, kept[j], worker_id));
             }
 
             if warm {
@@ -947,6 +955,29 @@ mod tests {
     use crate::window::{AdaptivePolicy, WindowPolicy};
     use dpta_core::{Method, Task, Worker};
     use dpta_spatial::Point;
+
+    #[test]
+    fn carry_map_finds_a_survivor_after_an_interleaved_idle_worker() {
+        // Worker 2 was idle last window and reaches a task now.
+        let map = carry_map(&[1, 3, 4], &[1, 2, 3, 4]);
+        assert_eq!(map, vec![Some(0), Some(2), Some(3)]);
+    }
+
+    #[test]
+    fn carry_map_finds_a_reentered_worker_at_the_tail() {
+        // Worker 5 left to serve, came back behind the arrivals since,
+        // and worker 7 is new.
+        let map = carry_map(&[5, 1, 2], &[1, 2, 7, 5]);
+        assert_eq!(map, vec![Some(3), Some(0), Some(1)]);
+    }
+
+    #[test]
+    fn carry_map_drops_idle_columns_of_an_old_list() {
+        // An old list that still holds workers idle now (2 and 4), as a
+        // snapshot written before idle workers were dropped does.
+        let map = carry_map(&[1, 2, 3, 4], &[1, 3, 6]);
+        assert_eq!(map, vec![Some(0), None, Some(1), None]);
+    }
 
     fn task(id: u32, time: f64, x: f64) -> ArrivalEvent {
         ArrivalEvent::Task(TaskArrival {

@@ -10,14 +10,18 @@
 //!   ids, so a shard sees exactly the draws of the unsharded run);
 //! * **window formation** — static-policy cuts equal an oracle computed
 //!   from event timestamps alone, however pushes and watermark advances
-//!   interleave.
+//!   interleave;
+//! * **idle fleet** — workers that reach no task change nothing: a small
+//!   city beside a far-away idle fleet reproduces, for every method,
+//!   flat and halo, the outcomes recorded before such workers were
+//!   left out of window instances.
 
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, run_sharded_halo, ArrivalEvent, ArrivalModel, ArrivalStream, StreamConfig,
-    StreamDriver, StreamReport, StreamScenario, StreamSession, TaskArrival, TaskFate, WindowPolicy,
-    WorkerArrival,
+    run_sharded, run_sharded_halo, ArrivalEvent, ArrivalModel, ArrivalStream, PacingConfig,
+    ServiceModel, StreamConfig, StreamDriver, StreamReport, StreamScenario, StreamSession,
+    TaskArrival, TaskFate, WindowPolicy, WindowReport, WorkerArrival,
 };
 use dpta_workloads::{Dataset, Scenario};
 use proptest::prelude::*;
@@ -327,6 +331,139 @@ fn budget_depletion_eventually_retires_the_fleet() {
         report.matched(),
         loose.matched()
     );
+}
+
+// ── Idle fleet ──────────────────────────────────────────────────────
+
+/// A small city around the junction of a 2×2 partition of
+/// `[0, 200]²` — discs cross cell boundaries, and task bursts move
+/// between two districts so workers idle between them — beside 200
+/// workers in the far corner whose discs reach no task. The first
+/// window's tasks arrive before any city worker, so it drives over
+/// the idle fleet alone.
+fn idle_fleet_stream() -> ArrivalStream {
+    // A fixed pseudo-random unit draw per (salt, k).
+    let unit = |salt: u64, k: u64| {
+        let mut x = (salt << 32 ^ k).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^= x >> 29;
+        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        (x >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut events = Vec::new();
+    for k in 0..24u64 {
+        events.push(ArrivalEvent::Worker(WorkerArrival {
+            id: k as u32,
+            time: 70.0 + 40.0 * (k % 6) as f64,
+            worker: Worker::new(
+                Point::new(85.0 + 30.0 * unit(1, k), 85.0 + 30.0 * unit(2, k)),
+                4.0 + 6.0 * unit(3, k),
+            ),
+        }));
+    }
+    for k in 0..200u64 {
+        events.push(ArrivalEvent::Worker(WorkerArrival {
+            id: 24 + k as u32,
+            time: if k < 150 { 0.0 } else { 200.0 },
+            worker: Worker::new(
+                Point::new(175.0 + 20.0 * unit(4, k), 175.0 + 20.0 * unit(5, k)),
+                1.0 + 2.0 * unit(6, k),
+            ),
+        }));
+    }
+    for k in 0..60u64 {
+        // Bursts alternate between the west and east districts.
+        let east = (k / 10) % 2 == 1;
+        let x0 = if east { 100.0 } else { 85.0 };
+        events.push(ArrivalEvent::Task(TaskArrival {
+            id: k as u32,
+            time: 5.0 + 9.5 * k as f64,
+            task: Task::new(
+                Point::new(x0 + 15.0 * unit(7, k), 85.0 + 30.0 * unit(8, k)),
+                4.5,
+            ),
+        }));
+    }
+    ArrivalStream::new(events)
+}
+
+/// One run's pinned outcomes: (matched, total utility bits, total ε
+/// bits, publications, rounds, Σ `workers_throttled`,
+/// Σ `workers_available`).
+type Outcomes = (usize, u64, u64, usize, usize, usize, usize);
+
+/// The idle-fleet outcomes per method, flat then halo 2×2, recorded
+/// while every pooled worker still entered every window's instance.
+#[rustfmt::skip]
+const IDLE_FLEET_GOLDEN: [(Method, [Outcomes; 2]); 12] = [
+    (Method::Puce, [(31, 0x40419687faf72534, 0x4046da7d30f00024, 48, 20, 2, 2006), (31, 0x40419687faf72534, 0x4046da7d30f00025, 48, 56, 2, 2104)]),
+    (Method::PuceNppcf, [(31, 0x40419687faf72534, 0x4046da7d30f00024, 48, 20, 2, 2006), (31, 0x40419687faf72534, 0x4046da7d30f00025, 48, 56, 2, 2104)]),
+    (Method::Pdce, [(39, 0xc04bf2a64bac9f3d, 0x405911e3c90d6ed9, 93, 19, 38, 1977), (40, 0xc0418620966b359d, 0x405845eacc34988e, 96, 61, 34, 2044)]),
+    (Method::PdceNppcf, [(38, 0xc04de976d3820e96, 0x4059c9196ac3004d, 94, 21, 38, 1970), (39, 0xc041ce21fecc2ad8, 0x405960b281c5efdd, 99, 64, 41, 2047)]),
+    (Method::Pgt, [(31, 0x4039e6c43a2eaa6e, 0x4041c0bda530480d, 35, 20, 0, 2005), (31, 0x4039e6c43a2eaa6e, 0x4041c0bda530480c, 35, 57, 0, 2101)]),
+    (Method::Uce, [(41, 0x4050c664a3d027cf, 0x4052758561761abb, 71, 21, 16, 1996), (40, 0x40513fec02fb310c, 0x405256f457b1bb12, 74, 63, 15, 2088)]),
+    (Method::Dce, [(38, 0x40335e6abbfdf6b1, 0x4059829bf8bdf77b, 94, 21, 43, 1978), (39, 0x40396d1cbfe20bf1, 0x4058c9fbc222df76, 100, 67, 36, 2042)]),
+    (Method::Gt, [(41, 0x4051729de80e93b1, 0x404b818e067c6217, 52, 19, 7, 1996), (41, 0x40520bb40d5d6841, 0x404cc5db30ee1680, 59, 63, 6, 2084)]),
+    (Method::Grd, [(42, 0x4052d0edbda8cdf9, 0x0, 0, 10, 0, 1996), (42, 0x4052d0edbda8cdf8, 0x0, 0, 36, 0, 2086)]),
+    (Method::Optimal, [(42, 0x405237d79859f968, 0x0, 0, 10, 0, 1996), (42, 0x4052d0edbda8cdf8, 0x0, 0, 36, 0, 2086)]),
+    (Method::GeoI, [(27, 0x40390877e50cbbe7, 0x405d539897ba6538, 119, 10, 0, 1990), (26, 0x4037722319ef2810, 0x405e85027f8b5e93, 130, 35, 0, 2056)]),
+    (Method::ObfuscatedOptimal, [(25, 0xc0291883a631e93b, 0x40601c9c308c4475, 168, 10, 0, 1971), (25, 0xc002f40832aa01c8, 0x40601c9c308c4476, 168, 35, 0, 2037)]),
+];
+
+/// Pins every method, flat and halo, on the idle-fleet stream under a
+/// finite cap with pacing and re-entry: leaving workers that reach no
+/// task out of window instances (the Hungarian baselines included,
+/// which solve over the instance's full width) must not move a single
+/// outcome, and throttling and availability still count the whole pool.
+#[test]
+fn idle_fleet_matches_golden_outcomes() {
+    let stream = idle_fleet_stream();
+    let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 200.0, 200.0), 2, 2);
+    let cfg = StreamConfig {
+        worker_capacity: 5.0,
+        service: ServiceModel::Fixed { secs: 100.0 },
+        pacing: Some(PacingConfig { horizon_windows: 4 }),
+        ..cfg(60.0)
+    };
+    for (method, [flat_golden, halo_golden]) in IDLE_FLEET_GOLDEN {
+        let engine = method.engine(&cfg.params);
+        let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
+        flat.assert_conservation();
+        let got = outcomes(
+            flat.windows.iter(),
+            flat.matched(),
+            flat.total_utility(),
+            flat.total_epsilon(),
+        );
+        assert_eq!(got, flat_golden, "{method} flat");
+        let halo = run_sharded_halo(engine.as_ref(), &stream, &cfg, &part);
+        let got = outcomes(
+            halo.shards.iter().flat_map(|s| s.windows.iter()),
+            halo.matched(),
+            halo.total_utility(),
+            halo.total_epsilon(),
+        );
+        assert_eq!(got, halo_golden, "{method} halo");
+    }
+}
+
+/// A run's [`Outcomes`] from its totals and window reports.
+fn outcomes<'a>(
+    windows: impl Iterator<Item = &'a WindowReport>,
+    matched: usize,
+    utility: f64,
+    epsilon: f64,
+) -> Outcomes {
+    let (mut pubs, mut rounds, mut throttled, mut available) = (0, 0, 0, 0);
+    for w in windows {
+        pubs += w.publications;
+        rounds += w.rounds;
+        throttled += w.workers_throttled;
+        available += w.workers_available;
+    }
+    let (utility, epsilon) = (utility.to_bits(), epsilon.to_bits());
+    (
+        matched, utility, epsilon, pubs, rounds, throttled, available,
+    )
 }
 
 // ── Window formation against a timestamp-only oracle ────────────────
