@@ -384,24 +384,33 @@ impl GridPartition {
     /// assert_eq!(part.halo_shards(&Point::new(4.9, 4.9), 1.0), vec![1, 2, 3]);
     /// ```
     pub fn halo_shards(&self, p: &Point, r: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.for_each_reach_shard(p, r, |s| out.push(s));
+        out.remove(0); // the home shard
+        out
+    }
+
+    /// Calls `f` with `p`'s own shard, then with every shard
+    /// [`halo_shards`](Self::halo_shards) lists, in its order, without
+    /// allocating.
+    pub fn for_each_reach_shard(&self, p: &Point, r: f64, mut f: impl FnMut(usize)) {
         assert!(r.is_finite() && r >= 0.0, "radius must be finite and >= 0");
         let home = self.shard_of(p);
+        f(home);
         // One cell of slack around the disc's span: `disc_reaches_cell`
         // is the exact authority, the range only has to cover it.
         let cx0 = self.col_of(p.x - r).saturating_sub(1);
         let cx1 = (self.col_of(p.x + r) + 1).min(self.cols - 1);
         let cy0 = self.row_of(p.y - r).saturating_sub(1);
         let cy1 = (self.row_of(p.y + r) + 1).min(self.rows - 1);
-        let mut out = Vec::new();
         for ncy in cy0..=cy1 {
             for ncx in cx0..=cx1 {
                 let s = ncy * self.cols + ncx;
                 if s != home && self.disc_reaches_cell(p, r, ncx, ncy) {
-                    out.push(s);
+                    f(s);
                 }
             }
         }
-        out
     }
 
     /// The full set of shards the closed disc `(p, r)` reaches — `p`'s

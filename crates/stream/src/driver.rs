@@ -6,9 +6,9 @@
 //! [`StreamSession`](crate::StreamSession), feeds it the pre-built
 //! stream and closes it. All pipeline semantics — windowing, warm
 //! starts, lifetime accounting, task TTL, worker re-entry — live in
-//! the session stepper (`crate::session`); this module keeps the
-//! configuration type and the id-stable noise/budget plumbing the
-//! stepper and the halo coordinator share.
+//! the window stepper (`crate::halo`); this module keeps the
+//! configuration type and the id-stable noise/budget plumbing it
+//! uses.
 //!
 //! Each window becomes a PA-TA [`Instance`](dpta_core::Instance) of
 //! the tasks waiting and the workers on duty; the engine drives it;
@@ -28,11 +28,11 @@
 //! run bit for bit — and a spatially disjoint shard sees exactly the
 //! draws it would see inside the unsharded run.
 
-use crate::event::{ArrivalStream, TaskArrival, WorkerArrival};
+use crate::event::{ArrivalStream, TaskArrival};
 use crate::metrics::StreamReport;
 use crate::session::{ServiceModel, StreamSession};
 use crate::window::WindowPolicy;
-use dpta_core::{AssignmentEngine, Instance, RunParams};
+use dpta_core::{AssignmentEngine, RunParams};
 use dpta_dp::{NoiseSource, SeededBudgets, SeededNoise};
 use dpta_workloads::Scenario;
 use serde::{Deserialize, Serialize};
@@ -41,11 +41,10 @@ use serde::{Deserialize, Serialize};
 /// Fresh-board engines re-publish bit-identical releases for pairs
 /// still pending from earlier windows (noise and budgets are
 /// id-keyed), which reveals nothing new and therefore must not be
-/// charged twice. The halo coordinator keys the same dedup across
-/// shards and reconciliation passes, and the session stepper keys it
-/// across *service cycles* (a returned worker's re-publications are
-/// bit-identical too), so a release is charged once no matter how
-/// many runs re-derive it.
+/// charged twice. The window stepper keys the same dedup across
+/// shards, reconciliation passes and *service cycles* (a returned
+/// worker's re-publications are bit-identical too), so a release is
+/// charged once no matter how many runs re-derive it.
 ///
 /// Logically this is the set of charged
 /// `(worker id, task id, slot, ε-bits)` keys, but the representation
@@ -696,12 +695,12 @@ impl StreamConfigBuilder {
 }
 
 /// Charges every worker column of a driven `board` with its *novel*
-/// releases — the one charge path of the pipeline. The session stepper
-/// (fresh or warm board, with or without re-entry) and the halo
-/// coordinator all charge through it: `charge(j, novel)` is called for
-/// each column `j` whose novel spend is positive, ascending in `j`, with
-/// that column's releases summed in ledger order — tasks ascending by
-/// instance index, the whole-location release last — so flat and
+/// releases — the one charge path of the pipeline: every drive of the
+/// window stepper (fresh or warm board, with or without re-entry, on
+/// one cell or many) charges through it. `charge(j, novel)` is called
+/// for each column `j` whose novel spend is positive, ascending in `j`,
+/// with that column's releases summed in ledger order — tasks ascending
+/// by instance index, the whole-location release last — so flat and
 /// sharded runs accumulate per-worker spend bit for bit. Novel means
 /// the release was not yet in `charged`; re-derivations of
 /// already-charged releases (fresh-board re-publications, reruns,
@@ -773,24 +772,6 @@ impl NoiseSource for IdStableNoise<'_> {
             .unwrap_or(worker);
         self.base.noise(t, w, slot, epsilon)
     }
-}
-
-/// The keyed PA-TA instance over `tasks` × `workers` in the given
-/// order, budgets drawn from `budgets` by logical id. The flat stepper
-/// and the halo coordinator build every window's instance here, from
-/// the lifecycle's pending and pool order.
-pub(crate) fn keyed_instance<'a>(
-    tasks: impl Iterator<Item = &'a PendingTask> + Clone,
-    workers: impl Iterator<Item = &'a WorkerArrival> + Clone,
-    budgets: SeededBudgets,
-) -> Instance {
-    Instance::from_keyed_locations(
-        tasks.clone().map(|p| p.arrival.task).collect(),
-        workers.clone().map(|w| w.worker).collect(),
-        budgets,
-        tasks.map(|p| u64::from(p.arrival.id)).collect(),
-        workers.map(|w| u64::from(w.id)).collect(),
-    )
 }
 
 /// A task waiting to be served.

@@ -1,10 +1,15 @@
-//! The boundary-halo protocol: cross-shard routing for sharded
-//! streaming without dropped pairs.
+//! The window stepper: one drive over a window's tasks and workers,
+//! cell by cell, and the boundary-halo protocol that reconciles cells.
 //!
-//! Drop-pairs sharding ([`ShardStrategy::DropPairs`]) is exact only
-//! when every worker's service disc stays inside its grid cell. Real
-//! spatial workloads are not like that — demand concentrates exactly
-//! where cells meet — so this module implements the recovery protocol:
+//! Every execution mode steps a window through [`HaloCore`]. A flat
+//! [`StreamSession`](crate::StreamSession) runs it over a one-cell
+//! partition ([`one_cell`]), adaptive drop-pairs runs one such core per
+//! shard on the projected windows, and [`ShardStrategy::Halo`] runs one
+//! core over the whole partition. On one cell every worker's reach is
+//! that cell, no claim can conflict, and the first pass commits every
+//! claim: the drive is the paper's batch assignment over the window.
+//! On more cells the protocol below recovers the pairs that cross cell
+//! boundaries:
 //!
 //! 1. **Halo membership.** Each window, every shard's instance holds
 //!    its own tasks plus every worker — interior *or foreign* — whose
@@ -12,29 +17,32 @@
 //!    ([`GridPartition::reach_shards`]). Tasks are never replicated
 //!    (each lives in exactly the cell owning its location), so every
 //!    feasible pair, cross-boundary or not, is seen by exactly one
-//!    shard: the task's. Membership is resolved once per worker —
-//!    locations are immutable. Each window lists every shard's
-//!    pending tasks and reaching workers as positions in the
-//!    lifecycle's pending and pool order, and each pass builds the
-//!    shard's keyed instance from those lists minus what earlier
-//!    passes committed. The order is the lifecycle's, so a shard
-//!    instance lists its entities exactly as the unsharded one does.
+//!    shard: the task's. A worker's cells are resolved when it is
+//!    pooled (locations are immutable) and kept beside the pool. Each
+//!    window lists every shard's pending tasks and reaching workers as
+//!    positions in the lifecycle's pending and pool order, and each
+//!    pass builds the shard's keyed instance from those lists minus
+//!    what earlier passes committed. The order is the lifecycle's, so a
+//!    shard instance lists its entities exactly as the unsharded one
+//!    does.
 //! 2. **Propose.** Shards drive the engine over interior ∪ halo and
 //!    *propose* their matches. A worker reaching `k` cells can be
 //!    claimed by up to `k` shards.
 //! 3. **Reconcile.** Competing claims on a worker are resolved by a
-//!    deterministic, id-keyed priority rule: the worker's *home* shard
-//!    (the cell owning his location) wins; a foreign-only worker goes
-//!    to the lowest claiming shard id. A winning claim is *committed*
-//!    only when it is clean — neither the winning shard nor the
-//!    worker's home shard lost a conflict in the same pass (a losing
-//!    shard reruns, and its rerun may claim differently); when every
-//!    candidate is entangled in mutual-loss cycles, the smallest
-//!    worker id is forced through. Committed claims are final; shards
-//!    that lost a committed worker rerun over their remaining
-//!    entities, and the loop repeats until no claim is rejected. Every
-//!    pass commits at least one worker, so the loop terminates within
-//!    `|pool|` passes.
+//!    deterministic priority rule: the worker's *home* shard (the cell
+//!    owning his location) wins; a foreign-only worker goes to the
+//!    lowest claiming shard id. A winning claim is *committed* only
+//!    when it is clean — neither the winning shard nor the worker's
+//!    home shard lost a conflict in the same pass (a losing shard
+//!    reruns, and its rerun may claim differently); when every
+//!    candidate is entangled in mutual-loss cycles, the smallest worker
+//!    id is forced through. Committed claims are final; shards that
+//!    lost a committed worker rerun over their remaining entities, and
+//!    the loop repeats until no claim is rejected. Every pass commits
+//!    at least one worker, so the loop terminates within `|pool|`
+//!    passes. A shard's first-pass commits land in the engine's pair
+//!    order, the order an unsharded drive of the cell measures them
+//!    in; commits of later passes land in worker-id order.
 //! 4. **Reruns.** A flagged shard re-drives the engine over all it
 //!    has left: the instance of its pending and pool positions minus
 //!    what earlier passes committed, on the pre-window board carried
@@ -44,12 +52,10 @@
 //! 5. **Charge once.** Per-pair releases are deterministic functions
 //!    of `(worker id, task id, slot)`, so a rerun re-derives
 //!    bit-identical publications. A global release dedup
-//!    ([`ReleaseDedup`]) keys a
-//!    [`Ledger::reserve`](dpta_dp::Ledger::reserve) for
-//!    each *novel* release; after reconciliation the window's
-//!    reservations are committed exactly once per worker
-//!    ([`Ledger::commit`](dpta_dp::Ledger::commit)).
-//!    Whole-location releases (the Geo-I baseline) are the one
+//!    ([`ReleaseDedup`]) admits each *novel* release into the window's
+//!    pending spend, which the cap guard of later drives subtracts;
+//!    after reconciliation each worker's pending spend is charged to
+//!    the [`Ledger`] exactly once. Whole-location releases (the Geo-I baseline) are the one
 //!    exception: their ε is the mean over the worker's reach set, so a
 //!    rerun over fewer reachable tasks publishes a *genuinely new*
 //!    noisy location — real additional leakage, reserved and charged
@@ -66,24 +72,63 @@
 //! instances & halo reruns") documents the guarantees and their
 //! limits.
 //!
-//! [`ShardStrategy::DropPairs`]: crate::ShardStrategy::DropPairs
+//! [`ShardStrategy::Halo`]: crate::ShardStrategy::Halo
 //! [`ReleaseDedup`]: crate::driver::ReleaseDedup
 
-use crate::driver::{
-    charge_novel, keyed_instance, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig,
-};
+use crate::driver::{charge_novel, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
 use crate::event::WorkerArrival;
-use crate::lifecycle::{InService, Lifecycle, PaceState, StepSignals};
+use crate::lifecycle::{Buckets, InService, Lifecycle, PaceState, StepSignals};
 use crate::metrics::{ShardedReport, StreamReport, TaskFate, WindowCutDecision, WindowReport};
-use crate::session::CarriedBoard;
+use crate::session::{CarriedBoard, Outcome};
 use crate::snapshot::SnapshotError;
 use crate::window::Window;
 use dpta_core::{AssignmentEngine, Board, Instance, RunOutcome};
 use dpta_dp::{FastMap, Ledger, SeededBudgets, SeededNoise};
-use dpta_spatial::GridPartition;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use dpta_spatial::{Aabb, GridPartition};
+use serde::{Deserialize, Serialize, Value};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
+
+/// The partition of flat sessions and adaptive drop-pairs shards: one
+/// cell, the home and only reach of every worker, wherever it is.
+pub(crate) fn one_cell() -> GridPartition {
+    GridPartition::new(Aabb::from_extents(0.0, 0.0, 1.0, 1.0), 1, 1)
+}
+
+/// A shard's task fates in settle order. A task settles once, so the
+/// log is a map from task id: it encodes as one, keys in settle order,
+/// and becomes the report's id-ordered map at finish.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FateLog(Vec<(u32, TaskFate)>);
+
+impl Serialize for FateLog {
+    fn serialize_value(&self) -> Value {
+        let fields = self
+            .0
+            .iter()
+            .map(|(id, f)| (id.to_string(), f.serialize_value()));
+        Value::Object(fields.collect())
+    }
+}
+
+impl Deserialize for FateLog {
+    fn deserialize_value(v: &Value) -> Result<Self, serde::Error> {
+        let Value::Object(fields) = v else {
+            return Err(serde::Error::expected("fate object", v));
+        };
+        let fate = |(k, f): &(String, Value)| {
+            let id = k
+                .parse()
+                .map_err(|_| serde::Error(format!("unparseable task id {k:?}")))?;
+            Ok((id, TaskFate::deserialize_value(f)?))
+        };
+        fields
+            .iter()
+            .map(fate)
+            .collect::<Result<_, _>>()
+            .map(FateLog)
+    }
+}
 
 /// A shard's entities for one drive, in lifecycle order: their
 /// positions in the pending list and pool, which claims, commits and
@@ -131,101 +176,86 @@ struct PreparedRun {
     guard: Option<Vec<f64>>,
 }
 
-/// A worker's shard membership, resolved once on arrival (locations
-/// are immutable): the cell owning his location and every cell his
-/// service disc reaches.
-struct Membership {
-    home: usize,
-    reach: Vec<usize>,
-}
-
-impl Membership {
-    fn of(partition: &GridPartition, w: &WorkerArrival) -> Self {
-        Membership {
-            home: partition.shard_of(&w.worker.location),
-            reach: partition.reach_shards(&w.worker.location, w.worker.radius),
-        }
-    }
-}
-
-/// Resolves a pooled worker's membership on first sight. Returns his
-/// home shard.
-fn pool_worker(
-    partition: &GridPartition,
-    member: &mut FastMap<u32, Membership>,
-    w: &WorkerArrival,
-) -> usize {
-    member
-        .entry(w.id)
-        .or_insert_with(|| Membership::of(partition, w))
-        .home
-}
-
-/// The halo coordinator's cross-window state, stepped one globally
-/// formed window at a time by the sharded session's window former.
-/// [`HaloCore::snapshot`] / [`HaloCore::from_snapshot`] make a mid-run
-/// coordinator durable — a restored shard re-enters reconciliation
-/// coherently because the whole protocol state (the shared
-/// [`Lifecycle`], release dedup, carried boards) lives here,
-/// while the per-worker membership is deterministically rebuilt from
-/// it.
+/// The window stepper's cross-window state, stepped one window at a
+/// time by a session's window former. [`HaloCore::snapshot`] /
+/// [`HaloCore::from_snapshot`] make a mid-run stepper durable — the
+/// whole protocol state (the [`Lifecycle`], release dedup, carried
+/// boards, outcome log) lives here, and the per-worker cells are
+/// rebuilt from the pool.
 pub(crate) struct HaloCore<'e> {
     engine: &'e dyn AssignmentEngine,
     cfg: StreamConfig,
     warm: bool,
     // Per-shard report state.
     shard_windows: Vec<Vec<WindowReport>>,
-    shard_fates: Vec<BTreeMap<u32, TaskFate>>,
+    shard_fates: Vec<FateLog>,
     shard_tasks: Vec<usize>,
     shard_workers: Vec<usize>,
-    shard_spend: Vec<BTreeMap<u32, f64>>,
+    /// Worker id → lifetime spend, per home shard; hashed for O(1)
+    /// updates, id-ordered in every report and snapshot.
+    shard_spend: Vec<FastMap<u32, f64>>,
     /// Global pipeline state — one pool, one pending list, one ledger,
-    /// one in-service set, run by the same rules as the flat stepper.
+    /// one in-service set.
     life: Lifecycle,
     charged: ReleaseDedup,
     carried: Vec<Option<CarriedBoard>>,
-    member: FastMap<u32, Membership>,
-    /// Bound of the per-pass drive pool, read once here: the query
-    /// reads cgroup files and costs more than a small window's drive.
-    threads: usize,
+    /// The outcome log, one chunk per window: a log nobody polls grows
+    /// by small allocations, never by copying itself into a buffer
+    /// twice its size.
+    outcomes: Vec<Vec<Outcome>>,
+    /// Bound of the per-pass drive pool, read on the first pass that
+    /// drives two shards: the query reads cgroup files and costs more
+    /// than a small window's drive.
+    threads: Option<usize>,
 }
 
 impl<'e> HaloCore<'e> {
-    /// A fresh coordinator for `engine` under `cfg` over `n_shards`
-    /// cells.
+    /// A fresh stepper for `engine` under `cfg` over the cells of
+    /// `partition`.
     pub(crate) fn new(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
-        n_shards: usize,
+        partition: GridPartition,
     ) -> Self {
+        cfg.service.validate();
+        let n_shards = partition.n_shards();
         let warm = cfg.carry_releases && engine.supports_warm_start();
-        let life = Lifecycle::new(&cfg, warm);
+        let life = Lifecycle::new(&cfg, warm, partition);
         HaloCore {
             engine,
             cfg,
             warm,
             shard_windows: vec![Vec::new(); n_shards],
-            shard_fates: vec![BTreeMap::new(); n_shards],
+            shard_fates: vec![FateLog::default(); n_shards],
             shard_tasks: vec![0; n_shards],
             shard_workers: vec![0; n_shards],
-            shard_spend: vec![BTreeMap::new(); n_shards],
+            shard_spend: vec![FastMap::default(); n_shards],
             life,
             charged: ReleaseDedup::default(),
             carried: (0..n_shards).map(|_| None).collect(),
-            member: FastMap::default(),
-            threads: std::thread::available_parallelism().map_or(8, std::num::NonZeroUsize::get),
+            outcomes: Vec::new(),
+            threads: None,
         }
     }
 
-    /// One globally-formed window: admit, propose, reconcile, settle.
-    /// Returns the window's stream-observable signals for the adaptive
-    /// controller.
-    pub(crate) fn step_window(
-        &mut self,
-        partition: &GridPartition,
-        window: &Window,
-        cut: WindowCutDecision,
-    ) -> StepSignals {
+    /// The configuration this stepper runs under.
+    pub(crate) fn config(&self) -> &StreamConfig {
+        &self.cfg
+    }
+
+    /// Display name of the engine this stepper drives.
+    pub(crate) fn engine_name(&self) -> &str {
+        self.engine.name()
+    }
+
+    /// Drains the outcome log accumulated since the last drain.
+    pub(crate) fn drain_outcomes(&mut self) -> impl Iterator<Item = Outcome> + '_ {
+        self.outcomes.drain(..).flatten()
+    }
+
+    /// One window: admit, propose, reconcile, settle. Returns the
+    /// window's stream-observable signals for the adaptive controller.
+    pub(crate) fn step_window(&mut self, window: &Window, cut: WindowCutDecision) -> StepSignals {
         let HaloCore {
             engine,
             cfg,
@@ -238,30 +268,56 @@ impl<'e> HaloCore<'e> {
             life,
             charged,
             carried,
-            member,
+            outcomes: log,
             threads,
         } = self;
+        let mut outcomes = Vec::new();
         let engine: &dyn AssignmentEngine = *engine;
         let cfg: &StreamConfig = cfg;
         let (warm, capped) = (*warm, life.capped);
         let n_shards = carried.len();
+        let partition = life.partition;
         let opened = life.open(cfg, window);
-        let mut returned_by_home = vec![0usize; n_shards];
-        for s in &opened.returned {
-            returned_by_home[pool_worker(partition, member, &s.worker)] += 1;
+        let mut reports: Vec<WindowReport> = (0..n_shards)
+            .map(|_| WindowReport {
+                index: window.index,
+                start: window.start,
+                end: window.end,
+                cut,
+                ..WindowReport::default()
+            })
+            .collect();
+        // Returned workers, then the window's arrivals, are the tail of
+        // the pool.
+        let returned_from = life.pool.len() - window.workers.len() - opened.returned.len();
+        for (j, s) in (returned_from..).zip(&opened.returned) {
+            reports[life.cells.home(j)].workers_returned += 1;
+            outcomes.push(Outcome::Returned {
+                worker: s.worker.id,
+                window: window.index,
+                at: s.return_time,
+                cycle: s.cycle,
+            });
         }
-        for w in &window.workers {
-            shard_workers[pool_worker(partition, member, w)] += 1;
+        for j in returned_from + opened.returned.len()..life.pool.len() {
+            shard_workers[life.cells.home(j)] += 1;
         }
-        let mut arrived_by_shard = vec![0usize; n_shards];
-        for arrival in &window.tasks {
-            let home = partition.shard_of(&arrival.task.location);
-            shard_tasks[home] += 1;
-            arrived_by_shard[home] += 1;
+        // The window's task arrivals: the admitted ones close the
+        // pending set, the rest were deferred.
+        let admitted = &life.pending_home[opened.carried_in + opened.readmitted..];
+        for &home in admitted {
+            shard_tasks[home as usize] += 1;
+            reports[home as usize].tasks_arrived += 1;
         }
-        let mut deferred_by_shard = vec![0usize; n_shards];
         for t in &opened.deferred {
-            deferred_by_shard[partition.shard_of(&t.task.location)] += 1;
+            let home = partition.shard_of(&t.task.location);
+            shard_tasks[home] += 1;
+            reports[home].tasks_arrived += 1;
+            reports[home].tasks_deferred += 1;
+            outcomes.push(Outcome::Deferred {
+                task: t.id,
+                window: window.index,
+            });
         }
 
         // Each shard's entities as ascending positions in the lifecycle
@@ -269,55 +325,39 @@ impl<'e> HaloCore<'e> {
         // worker whose disc reaches it. Pool and pending are frozen for
         // the reconciliation loop; a pass filters out what was
         // committed.
-        let mut shard_pending: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        for (i, p) in life.pending.iter().enumerate() {
-            shard_pending[task_home_of(partition, p)].push(i);
+        let mut homed = vec![0; n_shards];
+        for &home in &life.pending_home {
+            homed[home as usize] += 1;
         }
-        let mut shard_pool: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        for (j, w) in life.pool.iter().enumerate() {
-            for &k in &member[&w.id].reach {
-                shard_pool[k].push(j);
-            }
+        let mut shard_pending = Buckets::default();
+        shard_pending.reset(homed.into_iter());
+        for (i, &home) in life.pending_home.iter().enumerate() {
+            shard_pending.put(home, i);
         }
+        let mut shard_pool = Buckets::default();
+        life.cells.bucket(n_shards, &mut shard_pool);
+        // Carried-over tasks and readmitted deferrals lead the pending
+        // order, ahead of this window's admissions.
         let carried_in = opened.carried_in + opened.readmitted;
-
-        let mut reports: Vec<WindowReport> = (0..n_shards)
-            .map(|k| WindowReport {
-                index: window.index,
-                start: window.start,
-                end: window.end,
-                tasks_arrived: arrived_by_shard[k],
-                // Carried-over tasks and readmitted deferrals lead the
-                // pending order, ahead of this window's admissions.
-                carried_in: shard_pending[k].partition_point(|&i| i < carried_in),
-                workers_available: shard_pool[k].len(),
-                matched: 0,
-                expired: 0,
-                carried_out: 0,
-                utility: 0.0,
-                distance: 0.0,
-                epsilon_spent: 0.0,
-                publications: 0,
-                rounds: 0,
-                drive_time: Duration::ZERO,
-                workers_retired: 0,
-                workers_departed: 0,
-                workers_returned: returned_by_home[k],
-                workers_throttled: 0,
-                tasks_deferred: deferred_by_shard[k],
-                cut,
-            })
-            .collect();
+        for (k, r) in reports.iter_mut().enumerate() {
+            r.carried_in = shard_pending
+                .of(k)
+                .partition_point(|&i| (i as usize) < carried_in);
+            r.workers_available = shard_pool.of(k).len();
+        }
 
         // Budget pacing caps, computed once from the pre-window ledger
-        // so every reconciliation pass reads the same caps.
-        let pace_caps: BTreeMap<u32, f64> = life
-            .pool
-            .iter()
-            .filter_map(|w| Some((w.id, life.pace_cap(cfg, w.id)?)))
-            .collect();
-        for &wid in pace_caps.keys() {
-            reports[member[&wid].home].workers_throttled += 1;
+        // so every reconciliation pass reads the same caps: (pool
+        // position, cap) of every throttled worker, ascending.
+        let throttled: Vec<(usize, f64)> = if life.paces(cfg) {
+            let pool = life.pool.iter().enumerate();
+            pool.filter_map(|(j, w)| Some((j, life.pace_cap(cfg, w.id)?)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for &(j, _) in &throttled {
+            reports[life.cells.home(j)].workers_throttled += 1;
         }
 
         // ── Propose / reconcile loop ──────────────────────────────────
@@ -325,10 +365,14 @@ impl<'e> HaloCore<'e> {
         let mut matched_mask = vec![false; life.pending.len()];
         let mut taken = vec![false; life.pool.len()];
         let budgets = cfg.budget_source();
-        // Committed worker id → (pending, pool) position of the pair.
-        let mut committed: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
-        // Reserved worker id → (pool position, window spend).
-        let mut window_spend: BTreeMap<u32, (usize, f64)> = BTreeMap::new();
+        // (pending, pool) positions of every committed pair, in commit
+        // order.
+        let mut committed: Vec<(usize, usize)> = Vec::new();
+        // The window's novel spend per pool position, pending until the
+        // window settles, and the positions with any, in the order they
+        // got it.
+        let mut spend = vec![0.0; life.pool.len()];
+        let mut spent_at: Vec<usize> = Vec::new();
         let mut needs_run = vec![true; n_shards];
         let mut claims: Vec<Vec<Claim>> = vec![Vec::new(); n_shards];
         // Each shard's last run this window: every live claim of the
@@ -346,21 +390,21 @@ impl<'e> HaloCore<'e> {
             let rerun = passes > 1;
 
             // (a) Run every flagged shard over its remaining entities.
-            let flagged_now: Vec<usize> = (0..n_shards).filter(|&k| needs_run[k]).collect();
             let mut prepared: Vec<PreparedRun> = Vec::new();
-            for &k in &flagged_now {
-                needs_run[k] = false;
+            for k in 0..n_shards {
+                if !std::mem::take(&mut needs_run[k]) {
+                    continue;
+                }
                 claims[k].clear();
-                let task_at: Vec<usize> = shard_pending[k]
-                    .iter()
-                    .copied()
-                    .filter(|&i| !matched_mask[i])
-                    .collect();
-                let worker_at: Vec<usize> = shard_pool[k]
-                    .iter()
-                    .copied()
-                    .filter(|&j| !taken[j])
-                    .collect();
+                // Nothing is committed before the first pass.
+                let (tasks_left, workers_left);
+                let (task_at, worker_at) = if rerun {
+                    tasks_left = remaining(shard_pending.of(k), &matched_mask);
+                    workers_left = remaining(shard_pool.of(k), &taken);
+                    (&tasks_left[..], &workers_left[..])
+                } else {
+                    (shard_pending.of(k), shard_pool.of(k))
+                };
                 if task_at.is_empty() || worker_at.is_empty() {
                     continue;
                 }
@@ -376,27 +420,21 @@ impl<'e> HaloCore<'e> {
                     // there.
                     continue;
                 }
-                let p = prepare_run(
-                    k,
-                    ents,
-                    inst,
-                    &carried[k],
-                    warm,
-                    capped.then_some(&life.ledger),
-                    &pace_caps,
-                );
+                let guard = capped.then(|| cap_guard(life, &spend, &throttled, &ents.worker_at));
+                let p = prepare_run(k, ents, inst, &carried[k], warm, guard);
+                // A shard none of whose workers reaches another cell can
+                // lose no claim, so it never reruns this window: its
+                // pre-window board is done with. Freeing it before the
+                // drive lets the drive's board reuse its memory.
+                if p.ents.worker_at.iter().all(|&j| life.cells.home_only(j)) {
+                    carried[k] = None;
+                }
                 if capped {
-                    // Finite caps gate on the live accountant
-                    // (reservations included), so capped shard runs
-                    // execute sequentially in ascending shard id.
+                    // Finite caps gate on the ledger net of the window's
+                    // pending spend, so capped shard runs execute
+                    // sequentially in ascending shard id.
                     let (run, dt) = drive_prepared(engine, cfg, p);
-                    account_run(
-                        &run,
-                        charged,
-                        &mut life.ledger,
-                        &mut window_spend,
-                        &mut reports[k],
-                    );
+                    account_run(&run, charged, &mut spend, &mut spent_at, &mut reports[k]);
                     finish_run(k, run, dt, &mut reports, &mut claims, &mut last_run);
                 } else {
                     prepared.push(p);
@@ -408,85 +446,79 @@ impl<'e> HaloCore<'e> {
                 // the result. Charge accounting stays sequential in
                 // ascending shard order so the dedup set is
                 // deterministic.
-                let mut driven = drive_parallel(engine, cfg, prepared, *threads);
+                let max_threads = match prepared.len() {
+                    1 => 1,
+                    _ => *threads.get_or_insert_with(|| {
+                        std::thread::available_parallelism().map_or(8, std::num::NonZeroUsize::get)
+                    }),
+                };
+                let mut driven = drive_parallel(engine, cfg, prepared, max_threads);
                 driven.sort_by_key(|&(k, _, _)| k);
                 for (k, run, dt) in driven {
-                    account_run(
-                        &run,
-                        charged,
-                        &mut life.ledger,
-                        &mut window_spend,
-                        &mut reports[k],
-                    );
+                    account_run(&run, charged, &mut spend, &mut spent_at, &mut reports[k]);
                     finish_run(k, run, dt, &mut reports, &mut claims, &mut last_run);
                 }
             }
 
-            // (b) Resolve claims: group by worker, pick winners.
-            let mut by_worker: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+            // (b) Resolve claims by pool position. Each claimed
+            // worker's candidate winner is the home shard when it claims
+            // him, else the lowest claiming shard id. Losers of any
+            // conflict must rerun, and a rerunning shard's claims are
+            // provisional — so a commit is *clean* only when neither the
+            // winning shard nor the worker's home shard lost a conflict
+            // this pass. Committing only clean candidates protects the
+            // drop-pairs baseline: a shard never loses a worker to a
+            // claim that a rerun would have withdrawn. When every
+            // candidate is entangled (mutual-loss cycles), the smallest
+            // worker id is forced through so each pass still commits at
+            // least one worker and the loop terminates.
+            // Every claim as (pool position, shard, claim index),
+            // grouped by worker; the lowest claiming shard leads each
+            // group.
+            let mut by_worker: Vec<(usize, usize, usize)> = Vec::new();
             for (k, shard_claims) in claims.iter().enumerate() {
-                for c in shard_claims {
-                    by_worker
-                        .entry(life.pool[c.worker_at].id)
-                        .or_default()
-                        .push(k);
-                }
+                let listed = shard_claims.iter().enumerate();
+                by_worker.extend(listed.map(|(c, cl)| (cl.worker_at, k, c)));
             }
             if by_worker.is_empty() {
                 break;
             }
-
-            // Candidate winner per claimed worker: the home shard when
-            // it claims him (id-keyed priority), else the lowest
-            // claiming shard id. Losers of any conflict must rerun, and
-            // a rerunning shard's claims are provisional — so a commit
-            // is *clean* only when neither the winning shard nor the
-            // worker's home shard lost a conflict this pass. Committing
-            // only clean candidates protects the drop-pairs baseline:
-            // a shard never loses a worker to a claim that a rerun
-            // would have withdrawn. When every candidate is entangled
-            // (mutual-loss cycles), the smallest worker id is forced
-            // through so each pass still commits at least one worker
-            // and the loop terminates.
-            let cands: Vec<(u32, usize, Vec<usize>)> = by_worker
-                .iter()
-                .map(|(&w, ks)| {
-                    let home = member[&w].home;
-                    let winner = if ks.contains(&home) { home } else { ks[0] };
-                    let losers = ks.iter().copied().filter(|&k| k != winner).collect();
-                    (w, winner, losers)
-                })
-                .collect();
-            let contested: BTreeSet<usize> = cands
-                .iter()
-                .flat_map(|(_, _, losers)| losers.iter().copied())
-                .collect();
-            let clean: Vec<&(u32, usize, Vec<usize>)> = cands
-                .iter()
-                .filter(|(w, winner, _)| {
-                    !contested.contains(winner) && !contested.contains(&member[w].home)
-                })
-                .collect();
-            let to_commit: Vec<&(u32, usize, Vec<usize>)> = if clean.is_empty() {
-                vec![&cands[0]] // forced progress: smallest worker id
-            } else {
-                clean
+            by_worker.sort_unstable();
+            let groups = || by_worker.chunk_by(|a, b| a.0 == b.0);
+            let winner = |group: &[(usize, usize, usize)]| {
+                let home = life.cells.home(group[0].0);
+                *group.iter().find(|g| g.1 == home).unwrap_or(&group[0])
             };
-            let mut winners: Vec<(u32, usize)> = Vec::new();
-            let mut flagged: BTreeSet<usize> = BTreeSet::new();
-            for (w, winner, losers) in to_commit {
-                winners.push((*w, *winner));
-                flagged.extend(losers.iter().copied());
+            let mut lost = vec![false; n_shards];
+            for group in groups() {
+                let (_, k, _) = winner(group);
+                group.iter().for_each(|g| lost[g.1] |= g.1 != k);
+            }
+            let clean = |&(j, k, _): &(usize, usize, usize)| !lost[k] && !lost[life.cells.home(j)];
+            let mut commits: Vec<(usize, usize)> = groups()
+                .map(winner)
+                .filter(clean)
+                .map(|(_, k, c)| (k, c))
+                .collect();
+            if commits.is_empty() {
+                let forced = groups()
+                    .map(winner)
+                    .min_by_key(|&(j, _, _)| life.pool[j].id);
+                let (_, k, c) = forced.expect("a claim is pending");
+                commits.push((k, c));
+            }
+            // First-pass commits go in shard and claim order; later
+            // passes commit each shard's in worker-id order.
+            if rerun {
+                commits.sort_unstable_by_key(|&(k, c)| (k, life.pool[claims[k][c].worker_at].id));
+            } else {
+                commits.sort_unstable();
             }
 
             // (c) Apply commits: the pair is final, the task completes,
             // the worker departs to serve.
-            for &(w, k) in &winners {
-                let claim = claims[k]
-                    .iter()
-                    .find(|c| life.pool[c.worker_at].id == w)
-                    .copied()
-                    .expect("winner shard holds a claim on the worker");
+            for &(k, c) in &commits {
+                let claim = claims[k][c];
                 let task = &life.pending[claim.task_at];
                 let worker = &life.pool[claim.worker_at];
                 let d = task.arrival.task.location.distance(&worker.worker.location);
@@ -496,21 +528,37 @@ impl<'e> HaloCore<'e> {
                 } else {
                     0.0
                 };
-                reports[k].matched += 1;
-                reports[k].utility += task.arrival.task.value - cfg.params.alpha * d - privacy_cost;
-                reports[k].distance += d;
-                shard_fates[k].insert(
+                let r = &mut reports[k];
+                r.matched += 1;
+                r.utility += task.arrival.task.value - cfg.params.alpha * d - privacy_cost;
+                r.distance += d;
+                let latency = window.end - task.arrival.time;
+                shard_fates[k].0.push((
                     task.arrival.id,
                     TaskFate::Assigned {
                         window: window.index,
-                        worker: w,
-                        latency: window.end - task.arrival.time,
+                        worker: worker.id,
+                        latency,
                     },
-                );
+                ));
+                outcomes.push(Outcome::Assigned {
+                    task: task.arrival.id,
+                    worker: worker.id,
+                    window: window.index,
+                    latency,
+                });
                 matched_mask[claim.task_at] = true;
                 taken[claim.worker_at] = true;
-                committed.insert(w, (claim.task_at, claim.worker_at));
-                claims[k].retain(|c| c.worker_at != claim.worker_at);
+                committed.push((claim.task_at, claim.worker_at));
+            }
+            // Every other claim on a committed worker lost: its shard
+            // reruns.
+            for group in groups().filter(|group| taken[group[0].0]) {
+                let (_, k, _) = winner(group);
+                group.iter().for_each(|g| needs_run[g.1] |= g.1 != k);
+            }
+            for shard_claims in &mut claims {
+                shard_claims.retain(|c| !taken[c.worker_at]);
             }
             // The window is reconciled only when no claim is left
             // pending: a pass can commit clean candidates and flag
@@ -519,31 +567,37 @@ impl<'e> HaloCore<'e> {
             // candidates gone) resolves them via the forced-progress
             // path. Breaking on "nothing flagged" here would silently
             // abandon them.
-            if flagged.is_empty() && claims.iter().all(Vec::is_empty) {
+            if !needs_run.contains(&true) && claims.iter().all(Vec::is_empty) {
                 break;
-            }
-            for &k in &flagged {
-                needs_run[k] = true;
             }
         }
 
         // ── Settle the window ─────────────────────────────────────────
-        // Commit this window's reservations — exactly once per worker —
-        // then depart matched workers and retire exhausted ones.
-        for (&wid, &(at, eps)) in &window_spend {
-            life.commit(at);
-            *shard_spend[member[&wid].home].entry(wid).or_insert(0.0) += eps;
+        // Charge this window's pending spend — exactly once per worker,
+        // summed in the order it was reserved — then depart matched
+        // workers and retire exhausted ones.
+        for j in spent_at {
+            let eps = spend[j];
+            life.charge(j, eps);
+            let by_worker = &mut shard_spend[life.cells.home(j)];
+            *by_worker.entry(life.pool[j].id).or_insert(0.0) += eps;
         }
-        let mut departed = vec![false; life.pool.len()];
-        for (&w, &(task_at, worker_at)) in &committed {
-            reports[member[&w].home].workers_departed += 1;
-            departed[worker_at] = true;
-            life.depart(cfg, window.end, task_at, worker_at);
+        for &(i, j) in &committed {
+            reports[life.cells.home(j)].workers_departed += 1;
+            let returns_at = life.depart(cfg, window.end, i, j);
+            outcomes.push(Outcome::EnteredService {
+                worker: life.pool[j].id,
+                window: window.index,
+                returns_at,
+            });
         }
-        // Home shards come off the membership cache — every tracked
-        // worker was admitted through it, pooled or serving alike.
-        for id in life.retire(cfg, departed) {
-            reports[member[&(id as u32)].home].workers_retired += 1;
+        // The committed workers are the departed ones.
+        for (id, home) in life.retire(cfg, taken) {
+            reports[home].workers_retired += 1;
+            outcomes.push(Outcome::Retired {
+                worker: id as u32,
+                window: window.index,
+            });
         }
 
         // Carry each shard's last drive into the next window.
@@ -560,29 +614,36 @@ impl<'e> HaloCore<'e> {
         }
 
         for p in life.expire(&matched_mask) {
-            let home = task_home_of(partition, &p);
-            shard_fates[home].insert(
-                p.arrival.id,
-                TaskFate::Expired {
-                    window: window.index,
-                },
-            );
+            let home = task_home(&partition, &p);
+            let fate = TaskFate::Expired {
+                window: window.index,
+            };
+            shard_fates[home].0.push((p.arrival.id, fate));
             reports[home].expired += 1;
+            outcomes.push(Outcome::Expired {
+                task: p.arrival.id,
+                window: window.index,
+            });
         }
-        for p in &life.pending {
-            reports[task_home_of(partition, p)].carried_out += 1;
-        }
-        for (k, report) in reports.into_iter().enumerate() {
+        for (k, mut report) in reports.into_iter().enumerate() {
+            report.carried_out = shard_pending.of(k).len() - report.matched - report.expired;
             shard_windows[k].push(report);
+        }
+        if !outcomes.is_empty() {
+            log.push(outcomes);
         }
         life.close(cfg, opened.ages)
     }
 
     /// Settles the remaining pending fates and assembles the per-shard
     /// reports.
-    pub(crate) fn finish(mut self, partition: &GridPartition) -> ShardedReport {
+    pub(crate) fn finish(mut self) -> ShardedReport {
+        let partition = self.life.partition;
         for p in self.life.pending.iter().chain(&self.life.deferred) {
-            self.shard_fates[task_home_of(partition, p)].insert(p.arrival.id, TaskFate::Pending);
+            let home = task_home(&partition, p);
+            self.shard_fates[home]
+                .0
+                .push((p.arrival.id, TaskFate::Pending));
         }
         let engine_name = self.engine.name().to_string();
         ShardedReport {
@@ -590,19 +651,23 @@ impl<'e> HaloCore<'e> {
                 .map(|k| StreamReport {
                     engine: engine_name.clone(),
                     windows: std::mem::take(&mut self.shard_windows[k]),
-                    fates: std::mem::take(&mut self.shard_fates[k]),
+                    fates: std::mem::take(&mut self.shard_fates[k].0)
+                        .into_iter()
+                        .collect(),
                     task_arrivals: self.shard_tasks[k],
                     worker_arrivals: self.shard_workers[k],
-                    spend_by_worker: std::mem::take(&mut self.shard_spend[k]),
+                    spend_by_worker: std::mem::take(&mut self.shard_spend[k])
+                        .into_iter()
+                        .collect(),
                     warnings: Vec::new(),
                 })
                 .collect(),
         }
     }
 
-    /// Captures the coordinator's window-boundary state. The membership
-    /// cache is *not* here — it is a pure function of the partition and
-    /// the serialized pool and in-service sets, rebuilt on restore.
+    /// Captures the stepper's window-boundary state. The workers' cells
+    /// are *not* here — they are a pure function of the partition and
+    /// the serialized pool, rebuilt on restore.
     pub(crate) fn snapshot(&self) -> HaloSnapshot {
         let life = &self.life;
         HaloSnapshot {
@@ -610,7 +675,7 @@ impl<'e> HaloCore<'e> {
             shard_fates: self.shard_fates.clone(),
             shard_tasks: self.shard_tasks.clone(),
             shard_workers: self.shard_workers.clone(),
-            shard_spend: self.shard_spend.clone(),
+            shard_spend: self.shard_spend.iter().map(spend_map).collect(),
             pool: life.pool.clone(),
             pending: life.pending.clone(),
             deferred: life.deferred.clone(),
@@ -620,19 +685,18 @@ impl<'e> HaloCore<'e> {
             pace: life.pace.clone(),
             charged: self.charged.clone(),
             carried: self.carried.clone(),
+            outcomes: self.outcomes.concat(),
         }
     }
 
-    /// Rebuilds a coordinator mid-stream from a snapshot. Membership is
-    /// re-resolved from the partition for every tracked worker (pooled
-    /// or serving — locations are immutable, so the result is
-    /// identical). Each window's shard instances are built from the
-    /// restored pool and pending order, which equals the live
-    /// coordinator's, so a restored coordinator drives bit-identically.
+    /// Rebuilds a stepper mid-stream from a snapshot. Each window's
+    /// shard instances are built from the restored pool and pending
+    /// order, which equals the live stepper's, so a restored stepper
+    /// drives bit-identically.
     pub(crate) fn from_snapshot(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
-        partition: &GridPartition,
+        partition: GridPartition,
         snap: &HaloSnapshot,
     ) -> Result<Self, SnapshotError> {
         let n_shards = partition.n_shards();
@@ -646,7 +710,7 @@ impl<'e> HaloCore<'e> {
         ];
         if per_shard.iter().any(|&n| n != n_shards) {
             return Err(SnapshotError::Malformed(format!(
-                "halo snapshot holds per-shard state for {} shards, partition has {n_shards}",
+                "snapshot holds per-shard state for {} shards, partition has {n_shards}",
                 per_shard[0]
             )));
         }
@@ -657,15 +721,15 @@ impl<'e> HaloCore<'e> {
             .all(|(a, b)| (a.return_time, a.worker.id) <= (b.return_time, b.worker.id));
         if !sorted {
             return Err(SnapshotError::Malformed(
-                "halo in-service set is not in (completion time, id) order".to_string(),
+                "in-service set is not in (completion time, id) order".to_string(),
             ));
         }
-        let mut core = HaloCore::new(engine, cfg, n_shards);
+        let mut core = HaloCore::new(engine, cfg, partition);
         core.shard_windows = snap.shard_windows.clone();
         core.shard_fates = snap.shard_fates.clone();
         core.shard_tasks = snap.shard_tasks.clone();
         core.shard_workers = snap.shard_workers.clone();
-        core.shard_spend = snap.shard_spend.clone();
+        core.shard_spend = snap.shard_spend.iter().map(spend_map).collect();
         let life = &mut core.life;
         life.pool = snap.pool.clone();
         life.pending = snap.pending.clone();
@@ -674,30 +738,23 @@ impl<'e> HaloCore<'e> {
         life.cycles = snap.cycles.clone();
         life.ledger = snap.ledger.clone();
         life.pace = snap.pace.clone();
-        life.rebuild_handles();
+        life.rebuild();
         core.charged = snap.charged.clone();
         core.carried = snap.carried.clone();
-        // Serving workers are out of the pool, but settle still consults
-        // their membership (home attribution, retirement mid-service).
-        for w in snap
-            .pool
-            .iter()
-            .chain(snap.in_service.iter().map(|s| &s.worker))
-        {
-            pool_worker(partition, &mut core.member, w);
-        }
+        core.outcomes = vec![snap.outcomes.clone()];
         Ok(core)
     }
 }
 
 /// The serializable window-boundary state of a [`HaloCore`]: per-shard
-/// report accumulators plus the global protocol state. Worker
-/// membership is deliberately absent — it is re-derived on restore
-/// from the partition (see [`HaloCore::from_snapshot`]).
+/// report accumulators plus the global protocol state and the unpolled
+/// outcome log. The workers' cells are deliberately absent — they are
+/// re-derived on restore from the partition (see
+/// [`HaloCore::from_snapshot`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct HaloSnapshot {
     pub(crate) shard_windows: Vec<Vec<WindowReport>>,
-    pub(crate) shard_fates: Vec<BTreeMap<u32, TaskFate>>,
+    pub(crate) shard_fates: Vec<FateLog>,
     pub(crate) shard_tasks: Vec<usize>,
     pub(crate) shard_workers: Vec<usize>,
     pub(crate) shard_spend: Vec<BTreeMap<u32, f64>>,
@@ -710,85 +767,113 @@ pub(crate) struct HaloSnapshot {
     pub(crate) pace: BTreeMap<u32, PaceState>,
     pub(crate) charged: ReleaseDedup,
     pub(crate) carried: Vec<Option<CarriedBoard>>,
+    pub(crate) outcomes: Vec<Outcome>,
+}
+
+/// A worker id → spend map, copied into another map type.
+fn spend_map<'a, M: FromIterator<(u32, f64)>>(
+    spend: impl IntoIterator<Item = (&'a u32, &'a f64)>,
+) -> M {
+    spend.into_iter().map(|(&id, &eps)| (id, eps)).collect()
+}
+
+/// The positions in `list` not yet flagged in `done`, in order.
+fn remaining(list: &[u32], done: &[bool]) -> Vec<u32> {
+    let mut left = Vec::with_capacity(list.len());
+    left.extend(list.iter().copied().filter(|&at| !done[at as usize]));
+    left
 }
 
 /// Home shard of a pending task.
-fn task_home_of(partition: &GridPartition, p: &PendingTask) -> usize {
+fn task_home(partition: &GridPartition, p: &PendingTask) -> usize {
     partition.shard_of(&p.arrival.task.location)
 }
 
 impl ShardEntities {
     /// Builds the keyed instance of the pending tasks at `task_at` and
     /// the pooled workers at `worker_at`, in that order, and lists them
-    /// with their ids. Workers that reach none of the tasks are dropped
-    /// from both the instance and the lists.
+    /// with their ids. Budgets are drawn from the logical ids. Workers
+    /// that reach none of the tasks are dropped from both the instance
+    /// and the lists.
     fn build(
         life: &Lifecycle,
-        task_at: Vec<usize>,
-        mut worker_at: Vec<usize>,
+        task_at: &[u32],
+        worker_at: &[u32],
         budgets: SeededBudgets,
     ) -> (Self, Instance) {
-        let tasks = task_at.iter().map(|&i| &life.pending[i]);
-        let workers = worker_at.iter().map(|&j| &life.pool[j]);
-        let (inst, kept) = keyed_instance(tasks.clone(), workers, budgets).drop_idle_workers();
-        if kept.len() < worker_at.len() {
-            worker_at = kept.iter().map(|&k| worker_at[k]).collect();
-        }
+        let tasks = task_at.iter().map(|&i| &life.pending[i as usize]);
+        let workers = worker_at.iter().map(|&j| &life.pool[j as usize]);
+        let inst = Instance::from_keyed_locations(
+            tasks.clone().map(|p| p.arrival.task).collect(),
+            workers.clone().map(|w| w.worker).collect(),
+            budgets,
+            tasks.clone().map(|p| u64::from(p.arrival.id)).collect(),
+            workers.map(|w| u64::from(w.id)).collect(),
+        );
+        let (inst, kept) = inst.drop_idle_workers();
+        let worker_at: Vec<usize> = kept.iter().map(|&k| worker_at[k] as usize).collect();
         let ents = ShardEntities {
             task_ids: tasks.map(|p| p.arrival.id).collect(),
             worker_ids: worker_at.iter().map(|&j| life.pool[j].id).collect(),
-            task_at,
+            task_at: task_at.iter().map(|&i| i as usize).collect(),
             worker_at,
         };
         (ents, inst)
     }
 }
 
+/// The remaining-budget guard of a capped drive over the pooled
+/// workers at `worker_at`: each worker's remaining budget net of the
+/// window's pending `spend`, within its pacing cap when `throttled`
+/// (pool position, cap) lists one.
+///
+/// On a *rerun* this is deliberately conservative: the shard's own
+/// earlier pass already reserved the releases it published, and the
+/// engine counts their bit-identical re-derivations as novel board
+/// spend again, so a worker near his cap may publish less than the
+/// ideal continuation would. The alternative — refunding the shard's
+/// own reservations — could let a rerun that takes a different proposal
+/// path overshoot the lifetime cap, which is the one thing the hard cap
+/// must never do. Conservative, deterministic under-publishing in the
+/// (rare) rerun case is the chosen trade.
+fn cap_guard(
+    life: &Lifecycle,
+    spend: &[f64],
+    throttled: &[(usize, f64)],
+    worker_at: &[usize],
+) -> Vec<f64> {
+    let guard = |j: usize| {
+        let left = (life.ledger.remaining_at(life.handles[j]) - spend[j]).max(0.0);
+        match throttled.binary_search_by_key(&j, |t| t.0) {
+            Ok(at) => left.min(throttled[at].1),
+            Err(_) => left,
+        }
+    };
+    worker_at.iter().map(|&j| guard(j)).collect()
+}
+
 /// Prepares shard `k`'s drive over `ents`, carrying protocol state
-/// from the shard's pre-window board onto its entities.
+/// from the shard's pre-window board onto its entities; `guard` is the
+/// drive's remaining-budget guard under a finite cap.
 fn prepare_run(
     k: usize,
     ents: ShardEntities,
     inst: Instance,
     carried: &Option<CarriedBoard>,
     warm: bool,
-    guard_from: Option<&Ledger>,
-    pace_caps: &BTreeMap<u32, f64>,
+    guard: Option<Vec<f64>>,
 ) -> PreparedRun {
     let board = match carried {
         Some(prev) if warm => prev.carry(&ents.task_ids, &ents.worker_ids),
         _ => Board::new(inst.n_tasks(), inst.n_workers()),
     };
-    let pre_pubs = board.publications();
-    let pre_cols = board.column_publications().to_vec();
-    // The cap guard reads the live accountant, reservations included.
-    // On a *rerun* this is deliberately conservative: the shard's own
-    // earlier pass already reserved the releases it published, and the
-    // engine counts their bit-identical re-derivations as novel board
-    // spend again, so a worker near his cap may publish less than the
-    // ideal continuation would. The alternative — refunding the
-    // shard's own reservations — could let a rerun that takes a
-    // different proposal path overshoot the lifetime cap, which is the
-    // one thing the hard cap must never do. Conservative, deterministic
-    // under-publishing in the (rare) rerun case is the chosen trade.
-    let guard = guard_from.map(|acc| {
-        ents.worker_ids
-            .iter()
-            .map(|&id| {
-                let g = acc.remaining(u64::from(id));
-                // Pacing cap, when the lifecycle throttled the worker
-                // for this window.
-                pace_caps.get(&id).map_or(g, |&c| g.min(c))
-            })
-            .collect()
-    });
     PreparedRun {
         shard: k,
+        pre_pubs: board.publications(),
+        pre_cols: board.column_publications().to_vec(),
         ents,
         inst,
         board,
-        pre_pubs,
-        pre_cols,
         guard,
     }
 }
@@ -875,15 +960,16 @@ fn drive_parallel(
     })
 }
 
-/// Reserves the run's *novel* releases against the lifetime accountant.
-/// Reruns and carried history re-derive bit-identical releases, which
-/// the global dedup filters out, so each release is charged at most
-/// once over the stream's lifetime.
+/// Reserves the run's *novel* releases: adds them to the window's
+/// pending spend by pool position, charged to the ledger when the
+/// window settles. Reruns and carried history re-derive bit-identical
+/// releases, which the global dedup filters out, so each release is
+/// charged at most once over the stream's lifetime.
 fn account_run(
     run: &ShardRun,
     charged: &mut ReleaseDedup,
-    ledger: &mut Ledger,
-    window_spend: &mut BTreeMap<u32, (usize, f64)>,
+    spend: &mut [f64],
+    spent_at: &mut Vec<usize>,
     report: &mut WindowReport,
 ) {
     let ents = &run.ents;
@@ -894,13 +980,12 @@ fn account_run(
         &ents.task_ids,
         charged,
         |j, novel| {
-            let wid = ents.worker_ids[j];
-            ledger.reserve(u64::from(wid), novel);
+            let at = ents.worker_at[j];
+            if spend[at] == 0.0 {
+                spent_at.push(at);
+            }
+            spend[at] += novel;
             report.epsilon_spent += novel;
-            window_spend
-                .entry(wid)
-                .or_insert((ents.worker_at[j], 0.0))
-                .1 += novel;
         },
     );
 }
@@ -929,4 +1014,99 @@ fn finish_run(
         })
         .collect();
     last_run[k] = Some(run);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::{ArrivalEvent, ArrivalStream, TaskArrival};
+    use crate::lifecycle::Buckets;
+    use crate::window::{WindowFormer, WindowPolicy};
+    use dpta_core::{Method, Task, Worker};
+    use dpta_spatial::Point;
+
+    /// Each cell's workers as the partition resolves them from scratch.
+    fn reaching(partition: &GridPartition, pool: &[WorkerArrival], k: usize) -> Vec<u32> {
+        let reach = |w: &WorkerArrival| partition.reach_shards(&w.worker.location, w.worker.radius);
+        (0..pool.len() as u32)
+            .filter(|&j| reach(&pool[j as usize]).contains(&k))
+            .collect()
+    }
+
+    /// The stepper's cells hold exactly the pooled workers, each under
+    /// every cell its disc reaches, after a drain in which workers
+    /// retired and departed for good — and a restored stepper rebuilds
+    /// the same cells from its pool.
+    #[test]
+    fn cells_hold_exactly_the_pooled_workers() {
+        let partition = GridPartition::new(Aabb::from_extents(0.0, 0.0, 20.0, 20.0), 2, 2);
+        let mut events = Vec::new();
+        for k in 0..80u32 {
+            let at = Point::new(0.7 + (k * 7 % 19) as f64, 0.9 + (k * 11 % 19) as f64);
+            events.push(ArrivalEvent::Worker(WorkerArrival {
+                id: k,
+                time: 2.0 * k as f64,
+                worker: Worker::new(at, 1.0 + (k % 4) as f64),
+            }));
+            if k % 3 != 0 {
+                events.push(ArrivalEvent::Task(TaskArrival {
+                    id: k,
+                    time: 2.0 * k as f64 + 1.0,
+                    task: Task::new(Point::new(at.x + 0.5, at.y), 4.5),
+                }));
+            }
+        }
+        let stream = ArrivalStream::new(events);
+        // Serve-and-leave, and a capacity most publishing workers exhaust.
+        let cfg = StreamConfig {
+            policy: WindowPolicy::ByTime { width: 20.0 },
+            worker_capacity: 1.0,
+            ..StreamConfig::default()
+        };
+        let engine = Method::Puce.engine(&cfg.params);
+        let mut core = HaloCore::new(engine.as_ref(), cfg.clone(), partition);
+        let mut former = WindowFormer::new(cfg.policy, cfg.horizon);
+        for &e in stream.events() {
+            former.push(e);
+        }
+        former.advance(120.0);
+        former.drive(false, |w, cut| {
+            StepSignals::merge(&[core.step_window(w, cut)])
+        });
+        let outcomes: Vec<Outcome> = core.drain_outcomes().collect();
+        let left_for_good = |o: &&Outcome| {
+            matches!(
+                o,
+                Outcome::EnteredService {
+                    returns_at: None,
+                    ..
+                }
+            )
+        };
+        assert!(outcomes
+            .iter()
+            .any(|o| matches!(o, Outcome::Retired { .. })));
+        assert!(outcomes.iter().filter(left_for_good).count() > 0);
+
+        let check = |core: &HaloCore| {
+            let (cells, pool) = (&core.life.cells, &core.life.pool);
+            let mut buckets = Buckets::default();
+            cells.bucket(partition.n_shards(), &mut buckets);
+            for k in 0..partition.n_shards() {
+                let want = reaching(&partition, pool, k);
+                assert_eq!(buckets.of(k), want, "cell {k}");
+                assert_eq!(cells.count(k), want.len(), "cell {k}");
+            }
+            for (j, w) in pool.iter().enumerate() {
+                let reach = partition.reach_shards(&w.worker.location, w.worker.radius);
+                assert_eq!(cells.home(j), partition.shard_of(&w.worker.location));
+                assert_eq!(cells.home_only(j), reach.len() == 1);
+            }
+        };
+        assert!(!core.life.pool.is_empty());
+        check(&core);
+        let snap = core.snapshot();
+        let restored = HaloCore::from_snapshot(engine.as_ref(), cfg, partition, &snap);
+        check(&restored.expect("a fresh snapshot restores"));
+    }
 }

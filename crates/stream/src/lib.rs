@@ -29,7 +29,9 @@
 //!   exhausted workers retire (or idle until reclamation), unserved
 //!   tasks carry over until a time-to-live expires, and a
 //!   [`ServiceModel`] returns matched workers to the pool after their
-//!   service duration (serve-and-leave is `ServiceModel::Never`);
+//!   service duration (serve-and-leave is `ServiceModel::Never`). Every
+//!   session steps its windows through one window stepper; a flat
+//!   session is that stepper over a single cell;
 //! * [`StreamDriver`] — the batch-shaped drain loop over the session:
 //!   replays a pre-built stream to completion;
 //! * [`run_sharded`] / [`run_sharded_halo`] — partition the stream by
@@ -39,7 +41,8 @@
 //!   shard-disjoint input; the boundary-halo protocol
 //!   ([`ShardStrategy::Halo`]) additionally recovers cross-boundary
 //!   pairs via halo membership and a deterministic reconciliation
-//!   pass, staying near-exact on general input.
+//!   pass, staying near-exact on general input. [`ShardedSession`] is
+//!   their push-based form, with the same typed [`Outcome`] log.
 //!
 //! Everything is deterministic in the seed: budget vectors and noise
 //! draws are keyed by *logical* entity ids rather than per-window

@@ -1,4 +1,4 @@
-//! The worker/task lifecycle every window stepper shares.
+//! The worker/task lifecycle of the window stepper.
 //!
 //! One window of the paper's dynamic setting: workers arrive or come
 //! back from service, tasks are admitted (or held back by admission
@@ -9,21 +9,21 @@
 //! cycle counts, the budget ledger and the pacing forecast — and holds
 //! the only copy of each rule.
 //!
-//! The flat stepper ([`SessionCore`](crate::session::SessionCore)) and
-//! the halo coordinator ([`HaloCore`](crate::halo::HaloCore)) both call
-//! it. It returns plain data (returned workers, admitted and deferred
-//! tasks, departures, retired ids, expired tasks) and each caller copies
-//! that into its own bookkeeping: a window report and an outcome log
-//! for the flat stepper, per-home-shard counters for the halo. Both
-//! build each window's instances from the pool and pending order kept
-//! here, so instance shape agrees across flat, drop-pairs and halo
-//! execution.
+//! The window stepper ([`HaloCore`](crate::halo::HaloCore)) calls it
+//! for every execution mode: flat sessions and adaptive drop-pairs
+//! shards on one cell, the halo protocol on the whole partition. It
+//! returns plain data (returned workers, admitted and deferred tasks,
+//! departures, retired ids, expired tasks), which the stepper copies
+//! into its window reports and outcome log. Each window's instances
+//! are built from the pool and pending order kept here, so instance
+//! shape agrees across flat, drop-pairs and halo execution.
 
 use crate::driver::{PendingTask, StreamConfig};
 use crate::event::{TaskArrival, WorkerArrival};
 use crate::metrics::{percentile, WindowFeedback};
 use crate::window::{Window, WindowPolicy};
 use dpta_dp::{AccountId, Ledger};
+use dpta_spatial::GridPartition;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -49,7 +49,7 @@ pub(crate) struct PaceState {
 }
 
 /// One window's stream-observable signals, handed back to the adaptive
-/// window controller after the window settles. Lockstep drop-pairs
+/// window controller after the window settles. Adaptive drop-pairs
 /// execution merges one per shard into a single global
 /// [`WindowFeedback`], which is what keeps adaptive cuts identical
 /// across flat, drop-pairs and halo execution.
@@ -99,6 +99,170 @@ pub(crate) struct Opened {
     pub(crate) ages: Vec<f64>,
 }
 
+/// Every pooled worker's cells of the partition, kept beside the pool:
+/// its home cell (the one owning its location) and every other cell its
+/// service disc reaches. Most discs stay inside their home cell, so a
+/// worker holds just its home; the few that reach farther are listed
+/// aside, their other cells in one shared list. Membership costs no
+/// allocation per worker, and an entry leaves with its worker.
+#[derive(Default)]
+pub(crate) struct Cells {
+    /// Each worker's home cell, [`FARTHER`] set when its disc reaches
+    /// other cells too.
+    home: Vec<u32>,
+    /// `(pool position, start, end)` of every flagged worker, ascending
+    /// by position: its other cells are `other[start..end]`, ascending.
+    farther: Vec<(u32, u32, u32)>,
+    /// Only grows; the cells of flagged workers that left are dropped
+    /// once they outnumber the live ones.
+    other: Vec<u32>,
+    /// Listed workers reaching each cell.
+    count: Vec<usize>,
+}
+
+/// The flag on [`Cells::home`] entries of workers that reach farther.
+const FARTHER: u32 = 1 << 31;
+
+impl Cells {
+    fn push(&mut self, partition: &GridPartition, w: &WorkerArrival) {
+        let (at, r) = (&w.worker.location, w.worker.radius);
+        let start = self.other.len();
+        let mut home = None;
+        partition.for_each_reach_shard(at, r, |k| match home {
+            None => home = Some(k as u32),
+            Some(_) => self.other.push(k as u32),
+        });
+        let home = home.expect("a disc reaches its own cell");
+        self.count.resize(partition.n_shards(), 0);
+        for &k in std::iter::once(&home).chain(&self.other[start..]) {
+            self.count[k as usize] += 1;
+        }
+        if self.other.len() > start {
+            let j = self.home.len() as u32;
+            self.farther
+                .push((j, start as u32, self.other.len() as u32));
+            self.home.push(home | FARTHER);
+        } else {
+            self.home.push(home);
+        }
+    }
+
+    /// The home cell of the worker at pool position `j`.
+    pub(crate) fn home(&self, j: usize) -> usize {
+        (self.home[j] & !FARTHER) as usize
+    }
+
+    /// Whether the worker at pool position `j` reaches no cell but its
+    /// home.
+    pub(crate) fn home_only(&self, j: usize) -> bool {
+        self.home[j] & FARTHER == 0
+    }
+
+    /// How many listed workers reach cell `k`.
+    pub(crate) fn count(&self, k: usize) -> usize {
+        self.count.get(k).copied().unwrap_or(0)
+    }
+
+    /// Lists every worker's pool position under each cell it reaches.
+    pub(crate) fn bucket(&self, n_cells: usize, out: &mut Buckets) {
+        out.reset((0..n_cells).map(|k| self.count(k)));
+        let (at, next) = (&mut out.at[..], &mut out.next[..]);
+        let mut put = |k: u32, j: usize| {
+            at[next[k as usize]] = j as u32;
+            next[k as usize] += 1;
+        };
+        let mut farther = self.farther.iter();
+        for (j, &h) in self.home.iter().enumerate() {
+            put(h & !FARTHER, j);
+            if h & FARTHER != 0 {
+                let &(_, start, end) = farther.next().expect("a flagged worker is listed");
+                for &k in &self.other[start as usize..end as usize] {
+                    put(k, j);
+                }
+            }
+        }
+    }
+
+    /// Drops the workers flagged in `leaving` (by pool position).
+    fn retain(&mut self, leaving: &[bool]) {
+        let (mut kept, mut read, mut write, mut live) = (0, 0, 0, 0);
+        for (j, &leaves) in leaving.iter().enumerate() {
+            let h = self.home[j];
+            let span = (h & FARTHER != 0).then(|| {
+                read += 1;
+                self.farther[read - 1]
+            });
+            if leaves {
+                self.count[(h & !FARTHER) as usize] -= 1;
+                if let Some((_, start, end)) = span {
+                    for &k in &self.other[start as usize..end as usize] {
+                        self.count[k as usize] -= 1;
+                    }
+                }
+                continue;
+            }
+            self.home[kept] = h;
+            if let Some((_, start, end)) = span {
+                self.farther[write] = (kept as u32, start, end);
+                write += 1;
+                live += (end - start) as usize;
+            }
+            kept += 1;
+        }
+        self.home.truncate(kept);
+        self.farther.truncate(write);
+        if self.other.len() > 2 * live + 64 {
+            let mut other = Vec::with_capacity(2 * live);
+            for span in &mut self.farther {
+                let start = other.len() as u32;
+                other.extend_from_slice(&self.other[span.1 as usize..span.2 as usize]);
+                (span.1, span.2) = (start, other.len() as u32);
+            }
+            self.other = other;
+        }
+    }
+}
+
+/// Positions grouped by cell, ascending within each cell: cell `k`'s
+/// are `at[start[k]..start[k + 1]]`. Refilled every window.
+#[derive(Default)]
+pub(crate) struct Buckets {
+    at: Vec<u32>,
+    start: Vec<usize>,
+    /// Fill cursor per cell.
+    next: Vec<usize>,
+}
+
+impl Buckets {
+    /// Empties the buckets, sized for the given count per cell.
+    pub(crate) fn reset(&mut self, counts: impl Iterator<Item = usize>) {
+        self.start.clear();
+        self.start.push(0);
+        let mut total = 0;
+        for n in counts {
+            total += n;
+            self.start.push(total);
+        }
+        self.next.clear();
+        self.next
+            .extend_from_slice(&self.start[..self.start.len() - 1]);
+        self.at.clear();
+        self.at.resize(total, 0);
+    }
+
+    /// Appends position `at` to cell `k`'s bucket.
+    pub(crate) fn put(&mut self, k: u32, at: usize) {
+        let next = &mut self.next[k as usize];
+        self.at[*next] = at as u32;
+        *next += 1;
+    }
+
+    /// Cell `k`'s positions.
+    pub(crate) fn of(&self, k: usize) -> &[u32] {
+        &self.at[self.start[k]..self.start[k + 1]]
+    }
+}
+
 /// The live state of a driven stream and the rules that move entities
 /// through it, one window at a time (see the module docs).
 pub(crate) struct Lifecycle {
@@ -108,12 +272,20 @@ pub(crate) struct Lifecycle {
     /// drained only as their workers leave the pool (at the settle that
     /// also drops them here). Rebuilt on restore.
     pub(crate) handles: Vec<AccountId>,
+    /// Each pooled worker's cells, beside `pool`; rebuilt on restore.
+    /// A worker serving a match has none: its cells are resolved again
+    /// when it returns.
+    pub(crate) cells: Cells,
+    pub(crate) partition: GridPartition,
     /// Pool positions charged this window (see [`retire`](Self::retire)).
     charged: Vec<usize>,
     /// Pool position of the first worker pooled this window: workers
     /// returned from service, then fresh registrations.
     fresh_from: usize,
     pub(crate) pending: Vec<PendingTask>,
+    /// Each pending task's home cell (the one owning its location),
+    /// beside `pending`; rebuilt on restore.
+    pub(crate) pending_home: Vec<u32>,
     /// Tasks held back by admission control: arrived, not yet admitted
     /// into any window, burning no TTL. FIFO — the oldest deferral is
     /// readmitted first once budget frees up.
@@ -133,15 +305,18 @@ pub(crate) struct Lifecycle {
 }
 
 impl Lifecycle {
-    /// An empty lifecycle under `cfg`; `warm` says whether the engine
-    /// resumes from carried boards.
-    pub(crate) fn new(cfg: &StreamConfig, warm: bool) -> Self {
+    /// An empty lifecycle under `cfg` over the cells of `partition`;
+    /// `warm` says whether the engine resumes from carried boards.
+    pub(crate) fn new(cfg: &StreamConfig, warm: bool, partition: GridPartition) -> Self {
         Lifecycle {
             pool: Vec::new(),
             handles: Vec::new(),
+            cells: Cells::default(),
+            partition,
             charged: Vec::new(),
             fresh_from: 0,
             pending: Vec::new(),
+            pending_home: Vec::new(),
             deferred: VecDeque::new(),
             in_service: VecDeque::new(),
             cycles: BTreeMap::new(),
@@ -155,6 +330,29 @@ impl Lifecycle {
     /// a restored lifecycle must rebuild from its pool and ledger.
     pub(crate) fn rebuild_handles(&mut self) {
         self.handles = self.pool.iter().map(|w| self.handle(w.id)).collect();
+    }
+
+    /// Re-resolves every pooled worker's ledger handle and cells and
+    /// every pending task's home: the caches a restored lifecycle
+    /// rebuilds from its pool, pending set and ledger.
+    pub(crate) fn rebuild(&mut self) {
+        self.rebuild_handles();
+        self.cells = Cells::default();
+        for w in &self.pool {
+            self.cells.push(&self.partition, w);
+        }
+        let homes = self.pending.iter().map(|p| self.home_of(p));
+        self.pending_home = homes.collect();
+    }
+
+    fn home_of(&self, p: &PendingTask) -> u32 {
+        self.partition.shard_of(&p.arrival.task.location) as u32
+    }
+
+    /// Appends `p` to the pending set, its home cell beside it.
+    fn admit(&mut self, p: PendingTask) {
+        self.pending_home.push(self.home_of(&p));
+        self.pending.push(p);
     }
 
     fn handle(&self, id: u32) -> AccountId {
@@ -183,12 +381,14 @@ impl Lifecycle {
             let s = self.in_service.pop_front().expect("front exists");
             self.pool.push(s.worker);
             self.handles.push(self.handle(s.worker.id));
+            self.cells.push(&self.partition, &s.worker);
             returned.push(s);
         }
         for w in &window.workers {
             self.ledger.register(u64::from(w.id), cfg.worker_capacity);
             self.pool.push(*w);
             self.handles.push(self.handle(w.id));
+            self.cells.push(&self.partition, w);
         }
         let carried_in = self.pending.len();
         let fresh = window.tasks.iter().map(|&arrival| PendingTask {
@@ -199,7 +399,7 @@ impl Lifecycle {
         let mut deferred = Vec::new();
         match cfg.admission {
             // Every arrival is admitted on the spot.
-            None => self.pending.extend(fresh),
+            None => fresh.for_each(|p| self.admit(p)),
             // The window admits only as many tasks as the pool's
             // aggregate remaining budget could plausibly serve; the
             // excess waits outside the window (no TTL burned), oldest
@@ -223,7 +423,7 @@ impl Lifecycle {
                         if k < n_waiting {
                             readmitted += 1;
                         }
-                        self.pending.push(p);
+                        self.admit(p);
                     } else {
                         if k >= n_waiting {
                             deferred.push(p.arrival);
@@ -250,6 +450,12 @@ impl Lifecycle {
             deferred,
             ages,
         }
+    }
+
+    /// Whether pacing can throttle anyone: capped runs under
+    /// [`StreamConfig::pacing`].
+    pub(crate) fn paces(&self, cfg: &StreamConfig) -> bool {
+        self.capped && cfg.pacing.is_some()
     }
 
     /// The pacing throttle on a worker's remaining-budget guard: when
@@ -316,30 +522,23 @@ impl Lifecycle {
         self.charged.push(at);
     }
 
-    /// Commits the whole reservation of the pooled worker at `pool[at]`
-    /// and lists the worker as a retirement candidate.
-    pub(crate) fn commit(&mut self, at: usize) {
-        self.ledger.commit(u64::from(self.pool[at].id));
-        self.charged.push(at);
-    }
-
     /// Retires exhausted workers and settles the pool: the workers
     /// flagged in `departed` (a mask indexed by pool position) and the
-    /// retired ones leave it. Returns the retired ids, ascending — pooled or in
-    /// service alike.
+    /// retired ones leave it. Returns the retired ids with their home
+    /// cells, ascending by id — pooled or in service alike.
     ///
     /// Both retirement rules read a worker's budget, and a pooled
     /// worker's budget moves only when the worker is charged or
     /// (re)registered. Every other worker was checked at an earlier
     /// close and passed, so only three groups are candidates: workers
-    /// charged this window ([`charge`](Self::charge) /
-    /// [`commit`](Self::commit)), workers registered this window, and
-    /// workers back from service this window — a worker charged in the
-    /// window they departed skipped the hard-cap check then, so it
-    /// happens when they re-enter. The ledger drain keeps its own set
-    /// of touched accounts, which also covers workers who exhausted
-    /// their budget on the match that sent them out.
-    pub(crate) fn retire(&mut self, cfg: &StreamConfig, departed: Vec<bool>) -> Vec<u64> {
+    /// charged this window ([`charge`](Self::charge)), workers
+    /// registered this window, and workers back from service this
+    /// window — a worker charged in the window they departed skipped
+    /// the hard-cap check then, so it happens when they re-enter. The
+    /// ledger drain keeps its own set of touched accounts, which also
+    /// covers workers who exhausted their budget on the match that sent
+    /// them out.
+    pub(crate) fn retire(&mut self, cfg: &StreamConfig, departed: Vec<bool>) -> Vec<(u64, usize)> {
         debug_assert_eq!(departed.len(), self.pool.len());
         // Sliding-window (renewable) accounting never retires: an
         // exhausted worker idles — the remaining-budget guard stops his
@@ -353,9 +552,7 @@ impl Lifecycle {
             return Vec::new();
         }
         let drained = self.ledger.drain_exhausted();
-        let mut retired = drained.clone();
-        // Drained workers found in the pool or the in-service set.
-        let mut found = 0usize;
+        let mut retired = Vec::with_capacity(drained.len());
         let candidates = self
             .charged
             .iter()
@@ -368,7 +565,7 @@ impl Lifecycle {
             let id = u64::from(self.pool[at].id);
             if drained.binary_search(&id).is_ok() {
                 leaving[at] = true;
-                found += 1;
+                retired.push((id, self.cells.home(at)));
             } else if self.capped
                 && self.ledger.remaining_at(self.handles[at]) + 1e-12 < cfg.budget_range.0
             {
@@ -378,7 +575,7 @@ impl Lifecycle {
                 // the cheapest possible release (the draw range's lower
                 // bound).
                 self.ledger.forget(id);
-                retired.push(id);
+                retired.push((id, self.cells.home(at)));
                 leaving[at] = true;
             }
         }
@@ -386,24 +583,33 @@ impl Lifecycle {
         // that sent him out: he finishes the trip he is on but retires
         // instead of returning.
         if !drained.is_empty() {
-            let serving = self.in_service.len();
-            self.in_service
-                .retain(|s| drained.binary_search(&u64::from(s.worker.id)).is_err());
-            found += serving - self.in_service.len();
+            let partition = &self.partition;
+            self.in_service.retain(|s| {
+                let id = u64::from(s.worker.id);
+                let exhausted = drained.binary_search(&id).is_ok();
+                if exhausted {
+                    retired.push((id, partition.shard_of(&s.worker.worker.location)));
+                }
+                !exhausted
+            });
         }
         debug_assert_eq!(
-            found,
+            retired
+                .iter()
+                .filter(|r| drained.binary_search(&r.0).is_ok())
+                .count(),
             drained.len(),
             "a drained worker was neither a candidate nor in service"
         );
-        retired.sort_unstable();
+        retired.sort_unstable_by_key(|r| r.0);
         self.settle_pool(&leaving);
         retired
     }
 
     /// Drops the workers flagged in `leaving` (by pool position) from
-    /// the pool and their handles beside it.
+    /// the pool and their handles and cells beside it.
     fn settle_pool(&mut self, leaving: &[bool]) {
+        self.cells.retain(leaving);
         let mut at = 0;
         self.pool.retain(|_| {
             at += 1;
@@ -421,20 +627,23 @@ impl Lifecycle {
     /// ones whose time-to-live ran out are removed and returned.
     pub(crate) fn expire(&mut self, matched: &[bool]) -> Vec<PendingTask> {
         let mut expired = Vec::new();
-        let mut at = 0usize;
-        self.pending.retain_mut(|p| {
-            let hit = matched[at];
-            at += 1;
+        let mut kept = 0usize;
+        for (at, &hit) in matched.iter().enumerate() {
+            let mut p = self.pending[at];
             if hit {
-                return false;
+                continue;
             }
             p.ttl -= 1;
             if p.ttl == 0 {
-                expired.push(*p);
-                return false;
+                expired.push(p);
+                continue;
             }
-            true
-        });
+            self.pending[kept] = p;
+            self.pending_home[kept] = self.pending_home[at];
+            kept += 1;
+        }
+        self.pending.truncate(kept);
+        self.pending_home.truncate(kept);
         expired
     }
 
@@ -473,6 +682,7 @@ mod tests {
     use super::*;
     use crate::driver::LedgerMode;
     use crate::event::TaskArrival;
+    use crate::halo::one_cell;
     use crate::session::ServiceModel;
     use dpta_core::{Task, Worker};
     use dpta_spatial::Point;
@@ -523,6 +733,11 @@ mod tests {
         }
     }
 
+    /// The ids of [`Lifecycle::retire`]'s result.
+    fn ids(retired: Vec<(u64, usize)>) -> Vec<u64> {
+        retired.into_iter().map(|(id, _)| id).collect()
+    }
+
     /// The retirement rules applied to the whole pool and the whole
     /// ledger — what [`Lifecycle::retire`] must return.
     fn full_scan(life: &Lifecycle, cfg: &StreamConfig, departed: &[bool]) -> Vec<u64> {
@@ -553,7 +768,7 @@ mod tests {
     #[test]
     fn returned_worker_below_the_floor_retires_in_the_return_window() {
         let cfg = config(3.0, LedgerMode::Lifetime);
-        let mut life = Lifecycle::new(&cfg, true);
+        let mut life = Lifecycle::new(&cfg, true, one_cell());
         life.open(&cfg, &window(0, vec![worker(7, 0.0)]));
         // The last match leaves less than the cheapest release, but the
         // worker departs to serve, so the hard cap skips them this window.
@@ -564,7 +779,7 @@ mod tests {
         assert!(life.retire(&cfg, Vec::new()).is_empty(), "still serving");
         let opened = life.open(&cfg, &window(2, Vec::new()));
         assert_eq!(opened.returned.len(), 1);
-        assert_eq!(life.retire(&cfg, vec![false]), vec![7]);
+        assert_eq!(ids(life.retire(&cfg, vec![false])), vec![7]);
         assert!(life.pool.is_empty() && life.handles.is_empty());
     }
 
@@ -572,10 +787,10 @@ mod tests {
     fn capacity_below_the_floor_retires_every_worker_at_the_first_close() {
         let cfg = config(0.25, LedgerMode::Lifetime);
         assert!(cfg.worker_capacity < cfg.budget_range.0);
-        let mut life = Lifecycle::new(&cfg, true);
+        let mut life = Lifecycle::new(&cfg, true, one_cell());
         let arrivals = (1..=3).map(|id| worker(id, 1.0)).collect();
         life.open(&cfg, &window(0, arrivals));
-        assert_eq!(life.retire(&cfg, vec![false; 3]), vec![1, 2, 3]);
+        assert_eq!(ids(life.retire(&cfg, vec![false; 3])), vec![1, 2, 3]);
         assert!(life.pool.is_empty());
         // The same through a session: nobody can afford a release, and
         // each worker retires at the close of their arrival window.
@@ -607,9 +822,9 @@ mod tests {
     #[test]
     fn registrations_reach_the_drain_uncapped() {
         let cfg = config(1e-13, LedgerMode::Lifetime);
-        let mut life = Lifecycle::new(&cfg, false);
+        let mut life = Lifecycle::new(&cfg, false, one_cell());
         life.open(&cfg, &window(0, vec![worker(4, 0.0), worker(9, 0.0)]));
-        assert_eq!(life.retire(&cfg, vec![false; 2]), vec![4, 9]);
+        assert_eq!(ids(life.retire(&cfg, vec![false; 2])), vec![4, 9]);
     }
 
     proptest! {
@@ -641,7 +856,7 @@ mod tests {
             };
             let cfg = config(3.0, ledger);
             let lo = cfg.budget_range.0;
-            let mut life = Lifecycle::new(&cfg, warm);
+            let mut life = Lifecycle::new(&cfg, warm, one_cell());
             let mut next_id = 0u32;
             for (index, (kinds, charges, departs, round_trip)) in steps.into_iter().enumerate() {
                 let arrivals: Vec<WorkerArrival> = kinds
@@ -686,7 +901,7 @@ mod tests {
                     .filter(|&(at, w)| !departed[at] && want.binary_search(&u64::from(w.id)).is_err())
                     .map(|(_, w)| w.id)
                     .collect();
-                let got = life.retire(&cfg, departed);
+                let got = ids(life.retire(&cfg, departed));
                 prop_assert_eq!(got, want);
                 prop_assert_eq!(life.pool.iter().map(|w| w.id).collect::<Vec<_>>(), want_pool);
                 for (w, &h) in life.pool.iter().zip(&life.handles) {

@@ -109,7 +109,7 @@ pub enum TaskFate {
 }
 
 /// Measures of one driven window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WindowReport {
     /// Window sequence number.
     pub index: usize,

@@ -20,10 +20,10 @@
 //!
 //! `StreamDriver::run` and the sharded runners are thin `push* → close`
 //! drain loops over this session or a
-//! [`ShardedSession`](crate::ShardedSession). Every stepper cuts its
-//! windows with the one [`WindowFormer`] and moves workers and tasks
-//! through the one [`Lifecycle`], so every driving mode shares one set
-//! of window/budget/fate semantics.
+//! [`ShardedSession`](crate::ShardedSession). Every session cuts its
+//! windows with the one [`WindowFormer`] and steps them through the one
+//! window stepper, [`HaloCore`] — over a single cell here — so every
+//! driving mode shares one set of window/budget/fate semantics.
 //!
 //! # Worker re-entry
 //!
@@ -37,21 +37,17 @@
 //! value), never wall-clock time, so re-entry preserves bit-for-bit
 //! replay and the flat/drop-pairs/halo equivalence gates.
 
-use crate::driver::{
-    charge_novel, keyed_instance, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig,
-};
-use crate::event::{ArrivalEvent, WorkerArrival};
-use crate::lifecycle::{InService, Lifecycle, PaceState, StepSignals};
-use crate::metrics::{StreamReport, TaskFate, WindowCutDecision, WindowReport};
+use crate::driver::StreamConfig;
+use crate::event::ArrivalEvent;
+use crate::halo::{one_cell, HaloCore};
+use crate::lifecycle::StepSignals;
+use crate::metrics::StreamReport;
 use crate::snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use crate::window::{Window, WindowFormer};
-use dpta_core::metrics::measure;
+use crate::window::WindowFormer;
 use dpta_core::{AssignmentEngine, Board};
-use dpta_dp::{FastMap, Interner, Ledger, SeededNoise};
+use dpta_dp::{FastMap, Interner};
 use dpta_workloads::ValueModel;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
-use std::time::Instant;
 
 /// How long a matched worker is held in service before re-entering the
 /// pool.
@@ -134,11 +130,11 @@ impl ServiceModel {
     }
 
     /// The service duration of one *specific* match, keyed by the
-    /// pair's logical ids and the run seed — the call the session
-    /// stepper and halo coordinator make. Deterministic: the same
-    /// (seed, worker, task) always draws the same duration, so replays
-    /// and sharded runs agree bit for bit. Non-jittered variants
-    /// ignore the key and defer to [`duration`](ServiceModel::duration).
+    /// pair's logical ids and the run seed — the call the window
+    /// stepper makes. Deterministic: the same (seed, worker, task)
+    /// always draws the same duration, so replays and sharded runs
+    /// agree bit for bit. Non-jittered variants ignore the key and
+    /// defer to [`duration`](ServiceModel::duration).
     pub fn duration_keyed(
         &self,
         pickup_km: f64,
@@ -329,373 +325,6 @@ fn carry_map(old: &[u32], new: &[u32]) -> Vec<Option<u32>> {
     map
 }
 
-/// The mutable state of one driven stream: the shared [`Lifecycle`]
-/// plus the flat stepper's own carried protocol state and fate/outcome
-/// records, stepped one window at a time.
-/// [`StreamSession`] wraps it behind the push API;
-/// [`StreamDriver::run`](crate::StreamDriver::run) drains it over a
-/// whole stream; lockstep drop-pairs execution steps one core per shard
-/// so a single adaptive controller can window every shard identically.
-pub(crate) struct SessionCore<'e> {
-    engine: &'e dyn AssignmentEngine,
-    cfg: StreamConfig,
-    warm: bool,
-    life: Lifecycle,
-    carried: Option<CarriedBoard>,
-    charged: ReleaseDedup,
-    /// Task id → fate, hash-interned for O(1) per-settlement updates;
-    /// every observable artefact (report, snapshot) re-sorts by id.
-    fates: FastMap<u32, TaskFate>,
-    /// Worker id → lifetime spend, same interned representation.
-    spend_by_worker: FastMap<u32, f64>,
-    reports: Vec<WindowReport>,
-    outcomes: VecDeque<Outcome>,
-}
-
-/// The serializable state of a [`SessionCore`] at a window boundary.
-///
-/// Everything not here is reconstructed on restore: `warm` is a pure
-/// function of the configuration and engine, and budgets are drawn from
-/// a keyed source re-derived from the seed. Each window's instance is
-/// built from the restored pool and pending order, which *is* the
-/// order a live session would have reached (pool/pending only append
-/// and retain), so a restored session drives bit-identically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct CoreSnapshot {
-    pub(crate) pool: Vec<WorkerArrival>,
-    pub(crate) pending: Vec<PendingTask>,
-    pub(crate) deferred: VecDeque<PendingTask>,
-    pub(crate) in_service: VecDeque<InService>,
-    pub(crate) cycles: BTreeMap<u32, usize>,
-    pub(crate) ledger: Ledger,
-    pub(crate) pace: BTreeMap<u32, PaceState>,
-    pub(crate) carried: Option<CarriedBoard>,
-    pub(crate) charged: ReleaseDedup,
-    pub(crate) fates: BTreeMap<u32, TaskFate>,
-    pub(crate) spend_by_worker: BTreeMap<u32, f64>,
-    pub(crate) reports: Vec<WindowReport>,
-    pub(crate) outcomes: VecDeque<Outcome>,
-}
-
-impl<'e> SessionCore<'e> {
-    /// A fresh session core for `engine` under `cfg`.
-    pub(crate) fn new(engine: &'e dyn AssignmentEngine, cfg: StreamConfig) -> Self {
-        cfg.service.validate();
-        let warm = cfg.carry_releases && engine.supports_warm_start();
-        let life = Lifecycle::new(&cfg, warm);
-        SessionCore {
-            engine,
-            cfg,
-            warm,
-            life,
-            carried: None,
-            charged: ReleaseDedup::default(),
-            fates: FastMap::default(),
-            spend_by_worker: FastMap::default(),
-            reports: Vec::new(),
-            outcomes: VecDeque::new(),
-        }
-    }
-
-    /// Drains the outcome log accumulated since the last drain.
-    pub(crate) fn drain_outcomes(&mut self) -> Vec<Outcome> {
-        self.outcomes.drain(..).collect()
-    }
-
-    /// Captures the core's window-boundary state for a session
-    /// snapshot.
-    pub(crate) fn snapshot(&self) -> CoreSnapshot {
-        let life = &self.life;
-        CoreSnapshot {
-            pool: life.pool.clone(),
-            pending: life.pending.clone(),
-            deferred: life.deferred.clone(),
-            in_service: life.in_service.clone(),
-            cycles: life.cycles.clone(),
-            ledger: life.ledger.clone(),
-            pace: life.pace.clone(),
-            carried: self.carried.clone(),
-            charged: self.charged.clone(),
-            fates: self.fates.iter().map(|(&id, f)| (id, *f)).collect(),
-            spend_by_worker: self
-                .spend_by_worker
-                .iter()
-                .map(|(&id, &e)| (id, e))
-                .collect(),
-            reports: self.reports.clone(),
-            outcomes: self.outcomes.clone(),
-        }
-    }
-
-    /// Rebuilds a core mid-stream from a snapshot. The pool and pending
-    /// set come back in the live session's order, so the next window's
-    /// instance is bit-identical to the uninterrupted run's.
-    pub(crate) fn from_snapshot(
-        engine: &'e dyn AssignmentEngine,
-        cfg: StreamConfig,
-        snap: &CoreSnapshot,
-    ) -> Self {
-        let mut core = SessionCore::new(engine, cfg);
-        let life = &mut core.life;
-        life.pool = snap.pool.clone();
-        life.pending = snap.pending.clone();
-        life.deferred = snap.deferred.clone();
-        life.in_service = snap.in_service.clone();
-        life.cycles = snap.cycles.clone();
-        life.ledger = snap.ledger.clone();
-        life.pace = snap.pace.clone();
-        life.rebuild_handles();
-        core.carried = snap.carried.clone();
-        core.charged = snap.charged.clone();
-        core.fates = snap.fates.iter().map(|(&id, f)| (id, *f)).collect();
-        core.spend_by_worker = snap
-            .spend_by_worker
-            .iter()
-            .map(|(&id, &e)| (id, e))
-            .collect();
-        core.reports = snap.reports.clone();
-        core.outcomes = snap.outcomes.clone();
-        core
-    }
-
-    /// Settles remaining fates and assembles the aggregate report.
-    pub(crate) fn finish(mut self, task_arrivals: usize, worker_arrivals: usize) -> StreamReport {
-        // Tasks still held by admission control never entered a window,
-        // but they arrived — the conservation law covers them as
-        // pending.
-        for p in self.life.pending.iter().chain(&self.life.deferred) {
-            self.fates.insert(p.arrival.id, TaskFate::Pending);
-        }
-        StreamReport {
-            engine: self.engine.name().to_string(),
-            windows: self.reports,
-            fates: self.fates.into_iter().collect(),
-            task_arrivals,
-            worker_arrivals,
-            spend_by_worker: self.spend_by_worker.into_iter().collect(),
-            warnings: Vec::new(),
-        }
-    }
-
-    /// One window: open it through the lifecycle, drive the engine over
-    /// the instance of the pending set and pool, charge, settle. Returns the window's
-    /// stream-observable signals for the adaptive controller.
-    pub(crate) fn step(&mut self, window: &Window, cut: WindowCutDecision) -> StepSignals {
-        let warm = self.warm;
-        let opened = self.life.open(&self.cfg, window);
-        for s in &opened.returned {
-            self.outcomes.push_back(Outcome::Returned {
-                worker: s.worker.id,
-                window: window.index,
-                at: s.return_time,
-                cycle: s.cycle,
-            });
-        }
-        for t in &opened.deferred {
-            self.outcomes.push_back(Outcome::Deferred {
-                task: t.id,
-                window: window.index,
-            });
-        }
-        let (pool, pending) = (&self.life.pool, &self.life.pending);
-        let carried = &mut self.carried;
-        let (charged, fates) = (&mut self.charged, &mut self.fates);
-        let spend_by_worker = &mut self.spend_by_worker;
-
-        let mut report = WindowReport {
-            index: window.index,
-            start: window.start,
-            end: window.end,
-            tasks_arrived: window.tasks.len(),
-            carried_in: opened.carried_in + opened.readmitted,
-            workers_available: pool.len(),
-            matched: 0,
-            expired: 0,
-            carried_out: 0,
-            utility: 0.0,
-            distance: 0.0,
-            epsilon_spent: 0.0,
-            publications: 0,
-            rounds: 0,
-            drive_time: std::time::Duration::ZERO,
-            workers_retired: 0,
-            workers_departed: 0,
-            workers_returned: opened.returned.len(),
-            workers_throttled: 0,
-            tasks_deferred: opened.deferred.len(),
-            cut,
-        };
-
-        // (pending index, pool index, worker id) of every match.
-        let mut matched_tasks: Vec<(usize, usize, u32)> = Vec::new();
-        if !pending.is_empty() && !pool.is_empty() {
-            let task_ids: Vec<u32> = pending.iter().map(|p| p.arrival.id).collect();
-            // The window's instance in pending/pool order, budgets drawn
-            // from the logical ids, over the workers that reach a task:
-            // column `j` is the pooled worker at `kept[j]`.
-            let (inst, kept) =
-                keyed_instance(pending.iter(), pool.iter(), self.cfg.budget_source())
-                    .drop_idle_workers();
-            let worker_ids: Vec<u32> = kept.iter().map(|&j| pool[j].id).collect();
-            let noise = IdStableNoise {
-                base: SeededNoise::new(self.cfg.params.seed),
-                task_ids: &task_ids,
-                worker_ids: &worker_ids,
-            };
-
-            let board = match carried.take() {
-                Some(prev) if warm => prev.carry(&task_ids, &worker_ids),
-                _ => Board::new(inst.n_tasks(), inst.n_workers()),
-            };
-            let pre_pubs = board.publications();
-            let pre_cols = board.column_publications().to_vec();
-
-            // With a finite lifetime capacity, warm drives run under
-            // the engine-level remaining-budget hook: every proposal
-            // whose ε would overshoot the worker's remaining lifetime
-            // budget is skipped, so the cap is exact rather than
-            // retire-at-window-close. (Fresh-board drives re-publish
-            // already-charged releases the hook cannot distinguish from
-            // novel spend, so they keep the window-close semantics.)
-            // Throttling is counted over the whole pool, idle workers
-            // included.
-            let life = &self.life;
-            let guard: Option<Vec<f64>> = life.capped.then(|| {
-                report.workers_throttled = pool
-                    .iter()
-                    .filter(|w| life.pace_cap(&self.cfg, w.id).is_some())
-                    .count();
-                kept.iter()
-                    .map(|&j| {
-                        life.pace_cap(&self.cfg, pool[j].id)
-                            .unwrap_or_else(|| life.ledger.remaining_at(life.handles[j]))
-                    })
-                    .collect()
-            });
-
-            // dpta-lint: allow(no-wall-clock) -- drive_time is observability-only; no windowing or matching decision reads it
-            let start = Instant::now();
-            let outcome = if self.engine.supports_warm_start() {
-                match &guard {
-                    Some(g) => self.engine.resume_capped(&inst, board, &noise, g),
-                    None => self.engine.resume(&inst, board, &noise),
-                }
-            } else {
-                // One-shot engines require (and here always get) a
-                // fresh board.
-                let mut board = board;
-                self.engine.assign(&inst, &mut board, &noise)
-            };
-            report.drive_time = start.elapsed();
-
-            // One charge path, shared with the halo coordinator (see
-            // `charge_novel`): each worker's novel releases, summed in
-            // ledger order through the id-keyed dedup, so each release
-            // is charged once per lifetime and flat and sharded runs sum
-            // spend in the same order.
-            let life = &mut self.life;
-            charge_novel(
-                &outcome.board,
-                &pre_cols,
-                &worker_ids,
-                &task_ids,
-                charged,
-                |j, novel| {
-                    life.charge(kept[j], novel);
-                    report.epsilon_spent += novel;
-                    *spend_by_worker.entry(worker_ids[j]).or_insert(0.0) += novel;
-                },
-            );
-            let m = measure(
-                &inst,
-                &outcome,
-                self.cfg.params.alpha,
-                self.cfg.params.beta,
-                self.engine.accounts_privacy(),
-            );
-            report.matched = m.matched;
-            report.utility = m.total_utility;
-            report.distance = m.total_distance;
-            report.rounds = outcome.rounds;
-            report.publications = outcome.board.publications() - pre_pubs;
-
-            for (i, j) in outcome.assignment.pairs() {
-                let worker_id = worker_ids[j];
-                let latency = window.end - self.life.pending[i].arrival.time;
-                fates.insert(
-                    task_ids[i],
-                    TaskFate::Assigned {
-                        window: window.index,
-                        worker: worker_id,
-                        latency,
-                    },
-                );
-                self.outcomes.push_back(Outcome::Assigned {
-                    task: task_ids[i],
-                    worker: worker_id,
-                    window: window.index,
-                    latency,
-                });
-                matched_tasks.push((i, kept[j], worker_id));
-            }
-
-            if warm {
-                *carried = Some(CarriedBoard {
-                    board: outcome.board,
-                    task_ids,
-                    worker_ids,
-                });
-            }
-        }
-
-        // Settle the pool: matched workers depart to serve — for good
-        // under `ServiceModel::Never`, into the in-service set
-        // otherwise — and exhausted workers retire.
-        let mut departed = vec![false; self.life.pool.len()];
-        for &(i, j, wid) in &matched_tasks {
-            departed[j] = true;
-            let returns_at = self.life.depart(&self.cfg, window.end, i, j);
-            self.outcomes.push_back(Outcome::EnteredService {
-                worker: wid,
-                window: window.index,
-                returns_at,
-            });
-        }
-        report.workers_departed = matched_tasks.len();
-        let retired = self.life.retire(&self.cfg, departed);
-        report.workers_retired = retired.len();
-        for &id in &retired {
-            self.outcomes.push_back(Outcome::Retired {
-                worker: id as u32,
-                window: window.index,
-            });
-        }
-
-        // Settle the tasks: matched leave, survivors age, the too-old
-        // expire.
-        let mut matched_mask = vec![false; self.life.pending.len()];
-        for &(i, _, _) in &matched_tasks {
-            matched_mask[i] = true;
-        }
-        for p in self.life.expire(&matched_mask) {
-            self.fates.insert(
-                p.arrival.id,
-                TaskFate::Expired {
-                    window: window.index,
-                },
-            );
-            self.outcomes.push_back(Outcome::Expired {
-                task: p.arrival.id,
-                window: window.index,
-            });
-            report.expired += 1;
-        }
-        report.carried_out = self.life.pending.len();
-        self.reports.push(report);
-        self.life.close(&self.cfg, opened.ages)
-    }
-}
-
 /// The push-based streaming interface: feed arrival events, advance
 /// the event-time watermark, poll typed [`Outcome`]s, close for the
 /// aggregate report. [`StreamDriver::run`](crate::StreamDriver::run)
@@ -748,9 +377,10 @@ impl<'e> SessionCore<'e> {
 /// assert_eq!(report.matched(), 1);
 /// ```
 pub struct StreamSession<'e> {
-    core: Option<SessionCore<'e>>,
+    core: Option<HaloCore<'e>>,
     former: WindowFormer,
-    residual: VecDeque<Outcome>,
+    /// Outcomes the close emitted, pollable after it.
+    residual: Vec<Outcome>,
     n_tasks: usize,
     n_workers: usize,
     /// Arrival ids seen so far, interned to dense symbols — the
@@ -773,9 +403,9 @@ impl<'e> StreamSession<'e> {
         );
         let former = WindowFormer::new(cfg.policy, cfg.horizon);
         StreamSession {
-            core: Some(SessionCore::new(engine, cfg)),
+            core: Some(HaloCore::new(engine, cfg, one_cell())),
             former,
-            residual: VecDeque::new(),
+            residual: Vec::new(),
             n_tasks: 0,
             n_workers: 0,
             task_ids: Interner::new(),
@@ -785,7 +415,7 @@ impl<'e> StreamSession<'e> {
 
     /// The configuration this session runs under. Panics once closed.
     pub fn config(&self) -> &StreamConfig {
-        &self.core.as_ref().expect("session closed").cfg
+        self.core.as_ref().expect("session closed").config()
     }
 
     /// The current event-time watermark.
@@ -855,11 +485,10 @@ impl<'e> StreamSession<'e> {
 
     /// Drains the typed outcome log accumulated since the last poll.
     pub fn poll_outcomes(&mut self) -> Vec<Outcome> {
-        let mut out: Vec<Outcome> = self.residual.drain(..).collect();
-        if let Some(core) = self.core.as_mut() {
-            out.extend(core.drain_outcomes());
+        match self.core.as_mut() {
+            Some(core) => core.drain_outcomes().collect(),
+            None => std::mem::take(&mut self.residual),
         }
-        out
     }
 
     /// Drives every remaining window (trailing empties included, up to
@@ -870,8 +499,9 @@ impl<'e> StreamSession<'e> {
         assert!(self.core.is_some(), "close on a closed session");
         self.drive_ready(true);
         let mut core = self.core.take().expect("core present");
-        self.residual.extend(core.drain_outcomes());
-        core.finish(self.n_tasks, self.n_workers)
+        self.residual = core.drain_outcomes().collect();
+        let report = core.finish().shards.pop();
+        report.expect("a one-cell run reports one shard")
     }
 
     /// Captures the session's full state — buffered events, watermark,
@@ -885,11 +515,10 @@ impl<'e> StreamSession<'e> {
         let core = self.core.as_ref().expect("snapshot on a closed session");
         SessionSnapshot {
             version: SNAPSHOT_VERSION,
-            engine: core.engine.name().to_string(),
-            config: core.cfg.clone(),
+            engine: core.engine_name().to_string(),
+            config: core.config().clone(),
             windower: self.former.snapshot(),
             core: core.snapshot(),
-            residual: self.residual.clone(),
             n_tasks: self.n_tasks,
             n_workers: self.n_workers,
             task_ids: self.task_ids.ids().iter().map(|&id| id as u32).collect(),
@@ -914,11 +543,11 @@ impl<'e> StreamSession<'e> {
     ) -> Result<Self, SnapshotError> {
         snapshot.validate(engine.name(), &cfg)?;
         let former = WindowFormer::from_snapshot(cfg.policy, cfg.horizon, &snapshot.windower)?;
-        let core = SessionCore::from_snapshot(engine, cfg, &snapshot.core);
+        let core = HaloCore::from_snapshot(engine, cfg, one_cell(), &snapshot.core)?;
         Ok(StreamSession {
             core: Some(core),
             former,
-            residual: snapshot.residual.clone(),
+            residual: Vec::new(),
             n_tasks: snapshot.n_tasks,
             n_workers: snapshot.n_workers,
             task_ids: snapshot.task_ids.iter().map(|&id| u64::from(id)).collect(),
@@ -942,8 +571,9 @@ impl<'e> StreamSession<'e> {
 
     fn drive_ready(&mut self, drain: bool) {
         let core = self.core.as_mut().expect("core present");
-        self.former
-            .drive(drain, |w, cut| StepSignals::merge(&[core.step(w, cut)]));
+        self.former.drive(drain, |w, cut| {
+            StepSignals::merge(&[core.step_window(w, cut)])
+        });
     }
 }
 
@@ -951,7 +581,8 @@ impl<'e> StreamSession<'e> {
 mod tests {
     use super::*;
     use crate::driver::StreamDriver;
-    use crate::event::{ArrivalStream, TaskArrival};
+    use crate::event::{ArrivalStream, TaskArrival, WorkerArrival};
+    use crate::metrics::TaskFate;
     use crate::window::{AdaptivePolicy, WindowPolicy};
     use dpta_core::{Method, Task, Worker};
     use dpta_spatial::Point;

@@ -19,12 +19,12 @@
 
 use crate::driver::{StreamConfig, StreamDriver};
 use crate::event::{ArrivalEvent, ArrivalStream};
-use crate::halo::HaloCore;
+use crate::halo::{one_cell, HaloCore, HaloSnapshot};
 use crate::lifecycle::StepSignals;
 use crate::metrics::{ShardedReport, StreamReport};
-use crate::session::{SessionCore, StreamSession};
+use crate::session::{Outcome, StreamSession};
 use crate::snapshot::{ShardedModeSnapshot, ShardedSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use crate::window::{Window, WindowFormer, WindowPolicy};
+use crate::window::{FormerSnapshot, Window, WindowFormer, WindowPolicy};
 use dpta_core::AssignmentEngine;
 use dpta_spatial::GridPartition;
 use serde::{Deserialize, Serialize};
@@ -340,7 +340,8 @@ fn project_window(window: &Window, partition: &GridPartition, k: usize) -> Windo
 /// session over a spatial partition, fed events one at a time.
 ///
 /// `push(event)` routes by the entity's location, `advance_to(t)`
-/// declares the global event-time watermark, and `close()` settles the
+/// declares the global event-time watermark, `poll_outcomes()` drains
+/// the typed [`Outcome`] log of every shard, and `close()` settles the
 /// per-shard [`ShardedReport`]. [`run_sharded_with`] is exactly
 /// `push* → close` over this session for the halo protocol and for
 /// adaptive drop-pairs, and draining a pre-built stream reproduces its
@@ -349,12 +350,10 @@ fn project_window(window: &Window, partition: &GridPartition, k: usize) -> Windo
 /// mid-run session can be captured with [`snapshot`](Self::snapshot)
 /// and reopened with [`restore`](Self::restore). The execution mode
 /// follows strategy and policy: independent per-shard sessions for
-/// static drop-pairs policies, one lockstep window former for adaptive
-/// drop-pairs, and the halo coordinator for [`ShardStrategy::Halo`].
-///
-/// The typed per-event outcome log is a flat-session feature; the
-/// sharded session reports through its per-shard window reports and
-/// fates instead.
+/// static drop-pairs policies; otherwise one global window former whose
+/// windows the window stepper drives — one one-cell stepper per shard
+/// on the shard's projection of each window for adaptive drop-pairs,
+/// one stepper over the whole partition for [`ShardStrategy::Halo`].
 ///
 /// # Examples
 ///
@@ -398,12 +397,11 @@ pub struct ShardedSession<'e, 'p> {
     worker_ids: BTreeSet<u32>,
     /// `None` once closed.
     mode: Option<Mode<'e>>,
+    /// Outcomes the close emitted, pollable after it.
+    residual: Vec<Outcome>,
 }
 
-/// The three sharded execution modes.
-// One mode lives per session and is never collected, so the size skew
-// between variants costs nothing — boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
+/// The sharded execution modes.
 enum Mode<'e> {
     /// Static drop-pairs policies: fully independent per-shard
     /// sessions, the global span injected at close (the work-stealing
@@ -417,19 +415,51 @@ enum Mode<'e> {
         received: Vec<usize>,
         max_event_time: f64,
     },
-    /// Adaptive drop-pairs: one global former cuts for every shard,
-    /// fed the merged shard signals.
-    Lockstep {
+    /// One global former cuts every window, fed the merged signals of
+    /// its steppers (see [`core_partitions`]).
+    Global {
         former: WindowFormer,
-        cores: Vec<SessionCore<'e>>,
-        shard_tasks: Vec<usize>,
-        shard_workers: Vec<usize>,
+        cores: Vec<HaloCore<'e>>,
     },
-    /// The boundary-halo protocol behind one global former.
-    Halo {
-        former: WindowFormer,
-        core: HaloCore<'e>,
-    },
+}
+
+impl<'e> Mode<'e> {
+    /// A global-former mode restored from its windower and steppers.
+    fn global(
+        engine: &'e dyn AssignmentEngine,
+        cfg: &StreamConfig,
+        strategy: ShardStrategy,
+        partition: &GridPartition,
+        windower: &FormerSnapshot,
+        cores: &[HaloSnapshot],
+    ) -> Result<Self, SnapshotError> {
+        let parts = core_partitions(strategy, partition).into_iter();
+        Ok(Mode::Global {
+            former: WindowFormer::from_snapshot(cfg.policy, cfg.horizon, windower)?,
+            cores: parts
+                .zip(cores)
+                .map(|(part, c)| HaloCore::from_snapshot(engine, cfg.clone(), part, c))
+                .collect::<Result<_, _>>()?,
+        })
+    }
+}
+
+/// The partitions of a global-former session's steppers: the whole
+/// partition under the halo protocol, one cell per shard under adaptive
+/// drop-pairs, whose shard `k` steps the windows' projection onto cell
+/// `k` ([`project_window`]).
+fn core_partitions(strategy: ShardStrategy, partition: &GridPartition) -> Vec<GridPartition> {
+    match strategy {
+        ShardStrategy::Halo => vec![*partition],
+        ShardStrategy::DropPairs => vec![one_cell(); partition.n_shards()],
+    }
+}
+
+/// Whether `strategy` under `policy` runs independent per-shard
+/// sessions: static drop-pairs policies do, everything else windows
+/// globally.
+fn per_shard(strategy: ShardStrategy, policy: &WindowPolicy) -> bool {
+    strategy == ShardStrategy::DropPairs && !matches!(policy, WindowPolicy::Adaptive(_))
 }
 
 /// Per-shard sessions never see the user's horizon directly: the
@@ -462,26 +492,22 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         );
         cfg.service.validate();
         let n = partition.n_shards();
-        let mode = match (strategy, cfg.policy) {
-            (ShardStrategy::Halo, _) => Mode::Halo {
-                former: WindowFormer::new(cfg.policy, cfg.horizon),
-                core: HaloCore::new(engine, cfg.clone(), n),
-            },
-            (ShardStrategy::DropPairs, WindowPolicy::Adaptive(_)) => Mode::Lockstep {
-                former: WindowFormer::new(cfg.policy, cfg.horizon),
-                cores: (0..n)
-                    .map(|_| SessionCore::new(engine, cfg.clone()))
-                    .collect(),
-                shard_tasks: vec![0; n],
-                shard_workers: vec![0; n],
-            },
-            (ShardStrategy::DropPairs, _) => Mode::PerShard {
+        let mode = if per_shard(strategy, &cfg.policy) {
+            Mode::PerShard {
                 shards: (0..n)
                     .map(|_| StreamSession::new(engine, per_shard_config(&cfg)))
                     .collect(),
                 received: vec![0; n],
                 max_event_time: 0.0,
-            },
+            }
+        } else {
+            Mode::Global {
+                former: WindowFormer::new(cfg.policy, cfg.horizon),
+                cores: core_partitions(strategy, partition)
+                    .into_iter()
+                    .map(|part| HaloCore::new(engine, cfg.clone(), part))
+                    .collect(),
+            }
         };
         ShardedSession {
             engine,
@@ -492,6 +518,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             task_ids: BTreeSet::new(),
             worker_ids: BTreeSet::new(),
             mode: Some(mode),
+            residual: Vec::new(),
         }
     }
 
@@ -542,7 +569,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                 shards[k].push(event);
                 received[k] += 1;
             }
-            Mode::Lockstep { former, .. } | Mode::Halo { former, .. } => former.push(event),
+            Mode::Global { former, .. } => former.push(event),
         }
     }
 
@@ -559,7 +586,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             return;
         }
         self.watermark = t;
-        let partition = self.partition;
+        let (partition, strategy) = (self.partition, self.strategy);
         match self.mode.as_mut().expect("mode present") {
             Mode::PerShard {
                 shards, received, ..
@@ -570,25 +597,30 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                     }
                 }
             }
-            Mode::Lockstep {
-                former,
-                cores,
-                shard_tasks,
-                shard_workers,
-            } => {
+            Mode::Global { former, cores } => {
                 former.advance(t);
-                drive_lockstep(former, cores, partition, shard_tasks, shard_workers, false);
+                drive_global(former, cores, partition, strategy, false);
             }
-            Mode::Halo { former, core } => {
-                former.advance(t);
-                drive_halo(former, core, partition, false);
+        }
+    }
+
+    /// Drains the typed outcome log accumulated since the last poll:
+    /// the halo stepper's log, or every shard's in shard order.
+    pub fn poll_outcomes(&mut self) -> Vec<Outcome> {
+        match self.mode.as_mut() {
+            None => std::mem::take(&mut self.residual),
+            Some(Mode::PerShard { shards, .. }) => {
+                shards.iter_mut().flat_map(|s| s.poll_outcomes()).collect()
+            }
+            Some(Mode::Global { cores, .. }) => {
+                cores.iter_mut().flat_map(|c| c.drain_outcomes()).collect()
             }
         }
     }
 
     /// Drives every remaining window in every shard (trailing empties
-    /// included) and settles the per-shard reports. Panics if called
-    /// twice.
+    /// included) and settles the per-shard reports. Outcomes emitted
+    /// while closing stay pollable. Panics if called twice.
     pub fn close(&mut self) -> ShardedReport {
         let mode = self.mode.take().expect("close on a closed session");
         match mode {
@@ -610,73 +642,71 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                         s.extend_horizon(inject);
                     }
                     reports.push(s.close());
+                    self.residual.extend(s.poll_outcomes());
                 }
                 warn_count_windows(&self.cfg.policy, &mut reports);
                 ShardedReport { shards: reports }
             }
-            Mode::Lockstep {
+            Mode::Global {
                 mut former,
-                cores,
-                mut shard_tasks,
-                mut shard_workers,
+                mut cores,
             } => {
-                let mut cores = cores;
-                drive_lockstep(
-                    &mut former,
-                    &mut cores,
-                    self.partition,
-                    &mut shard_tasks,
-                    &mut shard_workers,
-                    true,
-                );
-                ShardedReport {
-                    shards: cores
-                        .into_iter()
-                        .enumerate()
-                        .map(|(k, core)| core.finish(shard_tasks[k], shard_workers[k]))
-                        .collect(),
+                drive_global(&mut former, &mut cores, self.partition, self.strategy, true);
+                let mut shards = Vec::with_capacity(self.partition.n_shards());
+                for mut core in cores {
+                    self.residual.extend(core.drain_outcomes());
+                    shards.extend(core.finish().shards);
                 }
-            }
-            Mode::Halo {
-                mut former,
-                mut core,
-            } => {
-                drive_halo(&mut former, &mut core, self.partition, true);
-                core.finish(self.partition)
+                ShardedReport { shards }
             }
         }
     }
 
     /// Captures the sharded session's full state — every shard's
-    /// windower and pipeline state, or the halo coordinator's global
+    /// windower and pipeline state, or the window steppers' global
     /// protocol state — as a versioned [`ShardedSnapshot`]. Panics on a
     /// closed session.
+    ///
+    /// Unlike a [`StreamSession`] snapshot, it leaves the unpolled
+    /// outcome log out, so that a session nobody polls does not write
+    /// its whole history into every snapshot: poll before taking one. A
+    /// restored session's log starts empty.
     pub fn snapshot(&self) -> ShardedSnapshot {
         let mode = self.mode.as_ref().expect("snapshot on a closed session");
+        let unlogged = |mut core: HaloSnapshot| {
+            core.outcomes.clear();
+            core
+        };
         let mode_snap = match mode {
             Mode::PerShard {
                 shards,
                 max_event_time,
                 ..
             } => ShardedModeSnapshot::PerShard {
-                shards: shards.iter().map(StreamSession::snapshot).collect(),
+                shards: shards
+                    .iter()
+                    .map(|s| {
+                        let mut snap = s.snapshot();
+                        snap.core = unlogged(snap.core);
+                        snap
+                    })
+                    .collect(),
                 max_event_time: *max_event_time,
             },
-            Mode::Lockstep {
-                former,
-                cores,
-                shard_tasks,
-                shard_workers,
-            } => ShardedModeSnapshot::Lockstep {
-                windower: former.snapshot(),
-                cores: cores.iter().map(SessionCore::snapshot).collect(),
-                shard_tasks: shard_tasks.clone(),
-                shard_workers: shard_workers.clone(),
-            },
-            Mode::Halo { former, core } => ShardedModeSnapshot::Halo {
-                windower: former.snapshot(),
-                core: core.snapshot(),
-            },
+            Mode::Global { former, cores } => {
+                let windower = former.snapshot();
+                let mut cores = cores.iter().map(|c| unlogged(c.snapshot()));
+                match self.strategy {
+                    ShardStrategy::Halo => ShardedModeSnapshot::Halo {
+                        windower,
+                        core: cores.next().expect("a halo session has one stepper"),
+                    },
+                    ShardStrategy::DropPairs => ShardedModeSnapshot::Lockstep {
+                        windower,
+                        cores: cores.collect(),
+                    },
+                }
+            }
         };
         ShardedSnapshot {
             version: SNAPSHOT_VERSION,
@@ -712,15 +742,15 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                 "sharded snapshot's {what} does not cover every shard of the partition"
             )))
         };
-        let mode = match (&snapshot.mode, strategy, cfg.policy) {
+        let per_shard = per_shard(strategy, &cfg.policy);
+        let mode = match (&snapshot.mode, strategy) {
             (
                 ShardedModeSnapshot::PerShard {
                     shards,
                     max_event_time,
                 },
-                ShardStrategy::DropPairs,
-                policy,
-            ) if !matches!(policy, WindowPolicy::Adaptive(_)) => {
+                _,
+            ) if per_shard => {
                 if shards.len() != n {
                     return bad_len("per-shard session list");
                 }
@@ -735,33 +765,18 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
                     max_event_time: *max_event_time,
                 }
             }
-            (
-                ShardedModeSnapshot::Lockstep {
-                    windower,
-                    cores,
-                    shard_tasks,
-                    shard_workers,
-                },
-                ShardStrategy::DropPairs,
-                WindowPolicy::Adaptive(_),
-            ) => {
-                if cores.len() != n || shard_tasks.len() != n || shard_workers.len() != n {
-                    return bad_len("lockstep core list");
+            (ShardedModeSnapshot::Lockstep { windower, cores }, ShardStrategy::DropPairs)
+                if !per_shard =>
+            {
+                if cores.len() != n {
+                    return bad_len("stepper list");
                 }
-                Mode::Lockstep {
-                    former: WindowFormer::from_snapshot(cfg.policy, cfg.horizon, windower)?,
-                    cores: cores
-                        .iter()
-                        .map(|c| SessionCore::from_snapshot(engine, cfg.clone(), c))
-                        .collect(),
-                    shard_tasks: shard_tasks.clone(),
-                    shard_workers: shard_workers.clone(),
-                }
+                Mode::global(engine, &cfg, strategy, partition, windower, cores)?
             }
-            (ShardedModeSnapshot::Halo { windower, core }, ShardStrategy::Halo, _) => Mode::Halo {
-                former: WindowFormer::from_snapshot(cfg.policy, cfg.horizon, windower)?,
-                core: HaloCore::from_snapshot(engine, cfg.clone(), partition, core)?,
-            },
+            (ShardedModeSnapshot::Halo { windower, core }, ShardStrategy::Halo) => {
+                let cores = std::slice::from_ref(core);
+                Mode::global(engine, &cfg, strategy, partition, windower, cores)?
+            }
             _ => {
                 return Err(SnapshotError::Malformed(
                     "snapshot execution mode does not match the strategy/policy mode".to_string(),
@@ -777,47 +792,35 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             task_ids: snapshot.task_ids.clone(),
             worker_ids: snapshot.worker_ids.clone(),
             mode: Some(mode),
+            residual: Vec::new(),
         })
     }
 }
 
-/// The lockstep drive loop shared by `advance_to` and `close`: project
-/// every ready global window onto every shard, step all cores, feed
-/// the merged signals back, so the cut sequence equals the unsharded
-/// run's on shard-disjoint input bit for bit.
-fn drive_lockstep(
+/// The global drive loop shared by `advance_to` and `close`: step every
+/// ready window through every stepper — projected onto its cell under
+/// adaptive drop-pairs — and feed the merged signals back, so the cut
+/// sequence equals the unsharded run's on shard-disjoint input bit for
+/// bit.
+fn drive_global(
     former: &mut WindowFormer,
-    cores: &mut [SessionCore],
+    cores: &mut [HaloCore],
     partition: &GridPartition,
-    shard_tasks: &mut [usize],
-    shard_workers: &mut [usize],
+    strategy: ShardStrategy,
     drain: bool,
 ) {
     former.drive(drain, |window, cut| {
         let signals: Vec<StepSignals> = cores
             .iter_mut()
             .enumerate()
-            .map(|(k, core)| {
-                let projected = project_window(window, partition, k);
-                shard_tasks[k] += projected.tasks.len();
-                shard_workers[k] += projected.workers.len();
-                core.step(&projected, cut)
+            .map(|(k, core)| match strategy {
+                ShardStrategy::Halo => core.step_window(window, cut),
+                ShardStrategy::DropPairs => {
+                    core.step_window(&project_window(window, partition, k), cut)
+                }
             })
             .collect();
         StepSignals::merge(&signals)
-    });
-}
-
-/// The halo drive loop shared by `advance_to` and `close`: step the
-/// coordinator over every ready globally-formed window.
-fn drive_halo(
-    former: &mut WindowFormer,
-    core: &mut HaloCore,
-    partition: &GridPartition,
-    drain: bool,
-) {
-    former.drive(drain, |w, cut| {
-        StepSignals::merge(&[core.step_window(partition, w, cut)])
     });
 }
 
@@ -1087,6 +1090,62 @@ mod tests {
             .collect();
         served.sort_unstable();
         assert_eq!(served, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn sharded_outcome_logs_match_the_flat_session_on_disjoint_input() {
+        // Every sharded mode polls the flat session's outcomes, in
+        // another order: sorted, the logs are equal.
+        let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 10.0, 10.0), 2, 1);
+        let stream = disjoint_stream();
+        assert!(stream.is_shard_disjoint(&part));
+        let adaptive = WindowPolicy::Adaptive(crate::AdaptivePolicy {
+            base_width: 5.0,
+            min_width: 1.0,
+            max_width: 20.0,
+            burst_tasks: 2,
+            target_p95: 4.0,
+        });
+        let sorted = |mut log: Vec<Outcome>| {
+            let mut keyed: Vec<String> = log.drain(..).map(|o| format!("{o:?}")).collect();
+            keyed.sort();
+            keyed
+        };
+        for (method, policy) in [Method::Puce, Method::Grd]
+            .into_iter()
+            .flat_map(|m| [(m, WindowPolicy::ByTime { width: 5.0 }), (m, adaptive)])
+        {
+            let cfg = StreamConfig {
+                policy,
+                service: crate::ServiceModel::Fixed { secs: 2.0 },
+                ..StreamConfig::default()
+            };
+            let engine = method.engine(&cfg.params);
+            let mut flat = StreamSession::new(engine.as_ref(), cfg.clone());
+            let mut polled = Vec::new();
+            for &e in stream.events() {
+                flat.advance_to(e.time());
+                flat.push(e);
+                polled.extend(flat.poll_outcomes());
+            }
+            flat.close();
+            polled.extend(flat.poll_outcomes());
+            assert!(polled.len() >= 4, "{method}: {polled:?}");
+            let want = sorted(polled);
+            for strategy in [ShardStrategy::Halo, ShardStrategy::DropPairs] {
+                let mut sharded =
+                    ShardedSession::new(engine.as_ref(), cfg.clone(), &part, strategy);
+                let mut polled = Vec::new();
+                for &e in stream.events() {
+                    sharded.advance_to(e.time());
+                    sharded.push(e);
+                    polled.extend(sharded.poll_outcomes());
+                }
+                sharded.close();
+                polled.extend(sharded.poll_outcomes());
+                assert_eq!(sorted(polled), want, "{method} {strategy:?} {policy:?}");
+            }
+        }
     }
 
     #[test]

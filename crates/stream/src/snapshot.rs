@@ -29,7 +29,11 @@
 //! spend delta and left it empty, so restoring one would double-charge
 //! its carried releases; v5 dropped the configuration's
 //! `halo_full_rerun` field and made each halo shard carry one board
-//! where it carried a stack of them. Older snapshots are rejected with
+//! where it carried a stack of them; v6 gave every session the one
+//! window stepper's state — a flat session writes it as a one-cell
+//! stepper, inline at its top level, with the unpolled outcome log
+//! inside and no separate residual log, and adaptive drop-pairs writes
+//! one one-cell stepper per shard. Older snapshots are rejected with
 //! [`SnapshotError::VersionMismatch`].)
 //!
 //! # Exactly-once across restart
@@ -46,34 +50,82 @@
 
 use crate::driver::StreamConfig;
 use crate::halo::HaloSnapshot;
-use crate::session::{CoreSnapshot, Outcome};
 use crate::shard::ShardStrategy;
 use crate::window::FormerSnapshot;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeSet;
 
 /// Current snapshot format version, embedded in every snapshot.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// The full serializable state of a [`StreamSession`] at a window
 /// boundary, produced by [`StreamSession::snapshot`] and consumed by
 /// [`StreamSession::restore`].
 ///
+/// The one-cell stepper's fields sit at the top level of the encoded
+/// object, between the windower and the arrival counts, rather than
+/// under a key of their own: the encoding nests no deeper than the
+/// stepper state needs.
+///
 /// [`StreamSession`]: crate::StreamSession
 /// [`StreamSession::snapshot`]: crate::StreamSession::snapshot
 /// [`StreamSession::restore`]: crate::StreamSession::restore
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionSnapshot {
     pub(crate) version: u32,
     pub(crate) engine: String,
     pub(crate) config: StreamConfig,
     pub(crate) windower: FormerSnapshot,
-    pub(crate) core: CoreSnapshot,
-    pub(crate) residual: VecDeque<Outcome>,
+    pub(crate) core: HaloSnapshot,
     pub(crate) n_tasks: usize,
     pub(crate) n_workers: usize,
     pub(crate) task_ids: BTreeSet<u32>,
     pub(crate) worker_ids: BTreeSet<u32>,
+}
+
+impl Serialize for SessionSnapshot {
+    fn serialize_value(&self) -> Value {
+        let Value::Object(core) = self.core.serialize_value() else {
+            unreachable!("a struct serializes to an object")
+        };
+        let field = |name: &str, value: Value| (name.to_string(), value);
+        let mut fields = vec![
+            field("version", self.version.serialize_value()),
+            field("engine", self.engine.serialize_value()),
+            field("config", self.config.serialize_value()),
+            field("windower", self.windower.serialize_value()),
+        ];
+        fields.extend(core);
+        fields.extend([
+            field("n_tasks", self.n_tasks.serialize_value()),
+            field("n_workers", self.n_workers.serialize_value()),
+            field("task_ids", self.task_ids.serialize_value()),
+            field("worker_ids", self.worker_ids.serialize_value()),
+        ]);
+        Value::Object(fields)
+    }
+}
+
+impl Deserialize for SessionSnapshot {
+    fn deserialize_value(v: &Value) -> Result<Self, serde::Error> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::Error> {
+            let value = v
+                .get(name)
+                .ok_or_else(|| serde::Error(format!("missing field `{name}`")))?;
+            T::deserialize_value(value)
+        }
+        Ok(SessionSnapshot {
+            version: field(v, "version")?,
+            engine: field(v, "engine")?,
+            config: field(v, "config")?,
+            windower: field(v, "windower")?,
+            core: HaloSnapshot::deserialize_value(v)?,
+            n_tasks: field(v, "n_tasks")?,
+            n_workers: field(v, "n_workers")?,
+            task_ids: field(v, "task_ids")?,
+            worker_ids: field(v, "worker_ids")?,
+        })
+    }
 }
 
 impl SessionSnapshot {
@@ -201,7 +253,7 @@ pub struct ShardedSnapshot {
 }
 
 /// Per-execution-mode state inside a [`ShardedSnapshot`], mirroring the
-/// sharded session's three run modes.
+/// sharded session's run modes.
 // One per snapshot, never collected — variant size skew is harmless.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -214,22 +266,19 @@ pub(crate) enum ShardedModeSnapshot {
         /// close.
         max_event_time: f64,
     },
-    /// One global windower over per-shard cores (adaptive drop-pairs).
+    /// One global windower over one one-cell stepper per shard
+    /// (adaptive drop-pairs).
     Lockstep {
         /// The shared global windower.
         windower: FormerSnapshot,
-        /// One pipeline core per shard, in shard order.
-        cores: Vec<CoreSnapshot>,
-        /// Tasks projected into each shard so far.
-        shard_tasks: Vec<usize>,
-        /// Workers projected into each shard so far.
-        shard_workers: Vec<usize>,
+        /// The steppers' state, in shard order.
+        cores: Vec<HaloSnapshot>,
     },
-    /// The boundary-halo coordinator.
+    /// One global windower over the halo stepper.
     Halo {
         /// The shared global windower.
         windower: FormerSnapshot,
-        /// The coordinator's protocol state.
+        /// The stepper's state.
         core: HaloSnapshot,
     },
 }

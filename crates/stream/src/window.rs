@@ -6,8 +6,8 @@
 //! threshold — plus an *adaptive* latency-targeting controller
 //! ([`WindowPolicy::Adaptive`]). One incremental former,
 //! [`WindowFormer`], cuts the windows for every driving mode: flat
-//! sessions, per-shard and lockstep drop-pairs, and the halo
-//! coordinator.
+//! sessions, per-shard and adaptive drop-pairs, and the halo
+//! protocol.
 //!
 //! Static cuts are pure functions of the event timestamps; the
 //! adaptive policy is a *feedback loop* — the stepper hands realized

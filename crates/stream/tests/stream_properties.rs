@@ -16,12 +16,13 @@
 //!   flat and halo, the outcomes recorded before such workers were
 //!   left out of window instances.
 
-use dpta_core::{Method, Task, Worker};
+use dpta_core::{AssignmentEngine, Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded, run_sharded_halo, ArrivalEvent, ArrivalModel, ArrivalStream, PacingConfig,
-    ServiceModel, StreamConfig, StreamDriver, StreamReport, StreamScenario, StreamSession,
-    TaskArrival, TaskFate, WindowPolicy, WindowReport, WorkerArrival,
+    run_sharded, run_sharded_halo, AdaptivePolicy, AdmissionConfig, ArrivalEvent, ArrivalModel,
+    ArrivalStream, LedgerMode, PacingConfig, ServiceModel, StreamConfig, StreamDriver,
+    StreamReport, StreamScenario, StreamSession, TaskArrival, TaskFate, WindowPolicy, WindowReport,
+    WorkerArrival,
 };
 use dpta_workloads::{Dataset, Scenario};
 use proptest::prelude::*;
@@ -463,6 +464,120 @@ fn outcomes<'a>(
     let (utility, epsilon) = (utility.to_bits(), epsilon.to_bits());
     (
         matched, utility, epsilon, pubs, rounds, throttled, available,
+    )
+}
+
+// ── Budget economics and adaptive windows ───────────────────────────
+
+/// One pinned run: (matched, total utility bits, total ε bits,
+/// publications, rounds, outcomes polled, FNV-1a digest of the polled
+/// outcomes' `Debug` rendering, in poll order). Sharded runs have no
+/// outcome columns: they pin `(0, 0)` there.
+type Pinned = (usize, u64, u64, usize, usize, usize, u64);
+
+/// A sliding-window ledger with pacing, admission control and jittered
+/// service, on the idle-fleet stream.
+fn economics_cfg() -> StreamConfig {
+    StreamConfig {
+        worker_capacity: 1.5,
+        service: ServiceModel::Jittered {
+            secs: 120.0,
+            frac: 0.4,
+        },
+        ledger: LedgerMode::Windowed { window_secs: 240.0 },
+        pacing: Some(PacingConfig { horizon_windows: 3 }),
+        admission: Some(AdmissionConfig {
+            epsilon_per_task: 30.0,
+        }),
+        ..cfg(60.0)
+    }
+}
+
+/// An adaptive window policy under a finite cap with re-entry.
+fn adaptive_cfg() -> StreamConfig {
+    StreamConfig {
+        policy: WindowPolicy::Adaptive(AdaptivePolicy {
+            base_width: 60.0,
+            min_width: 15.0,
+            max_width: 240.0,
+            burst_tasks: 4,
+            target_p95: 45.0,
+        }),
+        worker_capacity: 5.0,
+        service: ServiceModel::Fixed { secs: 100.0 },
+        ..StreamConfig::default()
+    }
+}
+
+/// Flat runs of [`economics_cfg`] and [`adaptive_cfg`], then adaptive
+/// drop-pairs over a 2×2 partition, per method.
+#[rustfmt::skip]
+const ECONOMICS_GOLDEN: [(Method, [Pinned; 3]); 4] = [
+    (Method::Puce, [(18, 0x4037d79259ed0331, 0x4036dd4e3a85cd32, 25, 17, 121, 0xfffe3f117ff8eb2e), (25, 0x403aa5c64c5d5063, 0x4042e448c765d8fe, 38, 53, 104, 0x7433bcfcb89df2c7), (24, 0x403a1bca619929a1, 0x4041e45b236402a0, 36, 80, 0, 0x0)]),
+    (Method::Pgt, [(23, 0x4034bdd855155bfb, 0x4037aedf0c7f681c, 26, 19, 132, 0xb4e5f16d1198e993), (24, 0x40387dd27d3d8ec6, 0x403ccda2f9079898, 28, 55, 102, 0xa9b63ae09bdac5fa), (22, 0x4037e34ad82060d3, 0x403b360eca687b84, 26, 82, 0, 0x0)]),
+    (Method::Grd, [(36, 0x40505363d12d0d25, 0x0, 0, 10, 164, 0x5cc8664305cc355b), (34, 0x404d09137cb5962b, 0x0, 0, 33, 121, 0x97906d0dc1c51777), (30, 0x404c671ee3afa1b4, 0x0, 0, 51, 0, 0x0)]),
+    (Method::GeoI, [(19, 0x40330dca317d1fee, 0x405aa104ba53e74d, 109, 10, 125, 0xf3ca2a3ed2bebf84), (23, 0x4035becd4634fb00, 0x405ba88b36e3660f, 133, 33, 110, 0xfe447f561ea760a5), (23, 0x403439c41aff5efb, 0x405a535a42ded72b, 134, 58, 0, 0x0)]),
+];
+
+/// Pins flat sessions under budget economics (windowed ledger,
+/// pacing, admission control) and under an adaptive policy, polled as
+/// a live dispatcher polls them, plus adaptive drop-pairs 2×2 — the
+/// configurations the idle-fleet golden leaves out.
+#[test]
+fn economics_and_adaptive_runs_match_golden_outcomes() {
+    let stream = idle_fleet_stream();
+    let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 200.0, 200.0), 2, 2);
+    for (method, golden) in ECONOMICS_GOLDEN {
+        let engine = method.engine(&StreamConfig::default().params);
+        let economics = pin_flat(engine.as_ref(), economics_cfg(), &stream);
+        let adaptive = pin_flat(engine.as_ref(), adaptive_cfg(), &stream);
+        let sharded = run_sharded(engine.as_ref(), &stream, &adaptive_cfg(), &part);
+        let (matched, utility, epsilon, pubs, rounds, _, _) = outcomes(
+            sharded.shards.iter().flat_map(|s| s.windows.iter()),
+            sharded.matched(),
+            sharded.total_utility(),
+            sharded.total_epsilon(),
+        );
+        let sharded = (matched, utility, epsilon, pubs, rounds, 0, 0);
+        assert_eq!(economics, golden[0], "{method} economics flat");
+        assert_eq!(adaptive, golden[1], "{method} adaptive flat");
+        assert_eq!(sharded, golden[2], "{method} adaptive drop-pairs 2x2");
+    }
+}
+
+/// Drains `stream` through a flat session, advancing the watermark to
+/// every event before pushing it and polling after each push.
+fn pin_flat(engine: &dyn AssignmentEngine, cfg: StreamConfig, stream: &ArrivalStream) -> Pinned {
+    let mut session = StreamSession::new(engine, cfg);
+    let mut polled = Vec::new();
+    for &e in stream.events() {
+        session.advance_to(e.time());
+        session.push(e);
+        polled.extend(session.poll_outcomes());
+    }
+    let report = session.close();
+    polled.extend(session.poll_outcomes());
+    report.assert_conservation();
+    let (matched, utility, epsilon, pubs, rounds, _, _) = outcomes(
+        report.windows.iter(),
+        report.matched(),
+        report.total_utility(),
+        report.total_epsilon(),
+    );
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for o in &polled {
+        for b in format!("{o:?}").bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    (
+        matched,
+        utility,
+        epsilon,
+        pubs,
+        rounds,
+        polled.len(),
+        digest,
     )
 }
 
