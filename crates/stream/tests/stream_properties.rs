@@ -14,7 +14,10 @@
 //! * **idle fleet** — workers that reach no task change nothing: a small
 //!   city beside a far-away idle fleet reproduces, for every method,
 //!   flat and halo, the outcomes recorded before such workers were
-//!   left out of window instances.
+//!   left out of window instances;
+//! * **static drop-pairs** — on input whose discs cross cell
+//!   boundaries, every populated shard reproduces the outcomes its
+//!   independent per-shard runner recorded.
 
 use dpta_core::{AssignmentEngine, Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
@@ -579,6 +582,116 @@ fn pin_flat(engine: &dyn AssignmentEngine, cfg: StreamConfig, stream: &ArrivalSt
         polled.len(),
         digest,
     )
+}
+
+// ── Static drop-pairs ───────────────────────────────────────────────
+
+/// Workers and tasks scattered over five of the six cells of a 3×2
+/// partition of `[0, 60] × [0, 40]` (the upper-right cell stays
+/// empty), discs of radius 3–8 so many cross cell boundaries. Some
+/// workers join late; tasks arrive over 20 minutes.
+fn non_disjoint_stream() -> ArrivalStream {
+    // A fixed pseudo-random unit draw per (salt, k).
+    let unit = |salt: u64, k: u64| {
+        let mut x = (salt << 32 ^ k).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^= x >> 29;
+        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        (x >> 11) as f64 / (1u64 << 53) as f64
+    };
+    // A point anywhere but the upper-right cell.
+    let place = |salt: u64, k: u64| {
+        let x = 60.0 * unit(salt, k);
+        let y = if x >= 40.0 { 20.0 } else { 40.0 } * unit(salt + 1, k);
+        Point::new(x, y)
+    };
+    let mut events = Vec::new();
+    for k in 0..90u64 {
+        events.push(ArrivalEvent::Worker(WorkerArrival {
+            id: k as u32,
+            time: if k < 60 { 0.0 } else { 400.0 * unit(3, k) },
+            worker: Worker::new(place(1, k), 3.0 + 5.0 * unit(4, k)),
+        }));
+    }
+    for k in 0..150u64 {
+        events.push(ArrivalEvent::Task(TaskArrival {
+            id: k as u32,
+            time: 1200.0 * unit(7, k),
+            task: Task::new(place(5, k), 4.5),
+        }));
+    }
+    ArrivalStream::new(events)
+}
+
+/// One populated shard's pinned outcomes: (shard, matched, utility
+/// bits, ε bits, publications, rounds, windows, FNV-1a digest of
+/// `spend_by_worker`).
+type ShardPin = (usize, usize, u64, u64, usize, usize, usize, u64);
+
+/// The shard pins of one static drop-pairs run.
+fn pin_shards(report: &dpta_stream::ShardedReport) -> Vec<ShardPin> {
+    let populated = report.shards.iter().enumerate();
+    let populated = populated.filter(|(_, s)| s.task_arrivals + s.worker_arrivals > 0);
+    populated
+        .map(|(k, s)| {
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for (id, eps) in &s.spend_by_worker {
+                let bytes = id.to_le_bytes().into_iter();
+                for b in bytes.chain(eps.to_bits().to_le_bytes()) {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            let (pubs, rounds) = s
+                .windows
+                .iter()
+                .fold((0, 0), |(p, r), w| (p + w.publications, r + w.rounds));
+            (
+                k,
+                s.matched(),
+                s.total_utility().to_bits(),
+                s.total_epsilon().to_bits(),
+                pubs,
+                rounds,
+                s.windows.len(),
+                digest,
+            )
+        })
+        .collect()
+}
+
+/// Static drop-pairs 3×2 on [`non_disjoint_stream`], per method: plain
+/// 60 s windows, then a finite capacity with fixed service, a windowed
+/// ledger and pacing.
+#[rustfmt::skip]
+const STATIC_DROP_PAIRS_GOLDEN: [(Method, [&[ShardPin]; 2]); 4] = [
+    (Method::Puce, [&[(0, 10, 0x4024ac45aa1a58f6, 0x402f9bd4a6ce09ea, 12, 28, 20, 0x4616244c78cda072), (1, 10, 0x402b6f17b9cc2aa0, 0x40305f4c912d458a, 15, 25, 20, 0xdb76c65700f0ac55), (2, 30, 0x4047609ea4890cab, 0x405265dfeb74a6db, 74, 36, 20, 0x28d75a23a1b5435f), (3, 11, 0x403319d0bdcbdb6b, 0x402a1071dbcbf395, 12, 28, 20, 0x9c176715297b9e7f), (4, 11, 0x4027052dbe29dc88, 0x40310a05569c56fa, 15, 29, 20, 0x2072b6ccf0018d22)], &[(0, 12, 0x402c79d03dad9909, 0x4031f0b7f23b5169, 15, 29, 20, 0x815ac42febefb726), (1, 12, 0x4030fcf49ddfb6b7, 0x4034a50730c45299, 19, 27, 20, 0x95af65ac8c1f2dc8), (2, 38, 0x404a319dc9b10d77, 0x405527d78eafdd03, 84, 38, 20, 0x5828ab3c08343f2e), (3, 18, 0x403e9d5960ed93fb, 0x40359d199251b98f, 21, 27, 20, 0xa1cf2bce3c6ebe87), (4, 15, 0x402ff32618d64684, 0x4036207293604dde, 22, 31, 20, 0x63cd22064d130cd6)]]),
+    (Method::Pgt, [&[(0, 10, 0x4010387eb3dcf754, 0x402adf8e7bcd6c04, 11, 28, 20, 0x95bdafb6e4054252), (1, 8, 0x402361016236d124, 0x40252e7486350ed6, 9, 24, 20, 0xdf89fc932a7cc7d4), (2, 30, 0x4044d1941ca21271, 0x4041f560f4420130, 38, 35, 20, 0xcfe7e163b7cb583a), (3, 10, 0x403025ab050068ac, 0x40287667bb5f0084, 11, 28, 20, 0xc17211514bf271e7), (4, 12, 0x401670833f3deb84, 0x402bf1a5d6c1d418, 12, 26, 20, 0xe885ac4bc3c85c37)], &[(0, 10, 0x4019564eeb38eed0, 0x402bf204717c84da, 12, 28, 20, 0xceb300d188eeaebe), (1, 10, 0x402af77486631226, 0x4029fda11320de42, 11, 25, 20, 0x89798e1dce656b88), (2, 41, 0x404977ed39c24047, 0x40492e947dda3cfb, 54, 37, 20, 0x482381871677a30d), (3, 13, 0x4037ba92f9642734, 0x402d464a264b3d3f, 14, 25, 20, 0x633e9d276ef147b5), (4, 19, 0x402190ae6af0f266, 0x4035134742368b04, 20, 28, 20, 0xf457fa15ae68b5e6)]]),
+    (Method::Grd, [&[(0, 13, 0x4038901172fb7b7e, 0x0, 0, 19, 20, 0xcbf29ce484222325), (1, 10, 0x40337ac34a63764c, 0x0, 0, 18, 20, 0xcbf29ce484222325), (2, 32, 0x40541325f38acd82, 0x0, 0, 19, 20, 0xcbf29ce484222325), (3, 12, 0x4037759f17759f47, 0x0, 0, 18, 20, 0xcbf29ce484222325), (4, 11, 0x4030d618e1eaec6e, 0x0, 0, 19, 20, 0xcbf29ce484222325)], &[(0, 17, 0x40401f5fb4e0290c, 0x0, 0, 18, 20, 0xcbf29ce484222325), (1, 14, 0x404076f6381176be, 0x0, 0, 18, 20, 0xcbf29ce484222325), (2, 45, 0x405d5ac5e0b5bdf2, 0x0, 0, 19, 20, 0xcbf29ce484222325), (3, 21, 0x40472f5338b0adf5, 0x0, 0, 16, 20, 0xcbf29ce484222325), (4, 19, 0x404017088145bc85, 0x0, 0, 17, 20, 0xcbf29ce484222325)]]),
+    (Method::GeoI, [&[(0, 9, 0x4022661062903bfa, 0x40498de0bbf89f25, 52, 19, 20, 0x5025f168e18e80c8), (1, 8, 0x40226798d165dd4a, 0x403ea61891865067, 44, 18, 20, 0xd14aeabe1308e042), (2, 25, 0x4039ee32cf83b05d, 0x4065713cf1eabab3, 178, 20, 20, 0x73e2eedabf4d9e55), (3, 9, 0x4025884ec566bfec, 0x404ab4e0646d463e, 60, 19, 20, 0xd422e187bdc6ce86), (4, 10, 0x40132a5e274d94a8, 0x403cbcfad477475c, 32, 18, 20, 0x78ef5e920da46b65)], &[(0, 10, 0x4026f2c72cbe746f, 0x4050a28a10d816a5, 70, 19, 20, 0x8e1ecc5746e2500f), (1, 12, 0x402ac6c88701af08, 0x40451d2cabbf0e9a, 54, 18, 20, 0x8425bf86b88dce9f), (2, 39, 0x40409ab8482ef9b3, 0x40700e0f7a7ad4d3, 246, 19, 20, 0x90f20254f318905a), (3, 15, 0x40330b773c3a0f46, 0x405087807fd6ecf4, 70, 19, 20, 0x9d6e86171ad0c223), (4, 14, 0x402749fa590029b6, 0x4047c7f9111b9342, 56, 18, 20, 0x14a8c5657e37a897)]]),
+];
+
+/// Pins static drop-pairs on input whose discs cross cell boundaries,
+/// shard by populated shard, as its independent per-shard runner left
+/// it: the disjoint-input comparisons with the flat run do not reach
+/// the pairs this strategy drops.
+#[test]
+fn static_drop_pairs_matches_golden_outcomes() {
+    let stream = non_disjoint_stream();
+    let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 60.0, 40.0), 3, 2);
+    assert!(!stream.is_shard_disjoint(&part));
+    let economics = StreamConfig {
+        worker_capacity: 3.0,
+        service: ServiceModel::Fixed { secs: 200.0 },
+        ledger: LedgerMode::Windowed { window_secs: 900.0 },
+        pacing: Some(PacingConfig { horizon_windows: 4 }),
+        ..cfg(60.0)
+    };
+    for (method, golden) in STATIC_DROP_PAIRS_GOLDEN {
+        let engine = method.engine(&StreamConfig::default().params);
+        for (cfg, want) in [cfg(60.0), economics.clone()].iter().zip(golden) {
+            let report = run_sharded(engine.as_ref(), &stream, cfg, &part);
+            assert_eq!(pin_shards(&report), want, "{method}");
+        }
+    }
 }
 
 // ── Window formation against a timestamp-only oracle ────────────────
