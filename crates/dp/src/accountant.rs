@@ -107,10 +107,10 @@ mod tests {
     // Lifetime accounting across windows ([`Ledger::lifetime`]).
 
     #[test]
-    fn tombstoned_slots_stay_four_words() {
+    fn tombstoned_slots_stay_three_words() {
         // Slots are never reused, so a slot's size is a per-entity cost
         // that grows with the stream's history.
-        assert_eq!(std::mem::size_of::<Option<Account>>(), 32);
+        assert_eq!(std::mem::size_of::<Option<Account>>(), 24);
     }
 
     #[test]
@@ -151,37 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn reserve_commit_rollback_round_trip() {
-        let mut acc = Ledger::lifetime();
-        acc.register(4, 3.0);
-        charge(&mut acc, 4, 1.0);
-        acc.reserve(4, 0.5);
-        acc.reserve(4, 0.25);
-        // Reservations deplete `remaining` but not `spent`.
-        assert!((acc.remaining(4) - 1.25).abs() < 1e-12);
-        assert!((acc.spent(4) - 1.0).abs() < 1e-12);
-        assert!(!acc.is_exhausted(4));
-        // Commit converts a reservation into spend exactly once.
-        acc.reserve(4, 1.25);
-        assert!((acc.commit(4) - 2.0).abs() < 1e-12);
-        assert_eq!(acc.commit(4), 0.0); // nothing pending: no-op
-        assert!((acc.spent(4) - 3.0).abs() < 1e-12);
-        assert!(acc.is_exhausted(4));
-    }
-
-    #[test]
-    fn reservations_never_retire() {
-        let mut acc = Ledger::lifetime();
-        acc.register(1, 1.0);
-        acc.reserve(1, 5.0);
-        assert_eq!(acc.remaining(1), 0.0);
-        assert!(!acc.is_exhausted(1), "only committed spend retires");
-        assert!(acc.drain_exhausted().is_empty());
-        acc.commit(1);
-        assert!(acc.is_exhausted(1));
-    }
-
-    #[test]
     fn handles_are_dense_aliases_of_ids() {
         let mut acc = Ledger::lifetime();
         acc.register(40, 2.0);
@@ -191,7 +160,7 @@ mod tests {
         assert_ne!(h40, h41);
         assert!(acc.resolve(99).is_none());
         acc.charge_at(h40, 0.5);
-        acc.reserve(41, 1.0);
+        acc.charge_at(h41, 1.0);
         assert!((acc.spent(40) - 0.5).abs() < 1e-12);
         assert!((acc.remaining_at(h40) - 1.5).abs() < 1e-12);
         assert!((acc.remaining_at(h41) - 2.0).abs() < 1e-12);
@@ -231,18 +200,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "never registered")]
-    fn reserving_unknown_id_panics() {
-        Ledger::lifetime().reserve(0, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "never registered")]
-    fn charging_unknown_id_panics() {
-        Ledger::lifetime().commit(0);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         Ledger::lifetime().register(0, 0.0);
@@ -255,7 +212,7 @@ mod tests {
         acc.register(2, 1.5);
         acc.register(9, 4.0);
         charge(&mut acc, 2, 0.5);
-        acc.reserve(9, 1.25); // outstanding reservation must survive
+        charge(&mut acc, 9, 1.25);
         acc.forget(7); // leaves a slot tombstone
         let back = Ledger::deserialize_value(&acc.serialize_value()).expect("round trip");
         assert_eq!(back.tracked(), [2, 9]);
@@ -273,12 +230,11 @@ mod tests {
     #[test]
     fn accountant_rejects_malformed_rows() {
         let parse = |json: &str| Ledger::deserialize_value(&serde_json::from_str(json).unwrap());
-        let row = r#"{"id":1,"capacity":1,"spent":0,"reserved":0}"#;
+        let row = r#"{"id":1,"capacity":1,"spent":0}"#;
         assert!(parse(&format!(r#"{{"Lifetime":{{"accountant":[{row}]}}}}"#)).is_ok());
         let dup = format!(r#"{{"Lifetime":{{"accountant":[{row},{row}]}}}}"#);
         assert!(parse(&dup).is_err());
-        let bad_cap =
-            r#"{"Lifetime":{"accountant":[{"id":1,"capacity":0,"spent":0,"reserved":0}]}}"#;
+        let bad_cap = r#"{"Lifetime":{"accountant":[{"id":1,"capacity":0,"spent":0}]}}"#;
         assert!(parse(bad_cap).is_err());
     }
 

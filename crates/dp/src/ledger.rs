@@ -25,7 +25,7 @@
 //! load-bearing:
 //!
 //! * **Spend inside any `W`-span never exceeds capacity.** The budget
-//!   guard reads `remaining = capacity − spent − reserved` where
+//!   guard reads `remaining = capacity − spent` where
 //!   `spent` is exactly the in-window spend, so a guard-respecting
 //!   caller can never push any window of length `W` past `capacity`.
 //! * **Reclamation is exactly monotone.** IEEE round-to-nearest
@@ -56,15 +56,13 @@ pub struct AccountId {
     id: u64,
 }
 
-/// One tracked entity: capacity, committed spend (in-window spend under
-/// a finite protection window), and budget reserved by an in-flight
-/// window awaiting commit.
+/// One tracked entity: capacity and spend (in-window spend under a
+/// finite protection window).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Account {
     capacity: f64,
     spent: f64,
-    reserved: f64,
-    /// Listed in the ledger's `marked` ids: committed spend grew or the
+    /// Listed in the ledger's `marked` ids: spend grew or the
     /// capacity was set since the last drain. Only those two moves can
     /// make an entity exhausted (reclamation only lowers spend), so the
     /// drain examines marked entities alone.
@@ -73,7 +71,7 @@ pub(crate) struct Account {
 
 impl Account {
     fn remaining(&self) -> f64 {
-        (self.capacity - self.spent - self.reserved).max(0.0)
+        (self.capacity - self.spent).max(0.0)
     }
 
     fn exhausted(&self) -> bool {
@@ -90,20 +88,6 @@ impl Account {
 /// tombstoned on removal and never reused, so an outstanding
 /// [`AccountId`] can never alias a different entity.
 ///
-/// # Two-phase charging
-///
-/// [`charge_at`](Self::charge_at) records spend immediately.
-/// Coordinated runs — the streaming pipeline's cross-shard halo mode,
-/// where several shards publish on behalf of one worker inside one
-/// window — instead [`reserve`](Self::reserve) the budget each shard's
-/// publications would cost. Reservations count against
-/// [`remaining`](Self::remaining), so later proposals see a depleted
-/// budget, and after cross-shard reconciliation the coordinator
-/// [`commit`](Self::commit)s each entity's pending total exactly once.
-/// Retirement ([`is_exhausted`](Self::is_exhausted) /
-/// [`drain_exhausted`](Self::drain_exhausted)) looks at *committed*
-/// spend only — a reservation can never retire anyone.
-///
 /// # Examples
 ///
 /// ```
@@ -116,15 +100,7 @@ impl Account {
 /// ledger.charge_at(worker, 1.5);
 /// assert_eq!(ledger.remaining_at(worker), 0.5);
 ///
-/// // Two-phase: a reservation depletes `remaining` but not `spent`
-/// // until committed.
-/// ledger.reserve(7, 0.5);
-/// assert_eq!(ledger.remaining(7), 0.0);
-/// assert_eq!(ledger.spent(7), 1.5);
-/// assert_eq!(ledger.commit(7), 0.5);
-/// assert!(ledger.is_exhausted(7));
-///
-/// // 600 s later both charges age out and the budget renews.
+/// // 600 s later the charge ages out and the budget renews.
 /// ledger.advance_time(600.0);
 /// assert_eq!(ledger.remaining_at(worker), 2.0);
 ///
@@ -147,7 +123,7 @@ pub struct Ledger {
     /// serialization) walks this list. Streaming registration is
     /// near-monotone in id, so keeping it sorted is usually a push.
     live: Vec<u64>,
-    /// Ids charged, committed or (re)registered since the last
+    /// Ids charged or (re)registered since the last
     /// [`drain_exhausted`](Self::drain_exhausted), each account listed
     /// once (see [`Account::marked`]); ids removed since are skipped at
     /// the drain.
@@ -159,7 +135,7 @@ pub struct Ledger {
     /// The ledger clock: charges are stamped with it, reclamation
     /// measures age against it. `-∞` before the first advance.
     now: f64,
-    /// Each slot's time-stamped committed charges `(t, ε)`, stamps
+    /// Each slot's time-stamped charges `(t, ε)`, stamps
     /// ascending. Kept beside `slots` only when a window is set, so
     /// lifetime accounts cost no more than their [`Account`].
     entries: Vec<VecDeque<(f64, f64)>>,
@@ -212,11 +188,6 @@ impl Ledger {
         self.slots[slot as usize].as_ref()
     }
 
-    fn registered(&self, id: u64) -> AccountId {
-        self.resolve(id)
-            .unwrap_or_else(|| panic!("entity {id} was never registered"))
-    }
-
     /// Appends a fresh account for `id` (not yet tracked) in the next
     /// slot, marked for the next drain; the caller keeps `live` sorted.
     fn push_account(&mut self, id: u64, account: Account, entries: VecDeque<(f64, f64)>) -> bool {
@@ -250,7 +221,6 @@ impl Ledger {
         let account = Account {
             capacity,
             spent: 0.0,
-            reserved: 0.0,
             marked: true,
         };
         self.push_account(id, account, VecDeque::new());
@@ -283,7 +253,7 @@ impl Ledger {
         self.book(at, epsilon);
     }
 
-    /// Books a committed amount against the account `at`: adds it to
+    /// Books an amount against the account `at`: adds it to
     /// the spend accumulator, stamps it under a finite window and marks
     /// the account for the next drain. Zero amounts change no state
     /// (they cannot change any future recomputed sum).
@@ -306,42 +276,14 @@ impl Ledger {
         }
     }
 
-    /// Reserves `epsilon` (≥ 0) against `id`'s budget without
-    /// committing it: [`remaining`](Self::remaining) shrinks at once,
-    /// [`spent`](Self::spent) moves only on [`commit`](Self::commit).
-    /// Panics if the id was never registered.
-    pub fn reserve(&mut self, id: u64, epsilon: f64) {
-        assert!(
-            epsilon.is_finite() && epsilon >= 0.0,
-            "reservation must be finite and >= 0, got {epsilon}"
-        );
-        let at = self.registered(id);
-        self.slots[at.slot as usize]
-            .as_mut()
-            .expect("resolved")
-            .reserved += epsilon;
-    }
-
-    /// Converts `id`'s whole pending reservation into committed spend
-    /// (stamped like a direct charge) and returns the amount. A no-op
-    /// returning zero when nothing is reserved; panics if the id was
-    /// never registered.
-    pub fn commit(&mut self, id: u64) -> f64 {
-        let at = self.registered(id);
-        let a = self.slots[at.slot as usize].as_mut().expect("resolved");
-        let amount = std::mem::take(&mut a.reserved);
-        self.book(at, amount);
-        amount
-    }
-
-    /// Committed spend of `id` (zero for unknown ids). Under a finite
+    /// Spend of `id` (zero for unknown ids). Under a finite
     /// window this is the spend *inside the current protection window*.
     pub fn spent(&self, id: u64) -> f64 {
         self.get(id).map_or(0.0, |a| a.spent)
     }
 
-    /// Remaining budget of `id` (zero for unknown ids), net of both
-    /// committed spend and pending reservations, clamped at zero.
+    /// Remaining budget of `id` (zero for unknown ids): capacity net of
+    /// spend, clamped at zero.
     pub fn remaining(&self, id: u64) -> f64 {
         self.get(id).map_or(0.0, Account::remaining)
     }
@@ -361,9 +303,9 @@ impl Ledger {
     /// Removes and returns every exhausted entity, ascending by id —
     /// the retirement step the stream driver runs after each window.
     ///
-    /// Only entities charged, committed or (re)registered since the
-    /// previous drain (every entity, on a deserialized ledger) are
-    /// examined: exhaustion compares committed spend with capacity, and
+    /// Only entities charged or (re)registered since the previous drain
+    /// (every entity, on a deserialized ledger) are examined:
+    /// exhaustion compares spend with capacity, and
     /// nothing else can raise one or lower the other, so an entity the
     /// last drain kept and nobody touched since is still not exhausted.
     /// An id listed twice (forgotten, then registered again) is
@@ -514,7 +456,6 @@ impl Serialize for Ledger {
                     ("id".to_string(), id.serialize_value()),
                     ("capacity".to_string(), a.capacity.serialize_value()),
                     ("spent".to_string(), a.spent.serialize_value()),
-                    ("reserved".to_string(), a.reserved.serialize_value()),
                 ];
                 if self.window.is_some() {
                     let stamps = self.entries[slot].iter().map(|&(t, eps)| {
@@ -580,7 +521,6 @@ impl Deserialize for Ledger {
             let account = Account {
                 capacity: f64::deserialize_value(field(row, "capacity")?)?,
                 spent: f64::deserialize_value(field(row, "spent")?)?,
-                reserved: f64::deserialize_value(field(row, "reserved")?)?,
                 marked: true,
             };
             if account.capacity <= 0.0 || account.capacity.is_nan() {
@@ -647,27 +587,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn windowed_two_phase_round_trip() {
-        let mut acc = Ledger::windowed(100.0);
-        acc.register(4, 3.0);
-        acc.advance_time(0.0);
-        charge(&mut acc, 4, 1.0);
-        acc.reserve(4, 0.5);
-        acc.reserve(4, 0.25);
-        assert!((acc.remaining(4) - 1.25).abs() < 1e-12);
-        assert!((acc.spent(4) - 1.0).abs() < 1e-12);
-        acc.reserve(4, 1.25);
-        assert!((acc.commit(4) - 2.0).abs() < 1e-12);
-        assert_eq!(acc.commit(4), 0.0);
-        assert!(acc.is_exhausted(4));
-        // The committed reservation is stamped and reclaims like a
-        // direct charge.
-        acc.advance_time(200.0);
-        assert!(!acc.is_exhausted(4));
-        assert_eq!(acc.spent(4), 0.0);
-    }
-
-    #[test]
     fn windowed_retirement_and_handles_match_lifetime_semantics() {
         let mut acc = Ledger::windowed(f64::INFINITY);
         acc.register(8, 1.0);
@@ -680,12 +599,6 @@ pub(crate) mod tests {
         assert_eq!(acc.tracked(), [9]);
         assert!(acc.forget(9));
         assert!(!acc.forget(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "never registered")]
-    fn windowed_charging_unknown_id_panics() {
-        Ledger::windowed(10.0).commit(0);
     }
 
     #[test]
@@ -704,7 +617,7 @@ pub(crate) mod tests {
         charge(&mut acc, 2, 0.5);
         acc.advance_time(20.0);
         charge(&mut acc, 2, 0.25);
-        acc.reserve(9, 1.25);
+        charge(&mut acc, 9, 1.25);
         acc.forget(7);
         let back = Ledger::deserialize_value(&acc.serialize_value()).expect("round trip");
         assert_eq!(back.tracked(), [2, 9]);
@@ -725,7 +638,7 @@ pub(crate) mod tests {
     #[test]
     fn windowed_rejects_malformed_rows() {
         let parse = |json: &str| Ledger::deserialize_value(&serde_json::from_str(json).unwrap());
-        let row = r#"{"id":1,"capacity":1,"spent":0,"reserved":0,"entries":[]}"#;
+        let row = r#"{"id":1,"capacity":1,"spent":0,"entries":[]}"#;
         let ledger = |window: &str, rows: &str| {
             format!(
                 r#"{{"Windowed":{{"accountant":{{"window":{window},"now":0,"accounts":[{rows}]}}}}}}"#
@@ -738,8 +651,8 @@ pub(crate) mod tests {
         assert!(parse(&ledger("0", "")).is_err());
     }
 
-    /// The wire format the session snapshot embeds: byte-identical to
-    /// the tagged lifetime / sliding-window encoding of snapshot v4.
+    /// The wire format the session snapshot embeds: the tagged
+    /// lifetime / sliding-window encoding of snapshot v7.
     #[test]
     fn wire_format_is_pinned() {
         let mut life = Ledger::lifetime();
@@ -749,12 +662,11 @@ pub(crate) mod tests {
         life.register(5, 1.0);
         charge(&mut life, 2, 0.5);
         charge(&mut life, 7, 0.125);
-        life.reserve(9, 1.25);
         life.forget(5);
         let golden = concat!(
-            r#"{"Lifetime":{"accountant":[{"id":2,"capacity":1.5,"spent":0.5,"reserved":0},"#,
-            r#"{"id":7,"capacity":"inf","spent":0.125,"reserved":0},"#,
-            r#"{"id":9,"capacity":4,"spent":0,"reserved":1.25}]}}"#
+            r#"{"Lifetime":{"accountant":[{"id":2,"capacity":1.5,"spent":0.5},"#,
+            r#"{"id":7,"capacity":"inf","spent":0.125},"#,
+            r#"{"id":9,"capacity":4,"spent":0}]}}"#
         );
         assert_eq!(serde_json::to_string(&life).unwrap(), golden);
 
@@ -766,13 +678,12 @@ pub(crate) mod tests {
         charge(&mut windowed, 2, 0.5);
         windowed.advance_time(20.0);
         charge(&mut windowed, 2, 0.25);
-        windowed.reserve(9, 1.25);
         windowed.forget(7);
         let golden_windowed = concat!(
             r#"{"Windowed":{"accountant":{"window":300,"now":20,"accounts":["#,
-            r#"{"id":2,"capacity":1.5,"spent":0.75,"reserved":0,"#,
+            r#"{"id":2,"capacity":1.5,"spent":0.75,"#,
             r#""entries":[{"t":10,"eps":0.5},{"t":20,"eps":0.25}]},"#,
-            r#"{"id":9,"capacity":4,"spent":0,"reserved":1.25,"entries":[]}]}}}"#
+            r#"{"id":9,"capacity":4,"spent":0,"entries":[]}]}}}"#
         );
         assert_eq!(serde_json::to_string(&windowed).unwrap(), golden_windowed);
 
@@ -819,8 +730,6 @@ pub(crate) mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Charge(u64, f64),
-        Reserve(u64, f64),
-        Commit(u64),
         Advance(f64),
         Drain,
         /// Registers (or re-registers, possibly lowering the capacity
@@ -832,18 +741,16 @@ pub(crate) mod tests {
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         (
-            (0u8..7, 0u64..5, 0.0f64..0.6),
+            (0u8..5, 0u64..5, 0.0f64..0.6),
             (0.0f64..1e4, 0u8..4, 0.05f64..3.0),
         )
             .prop_map(|((kind, id, e), (dt, cap_kind, cap))| match kind {
                 0 => Op::Charge(id, e),
-                1 => Op::Reserve(id, e),
-                2 => Op::Commit(id),
-                3 => Op::Advance(dt),
-                4 => Op::Drain,
+                1 => Op::Advance(dt),
+                2 => Op::Drain,
                 // Capacities at and below the drain's 1e-12 tolerance
                 // are exhausted from the moment they are registered.
-                5 => Op::Register(
+                3 => Op::Register(
                     id,
                     match cap_kind {
                         0 => 1e-12,
@@ -885,20 +792,6 @@ pub(crate) mod tests {
                         if life.resolve(id).is_some() {
                             charge(&mut life, id, e);
                             charge(&mut windowed, id, e);
-                        }
-                    }
-                    Op::Reserve(id, e) => {
-                        if life.resolve(id).is_some() {
-                            life.reserve(id, e);
-                            windowed.reserve(id, e);
-                        }
-                    }
-                    Op::Commit(id) => {
-                        if life.resolve(id).is_some() {
-                            prop_assert_eq!(
-                                life.commit(id).to_bits(),
-                                windowed.commit(id).to_bits()
-                            );
                         }
                     }
                     Op::Advance(dt) => {
@@ -1001,10 +894,6 @@ pub(crate) mod tests {
             for &op in &ops {
                 match op {
                     Op::Charge(id, e) if acc.resolve(id).is_some() => charge(&mut acc, id, e),
-                    Op::Reserve(id, e) if acc.resolve(id).is_some() => acc.reserve(id, e),
-                    Op::Commit(id) if acc.resolve(id).is_some() => {
-                        acc.commit(id);
-                    }
                     Op::Advance(dt) => {
                         clock += dt;
                         acc.advance_time(clock);
@@ -1030,7 +919,7 @@ pub(crate) mod tests {
         // The drain examines only the entities touched since the last
         // one, yet returns exactly what a scan of every tracked entity
         // would: lifetime, `W = ∞` and finite `W` alike, under charges,
-        // two-phase commits, reclamation, (re-)registrations with
+        // reclamation, (re-)registrations with
         // capacities at or below the exhaustion tolerance and
         // serialization round trips.
         #[test]
@@ -1057,10 +946,6 @@ pub(crate) mod tests {
                     let live = |l: &Ledger, id| l.resolve(id).is_some();
                     match op {
                         Op::Charge(id, e) if live(ledger, id) => charge(ledger, id, e),
-                        Op::Reserve(id, e) if live(ledger, id) => ledger.reserve(id, e),
-                        Op::Commit(id) if live(ledger, id) => {
-                            ledger.commit(id);
-                        }
                         Op::Advance(_) => ledger.advance_time(clock),
                         Op::Register(id, capacity) => ledger.register(id, capacity),
                         Op::RoundTrip => *ledger = round_trip(ledger),

@@ -156,8 +156,6 @@ STREAM OPTIONS (dpta-experiments stream ...):
                            growth exponent at sub-quadratic (n^1.8) —
                            the quick CI counterpart of `bench_gate
                            --scale-sweep`
-      --strict             escalate pipeline warnings to hard errors
-                           (e.g. the count-window shard coercion)
   Exits non-zero if the sharded run does not match the unsharded run
   exactly on the shard-disjoint witness stream, or (with --halo) if
   the halo run diverges or fails to beat drop-pairs sharding, or
@@ -165,8 +163,7 @@ STREAM OPTIONS (dpta-experiments stream ...):
   if the utilization gate fails, or (with --resume) if the restored
   session diverges, or (with --pacing) if the windowed ledger fails to
   beat lifetime accounting, or (with --scale-sweep) if drain time grows
-  super-linearly in entity count, or (with --strict) if any warning
-  fired."
+  super-linearly in entity count."
     );
 }
 
@@ -274,7 +271,6 @@ fn parse_stream_args(mut it: std::env::Args) -> Result<stream_cmd::StreamArgs, S
             "--resume" => args.resume = true,
             "--pacing" => args.pacing = true,
             "--scale-sweep" => args.scale_sweep = true,
-            "--strict" => args.strict = true,
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);

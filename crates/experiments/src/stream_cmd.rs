@@ -75,9 +75,6 @@ pub struct StreamArgs {
     /// counterpart of `bench_gate --scale-sweep`, cheap enough for a
     /// CI smoke step.
     pub scale_sweep: bool,
-    /// Escalate pipeline warnings (e.g. the count-window shard
-    /// coercion) to hard errors — `--verify`-style gating.
-    pub strict: bool,
 }
 
 impl Default for StreamArgs {
@@ -98,7 +95,6 @@ impl Default for StreamArgs {
             resume: false,
             pacing: false,
             scale_sweep: false,
-            strict: false,
         }
     }
 }
@@ -896,27 +892,9 @@ pub fn run(args: &StreamArgs) -> bool {
         println!();
     }
 
-    // Sharded-vs-unsharded witness on shard-disjoint input. Exactness
-    // needs aligned window boundaries: time windows align by anchoring,
-    // adaptive windows align because every mode shares one controller
-    // over the merged global stream; count windows close on shard-local
-    // arrivals and cannot line up, so the witness coerces them to time
-    // windows — an explicit warning, and a hard error under --strict.
-    let mut coerced = false;
-    let cfg = match cfg.policy {
-        WindowPolicy::ByTime { .. } | WindowPolicy::Adaptive(_) => cfg,
-        WindowPolicy::ByCount { .. } => {
-            coerced = true;
-            println!(
-                "warning: {} — shard check coerced to 600 s time windows",
-                dpta_stream::COUNT_WINDOW_SHARD_WARNING
-            );
-            StreamConfig {
-                policy: WindowPolicy::ByTime { width: 600.0 },
-                ..cfg
-            }
-        }
-    };
+    // Sharded-vs-unsharded witness on shard-disjoint input: every
+    // sharded mode steps the unsharded run's windows, whatever the
+    // policy, so the two must agree exactly.
     let (cols, rows) = args.shards;
     let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), cols, rows);
     let per_cell = (stream.n_tasks() / part.n_shards()).clamp(10, 200);
@@ -952,13 +930,6 @@ pub fn run(args: &StreamArgs) -> bool {
 
     if args.halo {
         all_match &= halo_section(&args.methods, &cfg, &part, &disjoint);
-    }
-    if coerced && args.strict {
-        println!(
-            "error (--strict): the count-window coercion above is a hard error; \
-             rerun with --window-secs (time windows) or an adaptive policy"
-        );
-        all_match = false;
     }
     all_match
 }
@@ -1089,50 +1060,18 @@ mod tests {
     }
 
     #[test]
-    fn strict_escalates_the_count_window_coercion() {
-        // Regression (ROADMAP leftover): the silent ByCount→ByTime
-        // coercion in the witness gate is a warning by default and a
-        // hard error under --strict.
+    fn count_policy_passes_the_shard_gate_directly() {
+        // Count windows are cut once off the merged global stream, as
+        // the unsharded run cuts them, so the witness gate runs them
+        // as they are and sharded execution must agree with unsharded
+        // bit for bit.
         let args = StreamArgs {
             scale: 0.03,
             policy: WindowPolicy::ByCount { tasks: 20 },
-            methods: vec![Method::Grd],
-            strict: true,
-            ..StreamArgs::default()
-        };
-        assert!(!run(&args), "--strict must fail the coerced gate");
-        // Strict mode with an alignable policy stays green.
-        let args = StreamArgs {
-            scale: 0.03,
-            policy: WindowPolicy::ByTime { width: 120.0 },
-            methods: vec![Method::Grd],
-            strict: true,
+            methods: vec![Method::Puce, Method::Grd],
             ..StreamArgs::default()
         };
         assert!(run(&args));
-    }
-
-    #[test]
-    fn count_windows_under_drop_pairs_carry_the_misalignment_warning() {
-        let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 2, 1);
-        let stream = disjoint_stream(&part, 10, 7);
-        let count_cfg = StreamConfig {
-            policy: WindowPolicy::ByCount { tasks: 5 },
-            ..StreamConfig::default()
-        };
-        let engine = Method::Grd.engine(&count_cfg.params);
-        let sharded = run_sharded(engine.as_ref(), &stream, &count_cfg, &part);
-        assert!(
-            sharded.warnings().iter().any(|w| w.contains("shard-local")),
-            "count windows under drop-pairs must warn about misalignment"
-        );
-        // Time windows align and carry no warning.
-        let time_cfg = StreamConfig {
-            policy: WindowPolicy::ByTime { width: 300.0 },
-            ..StreamConfig::default()
-        };
-        let sharded = run_sharded(engine.as_ref(), &stream, &time_cfg, &part);
-        assert!(sharded.warnings().is_empty());
     }
 
     #[test]
@@ -1144,7 +1083,6 @@ mod tests {
             scale: 0.03,
             policy: WindowPolicy::Adaptive(AdaptivePolicy::default()),
             methods: vec![Method::Puce, Method::Grd],
-            strict: true,
             ..StreamArgs::default()
         };
         assert!(run(&args));

@@ -73,17 +73,11 @@ const NOISE_DEF_PATHS: &[&str] = &[
 const SAMPLING_IDENTS: &[&str] = &["sample_from_uniform", "sample_from_uniforms"];
 
 /// Method/path names that constitute a charge edge: the budget
-/// `Ledger` surface (`charge_at`/`reserve`, and `charge` on the stream
+/// `Ledger` surface (`charge_at`, and `charge` on the stream
 /// lifecycle that wraps it) and the
 /// `Board` surface (`publish`/`charge_location`), which charges the
 /// per-worker `PrivacyLedger` on every release.
-const CHARGE_IDENTS: &[&str] = &[
-    "charge",
-    "charge_at",
-    "reserve",
-    "publish",
-    "charge_location",
-];
+const CHARGE_IDENTS: &[&str] = &["charge", "charge_at", "publish", "charge_location"];
 
 /// Whether a file is library code or a binary entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -448,7 +442,7 @@ fn scan_noise_flow(ctx: &FileCtx, toks: &[Tok], mask: &[bool], out: &mut Vec<Fin
                 t.col,
                 CHARGED_NOISE_FLOW,
                 "noise sampling in a module with no visible charge edge \
-                 (`charge`/`charge_at`/`reserve` on a Ledger, or \
+                 (`charge`/`charge_at` on a Ledger, or \
                  `publish`/`charge_location` on a Board); route the release \
                  through the charging surface or annotate where accounting happens"
                     .to_string(),

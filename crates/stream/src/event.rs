@@ -199,23 +199,6 @@ impl ArrivalStream {
         self.events.last().map_or(0.0, ArrivalEvent::time)
     }
 
-    /// Splits the stream into one sub-stream per shard of `partition`,
-    /// routing every event to the shard owning its location. The
-    /// concatenation of the shards is a permutation of the original
-    /// stream; relative event order within a shard is preserved.
-    pub fn shard(&self, partition: &GridPartition) -> Vec<ArrivalStream> {
-        let mut shards: Vec<Vec<ArrivalEvent>> = vec![Vec::new(); partition.n_shards()];
-        for e in &self.events {
-            let loc = match e {
-                ArrivalEvent::Worker(w) => w.worker.location,
-                ArrivalEvent::Task(t) => t.task.location,
-            };
-            shards[partition.shard_of(&loc)].push(*e);
-        }
-        // Sub-streams of a sorted stream are sorted; `new` re-validates.
-        shards.into_iter().map(ArrivalStream::new).collect()
-    }
-
     /// Whether every worker's service disc lies strictly inside its
     /// shard cell — the precondition under which sharded and unsharded
     /// execution agree exactly (no feasible pair ever crosses a shard
@@ -284,11 +267,15 @@ mod tests {
             task(0, 1.0, 2.0),
             task(1, 2.0, 8.0),
         ]);
-        let shards = s.shard(&part);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].n_tasks(), 1);
-        assert_eq!(shards[0].n_workers(), 1);
-        assert_eq!(shards[1].n_tasks(), 1);
+        let homes: Vec<usize> = s
+            .events()
+            .iter()
+            .map(|e| match e {
+                ArrivalEvent::Worker(w) => part.shard_of(&w.worker.location),
+                ArrivalEvent::Task(t) => part.shard_of(&t.task.location),
+            })
+            .collect();
+        assert_eq!(homes, vec![0, 1, 0, 1]);
         assert!(s.is_shard_disjoint(&part));
         // A worker whose disc crosses the x = 5 boundary breaks it.
         let crossing = ArrivalStream::new(vec![worker(2, 0.0, 4.9, 1.0)]);

@@ -3,13 +3,13 @@
 //!
 //! Every execution mode steps a window through [`HaloCore`]. A flat
 //! [`StreamSession`](crate::StreamSession) runs it over a one-cell
-//! partition ([`one_cell`]), adaptive drop-pairs runs one such core per
-//! shard on the projected windows, and [`ShardStrategy::Halo`] runs one
-//! core over the whole partition. On one cell every worker's reach is
-//! that cell, no claim can conflict, and the first pass commits every
-//! claim: the drive is the paper's batch assignment over the window.
-//! On more cells the protocol below recovers the pairs that cross cell
-//! boundaries:
+//! partition ([`one_cell`]), drop-pairs runs one such core per shard
+//! on the shard's share of every window, and [`ShardStrategy::Halo`]
+//! runs one core over the whole partition. On one cell every worker's
+//! reach is that cell, no claim can conflict, and the first pass
+//! commits every claim: the drive is the paper's batch assignment over
+//! the window. On more cells the protocol below recovers the pairs
+//! that cross cell boundaries:
 //!
 //! 1. **Halo membership.** Each window, every shard's instance holds
 //!    its own tasks plus every worker — interior *or foreign* — whose
@@ -87,9 +87,10 @@ use dpta_dp::{FastMap, Ledger, SeededBudgets, SeededNoise};
 use dpta_spatial::{Aabb, GridPartition};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The partition of flat sessions and adaptive drop-pairs shards: one
+/// The partition of flat sessions and drop-pairs shards: one
 /// cell, the home and only reach of every worker, wherever it is.
 pub(crate) fn one_cell() -> GridPartition {
     GridPartition::new(Aabb::from_extents(0.0, 0.0, 1.0, 1.0), 1, 1)
@@ -203,10 +204,6 @@ pub(crate) struct HaloCore<'e> {
     /// by small allocations, never by copying itself into a buffer
     /// twice its size.
     outcomes: Vec<Vec<Outcome>>,
-    /// Bound of the per-pass drive pool, read on the first pass that
-    /// drives two shards: the query reads cgroup files and costs more
-    /// than a small window's drive.
-    threads: Option<usize>,
 }
 
 impl<'e> HaloCore<'e> {
@@ -234,7 +231,6 @@ impl<'e> HaloCore<'e> {
             charged: ReleaseDedup::default(),
             carried: (0..n_shards).map(|_| None).collect(),
             outcomes: Vec::new(),
-            threads: None,
         }
     }
 
@@ -253,6 +249,12 @@ impl<'e> HaloCore<'e> {
         self.outcomes.drain(..).flatten()
     }
 
+    /// Takes the outcome log accumulated since the last drain as it is
+    /// kept, one chunk per window, without copying it.
+    pub(crate) fn take_outcomes(&mut self) -> Vec<Vec<Outcome>> {
+        std::mem::take(&mut self.outcomes)
+    }
+
     /// One window: admit, propose, reconcile, settle. Returns the
     /// window's stream-observable signals for the adaptive controller.
     pub(crate) fn step_window(&mut self, window: &Window, cut: WindowCutDecision) -> StepSignals {
@@ -269,7 +271,6 @@ impl<'e> HaloCore<'e> {
             charged,
             carried,
             outcomes: log,
-            threads,
         } = self;
         let mut outcomes = Vec::new();
         let engine: &dyn AssignmentEngine = *engine;
@@ -440,24 +441,18 @@ impl<'e> HaloCore<'e> {
                     prepared.push(p);
                 }
             }
-            if !prepared.is_empty() {
-                // Uncapped: inputs were fixed above, so the drives can
-                // fan out over a bounded thread pool without changing
-                // the result. Charge accounting stays sequential in
-                // ascending shard order so the dedup set is
-                // deterministic.
-                let max_threads = match prepared.len() {
-                    1 => 1,
-                    _ => *threads.get_or_insert_with(|| {
-                        std::thread::available_parallelism().map_or(8, std::num::NonZeroUsize::get)
-                    }),
-                };
-                let mut driven = drive_parallel(engine, cfg, prepared, max_threads);
-                driven.sort_by_key(|&(k, _, _)| k);
-                for (k, run, dt) in driven {
-                    account_run(&run, charged, &mut spend, &mut spent_at, &mut reports[k]);
-                    finish_run(k, run, dt, &mut reports, &mut claims, &mut last_run);
-                }
+            // Uncapped: inputs were fixed above, so the drives can fan
+            // out without changing the result. Charge accounting stays
+            // sequential in ascending shard order so the dedup set is
+            // deterministic.
+            let driven = fan_out(prepared, |p| {
+                let k = p.shard;
+                let (run, dt) = drive_prepared(engine, cfg, p);
+                (k, run, dt)
+            });
+            for (k, run, dt) in driven {
+                account_run(&run, charged, &mut spend, &mut spent_at, &mut reports[k]);
+                finish_run(k, run, dt, &mut reports, &mut claims, &mut last_run);
             }
 
             // (b) Resolve claims by pool position. Each claimed
@@ -659,7 +654,6 @@ impl<'e> HaloCore<'e> {
                     spend_by_worker: std::mem::take(&mut self.shard_spend[k])
                         .into_iter()
                         .collect(),
-                    warnings: Vec::new(),
                 })
                 .collect(),
         }
@@ -913,51 +907,47 @@ fn drive_prepared(
     )
 }
 
-/// Fans a pass's prepared runs over a scoped-thread pool of at most
-/// `max_threads` and returns `(shard, run, wall time)` tuples in
-/// completion order.
-fn drive_parallel(
-    engine: &dyn AssignmentEngine,
-    cfg: &StreamConfig,
-    prepared: Vec<PreparedRun>,
-    max_threads: usize,
-) -> Vec<(usize, ShardRun, Duration)> {
-    let threads = prepared.len().min(max_threads);
+/// Runs `work` over `jobs` on a bounded pool of threads and returns the
+/// results in job order. Idle threads take the next job in line, so
+/// callers list their heaviest jobs first. The pool holds at most one
+/// thread per available CPU, the calling thread among them — the CPU
+/// count is read once per process, since the query reads cgroup files
+/// and costs more than a small window's drive — and with one CPU, or
+/// one job, the work runs inline.
+pub(crate) fn fan_out<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Sync) -> Vec<R> {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    let cpus = *CPUS.get_or_init(|| {
+        std::thread::available_parallelism().map_or(8, std::num::NonZeroUsize::get)
+    });
+    let threads = jobs.len().min(cpus);
     if threads <= 1 {
-        return prepared
-            .into_iter()
-            .map(|p| {
-                let k = p.shard;
-                let (run, dt) = drive_prepared(engine, cfg, p);
-                (k, run, dt)
-            })
-            .collect();
+        return jobs.into_iter().map(work).collect();
     }
-    let mut buckets: Vec<Vec<PreparedRun>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, p) in prepared.into_iter().enumerate() {
-        buckets[i % threads].push(p);
+    let mut results: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let take = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("fan-out queue poisoned").next();
+            let Some((i, job)) = next else { break done };
+            done.push((i, work(job)));
+        }
+    };
+    let done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(take)).collect();
+        let mut done = take();
+        for h in helpers {
+            done.extend(h.join().expect("fan-out thread panicked"));
+        }
+        done
+    });
+    for (i, r) in done {
+        results[i] = Some(r);
     }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                s.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|p| {
-                            let k = p.shard;
-                            let (run, dt) = drive_prepared(engine, cfg, p);
-                            (k, run, dt)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("halo shard thread panicked"))
-            .collect()
-    })
+    results
+        .into_iter()
+        .map(|r| r.expect("every job ran"))
+        .collect()
 }
 
 /// Reserves the run's *novel* releases: adds them to the window's

@@ -105,9 +105,6 @@ pub use metrics::{
     WindowReport,
 };
 pub use session::{Outcome, ServiceModel, StreamSession};
-pub use shard::{
-    run_sharded, run_sharded_halo, run_sharded_pooled, run_sharded_with, ShardStrategy,
-    ShardedSession, COUNT_WINDOW_SHARD_WARNING,
-};
+pub use shard::{run_sharded, run_sharded_halo, run_sharded_with, ShardStrategy, ShardedSession};
 pub use snapshot::{SessionSnapshot, ShardedSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use window::{AdaptivePolicy, WindowPolicy, MAX_WINDOWS};

@@ -10,8 +10,8 @@
 //! the only copy of each rule.
 //!
 //! The window stepper ([`HaloCore`](crate::halo::HaloCore)) calls it
-//! for every execution mode: flat sessions and adaptive drop-pairs
-//! shards on one cell, the halo protocol on the whole partition. It
+//! for every execution mode: flat sessions and drop-pairs shards on
+//! one cell, the halo protocol on the whole partition. It
 //! returns plain data (returned workers, admitted and deferred tasks,
 //! departures, retired ids, expired tasks), which the stepper copies
 //! into its window reports and outcome log. Each window's instances

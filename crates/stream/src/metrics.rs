@@ -289,14 +289,6 @@ pub struct StreamReport {
     /// `worker_capacity` with warm-start carry this never exceeds the
     /// capacity — the hard-cap guarantee the property tests pin.
     pub spend_by_worker: BTreeMap<u32, f64>,
-    /// Semantic warnings attached by the pipeline (e.g. count windows
-    /// under drop-pairs sharding close on shard-local arrivals and
-    /// cannot align with an unsharded run). Surfaced by [`render`]
-    /// and escalated to a hard error by `--strict` gating in the
-    /// `stream` subcommand.
-    ///
-    /// [`render`]: StreamReport::render
-    pub warnings: Vec<String>,
 }
 
 impl StreamReport {
@@ -534,9 +526,6 @@ impl StreamReport {
             self.p95_latency(),
             self.throughput(),
         ));
-        for w in &self.warnings {
-            out.push_str(&format!("  warning: {w}\n"));
-        }
         out
     }
 }
@@ -594,19 +583,6 @@ impl ShardedReport {
                 .map(StreamReport::without_timing)
                 .collect(),
         }
-    }
-
-    /// Distinct warnings across all shard reports, in first-seen order.
-    pub fn warnings(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for s in &self.shards {
-            for w in &s.warnings {
-                if !seen.contains(w) {
-                    seen.push(w.clone());
-                }
-            }
-        }
-        seen
     }
 
     /// Renders the shard summary table.
@@ -688,7 +664,6 @@ mod tests {
             task_arrivals: 3,
             worker_arrivals: 2,
             spend_by_worker: BTreeMap::new(),
-            warnings: Vec::new(),
         };
         assert_eq!(r.assert_conservation(), (1, 1, 1));
         assert_eq!(r.matched(), 1);
@@ -713,7 +688,6 @@ mod tests {
             task_arrivals: 1,
             worker_arrivals: 0,
             spend_by_worker: BTreeMap::new(),
-            warnings: Vec::new(),
         };
         r.assert_conservation();
     }
@@ -727,7 +701,6 @@ mod tests {
             task_arrivals: 2,
             worker_arrivals: 2,
             spend_by_worker: BTreeMap::new(),
-            warnings: Vec::new(),
         };
         let merged = ShardedReport {
             shards: vec![one.clone(), StreamReport::default(), one],

@@ -559,16 +559,6 @@ impl<'e> StreamSession<'e> {
         })
     }
 
-    /// Extends the covered span to at least `t` — the sharded wrapper
-    /// injects the *global* span before closing so every shard forms
-    /// the same trailing windows, exactly like the work-stealing
-    /// runner's horizon injection.
-    pub(crate) fn extend_horizon(&mut self, t: f64) {
-        let h = self.former.horizon.unwrap_or(0.0).max(t);
-        self.former.horizon = Some(h);
-        self.former.any_input = true;
-    }
-
     fn drive_ready(&mut self, drain: bool) {
         let core = self.core.as_mut().expect("core present");
         self.former.drive(drain, |w, cut| {

@@ -2,10 +2,13 @@
 //!
 //! Task assignment is spatially local — a worker only ever interacts
 //! with tasks inside his service disc — so a stream whose workers'
-//! discs never cross cell boundaries decomposes *exactly*: running one
-//! driver per [`GridPartition`] cell on scoped threads produces, pair
-//! for pair, the run the single-threaded driver would have produced,
-//! at a wall-clock cost of the slowest shard instead of the sum.
+//! discs never cross cell boundaries decomposes *exactly*: one global
+//! window former cuts the unsharded run's windows, each cell steps its
+//! share of every window, and the merged result is, pair for pair, the
+//! run the single-threaded driver would have produced. When no
+//! adaptive controller waits on the cells' merged feedback, the cells
+//! step their shares in parallel, at a wall-clock cost of the slowest
+//! cell instead of the sum.
 //!
 //! When discs do cross boundaries, the [`ShardStrategy`] decides what
 //! happens: [`DropPairs`](ShardStrategy::DropPairs) never considers
@@ -17,36 +20,26 @@
 //! The protocol is documented in `ARCHITECTURE.md` ("Sharding & the
 //! halo protocol").
 
-use crate::driver::{StreamConfig, StreamDriver};
+use crate::driver::StreamConfig;
 use crate::event::{ArrivalEvent, ArrivalStream};
-use crate::halo::{one_cell, HaloCore, HaloSnapshot};
+use crate::halo::{fan_out, one_cell, HaloCore};
 use crate::lifecycle::StepSignals;
-use crate::metrics::{ShardedReport, StreamReport};
-use crate::session::{Outcome, StreamSession};
-use crate::snapshot::{ShardedModeSnapshot, ShardedSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use crate::window::{FormerSnapshot, Window, WindowFormer, WindowPolicy};
+use crate::metrics::{ShardedReport, WindowCutDecision};
+use crate::session::Outcome;
+use crate::snapshot::{ShardedSnapshot, SnapshotError, SNAPSHOT_VERSION};
+use crate::window::{Window, WindowFormer};
 use dpta_core::AssignmentEngine;
 use dpta_spatial::GridPartition;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// The warning drop-pairs sharding attaches to every shard report when
-/// it runs under a count policy: count windows close on shard-local
-/// arrivals, so the sharded windows cannot align with an unsharded run
-/// (or across shards). The `stream` subcommand's witness gate coerces
-/// such runs to time windows and, under `--strict`, turns the coercion
-/// into a hard error.
-pub const COUNT_WINDOW_SHARD_WARNING: &str =
-    "count windows close on shard-local arrivals: sharded windows do not align \
-     with an unsharded run (use a time or adaptive policy for exact agreement)";
-
 /// How sharded execution treats feasible pairs that cross cell
 /// boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ShardStrategy {
-    /// Route every entity to the cell owning its location and run the
-    /// shards fully independently: cross-boundary pairs are silently
-    /// dropped. Exact only on
+    /// Route every entity to the cell owning its location and step the
+    /// cells independently: cross-boundary pairs are silently dropped.
+    /// Exact only on
     /// [shard-disjoint](ArrivalStream::is_shard_disjoint) input; the
     /// cheapest mode, and the baseline the halo protocol's recovered
     /// utility is measured against.
@@ -64,21 +57,18 @@ pub enum ShardStrategy {
 }
 
 /// Runs `stream` sharded by `partition` under the
-/// [`DropPairs`](ShardStrategy::DropPairs) strategy: one independent
-/// driver per cell, each on its own scoped thread sharing the one
-/// `engine`. Cross-boundary pairs are never formed — use
+/// [`DropPairs`](ShardStrategy::DropPairs) strategy: one stepper per
+/// cell, sharing the one `engine`, drives the cell's share of every
+/// window. Cross-boundary pairs are never formed — use
 /// [`run_sharded_halo`] (or [`run_sharded_with`]) when the workload is
 /// not shard-disjoint; the halo protocol and its guarantees are
 /// documented in `ARCHITECTURE.md` ("Sharding & the halo protocol").
 ///
-/// Every shard is forced onto the same window sequence: the global
-/// stream horizon is injected into each shard's configuration, so
-/// [`WindowPolicy::ByTime`](crate::WindowPolicy::ByTime) windows line
-/// up across shards (and with an
-/// unsharded run of the same configuration). With a time policy and a
-/// [shard-disjoint](ArrivalStream::is_shard_disjoint) stream, the
-/// merged totals equal the unsharded run's exactly — asserted by the
-/// crate's equivalence tests.
+/// Every shard steps the same window sequence — the unsharded run's,
+/// cut once over the whole stream — so with a
+/// [shard-disjoint](ArrivalStream::is_shard_disjoint) stream the
+/// merged totals equal the unsharded run's exactly under every window
+/// policy, asserted by the crate's equivalence tests.
 ///
 /// # Examples
 ///
@@ -114,7 +104,6 @@ pub fn run_sharded(
 ) -> ShardedReport {
     run_sharded_with(engine, stream, cfg, partition, ShardStrategy::DropPairs)
 }
-
 /// Runs `stream` sharded by `partition` under the boundary-halo
 /// protocol ([`ShardStrategy::Halo`]): cross-boundary pairs are
 /// recovered by replicating boundary workers into every cell their
@@ -166,8 +155,9 @@ pub fn run_sharded_halo(
 }
 
 /// Runs `stream` sharded by `partition` under an explicit
-/// [`ShardStrategy`]. [`run_sharded`] and [`run_sharded_halo`] are the
-/// two named conveniences.
+/// [`ShardStrategy`]: the stream's events into a [`ShardedSession`],
+/// then `close`. [`run_sharded`] and [`run_sharded_halo`] are the two
+/// named conveniences.
 pub fn run_sharded_with(
     engine: &dyn AssignmentEngine,
     stream: &ArrivalStream,
@@ -175,185 +165,34 @@ pub fn run_sharded_with(
     partition: &GridPartition,
     strategy: ShardStrategy,
 ) -> ShardedReport {
-    run_sharded_pooled(engine, stream, cfg, partition, strategy, None)
-}
-
-/// [`run_sharded_with`] with an explicit worker-pool size.
-///
-/// `pool` bounds the number of OS threads executing shard jobs
-/// (`None` = one per available core). The report is **byte-identical
-/// for every pool size**: each shard's run is a deterministic function
-/// of its sub-stream alone, and results land in a slot fixed by shard
-/// index, so neither the thread that ran a shard nor the order shards
-/// finished is observable — pinned across pool sizes 1/2/8 by the
-/// scale-properties suite. The knob only applies to static-policy
-/// [`DropPairs`](ShardStrategy::DropPairs) runs; adaptive drop-pairs
-/// and the halo protocol window globally and coordinate shards
-/// sequentially, so they drain a [`ShardedSession`] (`push* → close`)
-/// and ignore it.
-pub fn run_sharded_pooled(
-    engine: &dyn AssignmentEngine,
-    stream: &ArrivalStream,
-    cfg: &StreamConfig,
-    partition: &GridPartition,
-    strategy: ShardStrategy,
-    pool: Option<usize>,
-) -> ShardedReport {
-    if strategy == ShardStrategy::DropPairs && !matches!(cfg.policy, WindowPolicy::Adaptive(_)) {
-        return run_drop_pairs(engine, stream, cfg, partition, pool);
-    }
     let mut session = ShardedSession::new(engine, cfg.clone(), partition, strategy);
-    for &e in stream.events() {
-        session.push(e);
-    }
+    // A built stream already holds what `push` checks (stream order,
+    // valid times, ids unique per kind), and the session closes before
+    // any later push could repeat an id, so the former takes it whole.
+    session.former.load(stream);
     session.close()
-}
-
-/// The independent-drivers implementation behind static-policy
-/// [`ShardStrategy::DropPairs`]: a deterministic work-stealing pool.
-///
-/// Populated shards become jobs in one shared queue, ordered largest
-/// first (longest-processing-time): under static striping one hotspot
-/// cell landing late in a thread's stripe serializes the whole run,
-/// while here every idle thread steals the next-heaviest remaining
-/// shard, so the makespan approaches the max(shard, total/threads)
-/// lower bound on skewed input. Determinism is by construction, not by
-/// scheduling: each shard's report is a pure function of its sub-stream
-/// and the shared configuration, and reports land in `slots[k]` keyed
-/// by shard index — which thread ran a shard, and in which order shards
-/// finished, is unobservable in the merged output.
-fn run_drop_pairs(
-    engine: &dyn AssignmentEngine,
-    stream: &ArrivalStream,
-    cfg: &StreamConfig,
-    partition: &GridPartition,
-    pool: Option<usize>,
-) -> ShardedReport {
-    let horizon = cfg.horizon.unwrap_or_else(|| stream.horizon());
-    let shard_cfg = StreamConfig {
-        horizon: Some(horizon),
-        ..cfg.clone()
-    };
-    let sub_streams = stream.shard(partition);
-
-    // Empty cells cost nothing: no job, no drive, an empty report.
-    // Heaviest shards first (ties broken by shard index, so the queue
-    // order itself is deterministic).
-    let mut jobs: Vec<usize> = sub_streams
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !s.events().is_empty())
-        .map(|(k, _)| k)
-        .collect();
-    jobs.sort_by_key(|&k| (std::cmp::Reverse(sub_streams[k].events().len()), k));
-    let threads = jobs.len().min(
-        pool.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(8)
-        })
-        .max(1),
-    );
-
-    let mut slots: Vec<Option<StreamReport>> = sub_streams
-        .iter()
-        .map(|_| {
-            Some(StreamReport {
-                engine: engine.name().to_string(),
-                ..StreamReport::default()
-            })
-        })
-        .collect();
-    if threads > 0 {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let driven: Vec<(usize, StreamReport)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let jobs = &jobs;
-                    let next = &next;
-                    let sub_streams = &sub_streams;
-                    let shard_cfg = &shard_cfg;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&k) = jobs.get(i) else { break };
-                            let driver = StreamDriver::new(engine, shard_cfg.clone());
-                            out.push((k, driver.run(&sub_streams[k])));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        });
-        for (k, report) in driven {
-            slots[k] = Some(report);
-        }
-    }
-    let mut shards: Vec<StreamReport> = slots.into_iter().map(|s| s.expect("shard ran")).collect();
-    warn_count_windows(&cfg.policy, &mut shards);
-    ShardedReport { shards }
-}
-
-/// Count windows close on shard-local arrivals and silently misalign
-/// across shards: attaches [`COUNT_WINDOW_SHARD_WARNING`] to every
-/// populated shard's report of a multi-shard count-policy run.
-fn warn_count_windows(policy: &WindowPolicy, shards: &mut [StreamReport]) {
-    if matches!(policy, WindowPolicy::ByCount { .. }) && shards.len() > 1 {
-        for s in shards
-            .iter_mut()
-            .filter(|s| s.task_arrivals > 0 || s.worker_arrivals > 0)
-        {
-            s.warnings.push(COUNT_WINDOW_SHARD_WARNING.to_string());
-        }
-    }
-}
-
-/// Shard `k`'s view of a globally-formed window: the same span, holding
-/// only the tasks and workers whose locations the cell owns. Relative
-/// event order is preserved.
-fn project_window(window: &Window, partition: &GridPartition, k: usize) -> Window {
-    Window {
-        index: window.index,
-        start: window.start,
-        end: window.end,
-        tasks: window
-            .tasks
-            .iter()
-            .filter(|t| partition.shard_of(&t.task.location) == k)
-            .copied()
-            .collect(),
-        workers: window
-            .workers
-            .iter()
-            .filter(|w| partition.shard_of(&w.worker.location) == k)
-            .copied()
-            .collect(),
-    }
 }
 
 /// The push-based counterpart of [`run_sharded_with`]: one durable
 /// session over a spatial partition, fed events one at a time.
 ///
-/// `push(event)` routes by the entity's location, `advance_to(t)`
-/// declares the global event-time watermark, `poll_outcomes()` drains
-/// the typed [`Outcome`] log of every shard, and `close()` settles the
-/// per-shard [`ShardedReport`]. [`run_sharded_with`] is exactly
-/// `push* → close` over this session for the halo protocol and for
-/// adaptive drop-pairs, and draining a pre-built stream reproduces its
-/// work-stealing static drop-pairs runner bit for bit (the crash-resume
-/// suite pins this). Like [`StreamSession`](crate::StreamSession), a
-/// mid-run session can be captured with [`snapshot`](Self::snapshot)
-/// and reopened with [`restore`](Self::restore). The execution mode
-/// follows strategy and policy: independent per-shard sessions for
-/// static drop-pairs policies; otherwise one global window former whose
-/// windows the window stepper drives — one one-cell stepper per shard
-/// on the shard's projection of each window for adaptive drop-pairs,
-/// one stepper over the whole partition for [`ShardStrategy::Halo`].
+/// `push(event)` buffers the event in the session's one window former,
+/// `advance_to(t)` declares the global event-time watermark and drives
+/// every window that closes before it, `poll_outcomes()` drains the
+/// typed [`Outcome`] log of every shard, and `close()` settles the
+/// per-shard [`ShardedReport`]. [`run_sharded_with`] drains a built
+/// stream through this session. Like
+/// [`StreamSession`](crate::StreamSession), a mid-run session can be
+/// captured with [`snapshot`](Self::snapshot) and reopened with
+/// [`restore`](Self::restore).
+///
+/// Every window goes through the window stepper: one stepper over the
+/// whole partition under [`ShardStrategy::Halo`], one one-cell stepper
+/// per shard under drop-pairs, each fed its cell's share of the window.
+/// Drop-pairs cells are independent, so under a static policy they step
+/// every window a call makes ready in parallel; under an adaptive
+/// policy they step window by window, since the controller reads their
+/// merged feedback before the next cut.
 ///
 /// # Examples
 ///
@@ -392,84 +231,24 @@ pub struct ShardedSession<'e, 'p> {
     cfg: StreamConfig,
     partition: &'p GridPartition,
     strategy: ShardStrategy,
-    watermark: f64,
     task_ids: BTreeSet<u32>,
     worker_ids: BTreeSet<u32>,
-    /// `None` once closed.
-    mode: Option<Mode<'e>>,
-    /// Outcomes the close emitted, pollable after it.
-    residual: Vec<Outcome>,
+    former: WindowFormer,
+    /// The window steppers (see [`core_partitions`]); `None` once
+    /// closed.
+    cores: Option<Vec<HaloCore<'e>>>,
+    /// Outcomes the close emitted, pollable after it, in the steppers'
+    /// per-window chunks.
+    residual: Vec<Vec<Outcome>>,
 }
 
-/// The sharded execution modes.
-enum Mode<'e> {
-    /// Static drop-pairs policies: fully independent per-shard
-    /// sessions, the global span injected at close (the work-stealing
-    /// runner's horizon injection).
-    PerShard {
-        shards: Vec<StreamSession<'e>>,
-        /// Events routed to each shard so far — only shards that
-        /// received input are horizon-extended and watermarked (empty
-        /// cells must close to empty reports, exactly like the
-        /// work-stealing runner's undriven slots).
-        received: Vec<usize>,
-        max_event_time: f64,
-    },
-    /// One global former cuts every window, fed the merged signals of
-    /// its steppers (see [`core_partitions`]).
-    Global {
-        former: WindowFormer,
-        cores: Vec<HaloCore<'e>>,
-    },
-}
-
-impl<'e> Mode<'e> {
-    /// A global-former mode restored from its windower and steppers.
-    fn global(
-        engine: &'e dyn AssignmentEngine,
-        cfg: &StreamConfig,
-        strategy: ShardStrategy,
-        partition: &GridPartition,
-        windower: &FormerSnapshot,
-        cores: &[HaloSnapshot],
-    ) -> Result<Self, SnapshotError> {
-        let parts = core_partitions(strategy, partition).into_iter();
-        Ok(Mode::Global {
-            former: WindowFormer::from_snapshot(cfg.policy, cfg.horizon, windower)?,
-            cores: parts
-                .zip(cores)
-                .map(|(part, c)| HaloCore::from_snapshot(engine, cfg.clone(), part, c))
-                .collect::<Result<_, _>>()?,
-        })
-    }
-}
-
-/// The partitions of a global-former session's steppers: the whole
-/// partition under the halo protocol, one cell per shard under adaptive
-/// drop-pairs, whose shard `k` steps the windows' projection onto cell
-/// `k` ([`project_window`]).
+/// The partitions of a sharded session's steppers: the whole partition
+/// under the halo protocol, one cell per shard under drop-pairs, whose
+/// stepper `k` steps the windows' share of cell `k` ([`split_window`]).
 fn core_partitions(strategy: ShardStrategy, partition: &GridPartition) -> Vec<GridPartition> {
     match strategy {
         ShardStrategy::Halo => vec![*partition],
         ShardStrategy::DropPairs => vec![one_cell(); partition.n_shards()],
-    }
-}
-
-/// Whether `strategy` under `policy` runs independent per-shard
-/// sessions: static drop-pairs policies do, everything else windows
-/// globally.
-fn per_shard(strategy: ShardStrategy, policy: &WindowPolicy) -> bool {
-    strategy == ShardStrategy::DropPairs && !matches!(policy, WindowPolicy::Adaptive(_))
-}
-
-/// Per-shard sessions never see the user's horizon directly: the
-/// work-stealing runner injects the *global* span into populated shards
-/// only, so the wrapper strips the horizon at construction and injects
-/// it via [`StreamSession::extend_horizon`] at close.
-fn per_shard_config(cfg: &StreamConfig) -> StreamConfig {
-    StreamConfig {
-        horizon: None,
-        ..cfg.clone()
     }
 }
 
@@ -491,33 +270,19 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             "worker_capacity must be positive"
         );
         cfg.service.validate();
-        let n = partition.n_shards();
-        let mode = if per_shard(strategy, &cfg.policy) {
-            Mode::PerShard {
-                shards: (0..n)
-                    .map(|_| StreamSession::new(engine, per_shard_config(&cfg)))
-                    .collect(),
-                received: vec![0; n],
-                max_event_time: 0.0,
-            }
-        } else {
-            Mode::Global {
-                former: WindowFormer::new(cfg.policy, cfg.horizon),
-                cores: core_partitions(strategy, partition)
-                    .into_iter()
-                    .map(|part| HaloCore::new(engine, cfg.clone(), part))
-                    .collect(),
-            }
-        };
+        let cores = core_partitions(strategy, partition)
+            .into_iter()
+            .map(|part| HaloCore::new(engine, cfg.clone(), part))
+            .collect();
         ShardedSession {
             engine,
+            former: WindowFormer::new(cfg.policy, cfg.horizon),
             cfg,
             partition,
             strategy,
-            watermark: 0.0,
             task_ids: BTreeSet::new(),
             worker_ids: BTreeSet::new(),
-            mode: Some(mode),
+            cores: Some(cores),
             residual: Vec::new(),
         }
     }
@@ -529,92 +294,56 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
 
     /// The current global event-time watermark.
     pub fn now(&self) -> f64 {
-        self.watermark
+        self.former.watermark
     }
 
-    /// Feeds one arrival event, routed to the shard owning its
+    /// Feeds one arrival event; its shard is the cell owning its
     /// location. Panics under the same invariants as
     /// [`StreamSession::push`](crate::StreamSession::push) — ids are
     /// unique per entity kind *globally*, across shards.
     pub fn push(&mut self, event: ArrivalEvent) {
+        assert!(self.cores.is_some(), "push on a closed session");
         let t = event.time();
         assert!(
             t.is_finite() && t >= 0.0,
             "arrival time must be finite and >= 0, got {t}"
         );
         assert!(
-            t >= self.watermark,
+            t >= self.former.watermark,
             "late arrival: event at t = {t} is below the watermark {} \
              (its window may already be driven)",
-            self.watermark
+            self.former.watermark
         );
         let fresh = match &event {
             ArrivalEvent::Task(a) => self.task_ids.insert(a.id),
             ArrivalEvent::Worker(a) => self.worker_ids.insert(a.id),
         };
         assert!(fresh, "arrival ids must be unique per entity kind");
-        let partition = self.partition;
-        match self.mode.as_mut().expect("push on a closed session") {
-            Mode::PerShard {
-                shards,
-                received,
-                max_event_time,
-            } => {
-                *max_event_time = max_event_time.max(t);
-                let loc = match &event {
-                    ArrivalEvent::Task(a) => a.task.location,
-                    ArrivalEvent::Worker(a) => a.worker.location,
-                };
-                let k = partition.shard_of(&loc);
-                shards[k].push(event);
-                received[k] += 1;
-            }
-            Mode::Global { former, .. } => former.push(event),
-        }
+        self.former.push(event);
     }
 
     /// Advances the global watermark to `t` (monotone; lower values are
     /// no-ops) and drives every window that closes before it, in every
     /// shard.
     pub fn advance_to(&mut self, t: f64) {
-        assert!(self.mode.is_some(), "advance_to on a closed session");
+        let cores = self.cores.as_mut().expect("advance_to on a closed session");
         assert!(
             t.is_finite() && t >= 0.0,
             "watermark must be finite, got {t}"
         );
-        if t <= self.watermark {
+        if t <= self.former.watermark {
             return;
         }
-        self.watermark = t;
-        let (partition, strategy) = (self.partition, self.strategy);
-        match self.mode.as_mut().expect("mode present") {
-            Mode::PerShard {
-                shards, received, ..
-            } => {
-                for (k, s) in shards.iter_mut().enumerate() {
-                    if received[k] > 0 {
-                        s.advance_to(t);
-                    }
-                }
-            }
-            Mode::Global { former, cores } => {
-                former.advance(t);
-                drive_global(former, cores, partition, strategy, false);
-            }
-        }
+        self.former.advance(t);
+        drive(&mut self.former, cores, self.partition, false);
     }
 
-    /// Drains the typed outcome log accumulated since the last poll:
-    /// the halo stepper's log, or every shard's in shard order.
+    /// Drains the typed outcome log accumulated since the last poll,
+    /// stepper by stepper.
     pub fn poll_outcomes(&mut self) -> Vec<Outcome> {
-        match self.mode.as_mut() {
-            None => std::mem::take(&mut self.residual),
-            Some(Mode::PerShard { shards, .. }) => {
-                shards.iter_mut().flat_map(|s| s.poll_outcomes()).collect()
-            }
-            Some(Mode::Global { cores, .. }) => {
-                cores.iter_mut().flat_map(|c| c.drain_outcomes()).collect()
-            }
+        match self.cores.as_mut() {
+            None => std::mem::take(&mut self.residual).concat(),
+            Some(cores) => cores.iter_mut().flat_map(|c| c.drain_outcomes()).collect(),
         }
     }
 
@@ -622,91 +351,33 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
     /// included) and settles the per-shard reports. Outcomes emitted
     /// while closing stay pollable. Panics if called twice.
     pub fn close(&mut self) -> ShardedReport {
-        let mode = self.mode.take().expect("close on a closed session");
-        match mode {
-            Mode::PerShard {
-                mut shards,
-                received,
-                max_event_time,
-            } => {
-                // The work-stealing runner's horizon injection: every
-                // populated shard is forced onto the window grid of the
-                // *global* span, so windows line up across shards.
-                let inject = self
-                    .cfg
-                    .horizon
-                    .unwrap_or_else(|| max_event_time.max(self.watermark));
-                let mut reports = Vec::with_capacity(shards.len());
-                for (k, s) in shards.iter_mut().enumerate() {
-                    if received[k] > 0 {
-                        s.extend_horizon(inject);
-                    }
-                    reports.push(s.close());
-                    self.residual.extend(s.poll_outcomes());
-                }
-                warn_count_windows(&self.cfg.policy, &mut reports);
-                ShardedReport { shards: reports }
-            }
-            Mode::Global {
-                mut former,
-                mut cores,
-            } => {
-                drive_global(&mut former, &mut cores, self.partition, self.strategy, true);
-                let mut shards = Vec::with_capacity(self.partition.n_shards());
-                for mut core in cores {
-                    self.residual.extend(core.drain_outcomes());
-                    shards.extend(core.finish().shards);
-                }
-                ShardedReport { shards }
-            }
+        let mut cores = self.cores.take().expect("close on a closed session");
+        drive(&mut self.former, &mut cores, self.partition, true);
+        // Settling builds each stepper's id-ordered report maps, and the
+        // steppers are independent: they settle on the fan-out pool.
+        let settled = fan_out(cores, |mut core| (core.take_outcomes(), core.finish()));
+        let mut shards = Vec::with_capacity(self.partition.n_shards());
+        for (outcomes, report) in settled {
+            self.residual.extend(outcomes);
+            shards.extend(report.shards);
         }
+        ShardedReport { shards }
     }
 
-    /// Captures the sharded session's full state — every shard's
-    /// windower and pipeline state, or the window steppers' global
-    /// protocol state — as a versioned [`ShardedSnapshot`]. Panics on a
-    /// closed session.
+    /// Captures the sharded session's full state — the window former
+    /// and every stepper — as a versioned [`ShardedSnapshot`]. Panics
+    /// on a closed session.
     ///
-    /// Unlike a [`StreamSession`] snapshot, it leaves the unpolled
-    /// outcome log out, so that a session nobody polls does not write
-    /// its whole history into every snapshot: poll before taking one. A
-    /// restored session's log starts empty.
+    /// Unlike a [`StreamSession`](crate::StreamSession) snapshot, it
+    /// leaves the unpolled outcome log out, so that a session nobody
+    /// polls does not write its whole history into every snapshot: poll
+    /// before taking one. A restored session's log starts empty.
     pub fn snapshot(&self) -> ShardedSnapshot {
-        let mode = self.mode.as_ref().expect("snapshot on a closed session");
-        let unlogged = |mut core: HaloSnapshot| {
-            core.outcomes.clear();
-            core
-        };
-        let mode_snap = match mode {
-            Mode::PerShard {
-                shards,
-                max_event_time,
-                ..
-            } => ShardedModeSnapshot::PerShard {
-                shards: shards
-                    .iter()
-                    .map(|s| {
-                        let mut snap = s.snapshot();
-                        snap.core = unlogged(snap.core);
-                        snap
-                    })
-                    .collect(),
-                max_event_time: *max_event_time,
-            },
-            Mode::Global { former, cores } => {
-                let windower = former.snapshot();
-                let mut cores = cores.iter().map(|c| unlogged(c.snapshot()));
-                match self.strategy {
-                    ShardStrategy::Halo => ShardedModeSnapshot::Halo {
-                        windower,
-                        core: cores.next().expect("a halo session has one stepper"),
-                    },
-                    ShardStrategy::DropPairs => ShardedModeSnapshot::Lockstep {
-                        windower,
-                        cores: cores.collect(),
-                    },
-                }
-            }
+        let cores = self.cores.as_ref().expect("snapshot on a closed session");
+        let unlogged = |core: &HaloCore| {
+            let mut snap = core.snapshot();
+            snap.outcomes.clear();
+            snap
         };
         ShardedSnapshot {
             version: SNAPSHOT_VERSION,
@@ -714,10 +385,10 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             config: self.cfg.clone(),
             strategy: self.strategy,
             n_shards: self.partition.n_shards(),
-            watermark: self.watermark,
             task_ids: self.task_ids.clone(),
             worker_ids: self.worker_ids.clone(),
-            mode: mode_snap,
+            windower: self.former.snapshot(),
+            cores: cores.iter().map(unlogged).collect(),
         }
     }
 
@@ -736,98 +407,120 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         snapshot: &ShardedSnapshot,
     ) -> Result<Self, SnapshotError> {
         snapshot.validate(engine.name(), &cfg, partition.n_shards(), strategy)?;
-        let n = partition.n_shards();
-        let bad_len = |what: &str| {
-            Err(SnapshotError::Malformed(format!(
-                "sharded snapshot's {what} does not cover every shard of the partition"
-            )))
-        };
-        let per_shard = per_shard(strategy, &cfg.policy);
-        let mode = match (&snapshot.mode, strategy) {
-            (
-                ShardedModeSnapshot::PerShard {
-                    shards,
-                    max_event_time,
-                },
-                _,
-            ) if per_shard => {
-                if shards.len() != n {
-                    return bad_len("per-shard session list");
-                }
-                let received = shards.iter().map(|s| s.n_tasks + s.n_workers).collect();
-                let sessions = shards
-                    .iter()
-                    .map(|s| StreamSession::restore(engine, per_shard_config(&cfg), s))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Mode::PerShard {
-                    shards: sessions,
-                    received,
-                    max_event_time: *max_event_time,
-                }
-            }
-            (ShardedModeSnapshot::Lockstep { windower, cores }, ShardStrategy::DropPairs)
-                if !per_shard =>
-            {
-                if cores.len() != n {
-                    return bad_len("stepper list");
-                }
-                Mode::global(engine, &cfg, strategy, partition, windower, cores)?
-            }
-            (ShardedModeSnapshot::Halo { windower, core }, ShardStrategy::Halo) => {
-                let cores = std::slice::from_ref(core);
-                Mode::global(engine, &cfg, strategy, partition, windower, cores)?
-            }
-            _ => {
-                return Err(SnapshotError::Malformed(
-                    "snapshot execution mode does not match the strategy/policy mode".to_string(),
-                ))
-            }
-        };
+        let parts = core_partitions(strategy, partition);
+        if snapshot.cores.len() != parts.len() {
+            return Err(SnapshotError::Malformed(format!(
+                "sharded snapshot holds {} steppers, its strategy runs {}",
+                snapshot.cores.len(),
+                parts.len()
+            )));
+        }
+        let cores = parts.into_iter().zip(&snapshot.cores);
+        let cores = cores
+            .map(|(part, c)| HaloCore::from_snapshot(engine, cfg.clone(), part, c))
+            .collect::<Result<_, _>>()?;
         Ok(ShardedSession {
             engine,
+            former: WindowFormer::from_snapshot(cfg.policy, cfg.horizon, &snapshot.windower)?,
             cfg,
             partition,
             strategy,
-            watermark: snapshot.watermark,
             task_ids: snapshot.task_ids.clone(),
             worker_ids: snapshot.worker_ids.clone(),
-            mode: Some(mode),
+            cores: Some(cores),
             residual: Vec::new(),
         })
     }
 }
 
-/// The global drive loop shared by `advance_to` and `close`: step every
-/// ready window through every stepper — projected onto its cell under
-/// adaptive drop-pairs — and feed the merged signals back, so the cut
-/// sequence equals the unsharded run's on shard-disjoint input bit for
-/// bit.
-fn drive_global(
+/// The drive loop shared by `advance_to` and `close`: steps every
+/// ready window through every stepper, so the cut sequence equals the
+/// unsharded run's on shard-disjoint input bit for bit.
+///
+/// One stepper (the halo protocol, or a one-cell partition) steps each
+/// window whole. Drop-pairs steppers step their cell's share of it:
+/// window by window under an adaptive policy, whose controller reads
+/// their merged feedback before the next cut; otherwise the former cuts
+/// every ready window first and the steppers, independent of each
+/// other, go through their shares on one bounded pool, heaviest share
+/// first.
+fn drive(
     former: &mut WindowFormer,
     cores: &mut [HaloCore],
     partition: &GridPartition,
-    strategy: ShardStrategy,
     drain: bool,
 ) {
-    former.drive(drain, |window, cut| {
-        let signals: Vec<StepSignals> = cores
-            .iter_mut()
-            .enumerate()
-            .map(|(k, core)| match strategy {
-                ShardStrategy::Halo => core.step_window(window, cut),
-                ShardStrategy::DropPairs => {
-                    core.step_window(&project_window(window, partition, k), cut)
-                }
-            })
-            .collect();
-        StepSignals::merge(&signals)
-    });
+    if let [core] = cores {
+        former.drive(drain, |window, cut| {
+            StepSignals::merge(&[core.step_window(window, cut)])
+        });
+    } else if former.adaptive() {
+        former.drive(drain, |window, cut| {
+            let shares = split_window(window, partition);
+            let signals: Vec<StepSignals> = cores
+                .iter_mut()
+                .zip(shares)
+                .map(|(core, share)| core.step_window(&share, cut))
+                .collect();
+            StepSignals::merge(&signals)
+        });
+    } else {
+        let mut shares: Vec<Vec<(Window, WindowCutDecision)>> =
+            cores.iter().map(|_| Vec::new()).collect();
+        while let Some(window) = former.next_ready(drain) {
+            let cut = former.last_decision;
+            for (k, share) in split_window(&window, partition).into_iter().enumerate() {
+                shares[k].push((share, cut));
+            }
+        }
+        let weight = |share: &[(Window, WindowCutDecision)]| {
+            share
+                .iter()
+                .map(|(w, _)| w.tasks.len() + w.workers.len())
+                .sum::<usize>()
+        };
+        // A call that makes no window ready starts no thread.
+        let mut jobs: Vec<_> = cores.iter_mut().zip(shares).collect();
+        jobs.retain(|(_, share)| !share.is_empty());
+        jobs.sort_by_key(|(_, share)| std::cmp::Reverse(weight(share)));
+        fan_out(jobs, |(core, share)| {
+            for (window, cut) in &share {
+                core.step_window(window, *cut);
+            }
+        });
+    }
+}
+
+/// Every cell's share of a globally cut window, in one pass: the same
+/// span, holding only the tasks and workers whose locations the cell
+/// owns, in their window order.
+fn split_window(window: &Window, partition: &GridPartition) -> Vec<Window> {
+    let mut shares: Vec<Window> = (0..partition.n_shards())
+        .map(|_| Window {
+            index: window.index,
+            start: window.start,
+            end: window.end,
+            tasks: Vec::new(),
+            workers: Vec::new(),
+        })
+        .collect();
+    for t in &window.tasks {
+        shares[partition.shard_of(&t.task.location)].tasks.push(*t);
+    }
+    for w in &window.workers {
+        shares[partition.shard_of(&w.worker.location)]
+            .workers
+            .push(*w);
+    }
+    shares
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::StreamDriver;
     use crate::event::{ArrivalEvent, TaskArrival, WorkerArrival};
+    use crate::session::StreamSession;
     use crate::window::WindowPolicy;
     use dpta_core::{Method, Task, Worker};
     use dpta_spatial::{Aabb, Point};

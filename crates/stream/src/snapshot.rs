@@ -33,8 +33,11 @@
 //! window stepper's state — a flat session writes it as a one-cell
 //! stepper, inline at its top level, with the unpolled outcome log
 //! inside and no separate residual log, and adaptive drop-pairs writes
-//! one one-cell stepper per shard. Older snapshots are rejected with
-//! [`SnapshotError::VersionMismatch`].)
+//! one one-cell stepper per shard; v7 gave static drop-pairs the same
+//! shape as adaptive drop-pairs — one global windower and one one-cell
+//! stepper per shard, as plain fields of the sharded snapshot — and
+//! dropped the ledger rows' `reserved` field. Older snapshots are
+//! rejected with [`SnapshotError::VersionMismatch`].)
 //!
 //! # Exactly-once across restart
 //!
@@ -56,7 +59,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeSet;
 
 /// Current snapshot format version, embedded in every snapshot.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// The full serializable state of a [`StreamSession`] at a window
 /// boundary, produced by [`StreamSession::snapshot`] and consumed by
@@ -246,41 +249,13 @@ pub struct ShardedSnapshot {
     pub(crate) config: StreamConfig,
     pub(crate) strategy: ShardStrategy,
     pub(crate) n_shards: usize,
-    pub(crate) watermark: f64,
     pub(crate) task_ids: BTreeSet<u32>,
     pub(crate) worker_ids: BTreeSet<u32>,
-    pub(crate) mode: ShardedModeSnapshot,
-}
-
-/// Per-execution-mode state inside a [`ShardedSnapshot`], mirroring the
-/// sharded session's run modes.
-// One per snapshot, never collected — variant size skew is harmless.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum ShardedModeSnapshot {
-    /// Independent per-shard sessions (static drop-pairs policies).
-    PerShard {
-        /// One full session snapshot per shard, in shard order.
-        shards: Vec<SessionSnapshot>,
-        /// Largest event time pushed so far, for horizon injection at
-        /// close.
-        max_event_time: f64,
-    },
-    /// One global windower over one one-cell stepper per shard
-    /// (adaptive drop-pairs).
-    Lockstep {
-        /// The shared global windower.
-        windower: FormerSnapshot,
-        /// The steppers' state, in shard order.
-        cores: Vec<HaloSnapshot>,
-    },
-    /// One global windower over the halo stepper.
-    Halo {
-        /// The shared global windower.
-        windower: FormerSnapshot,
-        /// The stepper's state.
-        core: HaloSnapshot,
-    },
+    /// The global window former.
+    pub(crate) windower: FormerSnapshot,
+    /// The window steppers, in shard order: one under the halo
+    /// protocol, one per shard under drop-pairs.
+    pub(crate) cores: Vec<HaloSnapshot>,
 }
 
 impl ShardedSnapshot {

@@ -6,8 +6,7 @@
 //! threshold — plus an *adaptive* latency-targeting controller
 //! ([`WindowPolicy::Adaptive`]). One incremental former,
 //! [`WindowFormer`], cuts the windows for every driving mode: flat
-//! sessions, per-shard and adaptive drop-pairs, and the halo
-//! protocol.
+//! sessions, drop-pairs and the halo protocol.
 //!
 //! Static cuts are pure functions of the event timestamps; the
 //! adaptive policy is a *feedback loop* — the stepper hands realized
@@ -17,7 +16,7 @@
 //! runs stay bit-for-bit reproducible and the sharded/halo equivalence
 //! gates keep holding.
 
-use crate::event::{ArrivalEvent, TaskArrival, WorkerArrival};
+use crate::event::{ArrivalEvent, ArrivalStream, TaskArrival, WorkerArrival};
 use crate::metrics::{WindowCutDecision, WindowFeedback};
 use crate::snapshot::SnapshotError;
 use serde::{Deserialize, Serialize};
@@ -497,6 +496,12 @@ impl WindowFormer {
         Ok(w)
     }
 
+    /// Whether cuts wait on feedback: an adaptive controller reads each
+    /// driven window's signals before the next cut.
+    pub(crate) fn adaptive(&self) -> bool {
+        self.controller.is_some()
+    }
+
     pub(crate) fn observe(&mut self, fb: &WindowFeedback) {
         if let Some(c) = self.controller.as_mut() {
             c.observe(fb);
@@ -535,6 +540,15 @@ impl WindowFormer {
             pos -= 1;
         }
         self.buffer.insert(pos, event);
+    }
+
+    /// Appends a built stream, whose events are already in stream
+    /// order, to a former nothing has been pushed to.
+    pub(crate) fn load(&mut self, stream: &ArrivalStream) {
+        debug_assert!(self.buffer.is_empty(), "load into a fed former");
+        self.buffer.extend(stream.events());
+        self.any_input |= !stream.events().is_empty();
+        self.max_event_time = self.max_event_time.max(stream.horizon());
     }
 
     /// Last instant the window sequence must cover once closing.

@@ -14,10 +14,11 @@
 //!   The oracle is the set of cross-path equivalences that were pinned
 //!   *before* interning landed: drain ≡ push-session, flat ≡ sharded
 //!   on shard-disjoint input, repeat ≡ first run.
-//! * **work-stealing determinism** — sharded execution is
-//!   byte-identical across pool sizes 1/2/8/auto and across repeated
-//!   runs, including on an adversarially skewed hotspot-cell stream
-//!   where job-stealing order genuinely varies between runs.
+//! * **parallel drive determinism** — sharded execution is
+//!   byte-identical however its windows are batched into parallel
+//!   drives and across repeated runs, including on an adversarially
+//!   skewed hotspot-cell stream where the order threads take cells in
+//!   genuinely varies between runs.
 //! * **wire-format stability** — the committed v1 session snapshot
 //!   still parses and round-trips byte-identically, and snapshots key
 //!   everything by *logical* id: intern symbols (first-insertion
@@ -27,9 +28,9 @@
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
 use dpta_stream::{
-    run_sharded_halo, run_sharded_pooled, AdaptivePolicy, ArrivalEvent, ArrivalStream, Outcome,
-    SessionSnapshot, ShardStrategy, ShardedReport, StreamConfig, StreamDriver, StreamSession,
-    TaskArrival, TaskFate, WindowPolicy, WorkerArrival,
+    run_sharded, run_sharded_halo, AdaptivePolicy, ArrivalEvent, ArrivalStream, Outcome,
+    SessionSnapshot, ShardStrategy, ShardedReport, ShardedSession, StreamConfig, StreamDriver,
+    StreamSession, TaskArrival, TaskFate, WindowPolicy, WorkerArrival,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -246,44 +247,33 @@ proptest! {
                     &format!("{method}/{policy:?} halo"),
                 );
 
-                // Drop-pairs shards window independently: exact under
-                // a time grid and under the lockstep adaptive runner,
-                // structurally misaligned under count windows (the
-                // runner says so itself via its shard warning).
-                let dropped = run_sharded_pooled(
-                    engine.as_ref(), &stream, &cfg, &part,
-                    ShardStrategy::DropPairs, None,
+                // Drop-pairs steps every cell through its share of the
+                // unsharded run's windows, so it is exact under every
+                // policy on disjoint input.
+                let dropped = run_sharded(engine.as_ref(), &stream, &cfg, &part);
+                prop_assert_eq!(
+                    merge_fates(&dropped), flat.fates.clone(),
+                    "{}/{:?}: drop-pairs fates diverged", method, policy
                 );
-                if matches!(policy, WindowPolicy::ByCount { .. }) {
-                    prop_assert!(
-                        dropped.shards.iter().any(|s| !s.warnings.is_empty()),
-                        "count-window sharding must carry its misalignment warning"
-                    );
-                } else {
+                assert_spend_exact(
+                    &merge_spend(&dropped), &flat.spend_by_worker,
+                    &format!("{method}/{policy:?} drop-pairs"),
+                );
+                // Window cuts line up shard by shard: every driven
+                // shard walks the same (start, end) grid as flat.
+                for (k, shard) in dropped.shards.iter().enumerate() {
+                    if shard.task_arrivals + shard.worker_arrivals == 0 {
+                        continue;
+                    }
                     prop_assert_eq!(
-                        merge_fates(&dropped), flat.fates.clone(),
-                        "{}/{:?}: drop-pairs fates diverged", method, policy
+                        shard.windows.len(), flat.windows.len(),
+                        "{}/{:?}: shard {} window count", method, policy, k
                     );
-                    assert_spend_exact(
-                        &merge_spend(&dropped), &flat.spend_by_worker,
-                        &format!("{method}/{policy:?} drop-pairs"),
-                    );
-                    // Window cuts line up shard by shard: every driven
-                    // shard walks the same (start, end) grid as flat.
-                    for (k, shard) in dropped.shards.iter().enumerate() {
-                        if shard.task_arrivals + shard.worker_arrivals == 0 {
-                            continue;
-                        }
-                        prop_assert_eq!(
-                            shard.windows.len(), flat.windows.len(),
-                            "{}/{:?}: shard {} window count", method, policy, k
-                        );
-                        for (a, b) in shard.windows.iter().zip(&flat.windows) {
-                            prop_assert_eq!(a.index, b.index);
-                            prop_assert_eq!(a.start.to_bits(), b.start.to_bits());
-                            prop_assert_eq!(a.end.to_bits(), b.end.to_bits());
-                            prop_assert_eq!(a.cut, b.cut, "{}: shard {}", method, k);
-                        }
+                    for (a, b) in shard.windows.iter().zip(&flat.windows) {
+                        prop_assert_eq!(a.index, b.index);
+                        prop_assert_eq!(a.start.to_bits(), b.start.to_bits());
+                        prop_assert_eq!(a.end.to_bits(), b.end.to_bits());
+                        prop_assert_eq!(a.cut, b.cut, "{}: shard {}", method, k);
                     }
                 }
             }
@@ -291,7 +281,7 @@ proptest! {
     }
 }
 
-// ── Work-stealing determinism ───────────────────────────────────────
+// ── Parallel drive determinism ──────────────────────────────────────
 
 /// An adversarially skewed stream: ~90 % of all entities crowd into
 /// one hotspot cell, the rest sprinkle over the other 15 cells of a
@@ -325,13 +315,15 @@ fn hotspot_stream() -> ArrivalStream {
     ArrivalStream::new(events)
 }
 
-/// Work-stealing shard execution must be byte-identical across pool
-/// sizes 1/2/8/auto and across repeated runs — on a hotspot-skewed
-/// stream where the steal order genuinely differs run to run. The
+/// Sharded drop-pairs execution must be byte-identical however the
+/// windows reach the parallel drive — all at once at close, or in
+/// batches of whatever windows each `advance_to` makes ready — and
+/// across repeated runs, on a hotspot-skewed stream where the order in
+/// which threads take cells genuinely differs run to run. The
 /// comparison is on the full debug rendering of the timing-stripped
 /// report, so any bit difference in any float anywhere fails.
 #[test]
-fn work_stealing_reports_are_identical_across_pool_sizes_and_runs() {
+fn sharded_reports_are_identical_across_drive_batches_and_runs() {
     let stream = hotspot_stream();
     let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 100.0, 100.0), 4, 4);
     let cfg = StreamConfig {
@@ -339,38 +331,27 @@ fn work_stealing_reports_are_identical_across_pool_sizes_and_runs() {
         ..StreamConfig::default()
     };
     let engine = Method::Puce.engine(&cfg.params);
-    let reference = run_sharded_pooled(
-        engine.as_ref(),
-        &stream,
-        &cfg,
-        &part,
-        ShardStrategy::DropPairs,
-        Some(1),
-    )
-    .without_timing();
-    assert!(reference.matched() > 0, "hotspot stream matched nothing");
-    let rendered = format!("{reference:?}");
-    for pool in [Some(1), Some(2), Some(8), None] {
-        for rep in 0..2 {
-            let run = run_sharded_pooled(
-                engine.as_ref(),
-                &stream,
-                &cfg,
-                &part,
-                ShardStrategy::DropPairs,
-                pool,
-            )
-            .without_timing();
-            assert_eq!(
-                run, reference,
-                "pool {pool:?} rep {rep}: structural difference"
-            );
-            assert_eq!(
-                format!("{run:?}"),
-                rendered,
-                "pool {pool:?} rep {rep}: byte-level difference"
-            );
+    let batch = || run_sharded(engine.as_ref(), &stream, &cfg, &part).without_timing();
+    let advanced = || {
+        let mut session = ShardedSession::new(
+            engine.as_ref(),
+            cfg.clone(),
+            &part,
+            ShardStrategy::DropPairs,
+        );
+        for (i, &e) in stream.events().iter().enumerate() {
+            session.push(e);
+            if i % 50 == 49 {
+                session.advance_to(e.time());
+            }
         }
+        session.close().without_timing()
+    };
+    let reference = format!("{:?}", batch());
+    assert!(batch().matched() > 0, "hotspot stream matched nothing");
+    for rep in 0..2 {
+        assert_eq!(format!("{:?}", batch()), reference, "batch rep {rep}");
+        assert_eq!(format!("{:?}", advanced()), reference, "session rep {rep}");
     }
 }
 
