@@ -604,9 +604,8 @@ impl WindowFormer {
         // Boundaries are `k·width`, never accumulated addition: for
         // widths with no exact binary representation an accumulated
         // `end + width` drifts off the grid after a few windows, and
-        // the independent per-shard formers of static drop-pairs runs
-        // would then disagree with each other (and with an unsharded
-        // run) about boundary-timed events.
+        // boundary-timed events would then land in windows their
+        // timestamps alone do not predict.
         let start = self.index as f64 * width;
         let end = (self.index + 1) as f64 * width;
         // Fail fast on degenerate widths instead of grinding through
