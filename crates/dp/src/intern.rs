@@ -1,32 +1,21 @@
-//! Dense id interning for the streaming hot path.
+//! Deterministic hashing and dense-symbol scratch tables for the
+//! streaming hot path.
 //!
 //! The streaming stack keys everything by sparse logical ids (`u32`
-//! task/worker ids, `u64` composite keys). At 10⁵+ entities the
-//! hash-keyed maps over those ids dominate window-build time: every
-//! probe pays a SipHash over a value that is already an integer. An
-//! [`Interner`] assigns each logical id a dense `u32` *symbol* on first
-//! sight, so per-entity state can live in plain `Vec`s indexed by
-//! symbol while serialization, iteration order, and every observable
-//! artefact stay keyed by the logical id.
-//!
-//! Two invariants matter for determinism and the snapshot wire format:
-//!
-//! * **Symbols are an implementation detail.** Nothing serialized,
-//!   logged, or compared across runs may depend on symbol values —
-//!   canonical forms always re-sort by logical id. The fixture test in
-//!   `dpta-stream` pins this byte-for-byte.
-//! * **Symbols are assigned in first-insertion order** and never reused,
-//!   so within one run a symbol is a stable handle (the same property
-//!   the slot-based [`Ledger`](crate::Ledger) relies on).
-//!
-//! The module also provides [`FastMap`]/[`FastSet`] aliases using a
-//! deterministic multiplicative hasher ([`FastHasher`]) for integer
-//! keys. `SipHash` is overkill for ids we generate ourselves; a
-//! fixed-key Fibonacci mix is ~5× cheaper per probe and — unlike
-//! `RandomState` — hashes identically in every process, which keeps any
-//! accidental iteration-order dependence from becoming a cross-run
+//! task/worker ids, `u64` composite keys). [`FastMap`]/[`FastSet`]
+//! alias the std hash containers with a deterministic multiplicative
+//! hasher ([`FastHasher`]) for such integer keys. `SipHash` is
+//! overkill for ids we generate ourselves; a fixed-key Fibonacci mix
+//! is ~5× cheaper per probe and — unlike `RandomState` — hashes
+//! identically in every process, which keeps any accidental
+//! iteration-order dependence from becoming a cross-run
 //! nondeterminism. (Canonical artefacts still must not iterate these
-//! maps raw.)
+//! maps raw: they re-sort by logical id.)
+//!
+//! [`EpochTable`] is a `Vec`-backed scratch table indexed by dense
+//! [`Sym`] symbols. Symbols are an implementation detail: nothing
+//! serialized, logged, or compared across runs may depend on their
+//! values.
 
 // dpta-lint: allow(deterministic-containers) -- backing store for FastMap/FastSet, pinned to the fixed-key FastHasher below
 use std::collections::{HashMap, HashSet};
@@ -102,90 +91,8 @@ pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 // dpta-lint: allow(deterministic-containers) -- this alias IS the sanctioned deterministic wrapper
 pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
-/// A dense symbol minted by an [`Interner`]; indexes `Vec`-backed side
-/// tables. Symbols order by first-insertion, not by logical id.
+/// A dense symbol: the index of an [`EpochTable`] entry.
 pub type Sym = u32;
-
-/// Interns sparse `u64` logical ids into dense [`Sym`] symbols.
-///
-/// Lookup is one [`FastHasher`] probe; the reverse direction
-/// ([`Interner::resolve`]) is a `Vec` index. Symbols are assigned
-/// contiguously from 0 in first-insertion order and never reused.
-#[derive(Debug, Clone, Default)]
-pub struct Interner {
-    index: FastMap<u64, Sym>,
-    ids: Vec<u64>,
-}
-
-impl Interner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty interner with room for `cap` ids before rehashing.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            index: FastMap::with_capacity_and_hasher(cap, Default::default()),
-            ids: Vec::with_capacity(cap),
-        }
-    }
-
-    /// The symbol for `id`, minting a fresh one on first sight.
-    #[inline]
-    pub fn intern(&mut self, id: u64) -> Sym {
-        if let Some(&sym) = self.index.get(&id) {
-            return sym;
-        }
-        let sym = self.ids.len() as Sym;
-        self.index.insert(id, sym);
-        self.ids.push(id);
-        sym
-    }
-
-    /// The symbol for `id` if it has been interned.
-    #[inline]
-    pub fn get(&self, id: u64) -> Option<Sym> {
-        self.index.get(&id).copied()
-    }
-
-    /// The logical id behind `sym`.
-    ///
-    /// # Panics
-    /// If `sym` was not minted by this interner.
-    #[inline]
-    pub fn resolve(&self, sym: Sym) -> u64 {
-        self.ids[sym as usize]
-    }
-
-    /// Number of distinct ids interned.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether no ids have been interned.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// All interned logical ids in symbol (first-insertion) order.
-    #[inline]
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
-    }
-}
-
-impl FromIterator<u64> for Interner {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        let mut interner = Interner::new();
-        for id in iter {
-            interner.intern(id);
-        }
-        interner
-    }
-}
 
 /// A per-window scratch table mapping symbols to `V`, cleared in O(set
 /// bits) between windows via an epoch stamp instead of a full wipe.
@@ -276,20 +183,6 @@ impl<V> EpochTable<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn interner_mints_dense_symbols_in_first_insertion_order() {
-        let mut int = Interner::new();
-        assert_eq!(int.intern(900), 0);
-        assert_eq!(int.intern(3), 1);
-        assert_eq!(int.intern(900), 0);
-        assert_eq!(int.intern(41), 2);
-        assert_eq!(int.len(), 3);
-        assert_eq!(int.ids(), &[900, 3, 41]);
-        assert_eq!(int.resolve(1), 3);
-        assert_eq!(int.get(41), Some(2));
-        assert_eq!(int.get(7), None);
-    }
 
     #[test]
     fn fast_hasher_is_deterministic_and_spreads_consecutive_ids() {

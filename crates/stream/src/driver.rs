@@ -3,7 +3,7 @@
 //!
 //! Since the session redesign this module is a *drain loop*:
 //! [`StreamDriver::run`] opens a push-based
-//! [`StreamSession`](crate::StreamSession), feeds it the pre-built
+//! [`StreamSession`](crate::StreamSession), hands it the pre-built
 //! stream and closes it. All pipeline semantics — windowing, warm
 //! starts, lifetime accounting, task TTL, worker re-entry — live in
 //! the window stepper (`crate::halo`); this module keeps the
@@ -434,6 +434,24 @@ impl StreamConfig {
         )
     }
 
+    /// The invariants every session and driver constructor asserts:
+    /// a positive TTL, budget group and capacity, and a valid service
+    /// model. Panics on the first violation.
+    pub(crate) fn assert_runnable(&self) {
+        assert!(self.task_ttl >= 1, "task_ttl must be at least 1");
+        assert!(
+            self.budget_group_size >= 1,
+            "budget group must be non-empty"
+        );
+        assert!(
+            self.worker_capacity > 0.0,
+            "worker_capacity must be positive"
+        );
+        if let Err(message) = self.service.check() {
+            panic!("{message}");
+        }
+    }
+
     /// Validates every knob, returning the offending field on failure.
     /// [`StreamConfigBuilder::build`] funnels through this; session and
     /// driver constructors assert the same invariants.
@@ -513,38 +531,11 @@ impl StreamConfig {
         if self.task_ttl == 0 {
             return err("task_ttl", "task_ttl must be at least 1".to_string());
         }
-        match self.service {
-            ServiceModel::Never => {}
-            ServiceModel::Fixed { secs } => {
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return err(
-                        "service",
-                        format!("service duration must be positive and finite, got {secs}"),
-                    );
-                }
-            }
-            ServiceModel::PerTripKm { secs_per_km, .. } => {
-                if !(secs_per_km > 0.0 && secs_per_km.is_finite()) {
-                    return err(
-                        "service",
-                        format!("secs_per_km must be positive and finite, got {secs_per_km}"),
-                    );
-                }
-            }
-            ServiceModel::Jittered { secs, frac } => {
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return err(
-                        "service",
-                        format!("service duration must be positive and finite, got {secs}"),
-                    );
-                }
-                if !(0.0..1.0).contains(&frac) {
-                    return err(
-                        "service",
-                        format!("jitter fraction must lie in [0, 1), got {frac}"),
-                    );
-                }
-            }
+        if let Err(message) = self.service.check() {
+            return Err(ConfigError {
+                field: "service",
+                message,
+            });
         }
         if let Some(h) = self.horizon {
             if !(h > 0.0 && h.is_finite()) {
@@ -824,15 +815,10 @@ pub struct StreamDriver<'e> {
 
 impl<'e> StreamDriver<'e> {
     /// Creates a driver for `engine` under `cfg`. Panics on degenerate
-    /// configuration (zero TTL or an empty budget group).
+    /// configuration, as [`StreamSession::new`](crate::StreamSession::new)
+    /// does.
     pub fn new(engine: &'e dyn AssignmentEngine, cfg: StreamConfig) -> Self {
-        assert!(cfg.task_ttl >= 1, "task_ttl must be at least 1");
-        assert!(cfg.budget_group_size >= 1, "budget group must be non-empty");
-        assert!(
-            cfg.worker_capacity > 0.0,
-            "worker_capacity must be positive"
-        );
-        cfg.service.validate();
+        cfg.assert_runnable();
         StreamDriver { engine, cfg }
     }
 
@@ -843,15 +829,12 @@ impl<'e> StreamDriver<'e> {
 
     /// Replays the whole stream and returns the aggregate report — a
     /// thin drain loop over [`StreamSession`](crate::StreamSession):
-    /// push every event, close. The session runs the adaptive-window
-    /// feedback loop internally, so one shape drives all three
-    /// policies.
+    /// hand it the built stream, close. The session runs the
+    /// adaptive-window feedback loop internally, so one shape drives
+    /// all three policies.
     pub fn run(&self, stream: &ArrivalStream) -> StreamReport {
         let mut session = StreamSession::new(self.engine, self.cfg.clone());
-        session.reserve(stream.events().len());
-        for e in stream.events() {
-            session.push(*e);
-        }
+        session.0.load(stream);
         session.close()
     }
 }

@@ -214,7 +214,6 @@ impl<'e> HaloCore<'e> {
         cfg: StreamConfig,
         partition: GridPartition,
     ) -> Self {
-        cfg.service.validate();
         let n_shards = partition.n_shards();
         let warm = cfg.carry_releases && engine.supports_warm_start();
         let life = Lifecycle::new(&cfg, warm, partition);
@@ -232,16 +231,6 @@ impl<'e> HaloCore<'e> {
             carried: (0..n_shards).map(|_| None).collect(),
             outcomes: Vec::new(),
         }
-    }
-
-    /// The configuration this stepper runs under.
-    pub(crate) fn config(&self) -> &StreamConfig {
-        &self.cfg
-    }
-
-    /// Display name of the engine this stepper drives.
-    pub(crate) fn engine_name(&self) -> &str {
-        self.engine.name()
     }
 
     /// Drains the outcome log accumulated since the last drain.
@@ -659,10 +648,11 @@ impl<'e> HaloCore<'e> {
         }
     }
 
-    /// Captures the stepper's window-boundary state. The workers' cells
-    /// are *not* here — they are a pure function of the partition and
-    /// the serialized pool, rebuilt on restore.
-    pub(crate) fn snapshot(&self) -> HaloSnapshot {
+    /// Captures the stepper's window-boundary state, with the unpolled
+    /// outcome log when `log` is set. The workers' cells are *not* here
+    /// — they are a pure function of the partition and the serialized
+    /// pool, rebuilt on restore.
+    pub(crate) fn snapshot(&self, log: bool) -> HaloSnapshot {
         let life = &self.life;
         HaloSnapshot {
             shard_windows: self.shard_windows.clone(),
@@ -679,7 +669,11 @@ impl<'e> HaloCore<'e> {
             pace: life.pace.clone(),
             charged: self.charged.clone(),
             carried: self.carried.clone(),
-            outcomes: self.outcomes.concat(),
+            outcomes: if log {
+                self.outcomes.concat()
+            } else {
+                Vec::new()
+            },
         }
     }
 
@@ -741,10 +735,10 @@ impl<'e> HaloCore<'e> {
 }
 
 /// The serializable window-boundary state of a [`HaloCore`]: per-shard
-/// report accumulators plus the global protocol state and the unpolled
-/// outcome log. The workers' cells are deliberately absent — they are
-/// re-derived on restore from the partition (see
-/// [`HaloCore::from_snapshot`]).
+/// report accumulators plus the global protocol state and, when taken
+/// with it, the unpolled outcome log. The workers' cells are
+/// deliberately absent — they are re-derived on restore from the
+/// partition (see [`HaloCore::from_snapshot`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct HaloSnapshot {
     pub(crate) shard_windows: Vec<Vec<WindowReport>>,
@@ -1095,7 +1089,7 @@ mod tests {
         };
         assert!(!core.life.pool.is_empty());
         check(&core);
-        let snap = core.snapshot();
+        let snap = core.snapshot(true);
         let restored = HaloCore::from_snapshot(engine.as_ref(), cfg, partition, &snap);
         check(&restored.expect("a fresh snapshot restores"));
     }

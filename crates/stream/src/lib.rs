@@ -29,9 +29,10 @@
 //!   exhausted workers retire (or idle until reclamation), unserved
 //!   tasks carry over until a time-to-live expires, and a
 //!   [`ServiceModel`] returns matched workers to the pool after their
-//!   service duration (serve-and-leave is `ServiceModel::Never`). Every
-//!   session steps its windows through one window stepper; a flat
-//!   session is that stepper over a single cell;
+//!   service duration (serve-and-leave is `ServiceModel::Never`). It is
+//!   a thin wrapper over the one session type, [`ShardedSession`], on a
+//!   single cell: every session cuts its windows with one window former
+//!   and steps them through one window stepper;
 //! * [`StreamDriver`] — the batch-shaped drain loop over the session:
 //!   replays a pre-built stream to completion;
 //! * [`run_sharded`] / [`run_sharded_halo`] — partition the stream by
@@ -42,7 +43,9 @@
 //!   ([`ShardStrategy::Halo`]) additionally recovers cross-boundary
 //!   pairs via halo membership and a deterministic reconciliation
 //!   pass, staying near-exact on general input. [`ShardedSession`] is
-//!   their push-based form, with the same typed [`Outcome`] log.
+//!   their push-based form, with the same typed [`Outcome`] log, and
+//!   its [`ShardedSnapshot`] (alias [`SessionSnapshot`]) makes any
+//!   session durable.
 //!
 //! Everything is deterministic in the seed: budget vectors and noise
 //! draws are keyed by *logical* entity ids rather than per-window

@@ -18,12 +18,13 @@
 //! * [`close`](StreamSession::close) — drive the remaining windows and
 //!   settle the aggregate [`StreamReport`](crate::StreamReport).
 //!
-//! `StreamDriver::run` and the sharded runners are thin `push* → close`
-//! drain loops over this session or a
-//! [`ShardedSession`](crate::ShardedSession). Every session cuts its
-//! windows with the one [`WindowFormer`] and steps them through the one
-//! window stepper, [`HaloCore`] — over a single cell here — so every
-//! driving mode shares one set of window/budget/fate semantics.
+//! `StreamSession` is a [`ShardedSession`] over one cell: it holds no
+//! state of its own and only delegates, except that its snapshots
+//! carry the unpolled outcome log. `StreamDriver::run` and the sharded
+//! runners hand a built stream to the one session and close it. Every
+//! session cuts its windows with one window former and steps them
+//! through the one window stepper (`HaloCore`), so every driving mode
+//! shares one set of window/budget/fate semantics.
 //!
 //! # Worker re-entry
 //!
@@ -39,15 +40,16 @@
 
 use crate::driver::StreamConfig;
 use crate::event::ArrivalEvent;
-use crate::halo::{one_cell, HaloCore};
-use crate::lifecycle::StepSignals;
+use crate::halo::one_cell;
 use crate::metrics::StreamReport;
-use crate::snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use crate::window::WindowFormer;
+use crate::shard::{ShardStrategy, ShardedSession};
+use crate::snapshot::{SessionSnapshot, SnapshotError};
 use dpta_core::{AssignmentEngine, Board};
-use dpta_dp::{FastMap, Interner};
+use dpta_dp::FastMap;
+use dpta_spatial::GridPartition;
 use dpta_workloads::ValueModel;
 use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 
 /// How long a matched worker is held in service before re-entering the
 /// pool.
@@ -155,27 +157,29 @@ impl ServiceModel {
         }
     }
 
-    pub(crate) fn validate(&self) {
+    /// Why the model is degenerate, if it is: a non-positive or
+    /// non-finite duration or rate, or a jitter fraction outside
+    /// `[0, 1)`.
+    pub(crate) fn check(&self) -> Result<(), String> {
         match *self {
-            ServiceModel::Never => {}
-            ServiceModel::Fixed { secs } => assert!(
-                secs > 0.0 && secs.is_finite(),
-                "service duration must be positive and finite, got {secs}"
-            ),
-            ServiceModel::PerTripKm { secs_per_km, .. } => assert!(
-                secs_per_km > 0.0 && secs_per_km.is_finite(),
-                "secs_per_km must be positive and finite, got {secs_per_km}"
-            ),
-            ServiceModel::Jittered { secs, frac } => {
-                assert!(
-                    secs > 0.0 && secs.is_finite(),
+            ServiceModel::Fixed { secs } | ServiceModel::Jittered { secs, .. }
+                if !(secs > 0.0 && secs.is_finite()) =>
+            {
+                Err(format!(
                     "service duration must be positive and finite, got {secs}"
-                );
-                assert!(
-                    (0.0..1.0).contains(&frac),
-                    "jitter fraction must lie in [0, 1), got {frac}"
-                );
+                ))
             }
+            ServiceModel::PerTripKm { secs_per_km, .. }
+                if !(secs_per_km > 0.0 && secs_per_km.is_finite()) =>
+            {
+                Err(format!(
+                    "secs_per_km must be positive and finite, got {secs_per_km}"
+                ))
+            }
+            ServiceModel::Jittered { frac, .. } if !(0.0..1.0).contains(&frac) => {
+                Err(format!("jitter fraction must lie in [0, 1), got {frac}"))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -327,8 +331,9 @@ fn carry_map(old: &[u32], new: &[u32]) -> Vec<Option<u32>> {
 
 /// The push-based streaming interface: feed arrival events, advance
 /// the event-time watermark, poll typed [`Outcome`]s, close for the
-/// aggregate report. [`StreamDriver::run`](crate::StreamDriver::run)
-/// is exactly `push* → close` over a pre-built stream.
+/// aggregate report. It is a [`ShardedSession`] over one cell, under
+/// drop-pairs. [`StreamDriver::run`](crate::StreamDriver::run) is
+/// exactly `push* → close` over a pre-built stream.
 ///
 /// # Watermark contract
 ///
@@ -376,60 +381,32 @@ fn carry_map(old: &[u32], new: &[u32]) -> Vec<Option<u32>> {
 /// let report = session.close();
 /// assert_eq!(report.matched(), 1);
 /// ```
-pub struct StreamSession<'e> {
-    core: Option<HaloCore<'e>>,
-    former: WindowFormer,
-    /// Outcomes the close emitted, pollable after it.
-    residual: Vec<Outcome>,
-    n_tasks: usize,
-    n_workers: usize,
-    /// Arrival ids seen so far, interned to dense symbols — the
-    /// uniqueness check is one hash probe however many entities the
-    /// stream has carried.
-    task_ids: Interner,
-    worker_ids: Interner,
-}
+pub struct StreamSession<'e>(pub(crate) ShardedSession<'e, 'static>);
+
+/// The partition of every flat session: one cell.
+static ONE_CELL: LazyLock<GridPartition> = LazyLock::new(one_cell);
 
 impl<'e> StreamSession<'e> {
     /// Opens a session for `engine` under `cfg`. Panics on degenerate
     /// configuration (zero TTL, empty budget group, non-positive
-    /// capacity or window knobs).
+    /// capacity, service or window knobs).
     pub fn new(engine: &'e dyn AssignmentEngine, cfg: StreamConfig) -> Self {
-        assert!(cfg.task_ttl >= 1, "task_ttl must be at least 1");
-        assert!(cfg.budget_group_size >= 1, "budget group must be non-empty");
-        assert!(
-            cfg.worker_capacity > 0.0,
-            "worker_capacity must be positive"
-        );
-        let former = WindowFormer::new(cfg.policy, cfg.horizon);
-        StreamSession {
-            core: Some(HaloCore::new(engine, cfg, one_cell())),
-            former,
-            residual: Vec::new(),
-            n_tasks: 0,
-            n_workers: 0,
-            task_ids: Interner::new(),
-            worker_ids: Interner::new(),
-        }
+        StreamSession(ShardedSession::new(
+            engine,
+            cfg,
+            &ONE_CELL,
+            ShardStrategy::DropPairs,
+        ))
     }
 
-    /// The configuration this session runs under. Panics once closed.
+    /// The configuration this session runs under.
     pub fn config(&self) -> &StreamConfig {
-        self.core.as_ref().expect("session closed").config()
+        self.0.config()
     }
 
     /// The current event-time watermark.
     pub fn now(&self) -> f64 {
-        self.former.watermark
-    }
-
-    /// Pre-sizes the windower's event buffer for `additional` more
-    /// pushes. Purely an allocation hint: a drain over a pre-built
-    /// stream knows its length up front, and reserving once spares the
-    /// buffer its ~log n doubling copies on the way to 10⁵⁺ buffered
-    /// events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.former.buffer.reserve(additional);
+        self.0.now()
     }
 
     /// Feeds one arrival event. Panics on a non-finite or negative
@@ -439,56 +416,19 @@ impl<'e> StreamSession<'e> {
     /// [`ArrivalStream::new`](crate::ArrivalStream::new) enforces,
     /// checked incrementally.
     pub fn push(&mut self, event: ArrivalEvent) {
-        assert!(self.core.is_some(), "push on a closed session");
-        let t = event.time();
-        assert!(
-            t.is_finite() && t >= 0.0,
-            "arrival time must be finite and >= 0, got {t}"
-        );
-        assert!(
-            t >= self.former.watermark,
-            "late arrival: event at t = {t} is below the watermark {} \
-             (its window may already be driven)",
-            self.former.watermark
-        );
-        let fresh = match &event {
-            ArrivalEvent::Task(a) => {
-                self.n_tasks += 1;
-                let seen = self.task_ids.len();
-                self.task_ids.intern(u64::from(a.id)) as usize == seen
-            }
-            ArrivalEvent::Worker(a) => {
-                self.n_workers += 1;
-                let seen = self.worker_ids.len();
-                self.worker_ids.intern(u64::from(a.id)) as usize == seen
-            }
-        };
-        assert!(fresh, "arrival ids must be unique per entity kind");
-        self.former.push(event);
+        self.0.push(event);
     }
 
     /// Advances the watermark to `t` (monotone; lower values are
     /// no-ops) and drives every window that closes before it. Outcomes
     /// accumulate for [`poll_outcomes`](Self::poll_outcomes).
     pub fn advance_to(&mut self, t: f64) {
-        assert!(self.core.is_some(), "advance_to on a closed session");
-        assert!(
-            t.is_finite() && t >= 0.0,
-            "watermark must be finite, got {t}"
-        );
-        if t <= self.former.watermark {
-            return;
-        }
-        self.former.advance(t);
-        self.drive_ready(false);
+        self.0.advance_to(t);
     }
 
     /// Drains the typed outcome log accumulated since the last poll.
     pub fn poll_outcomes(&mut self) -> Vec<Outcome> {
-        match self.core.as_mut() {
-            Some(core) => core.drain_outcomes().collect(),
-            None => std::mem::take(&mut self.residual),
-        }
+        self.0.poll_outcomes()
     }
 
     /// Drives every remaining window (trailing empties included, up to
@@ -496,74 +436,34 @@ impl<'e> StreamSession<'e> {
     /// aggregate report. Outcomes emitted while closing stay pollable.
     /// Panics if called twice.
     pub fn close(&mut self) -> StreamReport {
-        assert!(self.core.is_some(), "close on a closed session");
-        self.drive_ready(true);
-        let mut core = self.core.take().expect("core present");
-        self.residual = core.drain_outcomes().collect();
-        let report = core.finish().shards.pop();
+        let report = self.0.close().shards.pop();
         report.expect("a one-cell run reports one shard")
     }
 
     /// Captures the session's full state — buffered events, watermark,
     /// adaptive-controller trajectory, pool/pending/in-service sets,
     /// the lifetime-budget ledger with its dedup set, carried protocol
-    /// boards, fates and per-window reports — as a versioned, stable
-    /// [`SessionSnapshot`]. Restoring it with
+    /// boards, fates, per-window reports and the unpolled outcome log —
+    /// as a versioned, stable [`SessionSnapshot`]. Restoring it with
     /// [`StreamSession::restore`] and draining reproduces the
-    /// uninterrupted run bit for bit. Panics on a closed session.
+    /// uninterrupted run bit for bit, outcome log included. Panics on a
+    /// closed session.
     pub fn snapshot(&self) -> SessionSnapshot {
-        let core = self.core.as_ref().expect("snapshot on a closed session");
-        SessionSnapshot {
-            version: SNAPSHOT_VERSION,
-            engine: core.engine_name().to_string(),
-            config: core.config().clone(),
-            windower: self.former.snapshot(),
-            core: core.snapshot(),
-            n_tasks: self.n_tasks,
-            n_workers: self.n_workers,
-            task_ids: self.task_ids.ids().iter().map(|&id| id as u32).collect(),
-            worker_ids: self.worker_ids.ids().iter().map(|&id| id as u32).collect(),
-        }
+        self.0.snapshot_with(true)
     }
 
     /// Reopens a session from a snapshot taken by
-    /// [`StreamSession::snapshot`]. The caller supplies the engine and
-    /// configuration; both must match what the snapshot was taken
-    /// under — a different snapshot format version is rejected as
-    /// [`SnapshotError::VersionMismatch`], and any differing
-    /// configuration field (engine, policy, capacity, service model,
-    /// ...) as [`SnapshotError::ConfigMismatch`] naming the field.
-    /// Everything derivable is reconstructed: budget generators from
-    /// the seed, and each window's instance from the restored
-    /// pool/pending order.
+    /// [`StreamSession::snapshot`], with the typed errors of
+    /// [`ShardedSession::restore`] over one cell: a snapshot of a
+    /// drop-pairs session over more cells is a `"partition"` mismatch,
+    /// one of a halo session a `"strategy"` mismatch.
     pub fn restore(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
         snapshot: &SessionSnapshot,
     ) -> Result<Self, SnapshotError> {
-        snapshot.validate(engine.name(), &cfg)?;
-        let former = WindowFormer::from_snapshot(cfg.policy, cfg.horizon, &snapshot.windower)?;
-        let core = HaloCore::from_snapshot(engine, cfg, one_cell(), &snapshot.core)?;
-        Ok(StreamSession {
-            core: Some(core),
-            former,
-            residual: Vec::new(),
-            n_tasks: snapshot.n_tasks,
-            n_workers: snapshot.n_workers,
-            task_ids: snapshot.task_ids.iter().map(|&id| u64::from(id)).collect(),
-            worker_ids: snapshot
-                .worker_ids
-                .iter()
-                .map(|&id| u64::from(id))
-                .collect(),
-        })
-    }
-
-    fn drive_ready(&mut self, drain: bool) {
-        let core = self.core.as_mut().expect("core present");
-        self.former.drive(drain, |w, cut| {
-            StepSignals::merge(&[core.step_window(w, cut)])
-        });
+        let strategy = ShardStrategy::DropPairs;
+        ShardedSession::restore(engine, cfg, &ONE_CELL, strategy, snapshot).map(StreamSession)
     }
 }
 

@@ -29,9 +29,9 @@ use crate::session::Outcome;
 use crate::snapshot::{ShardedSnapshot, SnapshotError, SNAPSHOT_VERSION};
 use crate::window::{Window, WindowFormer};
 use dpta_core::AssignmentEngine;
+use dpta_dp::FastSet;
 use dpta_spatial::GridPartition;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// How sharded execution treats feasible pairs that cross cell
 /// boundaries.
@@ -166,24 +166,23 @@ pub fn run_sharded_with(
     strategy: ShardStrategy,
 ) -> ShardedReport {
     let mut session = ShardedSession::new(engine, cfg.clone(), partition, strategy);
-    // A built stream already holds what `push` checks (stream order,
-    // valid times, ids unique per kind), and the session closes before
-    // any later push could repeat an id, so the former takes it whole.
-    session.former.load(stream);
+    session.load(stream);
     session.close()
 }
 
 /// The push-based counterpart of [`run_sharded_with`]: one durable
-/// session over a spatial partition, fed events one at a time.
+/// session over a spatial partition, fed events one at a time. It is
+/// the only session type: a flat
+/// [`StreamSession`](crate::StreamSession) is this session over one
+/// cell.
 ///
 /// `push(event)` buffers the event in the session's one window former,
 /// `advance_to(t)` declares the global event-time watermark and drives
 /// every window that closes before it, `poll_outcomes()` drains the
 /// typed [`Outcome`] log of every shard, and `close()` settles the
 /// per-shard [`ShardedReport`]. [`run_sharded_with`] drains a built
-/// stream through this session. Like
-/// [`StreamSession`](crate::StreamSession), a mid-run session can be
-/// captured with [`snapshot`](Self::snapshot) and reopened with
+/// stream through this session. A mid-run session can be captured with
+/// [`snapshot`](Self::snapshot) and reopened with
 /// [`restore`](Self::restore).
 ///
 /// Every window goes through the window stepper: one stepper over the
@@ -231,8 +230,10 @@ pub struct ShardedSession<'e, 'p> {
     cfg: StreamConfig,
     partition: &'p GridPartition,
     strategy: ShardStrategy,
-    task_ids: BTreeSet<u32>,
-    worker_ids: BTreeSet<u32>,
+    /// Arrival ids seen so far, per entity kind: the uniqueness check
+    /// is one hash probe however many entities the stream has carried.
+    task_ids: FastSet<u32>,
+    worker_ids: FastSet<u32>,
     former: WindowFormer,
     /// The window steppers (see [`core_partitions`]); `None` once
     /// closed.
@@ -255,21 +256,15 @@ fn core_partitions(strategy: ShardStrategy, partition: &GridPartition) -> Vec<Gr
 impl<'e, 'p> ShardedSession<'e, 'p> {
     /// Opens a sharded session for `engine` under `cfg`, partitioned by
     /// `partition` under `strategy`. Panics on degenerate configuration
-    /// (the same invariants as
-    /// [`StreamSession::new`](crate::StreamSession::new)).
+    /// (zero TTL, empty budget group, non-positive capacity, service or
+    /// window knobs).
     pub fn new(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
         partition: &'p GridPartition,
         strategy: ShardStrategy,
     ) -> Self {
-        assert!(cfg.task_ttl >= 1, "task_ttl must be at least 1");
-        assert!(cfg.budget_group_size >= 1, "budget group must be non-empty");
-        assert!(
-            cfg.worker_capacity > 0.0,
-            "worker_capacity must be positive"
-        );
-        cfg.service.validate();
+        cfg.assert_runnable();
         let cores = core_partitions(strategy, partition)
             .into_iter()
             .map(|part| HaloCore::new(engine, cfg.clone(), part))
@@ -280,8 +275,8 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             cfg,
             partition,
             strategy,
-            task_ids: BTreeSet::new(),
-            worker_ids: BTreeSet::new(),
+            task_ids: FastSet::default(),
+            worker_ids: FastSet::default(),
             cores: Some(cores),
             residual: Vec::new(),
         }
@@ -298,9 +293,12 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
     }
 
     /// Feeds one arrival event; its shard is the cell owning its
-    /// location. Panics under the same invariants as
-    /// [`StreamSession::push`](crate::StreamSession::push) — ids are
-    /// unique per entity kind *globally*, across shards.
+    /// location. Panics on a non-finite or negative timestamp, a
+    /// timestamp below the watermark (its window may already be
+    /// closed), a duplicate id within an entity kind — ids are unique
+    /// *globally*, across shards — or a closed session: the same
+    /// invariants [`ArrivalStream::new`] enforces, checked
+    /// incrementally.
     pub fn push(&mut self, event: ArrivalEvent) {
         assert!(self.cores.is_some(), "push on a closed session");
         let t = event.time();
@@ -320,6 +318,15 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         };
         assert!(fresh, "arrival ids must be unique per entity kind");
         self.former.push(event);
+    }
+
+    /// Hands a built stream to a session nothing has been pushed to. A
+    /// built stream already holds what `push` checks (stream order,
+    /// valid times, ids unique per kind), and the drain loops that call
+    /// this close the session before a later push could repeat an id,
+    /// so the former takes it whole and the id sets stay empty.
+    pub(crate) fn load(&mut self, stream: &ArrivalStream) {
+        self.former.load(stream);
     }
 
     /// Advances the global watermark to `t` (monotone; lower values are
@@ -364,20 +371,26 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         ShardedReport { shards }
     }
 
-    /// Captures the sharded session's full state — the window former
-    /// and every stepper — as a versioned [`ShardedSnapshot`]. Panics
-    /// on a closed session.
+    /// Captures the sharded session's full state — the window former,
+    /// every stepper and the seen ids — as a versioned
+    /// [`ShardedSnapshot`]. Panics on a closed session.
     ///
     /// Unlike a [`StreamSession`](crate::StreamSession) snapshot, it
     /// leaves the unpolled outcome log out, so that a session nobody
     /// polls does not write its whole history into every snapshot: poll
     /// before taking one. A restored session's log starts empty.
     pub fn snapshot(&self) -> ShardedSnapshot {
+        self.snapshot_with(false)
+    }
+
+    /// [`snapshot`](Self::snapshot), with the steppers' unpolled
+    /// outcome logs inside when `log` is set.
+    pub(crate) fn snapshot_with(&self, log: bool) -> ShardedSnapshot {
         let cores = self.cores.as_ref().expect("snapshot on a closed session");
-        let unlogged = |core: &HaloCore| {
-            let mut snap = core.snapshot();
-            snap.outcomes.clear();
-            snap
+        let ascending = |ids: &FastSet<u32>| {
+            let mut ids: Vec<u32> = ids.iter().copied().collect();
+            ids.sort_unstable();
+            ids
         };
         ShardedSnapshot {
             version: SNAPSHOT_VERSION,
@@ -385,20 +398,24 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             config: self.cfg.clone(),
             strategy: self.strategy,
             n_shards: self.partition.n_shards(),
-            task_ids: self.task_ids.clone(),
-            worker_ids: self.worker_ids.clone(),
             windower: self.former.snapshot(),
-            cores: cores.iter().map(unlogged).collect(),
+            cores: cores.iter().map(|core| core.snapshot(log)).collect(),
+            task_ids: ascending(&self.task_ids),
+            worker_ids: ascending(&self.worker_ids),
         }
     }
 
     /// Reopens a sharded session from a snapshot taken by
     /// [`ShardedSession::snapshot`]. Engine, configuration, strategy
     /// and partition shard count must all match what the snapshot was
-    /// taken under — mismatches are rejected with the same typed errors
-    /// as [`StreamSession::restore`](crate::StreamSession::restore),
-    /// with `"strategy"` and `"partition"` as additional
-    /// [`SnapshotError::ConfigMismatch`] fields.
+    /// taken under: a different snapshot format version is rejected as
+    /// [`SnapshotError::VersionMismatch`], and any differing engine,
+    /// configuration field (policy, capacity, service model, ...),
+    /// strategy or shard count as [`SnapshotError::ConfigMismatch`]
+    /// naming the first one (`"engine"`, the field's name,
+    /// `"strategy"`, `"partition"`). Everything derivable is
+    /// reconstructed: budget generators from the seed, and each
+    /// window's instances from the restored pool/pending order.
     pub fn restore(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
@@ -425,8 +442,8 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             cfg,
             partition,
             strategy,
-            task_ids: snapshot.task_ids.clone(),
-            worker_ids: snapshot.worker_ids.clone(),
+            task_ids: snapshot.task_ids.iter().copied().collect(),
+            worker_ids: snapshot.worker_ids.iter().copied().collect(),
             cores: Some(cores),
             residual: Vec::new(),
         })

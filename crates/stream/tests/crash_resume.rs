@@ -251,8 +251,7 @@ proptest! {
     // Sharded sessions: crash-and-resume is invisible for drop-pairs
     // and halo strategies under every window policy, advancing the
     // watermark before every push changes nothing, and the pushed
-    // session reproduces the batch runner of the same strategy (for
-    // static drop-pairs, the separate work-stealing runner).
+    // session reproduces the batch runner of the same strategy.
     #[test]
     fn sharded_resume_is_bit_identical(
         tasks in proptest::collection::vec(

@@ -1,6 +1,6 @@
 //! Properties of the million-entity scaling layer (PR 8): id
-//! interning, struct-of-arrays window building and work-stealing shard
-//! execution must all be *invisible* — pure speedups with no
+//! interning, struct-of-arrays window building and shard execution on
+//! the fan-out pool must all be *invisible* — pure speedups with no
 //! observable behaviour change.
 //!
 //! * **interning ≡ pre-interning semantics** — the interned pipeline
@@ -285,7 +285,7 @@ proptest! {
 
 /// An adversarially skewed stream: ~90 % of all entities crowd into
 /// one hotspot cell, the rest sprinkle over the other 15 cells of a
-/// 4×4 partition. Under work stealing the hotspot shard pins one
+/// 4×4 partition. On the fan-out pool the hotspot shard pins one
 /// thread while the others race through the sprinkle shards — the
 /// regime where which-thread-ran-what varies most between runs.
 fn hotspot_stream() -> ArrivalStream {
