@@ -332,8 +332,8 @@ fn carry_map(old: &[u32], new: &[u32]) -> Vec<Option<u32>> {
 /// The push-based streaming interface: feed arrival events, advance
 /// the event-time watermark, poll typed [`Outcome`]s, close for the
 /// aggregate report. It is a [`ShardedSession`] over one cell, under
-/// drop-pairs. [`StreamDriver::run`](crate::StreamDriver::run) is
-/// exactly `push* → close` over a pre-built stream.
+/// drop-pairs. [`StreamDriver::run`](crate::StreamDriver::run) hands
+/// it a pre-built stream whole and closes it.
 ///
 /// # Watermark contract
 ///
