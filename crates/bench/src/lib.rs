@@ -194,17 +194,6 @@ pub fn env_group(available_parallelism: usize, profile: &str) -> BTreeMap<String
     ])
 }
 
-/// The highest CPU in the `Cpus_allowed_list:` line of a Linux
-/// `/proc/<pid>/status` text (`0-3,8` → `8`): the CPU a pinned bench
-/// runs on. `None` when the line is missing or malformed.
-pub fn last_allowed_cpu(status: &str) -> Option<usize> {
-    let list = status
-        .lines()
-        .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))?;
-    let last = list.trim().rsplit(',').next()?;
-    last.rsplit('-').next()?.trim().parse().ok()
-}
-
 /// The entity count encoded in a sweep benchmark id's trailing
 /// `/n<count>` segment (`scale_sweep/drain/n10000` → `10000`).
 pub fn entity_scale(id: &str) -> Option<f64> {
@@ -341,16 +330,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn last_allowed_cpu_reads_the_affinity_list() {
-        let status = "Name:\tbench\nCpus_allowed:\t3\nCpus_allowed_list:\t0-1\n";
-        assert_eq!(last_allowed_cpu(status), Some(1));
-        assert_eq!(last_allowed_cpu("Cpus_allowed_list:\t0,2,4-7\n"), Some(7));
-        assert_eq!(last_allowed_cpu("Cpus_allowed_list:\t5\n"), Some(5));
-        assert_eq!(last_allowed_cpu("Name:\tbench\n"), None);
-        assert_eq!(last_allowed_cpu("Cpus_allowed_list:\t\n"), None);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use config::{
     CeaFallback, CompareMode, EngineConfig, Objective, ProposalAccounting, RunParams,
 };
 pub use dpta_dp::intern;
-pub use dpta_dp::{FastMap, FastSet, Sym};
+pub use dpta_dp::{FastMap, FastSet};
 pub use engine::{AssignmentEngine, BudgetRemaining, EngineTrace, Uncapped};
 pub use method::Method;
 pub use metrics::Measures;

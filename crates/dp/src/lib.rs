@@ -52,7 +52,7 @@ pub use budget::BudgetVector;
 pub use budgets::SeededBudgets;
 pub use diff::LaplaceDiff;
 pub use geo::{lambert_w_m1, PlanarLaplace};
-pub use intern::{EpochTable, FastMap, FastSet, Sym};
+pub use intern::{FastMap, FastSet};
 pub use laplace::Laplace;
 pub use ledger::{AccountId, Ledger};
 pub use noise::{NoiseSource, ScriptedNoise, SeededNoise};

@@ -776,8 +776,7 @@ pub(crate) struct PendingTask {
 /// Drives an arrival stream through one assignment engine.
 ///
 /// The driver borrows the engine — engines are immutable `Send + Sync`
-/// config holders, so the sharded runner can point many drivers at one
-/// boxed engine concurrently.
+/// config holders, so one boxed engine can serve many drivers.
 ///
 /// This is the batch-shaped convenience over the push-based
 /// [`StreamSession`](crate::StreamSession): [`run`](StreamDriver::run)

@@ -1,15 +1,17 @@
 //! The window stepper: one drive over a window's tasks and workers,
 //! cell by cell, and the boundary-halo protocol that reconciles cells.
 //!
-//! Every execution mode steps a window through [`HaloCore`]. A flat
-//! [`StreamSession`](crate::StreamSession) runs it over a one-cell
-//! partition ([`one_cell`]), drop-pairs runs one such core per shard
-//! on the shard's share of every window, and [`ShardStrategy::Halo`]
-//! runs one core over the whole partition. On one cell every worker's
-//! reach is that cell, no claim can conflict, and the first pass
-//! commits every claim: the drive is the paper's batch assignment over
-//! the window. On more cells the protocol below recovers the pairs
-//! that cross cell boundaries:
+//! Every execution mode steps a window through one [`HaloCore`], on
+//! the calling thread. A flat [`StreamSession`](crate::StreamSession)
+//! runs it over a one-cell partition ([`one_cell`]); a sharded session
+//! runs it over the whole partition, where the session's
+//! [`ShardStrategy`] picks each worker's cells. Under
+//! [`DropPairs`](ShardStrategy::DropPairs) a worker belongs to its home
+//! cell only, as on one cell: no claim can conflict, and the first pass
+//! commits every claim, so the drive is the paper's batch assignment
+//! over each cell's share of the window, and pairs that cross cell
+//! boundaries are never formed. Under [`Halo`](ShardStrategy::Halo)
+//! the protocol below recovers them:
 //!
 //! 1. **Halo membership.** Each window, every shard's instance holds
 //!    its own tasks plus every worker — interior *or foreign* — whose
@@ -72,14 +74,16 @@
 //! instances & halo reruns") documents the guarantees and their
 //! limits.
 //!
-//! [`ShardStrategy::Halo`]: crate::ShardStrategy::Halo
 //! [`ReleaseDedup`]: crate::driver::ReleaseDedup
 
 use crate::driver::{charge_novel, IdStableNoise, PendingTask, ReleaseDedup, StreamConfig};
 use crate::event::WorkerArrival;
-use crate::lifecycle::{Buckets, InService, Lifecycle, PaceState, StepSignals};
-use crate::metrics::{ShardedReport, StreamReport, TaskFate, WindowCutDecision, WindowReport};
+use crate::lifecycle::{Buckets, InService, Lifecycle, PaceState};
+use crate::metrics::{
+    ShardedReport, StreamReport, TaskFate, WindowCutDecision, WindowFeedback, WindowReport,
+};
 use crate::session::{CarriedBoard, Outcome};
+use crate::shard::ShardStrategy;
 use crate::snapshot::SnapshotError;
 use crate::window::Window;
 use dpta_core::{AssignmentEngine, Board, Instance, RunOutcome};
@@ -87,11 +91,10 @@ use dpta_dp::{FastMap, Ledger, SeededBudgets, SeededNoise};
 use dpta_spatial::{Aabb, GridPartition};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The partition of flat sessions and drop-pairs shards: one
-/// cell, the home and only reach of every worker, wherever it is.
+/// The partition of flat sessions: one cell, the home and only reach
+/// of every worker, wherever it is.
 pub(crate) fn one_cell() -> GridPartition {
     GridPartition::new(Aabb::from_extents(0.0, 0.0, 1.0, 1.0), 1, 1)
 }
@@ -164,19 +167,6 @@ struct Claim {
     col: usize,
 }
 
-/// The inputs of one shard run, assembled before the (possibly
-/// parallel) drive.
-struct PreparedRun {
-    shard: usize,
-    ents: ShardEntities,
-    inst: Instance,
-    board: Board,
-    pre_pubs: usize,
-    pre_cols: Vec<u32>,
-    /// Remaining lifetime budget per worker (finite caps only).
-    guard: Option<Vec<f64>>,
-}
-
 /// The window stepper's cross-window state, stepped one window at a
 /// time by a session's window former. [`HaloCore::snapshot`] /
 /// [`HaloCore::from_snapshot`] make a mid-run stepper durable — the
@@ -208,15 +198,17 @@ pub(crate) struct HaloCore<'e> {
 
 impl<'e> HaloCore<'e> {
     /// A fresh stepper for `engine` under `cfg` over the cells of
-    /// `partition`.
+    /// `partition`, whose workers belong to the cells `strategy` gives
+    /// them.
     pub(crate) fn new(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
         partition: GridPartition,
+        strategy: ShardStrategy,
     ) -> Self {
         let n_shards = partition.n_shards();
         let warm = cfg.carry_releases && engine.supports_warm_start();
-        let life = Lifecycle::new(&cfg, warm, partition);
+        let life = Lifecycle::new(&cfg, warm, partition, strategy);
         HaloCore {
             engine,
             cfg,
@@ -245,8 +237,12 @@ impl<'e> HaloCore<'e> {
     }
 
     /// One window: admit, propose, reconcile, settle. Returns the
-    /// window's stream-observable signals for the adaptive controller.
-    pub(crate) fn step_window(&mut self, window: &Window, cut: WindowCutDecision) -> StepSignals {
+    /// window's feedback for the adaptive controller.
+    pub(crate) fn step_window(
+        &mut self,
+        window: &Window,
+        cut: WindowCutDecision,
+    ) -> WindowFeedback {
         let HaloCore {
             engine,
             cfg,
@@ -379,8 +375,10 @@ impl<'e> HaloCore<'e> {
             );
             let rerun = passes > 1;
 
-            // (a) Run every flagged shard over its remaining entities.
-            let mut prepared: Vec<PreparedRun> = Vec::new();
+            // (a) Run every flagged shard over its remaining entities,
+            // in ascending shard id: finite caps gate on the ledger net
+            // of the window's pending spend, and the dedup set admits
+            // releases in drive order.
             for k in 0..n_shards {
                 if !std::mem::take(&mut needs_run[k]) {
                     continue;
@@ -410,36 +408,21 @@ impl<'e> HaloCore<'e> {
                     // there.
                     continue;
                 }
-                let guard = capped.then(|| cap_guard(life, &spend, &throttled, &ents.worker_at));
-                let p = prepare_run(k, ents, inst, &carried[k], warm, guard);
+                // The shard's pre-window board, carried onto its
+                // entities.
+                let board = match &carried[k] {
+                    Some(prev) if warm => prev.carry(&ents.task_ids, &ents.worker_ids),
+                    _ => Board::new(inst.n_tasks(), inst.n_workers()),
+                };
                 // A shard none of whose workers reaches another cell can
                 // lose no claim, so it never reruns this window: its
                 // pre-window board is done with. Freeing it before the
                 // drive lets the drive's board reuse its memory.
-                if p.ents.worker_at.iter().all(|&j| life.cells.home_only(j)) {
+                if ents.worker_at.iter().all(|&j| life.cells.home_only(j)) {
                     carried[k] = None;
                 }
-                if capped {
-                    // Finite caps gate on the ledger net of the window's
-                    // pending spend, so capped shard runs execute
-                    // sequentially in ascending shard id.
-                    let (run, dt) = drive_prepared(engine, cfg, p);
-                    account_run(&run, charged, &mut spend, &mut spent_at, &mut reports[k]);
-                    finish_run(k, run, dt, &mut reports, &mut claims, &mut last_run);
-                } else {
-                    prepared.push(p);
-                }
-            }
-            // Uncapped: inputs were fixed above, so the drives can fan
-            // out without changing the result. Charge accounting stays
-            // sequential in ascending shard order so the dedup set is
-            // deterministic.
-            let driven = fan_out(prepared, |p| {
-                let k = p.shard;
-                let (run, dt) = drive_prepared(engine, cfg, p);
-                (k, run, dt)
-            });
-            for (k, run, dt) in driven {
+                let guard = capped.then(|| cap_guard(life, &spend, &throttled, &ents.worker_at));
+                let (run, dt) = drive(engine, cfg, ents, &inst, board, guard);
                 account_run(&run, charged, &mut spend, &mut spent_at, &mut reports[k]);
                 finish_run(k, run, dt, &mut reports, &mut claims, &mut last_run);
             }
@@ -616,7 +599,7 @@ impl<'e> HaloCore<'e> {
         if !outcomes.is_empty() {
             log.push(outcomes);
         }
-        life.close(cfg, opened.ages)
+        life.close(cfg, &opened.ages)
     }
 
     /// Settles the remaining pending fates and assembles the per-shard
@@ -685,6 +668,7 @@ impl<'e> HaloCore<'e> {
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
         partition: GridPartition,
+        strategy: ShardStrategy,
         snap: &HaloSnapshot,
     ) -> Result<Self, SnapshotError> {
         let n_shards = partition.n_shards();
@@ -712,7 +696,7 @@ impl<'e> HaloCore<'e> {
                 "in-service set is not in (completion time, id) order".to_string(),
             ));
         }
-        let mut core = HaloCore::new(engine, cfg, partition);
+        let mut core = HaloCore::new(engine, cfg, partition, strategy);
         core.shard_windows = snap.shard_windows.clone();
         core.shard_fates = snap.shard_fates.clone();
         core.shard_tasks = snap.shard_tasks.clone();
@@ -840,108 +824,44 @@ fn cap_guard(
     worker_at.iter().map(|&j| guard(j)).collect()
 }
 
-/// Prepares shard `k`'s drive over `ents`, carrying protocol state
-/// from the shard's pre-window board onto its entities; `guard` is the
-/// drive's remaining-budget guard under a finite cap.
-fn prepare_run(
-    k: usize,
-    ents: ShardEntities,
-    inst: Instance,
-    carried: &Option<CarriedBoard>,
-    warm: bool,
-    guard: Option<Vec<f64>>,
-) -> PreparedRun {
-    let board = match carried {
-        Some(prev) if warm => prev.carry(&ents.task_ids, &ents.worker_ids),
-        _ => Board::new(inst.n_tasks(), inst.n_workers()),
-    };
-    PreparedRun {
-        shard: k,
-        pre_pubs: board.publications(),
-        pre_cols: board.column_publications().to_vec(),
-        ents,
-        inst,
-        board,
-        guard,
-    }
-}
-
-/// Drives one prepared shard run: warm engines resume (capped when a
-/// guard is set), one-shot engines assign from their fresh board.
-fn drive_prepared(
+/// Drives one shard run over `ents` from `board`, the shard's
+/// pre-window board carried onto them: warm engines resume (capped when
+/// a remaining-budget `guard` is set), one-shot engines assign from
+/// their fresh board.
+fn drive(
     engine: &dyn AssignmentEngine,
     cfg: &StreamConfig,
-    p: PreparedRun,
+    ents: ShardEntities,
+    inst: &Instance,
+    board: Board,
+    guard: Option<Vec<f64>>,
 ) -> (ShardRun, Duration) {
+    let pre_pubs = board.publications();
+    let pre_cols = board.column_publications().to_vec();
     let noise = IdStableNoise {
         base: SeededNoise::new(cfg.params.seed),
-        task_ids: &p.ents.task_ids,
-        worker_ids: &p.ents.worker_ids,
+        task_ids: &ents.task_ids,
+        worker_ids: &ents.worker_ids,
     };
     // dpta-lint: allow(no-wall-clock) -- drive_time is observability-only; no windowing or matching decision reads it
     let start = Instant::now();
     let outcome = if engine.supports_warm_start() {
-        match &p.guard {
-            Some(g) => engine.resume_capped(&p.inst, p.board, &noise, g),
-            None => engine.resume(&p.inst, p.board, &noise),
+        match &guard {
+            Some(g) => engine.resume_capped(inst, board, &noise, g),
+            None => engine.resume(inst, board, &noise),
         }
     } else {
-        let mut board = p.board;
-        engine.assign(&p.inst, &mut board, &noise)
+        let mut board = board;
+        engine.assign(inst, &mut board, &noise)
     };
     let dt = start.elapsed();
-    (
-        ShardRun {
-            ents: p.ents,
-            outcome,
-            pre_pubs: p.pre_pubs,
-            pre_cols: p.pre_cols,
-        },
-        dt,
-    )
-}
-
-/// Runs `work` over `jobs` on a bounded pool of threads and returns the
-/// results in job order. Idle threads take the next job in line, so
-/// callers list their heaviest jobs first. The pool holds at most one
-/// thread per available CPU, the calling thread among them — the CPU
-/// count is read once per process, since the query reads cgroup files
-/// and costs more than a small window's drive — and with one CPU, or
-/// one job, the work runs inline.
-pub(crate) fn fan_out<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Sync) -> Vec<R> {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    let cpus = *CPUS.get_or_init(|| {
-        std::thread::available_parallelism().map_or(8, std::num::NonZeroUsize::get)
-    });
-    let threads = jobs.len().min(cpus);
-    if threads <= 1 {
-        return jobs.into_iter().map(work).collect();
-    }
-    let mut results: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
-    let queue = Mutex::new(jobs.into_iter().enumerate());
-    let take = || {
-        let mut done = Vec::new();
-        loop {
-            let next = queue.lock().expect("fan-out queue poisoned").next();
-            let Some((i, job)) = next else { break done };
-            done.push((i, work(job)));
-        }
+    let run = ShardRun {
+        ents,
+        outcome,
+        pre_pubs,
+        pre_cols,
     };
-    let done: Vec<(usize, R)> = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(take)).collect();
-        let mut done = take();
-        for h in helpers {
-            done.extend(h.join().expect("fan-out thread panicked"));
-        }
-        done
-    });
-    for (i, r) in done {
-        results[i] = Some(r);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every job ran"))
-        .collect()
+    (run, dt)
 }
 
 /// Reserves the run's *novel* releases: adds them to the window's
@@ -1048,15 +968,13 @@ mod tests {
             ..StreamConfig::default()
         };
         let engine = Method::Puce.engine(&cfg.params);
-        let mut core = HaloCore::new(engine.as_ref(), cfg.clone(), partition);
+        let mut core = HaloCore::new(engine.as_ref(), cfg.clone(), partition, ShardStrategy::Halo);
         let mut former = WindowFormer::new(cfg.policy, cfg.horizon);
         for &e in stream.events() {
             former.push(e);
         }
         former.advance(120.0);
-        former.drive(false, |w, cut| {
-            StepSignals::merge(&[core.step_window(w, cut)])
-        });
+        former.drive(false, |w, cut| core.step_window(w, cut));
         let outcomes: Vec<Outcome> = core.drain_outcomes().collect();
         let left_for_good = |o: &&Outcome| {
             matches!(
@@ -1090,7 +1008,8 @@ mod tests {
         assert!(!core.life.pool.is_empty());
         check(&core);
         let snap = core.snapshot(true);
-        let restored = HaloCore::from_snapshot(engine.as_ref(), cfg, partition, &snap);
+        let restored =
+            HaloCore::from_snapshot(engine.as_ref(), cfg, partition, ShardStrategy::Halo, &snap);
         check(&restored.expect("a fresh snapshot restores"));
     }
 }

@@ -37,9 +37,10 @@
 //!   replays a pre-built stream to completion;
 //! * [`run_sharded`] / [`run_sharded_halo`] — partition the stream by
 //!   spatial grid cell
-//!   ([`GridPartition`](dpta_spatial::GridPartition)) and run one
-//!   engine per shard on scoped threads. Drop-pairs mode is exact on
-//!   shard-disjoint input; the boundary-halo protocol
+//!   ([`GridPartition`](dpta_spatial::GridPartition)) and drive each
+//!   cell's share of every window through one stepper, on the calling
+//!   thread. Drop-pairs mode, which lists each worker in its home cell
+//!   only, is exact on shard-disjoint input; the boundary-halo protocol
 //!   ([`ShardStrategy::Halo`]) additionally recovers cross-boundary
 //!   pairs via halo membership and a deterministic reconciliation
 //!   pass, staying near-exact on general input. [`ShardedSession`] is

@@ -10,17 +10,18 @@
 //! the only copy of each rule.
 //!
 //! The window stepper ([`HaloCore`](crate::halo::HaloCore)) calls it
-//! for every execution mode: flat sessions and drop-pairs shards on
-//! one cell, the halo protocol on the whole partition. It
-//! returns plain data (returned workers, admitted and deferred tasks,
-//! departures, retired ids, expired tasks), which the stepper copies
-//! into its window reports and outcome log. Each window's instances
-//! are built from the pool and pending order kept here, so instance
-//! shape agrees across flat, drop-pairs and halo execution.
+//! for every execution mode: flat sessions on one cell, drop-pairs and
+//! the halo protocol on the whole partition. It returns plain data
+//! (returned workers, admitted and deferred tasks, departures, retired
+//! ids, expired tasks), which the stepper copies into its window
+//! reports and outcome log. Each window's instances are built from the
+//! pool and pending order kept here, so instance shape agrees across
+//! flat, drop-pairs and halo execution.
 
 use crate::driver::{PendingTask, StreamConfig};
 use crate::event::{TaskArrival, WorkerArrival};
 use crate::metrics::{percentile, WindowFeedback};
+use crate::shard::ShardStrategy;
 use crate::window::{Window, WindowPolicy};
 use dpta_dp::{AccountId, Ledger};
 use dpta_spatial::GridPartition;
@@ -48,39 +49,6 @@ pub(crate) struct PaceState {
     pub(crate) ema: f64,
 }
 
-/// One window's stream-observable signals, handed back to the adaptive
-/// window controller after the window settles. Adaptive drop-pairs
-/// execution merges one per shard into a single global
-/// [`WindowFeedback`], which is what keeps adaptive cuts identical
-/// across flat, drop-pairs and halo execution.
-pub(crate) struct StepSignals {
-    /// Seconds from arrival to window close of every task present in
-    /// the window (matched, expired and carried alike).
-    pub(crate) ages: Vec<f64>,
-    /// Unserved tasks carried out of the window.
-    pub(crate) backlog: usize,
-    /// Workers on duty after the window settled.
-    pub(crate) pool: usize,
-}
-
-impl StepSignals {
-    /// Merges per-shard signals into the global controller feedback.
-    /// The percentile sorts, so shard order never affects the merge —
-    /// concatenating shard age vectors reproduces the flat run's
-    /// feedback exactly on shard-disjoint input.
-    pub(crate) fn merge(signals: &[StepSignals]) -> WindowFeedback {
-        let ages: Vec<f64> = signals
-            .iter()
-            .flat_map(|s| s.ages.iter().copied())
-            .collect();
-        WindowFeedback {
-            p95_age: percentile(&ages, 0.95),
-            backlog: signals.iter().map(|s| s.backlog).sum(),
-            pool: signals.iter().map(|s| s.pool).sum(),
-        }
-    }
-}
-
 /// What [`Lifecycle::open`] changed. Admitted tasks are the tail of
 /// the pending set, `pending[carried_in..]`; the first `readmitted` of
 /// them are earlier deferrals, the rest fresh arrivals.
@@ -100,11 +68,12 @@ pub(crate) struct Opened {
 }
 
 /// Every pooled worker's cells of the partition, kept beside the pool:
-/// its home cell (the one owning its location) and every other cell its
-/// service disc reaches. Most discs stay inside their home cell, so a
-/// worker holds just its home; the few that reach farther are listed
-/// aside, their other cells in one shared list. Membership costs no
-/// allocation per worker, and an entry leaves with its worker.
+/// its home cell (the one owning its location) and, under the halo
+/// protocol, every other cell its service disc reaches. Most discs stay
+/// inside their home cell, so a worker holds just its home; the few
+/// that reach farther are listed aside, their other cells in one shared
+/// list. Membership costs no allocation per worker, and an entry leaves
+/// with its worker.
 #[derive(Default)]
 pub(crate) struct Cells {
     /// Each worker's home cell, [`FARTHER`] set when its disc reaches
@@ -124,15 +93,22 @@ pub(crate) struct Cells {
 const FARTHER: u32 = 1 << 31;
 
 impl Cells {
-    fn push(&mut self, partition: &GridPartition, w: &WorkerArrival) {
+    /// Lists `w` under its cells: the home cell alone under drop-pairs,
+    /// every cell its disc reaches under the halo protocol.
+    fn push(&mut self, partition: &GridPartition, strategy: ShardStrategy, w: &WorkerArrival) {
         let (at, r) = (&w.worker.location, w.worker.radius);
         let start = self.other.len();
-        let mut home = None;
-        partition.for_each_reach_shard(at, r, |k| match home {
-            None => home = Some(k as u32),
-            Some(_) => self.other.push(k as u32),
-        });
-        let home = home.expect("a disc reaches its own cell");
+        let home = match strategy {
+            ShardStrategy::DropPairs => partition.shard_of(at) as u32,
+            ShardStrategy::Halo => {
+                let mut home = None;
+                partition.for_each_reach_shard(at, r, |k| match home {
+                    None => home = Some(k as u32),
+                    Some(_) => self.other.push(k as u32),
+                });
+                home.expect("a disc reaches its own cell")
+            }
+        };
         self.count.resize(partition.n_shards(), 0);
         for &k in std::iter::once(&home).chain(&self.other[start..]) {
             self.count[k as usize] += 1;
@@ -277,6 +253,8 @@ pub(crate) struct Lifecycle {
     /// when it returns.
     pub(crate) cells: Cells,
     pub(crate) partition: GridPartition,
+    /// Which cells a worker belongs to (see [`Cells`]).
+    strategy: ShardStrategy,
     /// Pool positions charged this window (see [`retire`](Self::retire)).
     charged: Vec<usize>,
     /// Pool position of the first worker pooled this window: workers
@@ -305,14 +283,21 @@ pub(crate) struct Lifecycle {
 }
 
 impl Lifecycle {
-    /// An empty lifecycle under `cfg` over the cells of `partition`;
-    /// `warm` says whether the engine resumes from carried boards.
-    pub(crate) fn new(cfg: &StreamConfig, warm: bool, partition: GridPartition) -> Self {
+    /// An empty lifecycle under `cfg` over the cells of `partition`,
+    /// whose workers belong to the cells `strategy` gives them; `warm`
+    /// says whether the engine resumes from carried boards.
+    pub(crate) fn new(
+        cfg: &StreamConfig,
+        warm: bool,
+        partition: GridPartition,
+        strategy: ShardStrategy,
+    ) -> Self {
         Lifecycle {
             pool: Vec::new(),
             handles: Vec::new(),
             cells: Cells::default(),
             partition,
+            strategy,
             charged: Vec::new(),
             fresh_from: 0,
             pending: Vec::new(),
@@ -339,7 +324,7 @@ impl Lifecycle {
         self.rebuild_handles();
         self.cells = Cells::default();
         for w in &self.pool {
-            self.cells.push(&self.partition, w);
+            self.cells.push(&self.partition, self.strategy, w);
         }
         let homes = self.pending.iter().map(|p| self.home_of(p));
         self.pending_home = homes.collect();
@@ -379,16 +364,12 @@ impl Lifecycle {
             .is_some_and(|s| s.return_time < window.end)
         {
             let s = self.in_service.pop_front().expect("front exists");
-            self.pool.push(s.worker);
-            self.handles.push(self.handle(s.worker.id));
-            self.cells.push(&self.partition, &s.worker);
+            self.pool_worker(s.worker);
             returned.push(s);
         }
         for w in &window.workers {
             self.ledger.register(u64::from(w.id), cfg.worker_capacity);
-            self.pool.push(*w);
-            self.handles.push(self.handle(w.id));
-            self.cells.push(&self.partition, w);
+            self.pool_worker(*w);
         }
         let carried_in = self.pending.len();
         let fresh = window.tasks.iter().map(|&arrival| PendingTask {
@@ -450,6 +431,14 @@ impl Lifecycle {
             deferred,
             ages,
         }
+    }
+
+    /// Appends a registered worker to the pool, its handle and cells
+    /// beside it.
+    fn pool_worker(&mut self, w: WorkerArrival) {
+        self.pool.push(w);
+        self.handles.push(self.handle(w.id));
+        self.cells.push(&self.partition, self.strategy, &w);
     }
 
     /// Whether pacing can throttle anyone: capped runs under
@@ -648,9 +637,10 @@ impl Lifecycle {
     }
 
     /// Closes the window: refreshes the pacing forecast from its
-    /// realized spend and returns its signals for the adaptive
-    /// controller.
-    pub(crate) fn close(&mut self, cfg: &StreamConfig, ages: Vec<f64>) -> StepSignals {
+    /// realized spend and returns the adaptive controller's feedback,
+    /// from the `ages` of every task present in the window (matched,
+    /// expired and carried alike).
+    pub(crate) fn close(&mut self, cfg: &StreamConfig, ages: &[f64]) -> WindowFeedback {
         // EMA over the per-window spend delta, clamped at zero: window-
         // `W` reclamation can shrink recorded spend, which is not
         // negative burn.
@@ -669,8 +659,8 @@ impl Lifecycle {
             self.pace
                 .retain(|&id, _| tracked.binary_search(&u64::from(id)).is_ok());
         }
-        StepSignals {
-            ages,
+        WindowFeedback {
+            p95_age: percentile(ages, 0.95),
             backlog: self.pending.len(),
             pool: self.pool.len(),
         }
@@ -768,7 +758,7 @@ mod tests {
     #[test]
     fn returned_worker_below_the_floor_retires_in_the_return_window() {
         let cfg = config(3.0, LedgerMode::Lifetime);
-        let mut life = Lifecycle::new(&cfg, true, one_cell());
+        let mut life = Lifecycle::new(&cfg, true, one_cell(), ShardStrategy::DropPairs);
         life.open(&cfg, &window(0, vec![worker(7, 0.0)]));
         // The last match leaves less than the cheapest release, but the
         // worker departs to serve, so the hard cap skips them this window.
@@ -787,7 +777,7 @@ mod tests {
     fn capacity_below_the_floor_retires_every_worker_at_the_first_close() {
         let cfg = config(0.25, LedgerMode::Lifetime);
         assert!(cfg.worker_capacity < cfg.budget_range.0);
-        let mut life = Lifecycle::new(&cfg, true, one_cell());
+        let mut life = Lifecycle::new(&cfg, true, one_cell(), ShardStrategy::DropPairs);
         let arrivals = (1..=3).map(|id| worker(id, 1.0)).collect();
         life.open(&cfg, &window(0, arrivals));
         assert_eq!(ids(life.retire(&cfg, vec![false; 3])), vec![1, 2, 3]);
@@ -822,7 +812,7 @@ mod tests {
     #[test]
     fn registrations_reach_the_drain_uncapped() {
         let cfg = config(1e-13, LedgerMode::Lifetime);
-        let mut life = Lifecycle::new(&cfg, false, one_cell());
+        let mut life = Lifecycle::new(&cfg, false, one_cell(), ShardStrategy::DropPairs);
         life.open(&cfg, &window(0, vec![worker(4, 0.0), worker(9, 0.0)]));
         assert_eq!(ids(life.retire(&cfg, vec![false; 2])), vec![4, 9]);
     }
@@ -856,7 +846,7 @@ mod tests {
             };
             let cfg = config(3.0, ledger);
             let lo = cfg.budget_range.0;
-            let mut life = Lifecycle::new(&cfg, warm, one_cell());
+            let mut life = Lifecycle::new(&cfg, warm, one_cell(), ShardStrategy::DropPairs);
             let mut next_id = 0u32;
             for (index, (kinds, charges, departs, round_trip)) in steps.into_iter().enumerate() {
                 let arrivals: Vec<WorkerArrival> = kinds

@@ -558,7 +558,9 @@ impl ShardedReport {
         self.shards.iter().map(StreamReport::total_epsilon).sum()
     }
 
-    /// Wall time of the slowest shard — the parallel drain time.
+    /// Drive time of the slowest shard: the largest per-shard sum of
+    /// engine drive time. Shards step on one thread, so it bounds what
+    /// running shards in parallel could save, not a measured drain.
     pub fn critical_path(&self) -> Duration {
         self.shards
             .iter()

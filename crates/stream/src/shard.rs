@@ -2,32 +2,29 @@
 //!
 //! Task assignment is spatially local — a worker only ever interacts
 //! with tasks inside his service disc — so a stream whose workers'
-//! discs never cross cell boundaries decomposes *exactly*: one global
-//! window former cuts the unsharded run's windows, each cell steps its
-//! share of every window, and the merged result is, pair for pair, the
-//! run the single-threaded driver would have produced. When no
-//! adaptive controller waits on the cells' merged feedback, the cells
-//! step their shares in parallel, at a wall-clock cost of the slowest
-//! cell instead of the sum.
+//! discs never cross cell boundaries decomposes *exactly*: one window
+//! former cuts the unsharded run's windows, one window stepper drives
+//! each cell's share of every window on the calling thread, and the
+//! result is, pair for pair, the run the flat session would have
+//! produced.
 //!
 //! When discs do cross boundaries, the [`ShardStrategy`] decides what
-//! happens: [`DropPairs`](ShardStrategy::DropPairs) never considers
-//! cross-cell pairs (exact only on shard-disjoint input), while
-//! [`Halo`](ShardStrategy::Halo) extends each shard with the foreign
-//! workers whose service discs reach into its cell and reconciles the
-//! shards' competing claims deterministically — near-exact on general
-//! input, bit-for-bit equal to the unsharded run on disjoint input.
-//! The protocol is documented in `ARCHITECTURE.md` ("Sharding & the
-//! halo protocol").
+//! happens: [`DropPairs`](ShardStrategy::DropPairs) lists every worker
+//! in its home cell only and never considers cross-cell pairs (exact
+//! only on shard-disjoint input), while [`Halo`](ShardStrategy::Halo)
+//! extends each shard with the foreign workers whose service discs
+//! reach into its cell and reconciles the shards' competing claims
+//! deterministically — near-exact on general input, bit-for-bit equal
+//! to the unsharded run on disjoint input. The protocol is documented
+//! in `ARCHITECTURE.md` ("Sharding & the halo protocol").
 
 use crate::driver::StreamConfig;
 use crate::event::{ArrivalEvent, ArrivalStream};
-use crate::halo::{fan_out, one_cell, HaloCore};
-use crate::lifecycle::StepSignals;
-use crate::metrics::{ShardedReport, WindowCutDecision};
+use crate::halo::HaloCore;
+use crate::metrics::ShardedReport;
 use crate::session::Outcome;
 use crate::snapshot::{ShardedSnapshot, SnapshotError, SNAPSHOT_VERSION};
-use crate::window::{Window, WindowFormer};
+use crate::window::WindowFormer;
 use dpta_core::AssignmentEngine;
 use dpta_dp::FastSet;
 use dpta_spatial::GridPartition;
@@ -37,9 +34,10 @@ use serde::{Deserialize, Serialize};
 /// boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ShardStrategy {
-    /// Route every entity to the cell owning its location and step the
-    /// cells independently: cross-boundary pairs are silently dropped.
-    /// Exact only on
+    /// Route every entity to the cell owning its location: a worker is
+    /// matched only to tasks of its home cell, so cross-boundary pairs
+    /// are silently dropped. Admission control, budgets and the
+    /// adaptive controller still count the whole session. Exact only on
     /// [shard-disjoint](ArrivalStream::is_shard_disjoint) input; the
     /// cheapest mode, and the baseline the halo protocol's recovered
     /// utility is measured against.
@@ -57,15 +55,16 @@ pub enum ShardStrategy {
 }
 
 /// Runs `stream` sharded by `partition` under the
-/// [`DropPairs`](ShardStrategy::DropPairs) strategy: one stepper per
-/// cell, sharing the one `engine`, drives the cell's share of every
-/// window. Cross-boundary pairs are never formed — use
+/// [`DropPairs`](ShardStrategy::DropPairs) strategy: every window, the
+/// one `engine` drives each cell's tasks against the workers homed in
+/// that cell. Cross-boundary pairs are never formed — use
 /// [`run_sharded_halo`] (or [`run_sharded_with`]) when the workload is
 /// not shard-disjoint; the halo protocol and its guarantees are
 /// documented in `ARCHITECTURE.md` ("Sharding & the halo protocol").
 ///
 /// Every shard steps the same window sequence — the unsharded run's,
-/// cut once over the whole stream — so with a
+/// cut once over the whole stream — and admission control counts the
+/// whole pool, so with a
 /// [shard-disjoint](ArrivalStream::is_shard_disjoint) stream the
 /// merged totals equal the unsharded run's exactly under every window
 /// policy, asserted by the crate's equivalence tests.
@@ -179,19 +178,18 @@ pub fn run_sharded_with(
 /// `push(event)` buffers the event in the session's one window former,
 /// `advance_to(t)` declares the global event-time watermark and drives
 /// every window that closes before it, `poll_outcomes()` drains the
-/// typed [`Outcome`] log of every shard, and `close()` settles the
+/// typed [`Outcome`] log, window by window, and `close()` settles the
 /// per-shard [`ShardedReport`]. [`run_sharded_with`] drains a built
 /// stream through this session. A mid-run session can be captured with
 /// [`snapshot`](Self::snapshot) and reopened with
 /// [`restore`](Self::restore).
 ///
-/// Every window goes through the window stepper: one stepper over the
-/// whole partition under [`ShardStrategy::Halo`], one one-cell stepper
-/// per shard under drop-pairs, each fed its cell's share of the window.
-/// Drop-pairs cells are independent, so under a static policy they step
-/// every window a call makes ready in parallel; under an adaptive
-/// policy they step window by window, since the controller reads their
-/// merged feedback before the next cut.
+/// Every session is one window former plus one window stepper over its
+/// partition, stepped on the calling thread. The strategy picks the
+/// stepper's worker membership: every cell a worker's disc reaches
+/// under [`ShardStrategy::Halo`], its home cell only under drop-pairs,
+/// where no two shards ever claim one worker and every window settles
+/// in one pass.
 ///
 /// # Examples
 ///
@@ -235,22 +233,11 @@ pub struct ShardedSession<'e, 'p> {
     task_ids: FastSet<u32>,
     worker_ids: FastSet<u32>,
     former: WindowFormer,
-    /// The window steppers (see [`core_partitions`]); `None` once
-    /// closed.
-    cores: Option<Vec<HaloCore<'e>>>,
-    /// Outcomes the close emitted, pollable after it, in the steppers'
+    /// The window stepper; `None` once closed.
+    core: Option<HaloCore<'e>>,
+    /// Outcomes the close emitted, pollable after it, in the stepper's
     /// per-window chunks.
     residual: Vec<Vec<Outcome>>,
-}
-
-/// The partitions of a sharded session's steppers: the whole partition
-/// under the halo protocol, one cell per shard under drop-pairs, whose
-/// stepper `k` steps the windows' share of cell `k` ([`split_window`]).
-fn core_partitions(strategy: ShardStrategy, partition: &GridPartition) -> Vec<GridPartition> {
-    match strategy {
-        ShardStrategy::Halo => vec![*partition],
-        ShardStrategy::DropPairs => vec![one_cell(); partition.n_shards()],
-    }
 }
 
 impl<'e, 'p> ShardedSession<'e, 'p> {
@@ -265,10 +252,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         strategy: ShardStrategy,
     ) -> Self {
         cfg.assert_runnable();
-        let cores = core_partitions(strategy, partition)
-            .into_iter()
-            .map(|part| HaloCore::new(engine, cfg.clone(), part))
-            .collect();
+        let core = HaloCore::new(engine, cfg.clone(), *partition, strategy);
         ShardedSession {
             engine,
             former: WindowFormer::new(cfg.policy, cfg.horizon),
@@ -277,7 +261,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             strategy,
             task_ids: FastSet::default(),
             worker_ids: FastSet::default(),
-            cores: Some(cores),
+            core: Some(core),
             residual: Vec::new(),
         }
     }
@@ -300,7 +284,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
     /// invariants [`ArrivalStream::new`] enforces, checked
     /// incrementally.
     pub fn push(&mut self, event: ArrivalEvent) {
-        assert!(self.cores.is_some(), "push on a closed session");
+        assert!(self.core.is_some(), "push on a closed session");
         let t = event.time();
         assert!(
             t.is_finite() && t >= 0.0,
@@ -333,7 +317,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
     /// no-ops) and drives every window that closes before it, in every
     /// shard.
     pub fn advance_to(&mut self, t: f64) {
-        let cores = self.cores.as_mut().expect("advance_to on a closed session");
+        let core = self.core.as_mut().expect("advance_to on a closed session");
         assert!(
             t.is_finite() && t >= 0.0,
             "watermark must be finite, got {t}"
@@ -342,15 +326,16 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             return;
         }
         self.former.advance(t);
-        drive(&mut self.former, cores, self.partition, false);
+        self.former
+            .drive(false, |window, cut| core.step_window(window, cut));
     }
 
-    /// Drains the typed outcome log accumulated since the last poll,
-    /// stepper by stepper.
+    /// Drains the typed outcome log accumulated since the last poll, in
+    /// window order.
     pub fn poll_outcomes(&mut self) -> Vec<Outcome> {
-        match self.cores.as_mut() {
+        match self.core.as_mut() {
             None => std::mem::take(&mut self.residual).concat(),
-            Some(cores) => cores.iter_mut().flat_map(|c| c.drain_outcomes()).collect(),
+            Some(core) => core.drain_outcomes().collect(),
         }
     }
 
@@ -358,21 +343,15 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
     /// included) and settles the per-shard reports. Outcomes emitted
     /// while closing stay pollable. Panics if called twice.
     pub fn close(&mut self) -> ShardedReport {
-        let mut cores = self.cores.take().expect("close on a closed session");
-        drive(&mut self.former, &mut cores, self.partition, true);
-        // Settling builds each stepper's id-ordered report maps, and the
-        // steppers are independent: they settle on the fan-out pool.
-        let settled = fan_out(cores, |mut core| (core.take_outcomes(), core.finish()));
-        let mut shards = Vec::with_capacity(self.partition.n_shards());
-        for (outcomes, report) in settled {
-            self.residual.extend(outcomes);
-            shards.extend(report.shards);
-        }
-        ShardedReport { shards }
+        let mut core = self.core.take().expect("close on a closed session");
+        self.former
+            .drive(true, |window, cut| core.step_window(window, cut));
+        self.residual = core.take_outcomes();
+        core.finish()
     }
 
     /// Captures the sharded session's full state — the window former,
-    /// every stepper and the seen ids — as a versioned
+    /// the stepper and the seen ids — as a versioned
     /// [`ShardedSnapshot`]. Panics on a closed session.
     ///
     /// Unlike a [`StreamSession`](crate::StreamSession) snapshot, it
@@ -383,10 +362,10 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         self.snapshot_with(false)
     }
 
-    /// [`snapshot`](Self::snapshot), with the steppers' unpolled
-    /// outcome logs inside when `log` is set.
+    /// [`snapshot`](Self::snapshot), with the stepper's unpolled
+    /// outcome log inside when `log` is set.
     pub(crate) fn snapshot_with(&self, log: bool) -> ShardedSnapshot {
-        let cores = self.cores.as_ref().expect("snapshot on a closed session");
+        let core = self.core.as_ref().expect("snapshot on a closed session");
         let ascending = |ids: &FastSet<u32>| {
             let mut ids: Vec<u32> = ids.iter().copied().collect();
             ids.sort_unstable();
@@ -399,7 +378,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             strategy: self.strategy,
             n_shards: self.partition.n_shards(),
             windower: self.former.snapshot(),
-            cores: cores.iter().map(|core| core.snapshot(log)).collect(),
+            core: core.snapshot(log),
             task_ids: ascending(&self.task_ids),
             worker_ids: ascending(&self.worker_ids),
         }
@@ -424,18 +403,8 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         snapshot: &ShardedSnapshot,
     ) -> Result<Self, SnapshotError> {
         snapshot.validate(engine.name(), &cfg, partition.n_shards(), strategy)?;
-        let parts = core_partitions(strategy, partition);
-        if snapshot.cores.len() != parts.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "sharded snapshot holds {} steppers, its strategy runs {}",
-                snapshot.cores.len(),
-                parts.len()
-            )));
-        }
-        let cores = parts.into_iter().zip(&snapshot.cores);
-        let cores = cores
-            .map(|(part, c)| HaloCore::from_snapshot(engine, cfg.clone(), part, c))
-            .collect::<Result<_, _>>()?;
+        let core =
+            HaloCore::from_snapshot(engine, cfg.clone(), *partition, strategy, &snapshot.core)?;
         Ok(ShardedSession {
             engine,
             former: WindowFormer::from_snapshot(cfg.policy, cfg.horizon, &snapshot.windower)?,
@@ -444,92 +413,10 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
             strategy,
             task_ids: snapshot.task_ids.iter().copied().collect(),
             worker_ids: snapshot.worker_ids.iter().copied().collect(),
-            cores: Some(cores),
+            core: Some(core),
             residual: Vec::new(),
         })
     }
-}
-
-/// The drive loop shared by `advance_to` and `close`: steps every
-/// ready window through every stepper, so the cut sequence equals the
-/// unsharded run's on shard-disjoint input bit for bit.
-///
-/// One stepper (the halo protocol, or a one-cell partition) steps each
-/// window whole. Drop-pairs steppers step their cell's share of it:
-/// window by window under an adaptive policy, whose controller reads
-/// their merged feedback before the next cut; otherwise the former cuts
-/// every ready window first and the steppers, independent of each
-/// other, go through their shares on one bounded pool, heaviest share
-/// first.
-fn drive(
-    former: &mut WindowFormer,
-    cores: &mut [HaloCore],
-    partition: &GridPartition,
-    drain: bool,
-) {
-    if let [core] = cores {
-        former.drive(drain, |window, cut| {
-            StepSignals::merge(&[core.step_window(window, cut)])
-        });
-    } else if former.adaptive() {
-        former.drive(drain, |window, cut| {
-            let shares = split_window(window, partition);
-            let signals: Vec<StepSignals> = cores
-                .iter_mut()
-                .zip(shares)
-                .map(|(core, share)| core.step_window(&share, cut))
-                .collect();
-            StepSignals::merge(&signals)
-        });
-    } else {
-        let mut shares: Vec<Vec<(Window, WindowCutDecision)>> =
-            cores.iter().map(|_| Vec::new()).collect();
-        while let Some(window) = former.next_ready(drain) {
-            let cut = former.last_decision;
-            for (k, share) in split_window(&window, partition).into_iter().enumerate() {
-                shares[k].push((share, cut));
-            }
-        }
-        let weight = |share: &[(Window, WindowCutDecision)]| {
-            share
-                .iter()
-                .map(|(w, _)| w.tasks.len() + w.workers.len())
-                .sum::<usize>()
-        };
-        // A call that makes no window ready starts no thread.
-        let mut jobs: Vec<_> = cores.iter_mut().zip(shares).collect();
-        jobs.retain(|(_, share)| !share.is_empty());
-        jobs.sort_by_key(|(_, share)| std::cmp::Reverse(weight(share)));
-        fan_out(jobs, |(core, share)| {
-            for (window, cut) in &share {
-                core.step_window(window, *cut);
-            }
-        });
-    }
-}
-
-/// Every cell's share of a globally cut window, in one pass: the same
-/// span, holding only the tasks and workers whose locations the cell
-/// owns, in their window order.
-fn split_window(window: &Window, partition: &GridPartition) -> Vec<Window> {
-    let mut shares: Vec<Window> = (0..partition.n_shards())
-        .map(|_| Window {
-            index: window.index,
-            start: window.start,
-            end: window.end,
-            tasks: Vec::new(),
-            workers: Vec::new(),
-        })
-        .collect();
-    for t in &window.tasks {
-        shares[partition.shard_of(&t.task.location)].tasks.push(*t);
-    }
-    for w in &window.workers {
-        shares[partition.shard_of(&w.worker.location)]
-            .workers
-            .push(*w);
-    }
-    shares
 }
 
 #[cfg(test)]

@@ -42,7 +42,10 @@
 //! made flat and sharded sessions write one snapshot type: every
 //! snapshot names its strategy and shard count, a lone stepper (flat or
 //! halo) sits inline at the top level and drop-pairs' several steppers
-//! in a `cores` list, and the unused arrival counts are gone.)
+//! in a `cores` list, and the unused arrival counts are gone; v9 gave
+//! drop-pairs one stepper over the whole partition, like the halo
+//! protocol, so every snapshot writes its one stepper inline and the
+//! `cores` list is gone — a flat snapshot changed only in its version.)
 //!
 //! # Exactly-once across restart
 //!
@@ -63,17 +66,16 @@ use crate::window::FormerSnapshot;
 use serde::{Deserialize, Serialize, Value};
 
 /// Current snapshot format version, embedded in every snapshot.
-pub const SNAPSHOT_VERSION: u32 = 8;
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// The full serializable state of a session at a window boundary,
 /// produced by [`ShardedSession::snapshot`] (or
 /// [`StreamSession::snapshot`]) and consumed by the matching `restore`.
 ///
-/// A lone window stepper — a flat session's, or the halo protocol's —
-/// writes its fields at the top level of the encoded object, between
-/// the windower and the id lists; drop-pairs' one stepper per shard
-/// goes in a `cores` list. The encoding nests no deeper than the
-/// stepper state needs. A flat session's snapshot carries its unpolled
+/// The session's one window stepper writes its fields at the top level
+/// of the encoded object, between the windower and the id lists, so the
+/// encoding nests no deeper than the stepper state needs. A flat
+/// session's snapshot carries its unpolled
 /// outcome log; a [`ShardedSession`] leaves it out, so that a session
 /// nobody polls does not write its whole history into every snapshot.
 ///
@@ -89,9 +91,8 @@ pub struct ShardedSnapshot {
     pub(crate) n_shards: usize,
     /// The global window former.
     pub(crate) windower: FormerSnapshot,
-    /// The window steppers, in shard order: one under the halo
-    /// protocol, one per shard under drop-pairs.
-    pub(crate) cores: Vec<HaloSnapshot>,
+    /// The window stepper, written inline.
+    pub(crate) core: HaloSnapshot,
     /// Every arrival id seen so far, per entity kind, ascending.
     pub(crate) task_ids: Vec<u32>,
     pub(crate) worker_ids: Vec<u32>,
@@ -104,6 +105,9 @@ pub type SessionSnapshot = ShardedSnapshot;
 impl Serialize for ShardedSnapshot {
     fn serialize_value(&self) -> Value {
         let field = |name: &str, value: Value| (name.to_string(), value);
+        let Value::Object(core) = self.core.serialize_value() else {
+            unreachable!("a struct serializes to an object")
+        };
         let mut fields = vec![
             field("version", self.version.serialize_value()),
             field("engine", self.engine.serialize_value()),
@@ -112,15 +116,7 @@ impl Serialize for ShardedSnapshot {
             field("n_shards", self.n_shards.serialize_value()),
             field("windower", self.windower.serialize_value()),
         ];
-        match &self.cores[..] {
-            [core] => {
-                let Value::Object(core) = core.serialize_value() else {
-                    unreachable!("a struct serializes to an object")
-                };
-                fields.extend(core);
-            }
-            cores => fields.push(field("cores", cores.serialize_value())),
-        }
+        fields.extend(core);
         fields.extend([
             field("task_ids", self.task_ids.serialize_value()),
             field("worker_ids", self.worker_ids.serialize_value()),
@@ -137,10 +133,6 @@ impl Deserialize for ShardedSnapshot {
                 .ok_or_else(|| serde::Error(format!("missing field `{name}`")))?;
             T::deserialize_value(value)
         }
-        let cores = match v.get("cores") {
-            Some(cores) => Vec::deserialize_value(cores)?,
-            None => vec![HaloSnapshot::deserialize_value(v)?],
-        };
         Ok(ShardedSnapshot {
             version: field(v, "version")?,
             engine: field(v, "engine")?,
@@ -148,7 +140,7 @@ impl Deserialize for ShardedSnapshot {
             strategy: field(v, "strategy")?,
             n_shards: field(v, "n_shards")?,
             windower: field(v, "windower")?,
-            cores,
+            core: HaloSnapshot::deserialize_value(v)?,
             task_ids: field(v, "task_ids")?,
             worker_ids: field(v, "worker_ids")?,
         })
@@ -357,20 +349,17 @@ mod tests {
     }
 
     #[test]
-    fn a_lone_stepper_sits_inline_and_several_go_in_a_cores_list() {
+    fn every_session_writes_its_one_stepper_inline() {
         let engine = Method::Puce.engine(&cfg().params);
         for json in [
             flat_json(engine.as_ref()),
+            sharded_json(engine.as_ref(), ShardStrategy::DropPairs),
             sharded_json(engine.as_ref(), ShardStrategy::Halo),
         ] {
-            let v = serde_json::from_str(&json).expect("parses");
+            let v: Value = serde_json::from_str(&json).expect("parses");
             assert!(v.get("cores").is_none());
             assert!(v.get("pool").is_some());
         }
-        let json = sharded_json(engine.as_ref(), ShardStrategy::DropPairs);
-        let v = serde_json::from_str(&json).expect("parses");
-        assert!(matches!(v.get("cores"), Some(Value::Array(cores)) if cores.len() == 4));
-        assert!(v.get("pool").is_none());
     }
 
     #[test]

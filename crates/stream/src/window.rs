@@ -397,7 +397,7 @@ pub(crate) struct WindowFormer {
     next_start: f64,
     index: usize,
     controller: Option<AdaptiveController>,
-    pub(crate) last_decision: WindowCutDecision,
+    last_decision: WindowCutDecision,
     /// Highest event timestamp seen.
     max_event_time: f64,
     /// Explicit horizon from the configuration.
@@ -496,12 +496,6 @@ impl WindowFormer {
         Ok(w)
     }
 
-    /// Whether cuts wait on feedback: an adaptive controller reads each
-    /// driven window's signals before the next cut.
-    pub(crate) fn adaptive(&self) -> bool {
-        self.controller.is_some()
-    }
-
     pub(crate) fn observe(&mut self, fb: &WindowFeedback) {
         if let Some(c) = self.controller.as_mut() {
             c.observe(fb);
@@ -560,7 +554,7 @@ impl WindowFormer {
 
     /// The next window that is certainly complete: bounded by the
     /// watermark in streaming mode, by the span in drain mode.
-    pub(crate) fn next_ready(&mut self, drain: bool) -> Option<Window> {
+    fn next_ready(&mut self, drain: bool) -> Option<Window> {
         if !self.any_input {
             return None;
         }

@@ -174,23 +174,35 @@ fn sharded_equals_unsharded_for_private_and_plain_engines() {
     assert!(stream.is_shard_disjoint(&part));
     // ≥ 3 engine methods, covering the CE, game and one-shot families,
     // plus the fresh-board charging cases: Geo-I's whole-location
-    // releases, and PUCE re-publishing on a fresh board every window.
+    // releases, and PUCE re-publishing on a fresh board every window;
+    // and admission control, which counts the whole pool's budget.
+    let admitted = StreamConfig {
+        worker_capacity: 6.0,
+        admission: Some(AdmissionConfig {
+            epsilon_per_task: 10.0,
+        }),
+        ..cfg(60.0)
+    };
     let cases = [
-        (Method::Puce, true),
-        (Method::Pgt, true),
-        (Method::Uce, true),
-        (Method::Grd, true),
-        (Method::GeoI, true),
-        (Method::Puce, false),
+        (Method::Puce, true, None),
+        (Method::Pgt, true, None),
+        (Method::Uce, true, None),
+        (Method::Grd, true, None),
+        (Method::GeoI, true, None),
+        (Method::Puce, false, None),
+        (Method::Puce, true, Some(admitted)),
     ];
-    for (method, carry_releases) in cases {
+    for (method, carry_releases, base) in cases {
         let cfg = StreamConfig {
             carry_releases,
-            ..cfg(60.0)
+            ..base.unwrap_or_else(|| cfg(60.0))
         };
         let engine = method.engine(&cfg.params);
         // Every message below names the case, not just the method.
-        let method = format!("{method} carry_releases={carry_releases}");
+        let method = format!(
+            "{method} carry_releases={carry_releases} admission={:?}",
+            cfg.admission
+        );
         let flat = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
         if engine.accounts_privacy() {
             assert!(flat.total_epsilon() > 0.0, "{method}: no release charged");
