@@ -69,14 +69,14 @@ fn windowed_ledger(c: &mut Criterion) {
     ];
     for (mode_name, ledger, pacing) in modes {
         for method in [Method::Puce, Method::Grd] {
-            let cfg = StreamConfig::builder()
-                .policy(WindowPolicy::ByTime { width: 300.0 })
-                .worker_capacity(1.5)
-                .service(ServiceModel::Fixed { secs: 240.0 })
-                .ledger(ledger)
-                .pacing(pacing)
-                .build()
-                .expect("valid bench configuration");
+            let cfg = StreamConfig {
+                policy: WindowPolicy::ByTime { width: 300.0 },
+                worker_capacity: 1.5,
+                service: ServiceModel::Fixed { secs: 240.0 },
+                ledger,
+                pacing,
+                ..StreamConfig::default()
+            };
             let engine = method.engine(&cfg.params);
             group.bench_with_input(
                 BenchmarkId::new(method.name(), mode_name),

@@ -211,41 +211,26 @@ fn parse_stream_args(mut it: std::env::Args) -> Result<stream_cmd::StreamArgs, S
                 }
             }
             "--window-secs" => {
-                let width: f64 = next("--window-secs")?
+                let width = next("--window-secs")?
                     .parse()
                     .map_err(|e| format!("bad --window-secs: {e}"))?;
-                if !(width > 0.0 && width.is_finite()) {
-                    return Err(format!("--window-secs must be positive, got {width}"));
-                }
                 args.policy = WindowPolicy::ByTime { width };
             }
             "--window-tasks" => {
                 let tasks = next("--window-tasks")?
                     .parse()
                     .map_err(|e| format!("bad --window-tasks: {e}"))?;
-                if tasks == 0 {
-                    return Err("--window-tasks must be at least 1".into());
-                }
                 args.policy = WindowPolicy::ByCount { tasks };
             }
             "--ttl" => {
                 args.ttl = next("--ttl")?
                     .parse()
                     .map_err(|e| format!("bad --ttl: {e}"))?;
-                if args.ttl == 0 {
-                    return Err("--ttl must be at least 1".into());
-                }
             }
             "--capacity" => {
                 args.capacity = next("--capacity")?
                     .parse()
                     .map_err(|e| format!("bad --capacity: {e}"))?;
-                if args.capacity <= 0.0 || args.capacity.is_nan() {
-                    return Err(format!(
-                        "--capacity must be positive, got {}",
-                        args.capacity
-                    ));
-                }
             }
             "--shards" => {
                 let spec = next("--shards")?;
@@ -278,6 +263,9 @@ fn parse_stream_args(mut it: std::env::Args) -> Result<stream_cmd::StreamArgs, S
             other => return Err(format!("unknown stream argument: {other}")),
         }
     }
+    args.config(&args.scenario())
+        .validate()
+        .map_err(|e| e.to_string())?;
     Ok(args)
 }
 

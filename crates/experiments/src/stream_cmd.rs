@@ -100,15 +100,27 @@ impl Default for StreamArgs {
 }
 
 impl StreamArgs {
+    /// The Table X scenario the main stream is generated from.
+    pub fn scenario(&self) -> Scenario {
+        Scenario {
+            dataset: self.dataset,
+            batch_size: ((1000.0 * self.scale).round() as usize).max(20),
+            n_batches: self.batches,
+            seed: self.seed,
+            ..Scenario::default()
+        }
+    }
+
     /// The driver configuration: CLI knobs layered over the scenario's
     /// seed and budget settings (see [`StreamConfig::for_scenario`]).
-    fn config(&self, scenario: &Scenario) -> StreamConfig {
-        StreamConfig::builder_for_scenario(scenario)
-            .policy(self.policy)
-            .task_ttl(self.ttl)
-            .worker_capacity(self.capacity)
-            .build()
-            .unwrap_or_else(|e| panic!("invalid stream configuration: {e}"))
+    /// [`run`] panics on one that [`StreamConfig::validate`] rejects.
+    pub fn config(&self, scenario: &Scenario) -> StreamConfig {
+        StreamConfig {
+            policy: self.policy,
+            task_ttl: self.ttl,
+            worker_capacity: self.capacity,
+            ..StreamConfig::for_scenario(scenario)
+        }
     }
 }
 
@@ -326,22 +338,20 @@ fn run_pacing_section(methods: &[Method], base: &StreamConfig, scenario: &Scenar
     let stream = pacing_stream(scenario);
     let width = 300.0;
     let protection = 3.0 * width;
-    let lifetime_cfg = base
-        .to_builder()
-        .policy(WindowPolicy::ByTime { width })
-        .worker_capacity(1.5)
-        .service(ServiceModel::Fixed { secs: 240.0 })
-        .ledger(LedgerMode::Lifetime)
-        .build()
-        .expect("valid lifetime configuration");
-    let windowed_cfg = lifetime_cfg
-        .to_builder()
-        .ledger(LedgerMode::Windowed {
+    let lifetime_cfg = StreamConfig {
+        policy: WindowPolicy::ByTime { width },
+        worker_capacity: 1.5,
+        service: ServiceModel::Fixed { secs: 240.0 },
+        ledger: LedgerMode::Lifetime,
+        ..base.clone()
+    };
+    let windowed_cfg = StreamConfig {
+        ledger: LedgerMode::Windowed {
             window_secs: protection,
-        })
-        .pacing(Some(PacingConfig { horizon_windows: 3 }))
-        .build()
-        .expect("valid windowed configuration");
+        },
+        pacing: Some(PacingConfig { horizon_windows: 3 }),
+        ..lifetime_cfg.clone()
+    };
     println!(
         "
 budget economics: lifetime vs sliding-window ledger (scarce fleet: {} tasks,          {} workers over {:.0} s; capacity ε = 1.5, protection window {:.0} s,          pacing horizon 3 windows):",
@@ -845,13 +855,7 @@ fn run_scale_sweep_section(cfg: &StreamConfig, max_exponent: f64) -> bool {
 /// equivalence check failed (the caller turns that into a non-zero
 /// exit).
 pub fn run(args: &StreamArgs) -> bool {
-    let scenario = Scenario {
-        dataset: args.dataset,
-        batch_size: ((1000.0 * args.scale).round() as usize).max(20),
-        n_batches: args.batches,
-        seed: args.seed,
-        ..Scenario::default()
-    };
+    let scenario = args.scenario();
     let cfg = args.config(&scenario);
     let stream = StreamScenario::new(scenario).stream();
     println!(

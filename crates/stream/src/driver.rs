@@ -237,9 +237,6 @@ pub struct StreamConfig {
     /// default) is serve-and-leave: the pre-session pipeline, bit for
     /// bit.
     pub service: ServiceModel,
-    /// Extend the windowed span to this horizon (used by the sharded
-    /// runner so every shard forms the same window sequence).
-    pub horizon: Option<f64>,
     /// How per-worker budget spend is accounted over time.
     /// [`LedgerMode::Lifetime`] (the default) is the paper's model:
     /// spend accumulates forever and exhausted workers retire.
@@ -330,7 +327,6 @@ impl Default for StreamConfig {
             task_ttl: 3,
             carry_releases: true,
             service: ServiceModel::Never,
-            horizon: None,
             ledger: LedgerMode::Lifetime,
             pacing: None,
             admission: None,
@@ -375,54 +371,6 @@ impl StreamConfig {
         }
     }
 
-    /// A validating builder starting from the default configuration —
-    /// the construction path that catches degenerate knobs (zero-width
-    /// windows, negative capacities, service/TTL inconsistencies) at
-    /// build time as typed [`ConfigError`]s instead of panicking deep
-    /// inside a run.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dpta_stream::{StreamConfig, WindowPolicy};
-    ///
-    /// let cfg = StreamConfig::builder()
-    ///     .policy(WindowPolicy::ByTime { width: 300.0 })
-    ///     .worker_capacity(2.5)
-    ///     .task_ttl(4)
-    ///     .build()
-    ///     .expect("valid configuration");
-    /// assert_eq!(cfg.task_ttl, 4);
-    ///
-    /// let err = StreamConfig::builder()
-    ///     .policy(WindowPolicy::ByTime { width: 0.0 })
-    ///     .build()
-    ///     .unwrap_err();
-    /// assert_eq!(err.field, "policy");
-    /// ```
-    pub fn builder() -> StreamConfigBuilder {
-        StreamConfigBuilder {
-            cfg: StreamConfig::default(),
-        }
-    }
-
-    /// Builder seeded from `scenario` like
-    /// [`for_scenario`](StreamConfig::for_scenario): inherits the
-    /// scenario's seed and privacy-budget settings, every other knob at
-    /// its default.
-    pub fn builder_for_scenario(scenario: &Scenario) -> StreamConfigBuilder {
-        StreamConfigBuilder {
-            cfg: StreamConfig::for_scenario(scenario),
-        }
-    }
-
-    /// Builder seeded from this configuration — the validated
-    /// equivalent of struct-update syntax for deriving a variant that
-    /// tweaks a knob or two.
-    pub fn to_builder(&self) -> StreamConfigBuilder {
-        StreamConfigBuilder { cfg: self.clone() }
-    }
-
     /// The stream's budget source: every pair's `ε_{i,j}` is drawn from
     /// the logical `(task id, worker id)`, salted off the noise seed.
     pub(crate) fn budget_source(&self) -> SeededBudgets {
@@ -434,27 +382,41 @@ impl StreamConfig {
         )
     }
 
-    /// The invariants every session and driver constructor asserts:
-    /// a positive TTL, budget group and capacity, and a valid service
-    /// model. Panics on the first violation.
+    /// Panics with the [`ConfigError`] [`validate`](Self::validate)
+    /// returns, if any: every session and driver constructor, and both
+    /// `restore`s, call this before they touch the configuration.
     pub(crate) fn assert_runnable(&self) {
-        assert!(self.task_ttl >= 1, "task_ttl must be at least 1");
-        assert!(
-            self.budget_group_size >= 1,
-            "budget group must be non-empty"
-        );
-        assert!(
-            self.worker_capacity > 0.0,
-            "worker_capacity must be positive"
-        );
-        if let Err(message) = self.service.check() {
-            panic!("{message}");
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
     }
 
-    /// Validates every knob, returning the offending field on failure.
-    /// [`StreamConfigBuilder::build`] funnels through this; session and
-    /// driver constructors assert the same invariants.
+    /// Validates every knob, returning the offending field on failure —
+    /// the one check of the configuration's invariants. Sessions and
+    /// drivers panic with its error; call it first to get the typed
+    /// [`ConfigError`] instead.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dpta_stream::{StreamConfig, WindowPolicy};
+    ///
+    /// let cfg = StreamConfig {
+    ///     policy: WindowPolicy::ByTime { width: 300.0 },
+    ///     worker_capacity: 2.5,
+    ///     task_ttl: 4,
+    ///     ..StreamConfig::default()
+    /// };
+    /// assert_eq!(cfg.validate(), Ok(()));
+    ///
+    /// let err = StreamConfig {
+    ///     policy: WindowPolicy::ByTime { width: 0.0 },
+    ///     ..cfg
+    /// }
+    /// .validate()
+    /// .unwrap_err();
+    /// assert_eq!(err.field, "policy");
+    /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn err(field: &'static str, message: String) -> Result<(), ConfigError> {
             Err(ConfigError { field, message })
@@ -537,14 +499,6 @@ impl StreamConfig {
                 message,
             });
         }
-        if let Some(h) = self.horizon {
-            if !(h > 0.0 && h.is_finite()) {
-                return err(
-                    "horizon",
-                    format!("horizon must be positive and finite, got {h}"),
-                );
-            }
-        }
         if let LedgerMode::Windowed { window_secs } = self.ledger {
             if window_secs.is_nan() || window_secs <= 0.0 {
                 return err(
@@ -576,7 +530,7 @@ impl StreamConfig {
     }
 }
 
-/// A rejected [`StreamConfigBuilder::build`]: the offending
+/// A configuration [`StreamConfig::validate`] rejects: the offending
 /// [`StreamConfig`] field (matching the snapshot layer's
 /// `ConfigMismatch { field }` names) and a human-readable reason.
 #[derive(Debug, Clone, PartialEq)]
@@ -594,96 +548,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Validating builder for [`StreamConfig`]; construct via
-/// [`StreamConfig::builder`]. Every setter overwrites the
-/// corresponding field; [`build`](StreamConfigBuilder::build) checks
-/// all invariants at once and names the offending field on failure.
-#[derive(Debug, Clone)]
-pub struct StreamConfigBuilder {
-    cfg: StreamConfig,
-}
-
-impl StreamConfigBuilder {
-    /// Sets the batching policy.
-    pub fn policy(mut self, policy: WindowPolicy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Sets the algorithm parameters (seed, α, β, accounting, fallback).
-    pub fn params(mut self, params: RunParams) -> Self {
-        self.cfg.params = params;
-        self
-    }
-
-    /// Sets the per-pair budget draw range.
-    pub fn budget_range(mut self, low: f64, high: f64) -> Self {
-        self.cfg.budget_range = (low, high);
-        self
-    }
-
-    /// Sets the budget vector group size `Z`.
-    pub fn budget_group_size(mut self, z: usize) -> Self {
-        self.cfg.budget_group_size = z;
-        self
-    }
-
-    /// Sets the per-worker privacy budget capacity.
-    pub fn worker_capacity(mut self, capacity: f64) -> Self {
-        self.cfg.worker_capacity = capacity;
-        self
-    }
-
-    /// Sets the task time-to-live in windows.
-    pub fn task_ttl(mut self, ttl: usize) -> Self {
-        self.cfg.task_ttl = ttl;
-        self
-    }
-
-    /// Sets whether warm-start engines carry release history.
-    pub fn carry_releases(mut self, carry: bool) -> Self {
-        self.cfg.carry_releases = carry;
-        self
-    }
-
-    /// Sets the service model.
-    pub fn service(mut self, service: ServiceModel) -> Self {
-        self.cfg.service = service;
-        self
-    }
-
-    /// Sets the windowing horizon override.
-    pub fn horizon(mut self, horizon: Option<f64>) -> Self {
-        self.cfg.horizon = horizon;
-        self
-    }
-
-    /// Sets the budget accounting regime.
-    pub fn ledger(mut self, ledger: LedgerMode) -> Self {
-        self.cfg.ledger = ledger;
-        self
-    }
-
-    /// Enables budget pacing with the given forecast horizon.
-    pub fn pacing(mut self, pacing: Option<PacingConfig>) -> Self {
-        self.cfg.pacing = pacing;
-        self
-    }
-
-    /// Enables admission control with the given per-task cost estimate.
-    pub fn admission(mut self, admission: Option<AdmissionConfig>) -> Self {
-        self.cfg.admission = admission;
-        self
-    }
-
-    /// Validates every knob and returns the configuration, or the
-    /// first offending field.
-    pub fn build(self) -> Result<StreamConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
 
 /// Charges every worker column of a driven `board` with its *novel*
 /// releases — the one charge path of the pipeline: every drive of the
@@ -813,9 +677,9 @@ pub struct StreamDriver<'e> {
 }
 
 impl<'e> StreamDriver<'e> {
-    /// Creates a driver for `engine` under `cfg`. Panics on degenerate
-    /// configuration, as [`StreamSession::new`](crate::StreamSession::new)
-    /// does.
+    /// Creates a driver for `engine` under `cfg`. Panics with the
+    /// [`ConfigError`] of any configuration
+    /// [`StreamConfig::validate`] rejects.
     pub fn new(engine: &'e dyn AssignmentEngine, cfg: StreamConfig) -> Self {
         cfg.assert_runnable();
         StreamDriver { engine, cfg }
@@ -843,8 +707,11 @@ mod tests {
     use super::*;
     use crate::event::{ArrivalEvent, WorkerArrival};
     use crate::metrics::TaskFate;
+    use crate::shard::{ShardStrategy, ShardedSession};
+    use crate::window::AdaptivePolicy;
     use dpta_core::{Method, Task, Worker};
-    use dpta_spatial::Point;
+    use dpta_spatial::{Aabb, GridPartition, Point};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn tiny_stream() -> ArrivalStream {
         let mut events = Vec::new();
@@ -863,6 +730,22 @@ mod tests {
             }));
         }
         ArrivalStream::new(events)
+    }
+
+    /// Pushes `events` into a session, advances its watermark to `t`
+    /// (so its windows cover at least `[0, t]`) and closes it.
+    fn run_to(
+        engine: &dyn AssignmentEngine,
+        cfg: StreamConfig,
+        events: Vec<ArrivalEvent>,
+        t: f64,
+    ) -> StreamReport {
+        let mut session = StreamSession::new(engine, cfg);
+        for e in events {
+            session.push(e);
+        }
+        session.advance_to(t);
+        session.close()
     }
 
     fn tiny_cfg() -> StreamConfig {
@@ -912,11 +795,10 @@ mod tests {
         let cfg = StreamConfig {
             policy: WindowPolicy::ByTime { width: 10.0 },
             task_ttl: 2,
-            horizon: Some(100.0),
             ..StreamConfig::default()
         };
         let engine = Method::Puce.engine(&cfg.params);
-        let report = StreamDriver::new(engine.as_ref(), cfg).run(&ArrivalStream::new(events));
+        let report = run_to(engine.as_ref(), cfg, events, 100.0);
         report.assert_conservation();
         assert_eq!(report.matched(), 0);
         assert_eq!(report.expired(), 1);
@@ -994,11 +876,10 @@ mod tests {
         let cfg = StreamConfig {
             policy: WindowPolicy::ByTime { width: 10.0 },
             task_ttl: 10,
-            horizon: Some(49.0),
             ..StreamConfig::default()
         };
         let engine = Method::GeoI.engine(&cfg.params);
-        let report = StreamDriver::new(engine.as_ref(), cfg).run(&ArrivalStream::new(events));
+        let report = run_to(engine.as_ref(), cfg, events, 49.0);
         report.assert_conservation();
         assert_eq!(report.matched(), 0);
         assert!(report.windows.len() >= 5);
@@ -1031,5 +912,124 @@ mod tests {
         let engine = Method::Puce.engine(&cfg.params);
         let report = StreamDriver::new(engine.as_ref(), cfg).run(&tiny_stream());
         report.assert_conservation();
+    }
+
+    /// One configuration per `validate` rule, each breaking only that
+    /// rule, with the field it names.
+    fn broken_configs() -> Vec<(&'static str, StreamConfig)> {
+        let with = |f: fn(&mut StreamConfig)| {
+            let mut cfg = StreamConfig::default();
+            f(&mut cfg);
+            cfg
+        };
+        let adaptive = |f: fn(&mut AdaptivePolicy)| {
+            let mut p = AdaptivePolicy::default();
+            f(&mut p);
+            StreamConfig {
+                policy: WindowPolicy::Adaptive(p),
+                ..StreamConfig::default()
+            }
+        };
+        vec![
+            (
+                "policy",
+                with(|c| c.policy = WindowPolicy::ByTime { width: 0.0 }),
+            ),
+            (
+                "policy",
+                with(|c| {
+                    c.policy = WindowPolicy::ByTime {
+                        width: f64::INFINITY,
+                    }
+                }),
+            ),
+            (
+                "policy",
+                with(|c| c.policy = WindowPolicy::ByCount { tasks: 0 }),
+            ),
+            ("policy", adaptive(|p| p.min_width = 0.0)),
+            ("policy", adaptive(|p| p.base_width = 1.0)),
+            ("policy", adaptive(|p| p.max_width = f64::INFINITY)),
+            ("policy", adaptive(|p| p.burst_tasks = 0)),
+            ("policy", adaptive(|p| p.target_p95 = f64::NAN)),
+            ("budget_range", with(|c| c.budget_range = (0.0, 1.0))),
+            ("budget_range", with(|c| c.budget_range = (2.0, 1.0))),
+            (
+                "budget_range",
+                with(|c| c.budget_range = (0.5, f64::INFINITY)),
+            ),
+            ("budget_group_size", with(|c| c.budget_group_size = 0)),
+            ("worker_capacity", with(|c| c.worker_capacity = 0.0)),
+            ("worker_capacity", with(|c| c.worker_capacity = f64::NAN)),
+            ("task_ttl", with(|c| c.task_ttl = 0)),
+            (
+                "service",
+                with(|c| c.service = ServiceModel::Fixed { secs: 0.0 }),
+            ),
+            (
+                "ledger",
+                with(|c| c.ledger = LedgerMode::Windowed { window_secs: 0.0 }),
+            ),
+            (
+                "pacing",
+                with(|c| c.pacing = Some(PacingConfig { horizon_windows: 0 })),
+            ),
+            (
+                "admission",
+                with(|c| {
+                    c.admission = Some(AdmissionConfig {
+                        epsilon_per_task: -1.0,
+                    })
+                }),
+            ),
+        ]
+    }
+
+    /// Asserts that `construct` panics with a message naming `field`.
+    fn assert_panics_naming(field: &str, name: &str, construct: impl FnOnce()) {
+        let Err(payload) = catch_unwind(AssertUnwindSafe(construct)) else {
+            panic!("{name} accepted a broken {field}");
+        };
+        let message = match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |s| s.to_string()),
+        };
+        assert!(
+            message.contains(field),
+            "{name} panicked without naming {field}: {message}"
+        );
+    }
+
+    #[test]
+    fn every_session_constructor_rejects_what_validate_rejects() {
+        let engine = Method::Grd.engine(&RunParams::default());
+        let engine = engine.as_ref();
+        let part = GridPartition::new(Aabb::from_extents(0.0, 0.0, 10.0, 10.0), 2, 2);
+        let halo = ShardStrategy::Halo;
+        let flat_snap = StreamSession::new(engine, StreamConfig::default()).snapshot();
+        let halo_snap =
+            ShardedSession::new(engine, StreamConfig::default(), &part, halo).snapshot();
+        for (field, cfg) in broken_configs() {
+            let err = cfg.validate().expect_err(field);
+            assert_eq!(err.field, field, "{err}");
+            let cfg = || cfg.clone();
+            assert_panics_naming(field, "StreamSession::new", || {
+                StreamSession::new(engine, cfg());
+            });
+            assert_panics_naming(field, "ShardedSession::new", || {
+                ShardedSession::new(engine, cfg(), &part, halo);
+            });
+            assert_panics_naming(field, "StreamDriver::new", || {
+                StreamDriver::new(engine, cfg());
+            });
+            assert_panics_naming(field, "StreamSession::restore", || {
+                let _ = StreamSession::restore(engine, cfg(), &flat_snap);
+            });
+            assert_panics_naming(field, "ShardedSession::restore", || {
+                let _ = ShardedSession::restore(engine, cfg(), &part, halo, &halo_snap);
+            });
+        }
     }
 }

@@ -180,7 +180,6 @@ pub(crate) struct HaloCore<'e> {
     // Per-shard report state.
     shard_windows: Vec<Vec<WindowReport>>,
     shard_fates: Vec<FateLog>,
-    shard_tasks: Vec<usize>,
     shard_workers: Vec<usize>,
     /// Worker id → lifetime spend, per home shard; hashed for O(1)
     /// updates, id-ordered in every report and snapshot.
@@ -215,7 +214,6 @@ impl<'e> HaloCore<'e> {
             warm,
             shard_windows: vec![Vec::new(); n_shards],
             shard_fates: vec![FateLog::default(); n_shards],
-            shard_tasks: vec![0; n_shards],
             shard_workers: vec![0; n_shards],
             shard_spend: vec![FastMap::default(); n_shards],
             life,
@@ -249,7 +247,6 @@ impl<'e> HaloCore<'e> {
             warm,
             shard_windows,
             shard_fates,
-            shard_tasks,
             shard_workers,
             shard_spend,
             life,
@@ -292,12 +289,10 @@ impl<'e> HaloCore<'e> {
         // pending set, the rest were deferred.
         let admitted = &life.pending_home[opened.carried_in + opened.readmitted..];
         for &home in admitted {
-            shard_tasks[home as usize] += 1;
             reports[home as usize].tasks_arrived += 1;
         }
         for t in &opened.deferred {
             let home = partition.shard_of(&t.task.location);
-            shard_tasks[home] += 1;
             reports[home].tasks_arrived += 1;
             reports[home].tasks_deferred += 1;
             outcomes.push(Outcome::Deferred {
@@ -617,11 +612,11 @@ impl<'e> HaloCore<'e> {
             shards: (0..self.shard_windows.len())
                 .map(|k| StreamReport {
                     engine: engine_name.clone(),
+                    task_arrivals: self.shard_windows[k].iter().map(|w| w.tasks_arrived).sum(),
                     windows: std::mem::take(&mut self.shard_windows[k]),
                     fates: std::mem::take(&mut self.shard_fates[k].0)
                         .into_iter()
                         .collect(),
-                    task_arrivals: self.shard_tasks[k],
                     worker_arrivals: self.shard_workers[k],
                     spend_by_worker: std::mem::take(&mut self.shard_spend[k])
                         .into_iter()
@@ -640,7 +635,6 @@ impl<'e> HaloCore<'e> {
         HaloSnapshot {
             shard_windows: self.shard_windows.clone(),
             shard_fates: self.shard_fates.clone(),
-            shard_tasks: self.shard_tasks.clone(),
             shard_workers: self.shard_workers.clone(),
             shard_spend: self.shard_spend.iter().map(spend_map).collect(),
             pool: life.pool.clone(),
@@ -675,7 +669,6 @@ impl<'e> HaloCore<'e> {
         let per_shard = [
             snap.shard_windows.len(),
             snap.shard_fates.len(),
-            snap.shard_tasks.len(),
             snap.shard_workers.len(),
             snap.shard_spend.len(),
             snap.carried.len(),
@@ -699,7 +692,6 @@ impl<'e> HaloCore<'e> {
         let mut core = HaloCore::new(engine, cfg, partition, strategy);
         core.shard_windows = snap.shard_windows.clone();
         core.shard_fates = snap.shard_fates.clone();
-        core.shard_tasks = snap.shard_tasks.clone();
         core.shard_workers = snap.shard_workers.clone();
         core.shard_spend = snap.shard_spend.iter().map(spend_map).collect();
         let life = &mut core.life;
@@ -727,7 +719,6 @@ impl<'e> HaloCore<'e> {
 pub(crate) struct HaloSnapshot {
     pub(crate) shard_windows: Vec<Vec<WindowReport>>,
     pub(crate) shard_fates: Vec<FateLog>,
-    pub(crate) shard_tasks: Vec<usize>,
     pub(crate) shard_workers: Vec<usize>,
     pub(crate) shard_spend: Vec<BTreeMap<u32, f64>>,
     pub(crate) pool: Vec<WorkerArrival>,
@@ -969,7 +960,7 @@ mod tests {
         };
         let engine = Method::Puce.engine(&cfg.params);
         let mut core = HaloCore::new(engine.as_ref(), cfg.clone(), partition, ShardStrategy::Halo);
-        let mut former = WindowFormer::new(cfg.policy, cfg.horizon);
+        let mut former = WindowFormer::new(cfg.policy);
         for &e in stream.events() {
             former.push(e);
         }

@@ -100,8 +100,7 @@ mod window;
 
 pub use arrival::{ArrivalModel, StreamScenario};
 pub use driver::{
-    AdmissionConfig, ConfigError, LedgerMode, PacingConfig, StreamConfig, StreamConfigBuilder,
-    StreamDriver,
+    AdmissionConfig, ConfigError, LedgerMode, PacingConfig, StreamConfig, StreamDriver,
 };
 pub use event::{ArrivalEvent, ArrivalStream, TaskArrival, WorkerArrival};
 pub use metrics::{

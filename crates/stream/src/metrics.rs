@@ -117,7 +117,9 @@ pub struct WindowReport {
     pub start: f64,
     /// Nominal window end, seconds.
     pub end: f64,
-    /// Task arrivals admitted this window.
+    /// Task arrivals this window: the admitted ones and those deferred
+    /// on arrival (counted once, in their arrival window, however late
+    /// they are admitted).
     pub tasks_arrived: usize,
     /// Unserved tasks carried in from earlier windows.
     pub carried_in: usize,
@@ -280,7 +282,8 @@ pub struct StreamReport {
     pub windows: Vec<WindowReport>,
     /// Final fate of every task arrival, keyed by logical task id.
     pub fates: BTreeMap<u32, TaskFate>,
-    /// Task arrivals observed.
+    /// Task arrivals observed: the sum of the windows'
+    /// [`tasks_arrived`](WindowReport::tasks_arrived).
     pub task_arrivals: usize,
     /// Worker arrivals observed.
     pub worker_arrivals: usize,

@@ -387,9 +387,9 @@ pub struct StreamSession<'e>(pub(crate) ShardedSession<'e, 'static>);
 static ONE_CELL: LazyLock<GridPartition> = LazyLock::new(one_cell);
 
 impl<'e> StreamSession<'e> {
-    /// Opens a session for `engine` under `cfg`. Panics on degenerate
-    /// configuration (zero TTL, empty budget group, non-positive
-    /// capacity, service or window knobs).
+    /// Opens a session for `engine` under `cfg`. Panics with the
+    /// [`ConfigError`](crate::ConfigError) of any configuration
+    /// [`StreamConfig::validate`] rejects.
     pub fn new(engine: &'e dyn AssignmentEngine, cfg: StreamConfig) -> Self {
         StreamSession(ShardedSession::new(
             engine,
@@ -432,8 +432,8 @@ impl<'e> StreamSession<'e> {
     }
 
     /// Drives every remaining window (trailing empties included, up to
-    /// the configured horizon), settles the final fates and returns the
-    /// aggregate report. Outcomes emitted while closing stay pollable.
+    /// the later of the last event and the watermark), settles the
+    /// final fates and returns the aggregate report. Outcomes emitted while closing stay pollable.
     /// Panics if called twice.
     pub fn close(&mut self) -> StreamReport {
         let report = self.0.close().shards.pop();
@@ -456,7 +456,9 @@ impl<'e> StreamSession<'e> {
     /// [`StreamSession::snapshot`], with the typed errors of
     /// [`ShardedSession::restore`] over one cell: a snapshot of a
     /// drop-pairs session over more cells is a `"partition"` mismatch,
-    /// one of a halo session a `"strategy"` mismatch.
+    /// one of a halo session a `"strategy"` mismatch. Panics, as
+    /// [`new`](Self::new) does, on a configuration
+    /// [`StreamConfig::validate`] rejects.
     pub fn restore(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
@@ -799,6 +801,20 @@ mod tests {
             secs_per_km: 60.0,
         };
         assert_eq!(service.duration(2.0, 4.5), Some(120.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "min <= base <= max")]
+    fn inverted_adaptive_widths_panic() {
+        let cfg = StreamConfig {
+            policy: WindowPolicy::Adaptive(AdaptivePolicy {
+                base_width: 1.0,
+                ..AdaptivePolicy::default()
+            }),
+            ..StreamConfig::default()
+        };
+        let engine = Method::Grd.engine(&cfg.params);
+        let _ = StreamSession::new(engine.as_ref(), cfg);
     }
 
     #[test]

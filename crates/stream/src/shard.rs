@@ -242,9 +242,10 @@ pub struct ShardedSession<'e, 'p> {
 
 impl<'e, 'p> ShardedSession<'e, 'p> {
     /// Opens a sharded session for `engine` under `cfg`, partitioned by
-    /// `partition` under `strategy`. Panics on degenerate configuration
-    /// (zero TTL, empty budget group, non-positive capacity, service or
-    /// window knobs).
+    /// `partition` under `strategy`. Panics with the [`ConfigError`] of
+    /// any configuration [`StreamConfig::validate`] rejects.
+    ///
+    /// [`ConfigError`]: crate::ConfigError
     pub fn new(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
@@ -255,7 +256,7 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         let core = HaloCore::new(engine, cfg.clone(), *partition, strategy);
         ShardedSession {
             engine,
-            former: WindowFormer::new(cfg.policy, cfg.horizon),
+            former: WindowFormer::new(cfg.policy),
             cfg,
             partition,
             strategy,
@@ -394,7 +395,9 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
     /// naming the first one (`"engine"`, the field's name,
     /// `"strategy"`, `"partition"`). Everything derivable is
     /// reconstructed: budget generators from the seed, and each
-    /// window's instances from the restored pool/pending order.
+    /// window's instances from the restored pool/pending order. Panics,
+    /// as [`new`](Self::new) does, on a configuration
+    /// [`StreamConfig::validate`] rejects.
     pub fn restore(
         engine: &'e dyn AssignmentEngine,
         cfg: StreamConfig,
@@ -402,12 +405,13 @@ impl<'e, 'p> ShardedSession<'e, 'p> {
         strategy: ShardStrategy,
         snapshot: &ShardedSnapshot,
     ) -> Result<Self, SnapshotError> {
+        cfg.assert_runnable();
         snapshot.validate(engine.name(), &cfg, partition.n_shards(), strategy)?;
         let core =
             HaloCore::from_snapshot(engine, cfg.clone(), *partition, strategy, &snapshot.core)?;
         Ok(ShardedSession {
             engine,
-            former: WindowFormer::from_snapshot(cfg.policy, cfg.horizon, &snapshot.windower)?,
+            former: WindowFormer::from_snapshot(cfg.policy, &snapshot.windower)?,
             cfg,
             partition,
             strategy,

@@ -45,7 +45,10 @@
 //! in a `cores` list, and the unused arrival counts are gone; v9 gave
 //! drop-pairs one stepper over the whole partition, like the halo
 //! protocol, so every snapshot writes its one stepper inline and the
-//! `cores` list is gone — a flat snapshot changed only in its version.)
+//! `cores` list is gone — a flat snapshot changed only in its version;
+//! v10 dropped the configuration's `horizon` field and the stepper's
+//! per-shard task-arrival counts, which the per-window reports already
+//! sum to.)
 //!
 //! # Exactly-once across restart
 //!
@@ -66,7 +69,7 @@ use crate::window::FormerSnapshot;
 use serde::{Deserialize, Serialize, Value};
 
 /// Current snapshot format version, embedded in every snapshot.
-pub const SNAPSHOT_VERSION: u32 = 9;
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// The full serializable state of a session at a window boundary,
 /// produced by [`ShardedSession::snapshot`] (or
@@ -233,7 +236,6 @@ impl ShardedSnapshot {
             ("task_ttl", snap.task_ttl == cfg.task_ttl),
             ("carry_releases", snap.carry_releases == cfg.carry_releases),
             ("service", snap.service == cfg.service),
-            ("horizon", snap.horizon == cfg.horizon),
             ("ledger", snap.ledger == cfg.ledger),
             ("pacing", snap.pacing == cfg.pacing),
             ("admission", snap.admission == cfg.admission),

@@ -177,30 +177,6 @@ impl Default for AdaptivePolicy {
     }
 }
 
-impl AdaptivePolicy {
-    fn validate(&self) {
-        assert!(
-            self.min_width > 0.0 && self.min_width.is_finite(),
-            "min_width must be positive and finite, got {}",
-            self.min_width
-        );
-        assert!(
-            self.min_width <= self.base_width && self.base_width <= self.max_width,
-            "widths must satisfy min <= base <= max, got {} / {} / {}",
-            self.min_width,
-            self.base_width,
-            self.max_width
-        );
-        assert!(self.max_width.is_finite(), "max_width must be finite");
-        assert!(self.burst_tasks >= 1, "burst_tasks must be at least 1");
-        assert!(
-            self.target_p95 > 0.0 && self.target_p95.is_finite(),
-            "target_p95 must be positive and finite, got {}",
-            self.target_p95
-        );
-    }
-}
-
 /// One closed window: its nominal time span and the arrivals in it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Window {
@@ -272,7 +248,6 @@ pub(crate) struct ControllerState {
 
 impl AdaptiveController {
     pub(crate) fn new(policy: AdaptivePolicy) -> Self {
-        policy.validate();
         AdaptiveController {
             policy,
             width: policy.base_width,
@@ -364,9 +339,9 @@ impl AdaptiveController {
 
 /// The serializable state of a [`WindowFormer`]: the buffered events
 /// still waiting for their window, the watermark/grid cursors, and the
-/// adaptive controller's PID state. The policy and configured horizon
-/// are *not* here — they are reconstructed from the restore-time
-/// [`StreamConfig`], which a snapshot validates against field by field.
+/// adaptive controller's PID state. The policy is *not* here — it is
+/// reconstructed from the restore-time [`StreamConfig`], which a
+/// snapshot validates against field by field.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct FormerSnapshot {
     pub(crate) buffer: VecDeque<ArrivalEvent>,
@@ -400,28 +375,18 @@ pub(crate) struct WindowFormer {
     last_decision: WindowCutDecision,
     /// Highest event timestamp seen.
     max_event_time: f64,
-    /// Explicit horizon from the configuration.
-    pub(crate) horizon: Option<f64>,
-    /// Anything observed at all (events, an advanced watermark, or an
-    /// explicit horizon): an untouched session closes to zero windows.
+    /// Anything observed at all (events or an advanced watermark): an
+    /// untouched session closes to zero windows.
     pub(crate) any_input: bool,
 }
 
 impl WindowFormer {
-    pub(crate) fn new(policy: WindowPolicy, horizon: Option<f64>) -> Self {
+    /// A former for `policy`, which the session has validated
+    /// ([`StreamConfig::validate`](crate::StreamConfig::validate)).
+    pub(crate) fn new(policy: WindowPolicy) -> Self {
         let controller = match policy {
             WindowPolicy::Adaptive(p) => Some(AdaptiveController::new(p)),
-            WindowPolicy::ByTime { width } => {
-                assert!(
-                    width > 0.0 && width.is_finite(),
-                    "window width must be positive, got {width}"
-                );
-                None
-            }
-            WindowPolicy::ByCount { tasks } => {
-                assert!(tasks > 0, "count threshold must be positive");
-                None
-            }
+            WindowPolicy::ByTime { .. } | WindowPolicy::ByCount { .. } => None,
         };
         WindowFormer {
             policy,
@@ -432,8 +397,7 @@ impl WindowFormer {
             controller,
             last_decision: WindowCutDecision::Scheduled,
             max_event_time: 0.0,
-            horizon,
-            any_input: horizon.is_some(),
+            any_input: false,
         }
     }
 
@@ -452,14 +416,13 @@ impl WindowFormer {
     }
 
     /// Rebuilds a windower mid-stream from a snapshot, under the
-    /// restore-time policy and horizon (already validated to match the
-    /// snapshotted configuration).
+    /// restore-time policy (already validated to match the snapshotted
+    /// configuration).
     pub(crate) fn from_snapshot(
         policy: WindowPolicy,
-        horizon: Option<f64>,
         snap: &FormerSnapshot,
     ) -> Result<Self, SnapshotError> {
-        let mut w = WindowFormer::new(policy, horizon);
+        let mut w = WindowFormer::new(policy);
         w.controller = match (&policy, &snap.controller) {
             (WindowPolicy::Adaptive(p), Some(state)) => {
                 Some(AdaptiveController::from_state(*p, *state))
@@ -492,7 +455,7 @@ impl WindowFormer {
         w.index = snap.index;
         w.last_decision = snap.last_decision;
         w.max_event_time = snap.max_event_time;
-        w.any_input = snap.any_input || w.any_input;
+        w.any_input = snap.any_input;
         Ok(w)
     }
 
@@ -547,9 +510,7 @@ impl WindowFormer {
 
     /// Last instant the window sequence must cover once closing.
     pub(crate) fn span(&self) -> f64 {
-        self.max_event_time
-            .max(self.horizon.unwrap_or(0.0))
-            .max(self.watermark)
+        self.max_event_time.max(self.watermark)
     }
 
     /// The next window that is certainly complete: bounded by the
@@ -732,11 +693,15 @@ mod tests {
         })
     }
 
-    /// A former holding `events`, ready to drain.
-    fn former(policy: WindowPolicy, events: &[ArrivalEvent], horizon: Option<f64>) -> WindowFormer {
-        let mut former = WindowFormer::new(policy, horizon);
+    /// A former holding `events`, ready to drain; a watermark advanced
+    /// to `to` makes the drained windows cover at least `[0, to]`.
+    fn former(policy: WindowPolicy, events: &[ArrivalEvent], to: Option<f64>) -> WindowFormer {
+        let mut former = WindowFormer::new(policy);
         for &e in events {
             former.push(e);
+        }
+        if let Some(t) = to {
+            former.advance(t);
         }
         former
     }
@@ -745,9 +710,9 @@ mod tests {
     fn drain_windows(
         policy: WindowPolicy,
         events: &[ArrivalEvent],
-        horizon: Option<f64>,
+        to: Option<f64>,
     ) -> Vec<Window> {
-        let mut former = former(policy, events, horizon);
+        let mut former = former(policy, events, to);
         std::iter::from_fn(|| former.next_ready(true)).collect()
     }
 
@@ -948,17 +913,5 @@ mod tests {
         assert_eq!(seq[0], (0.0, 0.0, WindowCutDecision::Burst));
         assert!(seq.last().unwrap().1 >= 25.0);
         assert!(seq.len() < 10, "must not livelock at the zero-width cut");
-    }
-
-    #[test]
-    #[should_panic(expected = "min <= base <= max")]
-    fn inverted_adaptive_widths_panic() {
-        let _ = WindowFormer::new(
-            WindowPolicy::Adaptive(AdaptivePolicy {
-                base_width: 1.0,
-                ..tiny_adaptive()
-            }),
-            None,
-        );
     }
 }

@@ -49,13 +49,13 @@ fn random_stream(tasks: &[(f64, f64, f64)], workers: &[(f64, f64, f64, f64)]) ->
 }
 
 fn cfg_with(ledger: LedgerMode, capacity: f64) -> StreamConfig {
-    StreamConfig::builder()
-        .policy(WindowPolicy::ByTime { width: 300.0 })
-        .worker_capacity(capacity)
-        .service(ServiceModel::Fixed { secs: 240.0 })
-        .ledger(ledger)
-        .build()
-        .expect("valid streaming configuration")
+    StreamConfig {
+        policy: WindowPolicy::ByTime { width: 300.0 },
+        worker_capacity: capacity,
+        service: ServiceModel::Fixed { secs: 240.0 },
+        ledger,
+        ..StreamConfig::default()
+    }
 }
 
 /// Sorted `(task id, fate)` pairs plus per-worker spend of a sharded
@@ -189,15 +189,15 @@ proptest! {
         let stream = random_stream(&tasks, &workers);
         // Every new knob at once: sliding window, pacing, admission
         // control and stochastic service jitter.
-        let cfg = StreamConfig::builder()
-            .policy(WindowPolicy::ByTime { width: 300.0 })
-            .worker_capacity(1.5)
-            .service(ServiceModel::Jittered { secs: 240.0, frac: 0.4 })
-            .ledger(LedgerMode::Windowed { window_secs: 900.0 })
-            .pacing(Some(PacingConfig { horizon_windows: 3 }))
-            .admission(Some(AdmissionConfig { epsilon_per_task: 0.5 }))
-            .build()
-            .expect("valid windowed configuration");
+        let cfg = StreamConfig {
+            policy: WindowPolicy::ByTime { width: 300.0 },
+            worker_capacity: 1.5,
+            service: ServiceModel::Jittered { secs: 240.0, frac: 0.4 },
+            ledger: LedgerMode::Windowed { window_secs: 900.0 },
+            pacing: Some(PacingConfig { horizon_windows: 3 }),
+            admission: Some(AdmissionConfig { epsilon_per_task: 0.5 }),
+            ..StreamConfig::default()
+        };
         for method in [Method::Puce, Method::Grd] {
             let engine = method.engine(&cfg.params);
             let a = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&stream);
@@ -221,15 +221,15 @@ proptest! {
         split_frac in 0.2f64..0.8,
     ) {
         let stream = random_stream(&tasks, &workers);
-        let cfg = StreamConfig::builder()
-            .policy(WindowPolicy::ByTime { width: 300.0 })
-            .worker_capacity(1.5)
-            .service(ServiceModel::Jittered { secs: 240.0, frac: 0.4 })
-            .ledger(LedgerMode::Windowed { window_secs: 900.0 })
-            .pacing(Some(PacingConfig { horizon_windows: 3 }))
-            .admission(Some(AdmissionConfig { epsilon_per_task: 0.5 }))
-            .build()
-            .expect("valid windowed configuration");
+        let cfg = StreamConfig {
+            policy: WindowPolicy::ByTime { width: 300.0 },
+            worker_capacity: 1.5,
+            service: ServiceModel::Jittered { secs: 240.0, frac: 0.4 },
+            ledger: LedgerMode::Windowed { window_secs: 900.0 },
+            pacing: Some(PacingConfig { horizon_windows: 3 }),
+            admission: Some(AdmissionConfig { epsilon_per_task: 0.5 }),
+            ..StreamConfig::default()
+        };
         let engine = Method::Puce.engine(&cfg.params);
         let events = stream.events();
         let split = ((events.len() as f64) * split_frac) as usize;
@@ -271,15 +271,14 @@ proptest! {
             (0.0f64..100.0, 0.0f64..100.0, 5.0f64..25.0, 0.0f64..600.0), 3..8),
     ) {
         let stream = random_stream(&tasks, &workers);
-        let fixed = StreamConfig::builder()
-            .service(ServiceModel::Fixed { secs: 240.0 })
-            .build()
-            .expect("valid fixed-service configuration");
-        let jittered = fixed
-            .to_builder()
-            .service(ServiceModel::Jittered { secs: 240.0, frac: 0.0 })
-            .build()
-            .expect("valid zero-jitter configuration");
+        let fixed = StreamConfig {
+            service: ServiceModel::Fixed { secs: 240.0 },
+            ..StreamConfig::default()
+        };
+        let jittered = StreamConfig {
+            service: ServiceModel::Jittered { secs: 240.0, frac: 0.0 },
+            ..fixed.clone()
+        };
         for method in [Method::Puce, Method::Grd] {
             let engine = method.engine(&fixed.params);
             let a = StreamDriver::new(engine.as_ref(), fixed.clone()).run(&stream);
@@ -314,18 +313,17 @@ fn nonzero_jitter_shifts_return_times_deterministically() {
         }));
     }
     let stream = ArrivalStream::new(events);
-    let fixed = StreamConfig::builder()
-        .service(ServiceModel::Fixed { secs: 240.0 })
-        .build()
-        .expect("valid fixed-service configuration");
-    let jittered = fixed
-        .to_builder()
-        .service(ServiceModel::Jittered {
+    let fixed = StreamConfig {
+        service: ServiceModel::Fixed { secs: 240.0 },
+        ..StreamConfig::default()
+    };
+    let jittered = StreamConfig {
+        service: ServiceModel::Jittered {
             secs: 240.0,
             frac: 0.5,
-        })
-        .build()
-        .expect("valid jittered configuration");
+        },
+        ..fixed.clone()
+    };
     let engine = Method::Grd.engine(&fixed.params);
     let run = |cfg: &StreamConfig| {
         let mut s = StreamSession::new(engine.as_ref(), cfg.clone());

@@ -1,29 +1,28 @@
-//! Properties of the million-entity scaling layer (PR 8): id
-//! interning, struct-of-arrays window building and shard execution on
-//! the fan-out pool must all be *invisible* — pure speedups with no
-//! observable behaviour change.
+//! Properties of the million-entity scaling layer (PR 8): id-keyed
+//! hash state, struct-of-arrays window building and sharded execution
+//! must all be *invisible* — pure speedups with no observable
+//! behaviour change.
 //!
-//! * **interning ≡ pre-interning semantics** — the interned pipeline
-//!   (dense-symbol ledgers, arena-backed window builds, `FastMap`
-//!   scratch state) reproduces the pre-interning observable contract
-//!   on random streams across all three window policies and all three
-//!   execution shapes (flat, drop-pairs sharded, halo sharded): task
-//!   fates bit for bit, per-worker privacy spend bit for bit (every
-//!   mode charges through one ledger-ordered path), window cut
-//!   sequences, and the typed outcome log.
-//!   The oracle is the set of cross-path equivalences that were pinned
-//!   *before* interning landed: drain ≡ push-session, flat ≡ sharded
-//!   on shard-disjoint input, repeat ≡ first run.
-//! * **parallel drive determinism** — sharded execution is
-//!   byte-identical however its windows are batched into parallel
-//!   drives and across repeated runs, including on an adversarially
-//!   skewed hotspot-cell stream where the order threads take cells in
-//!   genuinely varies between runs.
-//! * **wire-format stability** — the committed v1 session snapshot
-//!   still parses and round-trips byte-identically, and snapshots key
-//!   everything by *logical* id: intern symbols (first-insertion
-//!   ranks) must never leak into the wire format, pinned by a session
-//!   whose insertion order disagrees with id order.
+//! * **cross-path agreement** — the pipeline (`FastMap`/`FastSet`
+//!   state keyed by logical id, arena-backed window builds) agrees
+//!   with itself on random streams across all three window policies
+//!   and all three execution shapes (flat, drop-pairs sharded, halo
+//!   sharded): task fates bit for bit, per-worker privacy spend bit
+//!   for bit (every mode charges through one ledger-ordered path),
+//!   window cut sequences, and the typed outcome log. The oracle is
+//!   the set of cross-path equivalences: drain ≡ push-session,
+//!   flat ≡ sharded on shard-disjoint input, repeat ≡ first run.
+//! * **sharded drive determinism** — sharded execution is
+//!   byte-identical however a session's windows are driven (all at
+//!   close, or in whatever batches each `advance_to` makes ready) and
+//!   across repeated runs, including on an adversarially skewed
+//!   hotspot-cell stream.
+//! * **wire-format stability** — the committed session snapshot
+//!   fixture still parses and round-trips byte-identically, and
+//!   snapshots key everything by *logical* id: no insertion order
+//!   (of hash maps or dense indices) may leak into the wire format,
+//!   pinned by a session whose insertion order disagrees with id
+//!   order.
 
 use dpta_core::{Method, Task, Worker};
 use dpta_spatial::{Aabb, GridPartition, Point};
@@ -181,7 +180,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // The tentpole agreement property: on random shard-disjoint
-    // streams, under every window policy, the interned pipeline's
+    // streams, under every window policy, the pipeline's
     // flat drain, push-session, drop-pairs sharded and halo sharded
     // runs all agree on everything observable — fates bit for bit,
     // spend bit for bit, window cuts, and the outcome log.
@@ -281,13 +280,12 @@ proptest! {
     }
 }
 
-// ── Parallel drive determinism ──────────────────────────────────────
+// ── Sharded drive determinism ───────────────────────────────────────
 
 /// An adversarially skewed stream: ~90 % of all entities crowd into
 /// one hotspot cell, the rest sprinkle over the other 15 cells of a
-/// 4×4 partition. On the fan-out pool the hotspot shard pins one
-/// thread while the others race through the sprinkle shards — the
-/// regime where which-thread-ran-what varies most between runs.
+/// 4×4 partition — one cell holds nearly every drive's work while
+/// most windows leave the other cells empty or nearly so.
 fn hotspot_stream() -> ArrivalStream {
     let mut events = Vec::new();
     for k in 0..200u32 {
@@ -316,11 +314,9 @@ fn hotspot_stream() -> ArrivalStream {
 }
 
 /// Sharded drop-pairs execution must be byte-identical however the
-/// windows reach the parallel drive — all at once at close, or in
-/// batches of whatever windows each `advance_to` makes ready — and
-/// across repeated runs, on a hotspot-skewed stream where the order in
-/// which threads take cells genuinely differs run to run. The
-/// comparison is on the full debug rendering of the timing-stripped
+/// windows are driven — all at once at close, or in batches of
+/// whatever windows each `advance_to` makes ready — and across
+/// repeated runs, on the hotspot-skewed stream. The comparison is on the full debug rendering of the timing-stripped
 /// report, so any bit difference in any float anywhere fails.
 #[test]
 fn sharded_reports_are_identical_across_drive_batches_and_runs() {
@@ -355,12 +351,13 @@ fn sharded_reports_are_identical_across_drive_batches_and_runs() {
     }
 }
 
-// ── Snapshot wire format under interning ────────────────────────────
+// ── Snapshot wire format under id-keyed state ───────────────────────
 
-/// The committed v2 fixture still parses and round-trips byte for
-/// byte: interning changed every id-keyed structure behind the
-/// snapshot, so any symbol leaking into the wire format would show up
-/// here as a re-serialization diff.
+/// The committed fixture still parses and round-trips byte for byte:
+/// the id-keyed structures behind the snapshot (hash maps, the release
+/// dedup's dense worker indices) serialize sorted by logical id, so
+/// any insertion order leaking into the wire format would show up here
+/// as a re-serialization diff.
 #[test]
 fn committed_fixture_round_trips_byte_identically() {
     let text = include_str!("fixtures/session_snapshot_v2.json");
@@ -369,12 +366,11 @@ fn committed_fixture_round_trips_byte_identically() {
     assert_eq!(snap.to_json().trim_end(), text.trim_end());
 }
 
-/// Snapshots are keyed by logical id even when interning order
+/// Snapshots are keyed by logical id even when insertion order
 /// disagrees with id order: a session fed descending ids must
-/// serialize ascending-id wire state (symbols are ranks of first
-/// insertion — if they leaked, the order would be descending),
-/// restore cleanly, keep rejecting the original duplicate ids, and
-/// round-trip byte-identically.
+/// serialize ascending-id wire state (if insertion order leaked, the
+/// order would be descending), restore cleanly, keep rejecting the
+/// original duplicate ids, and round-trip byte-identically.
 #[test]
 fn snapshot_keys_by_logical_id_not_intern_symbol() {
     let cfg = StreamConfig {
@@ -383,7 +379,7 @@ fn snapshot_keys_by_logical_id_not_intern_symbol() {
     };
     let engine = Method::Grd.engine(&cfg.params);
     let mut session = StreamSession::new(engine.as_ref(), cfg.clone());
-    // Ids arrive in descending order: intern symbols (0, 1, 2, …) are
+    // Ids arrive in descending order: insertion ranks (0, 1, 2, …) are
     // the *reverse* of id order.
     for (k, id) in [9u32, 4, 2].into_iter().enumerate() {
         session.push(ArrivalEvent::Worker(WorkerArrival {

@@ -46,10 +46,13 @@ fn main() {
     // time, `advance_to` declares the event-time watermark, and every
     // decision (assignment, expiry, retirement, worker return) is
     // emitted as a typed outcome as soon as its window settles.
-    let cfg = StreamConfig::builder()
-        .policy(WindowPolicy::ByTime { width: 300.0 })
-        .build()
-        .expect("valid streaming configuration");
+    // Sessions panic on a configuration `validate` rejects; calling it
+    // first turns that into a typed error naming the field.
+    let cfg = StreamConfig {
+        policy: WindowPolicy::ByTime { width: 300.0 },
+        ..StreamConfig::default()
+    };
+    cfg.validate().expect("valid streaming configuration");
     for method in [Method::Puce, Method::Pgt, Method::Grd] {
         let engine = method.engine(&cfg.params);
         let mut session = StreamSession::new(engine.as_ref(), cfg.clone());
@@ -82,11 +85,10 @@ fn main() {
     // (ServiceModel::Never, the default) can.
     let engine = Method::Puce.engine(&cfg.params);
     let never = StreamDriver::new(engine.as_ref(), cfg.clone()).run(&arrivals);
-    let recycled_cfg = cfg
-        .to_builder()
-        .service(ServiceModel::Fixed { secs: 240.0 })
-        .build()
-        .expect("valid re-entry configuration");
+    let recycled_cfg = StreamConfig {
+        service: ServiceModel::Fixed { secs: 240.0 },
+        ..cfg.clone()
+    };
     let recycled = StreamDriver::new(engine.as_ref(), recycled_cfg).run(&arrivals);
     println!(
         "PUCE with 240 s services: {} matched over {} completed cycles \
@@ -98,11 +100,10 @@ fn main() {
     assert!(recycled.matched() >= never.matched());
 
     // ── 4. Budget depletion: a fleet that burns out ───────────────────
-    let tight = cfg
-        .to_builder()
-        .worker_capacity(1.0) // one-ish release per worker lifetime
-        .build()
-        .expect("valid depletion configuration");
+    let tight = StreamConfig {
+        worker_capacity: 1.0, // one-ish release per worker lifetime
+        ..cfg.clone()
+    };
     let engine = Method::Pdce.engine(&tight.params);
     let report = StreamDriver::new(engine.as_ref(), tight).run(&arrivals);
     let retired: usize = report.windows.iter().map(|w| w.workers_retired).sum();
@@ -220,11 +221,10 @@ fn main() {
     // Restoring under a different configuration is refused with a typed
     // error naming the first offending field — a changed config would
     // silently diverge rather than fail.
-    let tightened = cfg
-        .to_builder()
-        .worker_capacity(1.0)
-        .build()
-        .expect("valid tightened configuration");
+    let tightened = StreamConfig {
+        worker_capacity: 1.0,
+        ..cfg.clone()
+    };
     let err = StreamSession::restore(engine.as_ref(), tightened, &snapshot)
         .err()
         .expect("changed config must be rejected");

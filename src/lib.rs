@@ -128,8 +128,7 @@ pub mod prelude {
         run_sharded, run_sharded_halo, run_sharded_with, AdmissionConfig, ArrivalModel,
         ArrivalStream, ConfigError, LedgerMode, Outcome, PacingConfig, ServiceModel,
         SessionSnapshot, ShardStrategy, ShardedSession, ShardedSnapshot, SnapshotError,
-        StreamConfig, StreamConfigBuilder, StreamDriver, StreamReport, StreamScenario,
-        StreamSession, WindowPolicy,
+        StreamConfig, StreamDriver, StreamReport, StreamScenario, StreamSession, WindowPolicy,
     };
     pub use dpta_workloads::{Dataset, Scenario};
 }
